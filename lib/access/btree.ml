@@ -229,9 +229,85 @@ let height t =
   let rec go = function Leaf _ -> 1 | Node n -> 1 + go (List.hd n.kids) in
   go t.root
 
+(* Sizes of the runs a level of [n] entries is cut into: [cap] each, and
+   when the last run would hold fewer than [min], it and the one before
+   share their entries evenly (both then hold at least [min]). *)
+let run_sizes ~cap ~min n =
+  let k = (n + cap - 1) / cap in
+  let sizes = Array.make k cap in
+  if k > 0 then sizes.(k - 1) <- n - (cap * (k - 1));
+  if k >= 2 && sizes.(k - 1) < min then begin
+    let both = sizes.(k - 2) + sizes.(k - 1) in
+    sizes.(k - 2) <- (both + 1) / 2;
+    sizes.(k - 1) <- both / 2
+  end;
+  sizes
+
+(* Cut [a] into runs of the given sizes, applying [f] to each slice. *)
+let slices sizes a f =
+  let start = ref 0 in
+  Array.map
+    (fun len ->
+      let slice = Array.sub a !start len in
+      start := !start + len;
+      f slice)
+    sizes
+
+(* Bulk load: one stable sort, equal keys grouped with their payloads in
+   input order (what repeated inserts leave), leaves filled to the order
+   and linked, then each internal level built bottom-up from the level
+   below, each node separating its children by their smallest keys. *)
 let of_list ?order entries =
   let t = create ?order () in
-  List.iter (fun (k, p) -> insert t k p) entries;
+  List.iter (fun (k, _) -> check_key t k) entries;
+  let sorted = Array.of_list entries in
+  Array.stable_sort (fun (a, _) (b, _) -> V.compare a b) sorted;
+  (* scan backwards, so each group's payloads come out in input order
+     with no reversal; a group keeps its first key, as [insert] does *)
+  let groups = ref [] and i = ref (Array.length sorted) in
+  while !i > 0 do
+    let last = fst sorted.(!i - 1) in
+    let s = ref (!i - 1) in
+    let ps = ref [ snd sorted.(!s) ] in
+    while !s > 0 && V.compare (fst sorted.(!s - 1)) last = 0 do
+      decr s;
+      ps := snd sorted.(!s) :: !ps
+    done;
+    groups := (fst sorted.(!s), !ps) :: !groups;
+    i := !s
+  done;
+  let groups = Array.of_list !groups in
+  if Array.length groups > 0 then begin
+    let leaves =
+      slices
+        (run_sizes ~cap:t.order ~min:(t.order / 2) (Array.length groups))
+        groups
+        (fun items -> { items = Array.to_list items; next = None })
+    in
+    Array.iteri
+      (fun i leaf ->
+        if i + 1 < Array.length leaves then leaf.next <- Some leaves.(i + 1))
+      leaves;
+    (* each node with the smallest key of its subtree *)
+    let rec build level =
+      if Array.length level = 1 then fst level.(0)
+      else
+        let cap = t.order + 1 in
+        build
+          (slices
+             (run_sizes ~cap ~min:((cap + 1) / 2) (Array.length level))
+             level
+             (fun kids ->
+               ( Node
+                   {
+                     keys = List.tl (Array.to_list (Array.map snd kids));
+                     kids = Array.to_list (Array.map fst kids);
+                   },
+                 snd kids.(0) )))
+    in
+    t.root <-
+      build (Array.map (fun leaf -> (Leaf leaf, fst (List.hd leaf.items))) leaves)
+  end;
   t
 
 let check_invariants t =
@@ -289,9 +365,7 @@ module R = Relational
 
 let index_relation ?order rel attr =
   let pos = R.Schema.index_of (R.Relation.schema rel) attr in
-  let t = create ?order () in
-  R.Relation.iter (fun tup -> insert t tup.(pos) tup) rel;
-  t
+  of_list ?order (List.map (fun tup -> (tup.(pos), tup)) (R.Relation.to_list rel))
 
 let select_range index rel ~lo ~hi =
   let schema = R.Relation.schema rel in

@@ -11,8 +11,12 @@
     {!of_list}/inserts. *)
 
 type 'payload t
+(** A mutable B+tree from {!Relational.Value.t} keys to lists of
+    ['payload]s. *)
 
 exception Key_type_clash of string
+(** Raised by {!insert} and {!of_list} when a key's type differs from the
+    tree's (set by its first key); the message names both types. *)
 
 val create : ?order:int -> unit -> 'p t
 (** [order] = maximum keys per node (default 8, minimum 3). *)
@@ -53,6 +57,14 @@ val cardinality : 'p t -> int
 val height : 'p t -> int
 
 val of_list : ?order:int -> (Relational.Value.t * 'p) list -> 'p t
+(** Bulk load: the tree that inserting the pairs in list order would
+    index (the same keys, each key's payloads in list order), built by
+    one stable sort on the key, leaves filled to the order, and internal
+    levels built bottom-up.  When the last node of a level would
+    underflow, it and its left neighbour share their entries evenly, so
+    {!check_invariants} holds, minimum occupancy included.  Raises
+    {!Key_type_clash} on the first pair, in list order, whose key's type
+    differs from the first key's. *)
 
 val check_invariants : 'p t -> (unit, string) result
 (** Sorted keys, separator consistency, balanced leaf depth, and (for
@@ -63,7 +75,8 @@ val index_relation :
   Relational.Relation.t ->
   Relational.Schema.attribute ->
   Relational.Tuple.t t
-(** A secondary index: key = the attribute's value, payload = the tuple. *)
+(** A secondary index: key = the attribute's value, payload = the tuple;
+    bulk-loaded with {!of_list}. *)
 
 val select_range :
   Relational.Tuple.t t ->

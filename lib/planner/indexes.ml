@@ -2,8 +2,10 @@
    B+tree or hash index.  Definitions persist in the reserved catalog
    table "__indexes"; the index structures themselves are in-memory
    (lib/access has no paged variant yet) and are rebuilt lazily, once
-   per context, from the heap — an honest trade documented in
-   docs/PLANNER.md. *)
+   per context, from the heap.  A rebuild streams the table's chain
+   once (Heap.iter_relation, no relation built) and bulk-loads a B+tree
+   (Btree.of_list: a sort and a bottom-up build) or inserts into a hash
+   index; its cost at the CLI is documented in docs/PLANNER.md. *)
 
 module R = Relational
 
@@ -117,16 +119,23 @@ let build eng t d =
   match Hashtbl.find_opt t.cache (d.table, d.attr, d.kind) with
   | Some b -> b
   | None ->
-      let rel = Storage.Engine.load_table eng d.table in
+      let schema, first = Storage.Engine.find_table eng d.table in
+      let pos = R.Schema.index_of schema d.attr in
+      let scan f =
+        ignore
+          (Storage.Heap.iter_relation (Storage.Engine.pool eng) ~first
+             (fun tup -> f tup.(pos) tup)
+            : int)
+      in
       let b =
         match d.kind with
-        | Btree -> Built_btree (Access.Btree.index_relation rel d.attr)
+        | Btree ->
+            let pairs = ref [] in
+            scan (fun key tup -> pairs := (key, tup) :: !pairs);
+            Built_btree (Access.Btree.of_list (List.rev !pairs))
         | Hash ->
             let h = Access.Hash_index.create () in
-            let pos = R.Schema.index_of (R.Relation.schema rel) d.attr in
-            R.Relation.iter
-              (fun tup -> Access.Hash_index.insert h tup.(pos) tup)
-              rel;
+            scan (Access.Hash_index.insert h);
             Built_hash h
       in
       Hashtbl.replace t.cache (d.table, d.attr, d.kind) b;

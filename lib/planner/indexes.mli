@@ -49,9 +49,9 @@ val drop : Storage.Engine.t -> t -> def -> unit
 val btree :
   Storage.Engine.t -> t -> table:string -> attr:string ->
   Relational.Tuple.t Access.Btree.t
-(** The built B+tree for a defined index (building it from the heap on
-    first use, cached for the catalog's lifetime).  Only call for
-    definitions present in {!defs}. *)
+(** The built B+tree for a defined index (bulk-loaded from one pass
+    over the heap on first use, cached for the catalog's lifetime).
+    Only call for definitions present in {!defs}. *)
 
 val hash :
   Storage.Engine.t -> t -> table:string -> attr:string ->

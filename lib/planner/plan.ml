@@ -108,6 +108,9 @@ let annotate ctx plan = Cost.annotate ctx.params ctx.stats plan
 let cheaper a b =
   if b.P.meta.P.est_cost < a.P.meta.P.est_cost then b else a
 
+(* A scan pays the heap pages [__stats] recorded when the table was
+   analyzed, so planning an analyzed table reads no page; a table with
+   no statistics has its chain walked. *)
 let scan ctx name access =
   let first =
     match List.find_opt (fun (n, _, _) -> n = name) ctx.tables with
@@ -115,7 +118,9 @@ let scan ctx name access =
     | None -> raise (R.Database.Unknown_relation name)
   in
   let pages =
-    Storage.Heap.chain_pages (Storage.Engine.pool ctx.eng) ~first
+    match Stats.find ctx.stats name with
+    | Some tb -> tb.Stats.pages
+    | None -> Storage.Heap.chain_pages (Storage.Engine.pool ctx.eng) ~first
   in
   P.make (P.Scan { table = name; access; pages }) (catalog ctx name)
 

@@ -85,5 +85,8 @@ val plan : ctx -> Relational.Algebra.t -> Physical.t
 (** Type-check, optionally rewrite ([plan.optimize] span), run
     chase-based join elimination ([plan.semantic] span), compile with
     access-path and join-algorithm selection, and annotate with
-    estimates.  Raises {!Relational.Algebra.Type_error} /
+    estimates.  Scans are priced with the page counts of the statistics
+    snapshot, so planning reads no page of an analyzed table; a table
+    with no statistics has its heap chain walked.
+    Raises {!Relational.Algebra.Type_error} /
     {!Relational.Database.Unknown_relation} on ill-typed input. *)

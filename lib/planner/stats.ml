@@ -36,26 +36,20 @@ let distinct table attr =
     table.columns
 
 let collect eng name =
-  let rel = Storage.Engine.load_table eng name in
-  let sch = R.Relation.schema rel in
-  let attrs = R.Schema.attributes sch in
+  let schema, first = Storage.Engine.find_table eng name in
+  let seen = Array.init (R.Schema.arity schema) (fun _ -> Hashtbl.create 64) in
+  let rows = ref 0 in
   let pages =
-    match
-      List.find_opt (fun (n, _, _) -> n = name) (Storage.Engine.table_info eng)
-    with
-    | Some (_, _, first) ->
-        Storage.Heap.chain_pages (Storage.Engine.pool eng) ~first
-    | None -> 0
+    Storage.Heap.iter_relation (Storage.Engine.pool eng) ~first (fun tup ->
+        incr rows;
+        Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
   in
-  let n = List.length attrs in
-  let seen = Array.init n (fun _ -> Hashtbl.create 64) in
-  R.Relation.iter
-    (fun tup -> Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
-    rel;
   let columns =
-    List.mapi (fun i attr -> { attr; distinct = Hashtbl.length seen.(i) }) attrs
+    List.mapi
+      (fun i attr -> { attr; distinct = Hashtbl.length seen.(i) })
+      (R.Schema.attributes schema)
   in
-  { rows = R.Relation.cardinality rel; pages; columns }
+  { rows = !rows; pages; columns }
 
 let to_relation t =
   let rows =

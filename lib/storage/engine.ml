@@ -477,11 +477,14 @@ let save_table t name rel =
 let table_info t =
   List.map (fun { Heap.name; schema; first } -> (name, schema, first)) (public_catalog t.pool)
 
-let load_table t name =
+let find_table t name =
   match List.find_opt (fun tb -> tb.Heap.name = name) (Heap.catalog t.pool) with
-  | Some { Heap.schema; first; _ } ->
-      Heap.load_relation t.pool ~schema ~first
+  | Some { Heap.schema; first; _ } -> (schema, first)
   | None -> raise (Unknown_table name)
+
+let load_table t name =
+  let schema, first = find_table t name in
+  Heap.load_relation t.pool ~schema ~first
 
 let table_names t =
   List.map (fun tb -> tb.Heap.name) (public_catalog t.pool)

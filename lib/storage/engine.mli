@@ -138,6 +138,11 @@ val load_table : t -> string -> Relational.Relation.t
     also resolves {!reserved} names, which is how the planner reaches
     its bookkeeping tables. *)
 
+val find_table : t -> string -> Relational.Schema.t * int
+(** A table's schema and the first page of its chain, for streaming it
+    with {!Heap.iter_relation} instead of loading it.  Resolves
+    {!reserved} names like {!load_table}; raises {!Unknown_table}. *)
+
 val reserved : string -> bool
 (** Whether a table name is reserved for engine-internal state (a
     ["__"] prefix — planner statistics, index definitions).  Reserved

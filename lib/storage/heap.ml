@@ -220,10 +220,20 @@ let save_relation pool rel =
   (* an empty relation still needs a chain for the catalog to point at *)
   Chain.force chain
 
+let iter_relation pool ~first f =
+  let rec walk id pages =
+    if id = 0 then pages
+    else begin
+      let records, next = page_records pool id in
+      List.iter (fun r -> f (Relational.Codec.tuple_of_string r)) records;
+      walk next (pages + 1)
+    end
+  in
+  walk first 0
+
 let load_relation pool ~schema ~first =
   let tuples = ref [] in
-  iter_chain pool ~first (fun _ _ r ->
-      tuples := Relational.Codec.tuple_of_string r :: !tuples);
+  ignore (iter_relation pool ~first (fun tup -> tuples := tup :: !tuples) : int);
   Relational.Relation.of_tuples schema (List.rev !tuples)
 
 (* --- the catalog ---------------------------------------------------------- *)

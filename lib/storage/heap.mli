@@ -27,8 +27,9 @@ val page_records : Buffer_pool.t -> int -> string list * int
 
 val chain_pages : Buffer_pool.t -> first:int -> int
 (** Number of pages in the chain rooted at [first] (0 when [first] is 0)
-    — the I/O footprint a sequential scan pays, feeding the planner's
-    cost model. *)
+    — the I/O footprint a sequential scan pays.  The planner's cost
+    model takes it from statistics and walks the chain only for a table
+    that has none. *)
 
 (** The item store: a string-keyed map to int values (absent reads 0),
     with an in-memory directory built at open and in-place updates whose
@@ -63,8 +64,17 @@ val save_relation : Buffer_pool.t -> Relational.Relation.t -> int
 (** Write the relation's tuples into a fresh chain; returns its first
     page id. *)
 
+val iter_relation :
+  Buffer_pool.t -> first:int -> (Relational.Tuple.t -> unit) -> int
+(** [iter_relation pool ~first f] streams a table chain: it decodes each
+    record and calls [f] on the tuple, page by page in chain order,
+    without building a relation, and returns the number of pages walked
+    (the {!chain_pages} count).  {!load_relation}, the planner's index
+    builds and its statistics scan all read tables through it. *)
+
 val load_relation :
   Buffer_pool.t -> schema:Relational.Schema.t -> first:int -> Relational.Relation.t
+(** The whole chain as a relation, read with {!iter_relation}. *)
 
 type table = { name : string; schema : Relational.Schema.t; first : int }
 (** One catalog entry: table name, schema, and its chain's first page. *)

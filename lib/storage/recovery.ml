@@ -34,31 +34,31 @@ type outcome = {
 
 let analyze entries =
   let checkpoint = ref None in
-  let begun = ref [] in
-  let committed = ref [] in
-  let ended = ref [] in
+  let begun = Hashtbl.create 64 in
+  let committed = Hashtbl.create 64 in
+  let ended = Hashtbl.create 64 in
   List.iter
     (fun { Wal.lsn; record } ->
       match record with
       | Wal.Checkpoint -> checkpoint := Some lsn
-      | Wal.Begin t -> begun := t :: !begun
+      | Wal.Begin t -> Hashtbl.replace begun t ()
       | Wal.Commit t ->
-          committed := t :: !committed;
-          ended := t :: !ended
-      | Wal.Abort t -> ended := t :: !ended
+          Hashtbl.replace committed t ();
+          Hashtbl.replace ended t ()
+      | Wal.Abort t -> Hashtbl.replace ended t ()
       (* presumed abort: a surviving Prepare alone leaves the txn live,
          hence a loser; the distributed termination protocol appends a
          Commit before recovery when the coordinator decided commit *)
       | Wal.Prepare _ -> ()
       | Wal.Write _ -> ())
     entries;
-  let uniq l = List.sort_uniq Int.compare l in
-  let winners = uniq !committed in
-  let ended = uniq !ended in
-  let losers =
-    List.filter (fun t -> not (List.mem t ended)) (uniq !begun)
+  let sorted set =
+    List.sort Int.compare (Hashtbl.fold (fun t () acc -> t :: acc) set [])
   in
-  (!checkpoint, winners, losers)
+  let losers =
+    List.filter (fun t -> not (Hashtbl.mem ended t)) (sorted begun)
+  in
+  (!checkpoint, sorted committed, losers)
 
 let run ~entries ~read ~write ~log =
   let checkpoint_lsn, winners, losers = analyze entries in

@@ -7,6 +7,7 @@
     without sharing a sequence. *)
 
 type t
+(** A generator's mutable state. *)
 
 val create : int -> t
 (** [create seed] makes a fresh generator from [seed]. *)

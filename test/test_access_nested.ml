@@ -68,6 +68,10 @@ let test_btree_type_clash () =
   Alcotest.(check bool) "string key rejected" true
     (match B.insert t (String "x") 0 with
     | () -> false
+    | exception B.Key_type_clash _ -> true);
+  Alcotest.(check bool) "bulk load rejects mixed keys" true
+    (match B.of_list [ (Int 1, 0); (Int 2, 1); (String "x", 2) ] with
+    | _ -> false
     | exception B.Key_type_clash _ -> true)
 
 let test_btree_index_relation () =
@@ -83,37 +87,70 @@ let test_btree_index_relation () =
   in
   Alcotest.check Fixtures.relation_testable "index = scan" scan hits
 
+(* One insert per pair, with a random delete after a quarter of them,
+   against a reference map; and a second tree bulk-loaded by [of_list]
+   from the same pairs, with no deletions, against a map of every pair.
+   Orders 3-8, 0-300 pairs, a third of the sizes exact multiples of the
+   order; keys either a permutation (all distinct) or drawn from 60
+   values (many duplicates). *)
 let prop_btree_matches_map =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:60 ~name:"btree agrees with a reference map"
        (QCheck2.Gen.int_range 0 1_000_000)
        (fun seed ->
          let rng = Support.Rng.create seed in
-         let t = B.create ~order:(3 + Support.Rng.int rng 6) () in
+         let order = 3 + Support.Rng.int rng 6 in
+         let size =
+           if Support.Rng.int rng 3 = 0 then
+             order * Support.Rng.int rng ((300 / order) + 1)
+           else Support.Rng.int rng 301
+         in
+         let domain = if Support.Rng.bool rng then size else 60 in
+         let keys =
+           if domain = size then begin
+             let a = Array.init size Fun.id in
+             Support.Rng.shuffle rng a;
+             a
+           end
+           else Array.init size (fun _ -> Support.Rng.int rng domain)
+         in
+         let pairs = List.init size (fun i -> (Int keys.(i), i)) in
+         let add tbl k p =
+           Hashtbl.replace tbl k
+             ((match Hashtbl.find_opt tbl k with Some ps -> ps | None -> [])
+             @ [ p ])
+         in
+         let lookup tbl k =
+           match Hashtbl.find_opt tbl k with Some ps -> ps | None -> []
+         in
+         let t = B.create ~order () in
          let reference = Hashtbl.create 32 in
-         for _ = 1 to 150 do
-           let k = Support.Rng.int rng 60 in
-           if Support.Rng.int rng 4 = 0 then begin
-             ignore (B.delete t (Int k));
-             Hashtbl.remove reference k
-           end
-           else begin
-             B.insert t (Int k) k;
-             Hashtbl.replace reference k
-               ((match Hashtbl.find_opt reference k with
-                | Some ps -> ps
-                | None -> [])
-               @ [ k ])
-           end
-         done;
+         List.iteri
+           (fun i (key, p) ->
+             B.insert t key p;
+             add reference keys.(i) p;
+             if Support.Rng.int rng 4 = 0 then begin
+               let k = Support.Rng.int rng domain in
+               ignore (B.delete t (Int k));
+               Hashtbl.remove reference k
+             end)
+           pairs;
+         let bulk = B.of_list ~order pairs in
+         let every = Hashtbl.create 32 in
+         Array.iteri (fun i k -> add every k i) keys;
+         let in_order =
+           List.sort_uniq Int.compare (Array.to_list keys)
+           |> List.map (fun k -> (Int k, lookup every k))
+         in
          B.check_invariants t = Ok ()
+         && B.check_invariants bulk = Ok ()
          && List.for_all
               (fun k ->
-                B.find t (Int k)
-                = (match Hashtbl.find_opt reference k with
-                  | Some ps -> ps
-                  | None -> []))
-              (List.init 60 Fun.id)))
+                B.find t (Int k) = lookup reference k
+                && B.find bulk (Int k) = lookup every k)
+              (List.init (domain + 1) Fun.id)
+         && List.rev (B.fold_range (fun k ps acc -> (k, ps) :: acc) bulk [])
+            = in_order))
 
 let prop_btree_iter_sorted =
   QCheck_alcotest.to_alcotest

@@ -368,6 +368,170 @@ let test_actuals_and_counters () =
       Alcotest.(check (option int)) "index path counted" (Some 1)
         (Obs.Registry.counter_value metrics "plan.index_scans"))
 
+(* --- multi-page tables ------------------------------------------------------ *)
+
+(* [t] has 3,000 rows over many heap pages and 40 distinct values in
+   [g], so an index on [g] spans many B+tree leaves and hash buckets
+   (the QCheck gate's 8-row tables never fill one leaf); [u] maps each
+   [g] to a label, for the merge join. *)
+let wide_db =
+  let t =
+    R.Relation.of_list
+      (R.Schema.make [ ("k", TInt); ("g", TInt); ("pad", TString) ])
+      (List.init 3000 (fun i ->
+           [ Int i; Int (i * 7 mod 40); String (Printf.sprintf "row-%04d" i) ]))
+  in
+  let u =
+    R.Relation.of_list
+      (R.Schema.make [ ("g", TInt); ("label", TString) ])
+      (List.init 40 (fun g -> [ Int g; String (Printf.sprintf "g%02d" g) ]))
+  in
+  R.Database.add (R.Database.add R.Database.empty "t" t) "u" u
+
+(* Save [wide_db] into a fresh engine, optionally analyze it, run [f]. *)
+let with_wide ?metrics ~analyze f =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db ?metrics path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Storage.Engine.close eng with _ -> ());
+      cleanup path)
+    (fun () ->
+      R.Database.fold
+        (fun name rel () -> Storage.Engine.save_table eng name rel)
+        wide_db ();
+      if analyze then
+        ignore (Planner.Stats.analyze eng [ "t"; "u" ] : Planner.Stats.t);
+      f eng)
+
+let chain_pages eng name =
+  let _, first = Storage.Engine.find_table eng name in
+  Storage.Heap.chain_pages (Storage.Engine.pool eng) ~first
+
+let test_multi_page_indexes () =
+  List.iter
+    (fun kind ->
+      with_wide ~analyze:true (fun eng ->
+          Alcotest.(check bool) "t spans many pages" true (chain_pages eng "t" > 10);
+          Planner.Indexes.create eng (Planner.Indexes.load eng)
+            { Planner.Indexes.table = "t"; attr = "g"; kind };
+          let name = Planner.Indexes.kind_to_string kind in
+          let run ?config q =
+            let ctx = Planner.Plan.make ?config eng in
+            let plan = Planner.Plan.plan ctx q in
+            check_rel (name ^ ": " ^ A.to_string q) (R.Eval.eval wide_db q)
+              (Planner.Exec.run ctx plan);
+            plan
+          in
+          let g op c = A.Cmp (op, A.Attr "g", A.Const (Int c)) in
+          (match find_scan (run (A.Select (g A.Eq 17, A.Rel "t"))) with
+          | Some (Planner.Physical.Point { via; _ }) when via = kind -> ()
+          | _ -> Alcotest.fail (name ^ ": expected an index point scan"));
+          let range =
+            run (A.Select (A.And (g A.Ge 10, g A.Le 11), A.Rel "t"))
+          in
+          (match (kind, find_scan range) with
+          | Planner.Indexes.Btree, Some (Planner.Physical.Range _)
+          | Planner.Indexes.Hash, Some Planner.Physical.Full ->
+              ()
+          | _ -> Alcotest.fail (name ^ ": unexpected range access path"));
+          let merge =
+            run
+              ~config:
+                {
+                  Planner.Plan.default_config with
+                  Planner.Plan.force_join = Planner.Plan.Force_merge;
+                }
+              (A.Join (A.Rel "t", A.Rel "u"))
+          in
+          let ordered =
+            Planner.Physical.fold
+              (fun n node ->
+                match node.Planner.Physical.node with
+                | Planner.Physical.Scan { access = Planner.Physical.Ordered _; _ }
+                  ->
+                    n + 1
+                | _ -> n)
+              0 merge
+          in
+          Alcotest.(check int) (name ^ ": index-ordered merge inputs")
+            (if kind = Planner.Indexes.Btree then 1 else 0)
+            ordered))
+    [ Planner.Indexes.Btree; Planner.Indexes.Hash ]
+
+(* [collect] reads the table once; its rows must be what loading the
+   table and walking its chain separately gave. *)
+let test_stats_one_pass_unchanged () =
+  with_wide ~analyze:false (fun eng ->
+      let expected name =
+        let rel = Storage.Engine.load_table eng name in
+        let sch = R.Relation.schema rel in
+        {
+          Planner.Stats.rows = R.Relation.cardinality rel;
+          pages = chain_pages eng name;
+          columns =
+            List.map
+              (fun attr ->
+                let values = Hashtbl.create 64 in
+                let pos = R.Schema.index_of sch attr in
+                R.Relation.iter (fun tup -> Hashtbl.replace values tup.(pos) ()) rel;
+                { Planner.Stats.attr; distinct = Hashtbl.length values })
+              (R.Schema.attributes sch);
+        }
+      in
+      let want = [ ("t", expected "t"); ("u", expected "u") ] in
+      Alcotest.(check bool) "analyze" true
+        (Planner.Stats.analyze eng [ "t"; "u" ] = want);
+      let persisted = Storage.Engine.load_table eng Planner.Stats.stats_table in
+      check_rel "__stats rows"
+        (R.Relation.of_list (R.Relation.schema persisted)
+           (List.concat_map
+              (fun (name, tb) ->
+                List.map
+                  (fun c ->
+                    [
+                      String name;
+                      String c.Planner.Stats.attr;
+                      Int tb.Planner.Stats.rows;
+                      Int tb.Planner.Stats.pages;
+                      Int c.Planner.Stats.distinct;
+                    ])
+                  tb.Planner.Stats.columns)
+              want))
+        persisted)
+
+let pool_fetches metrics =
+  List.fold_left
+    (fun acc name ->
+      acc + Option.value ~default:0 (Obs.Registry.counter_value metrics name))
+    0 [ "pool.hits"; "pool.misses" ]
+
+let scan_pages plan =
+  Planner.Physical.fold
+    (fun acc node ->
+      match node.Planner.Physical.node with
+      | Planner.Physical.Scan { pages; _ } -> pages :: acc
+      | _ -> acc)
+    [] plan
+
+let test_planning_reads_no_page () =
+  let metrics = Obs.Registry.create () in
+  let q = R.Query_parser.parse "select[g = 3 and k >= 100](t join u)" in
+  with_wide ~metrics ~analyze:true (fun eng ->
+      Planner.Indexes.create eng (Planner.Indexes.load eng)
+        { Planner.Indexes.table = "t"; attr = "k"; kind = Btree };
+      let ctx = Planner.Plan.make eng in
+      let before = pool_fetches metrics in
+      ignore (Planner.Plan.plan ctx q : Planner.Physical.t);
+      Alcotest.(check int) "analyzed: no page fetched" before
+        (pool_fetches metrics));
+  (* without a __stats row the chain is walked *)
+  with_wide ~metrics ~analyze:false (fun eng ->
+      let ctx = Planner.Plan.make eng in
+      let plan = Planner.Plan.plan ctx (A.Rel "t") in
+      Alcotest.(check (list int)) "pages = chain_pages" [ chain_pages eng "t" ]
+        (scan_pages plan))
+
 (* --- the QCheck equivalence property -------------------------------------- *)
 
 let property count name gen law =
@@ -585,6 +749,12 @@ let suite =
       test_merge_join_uses_index_order;
     Alcotest.test_case "sort spill" `Quick test_sort_spill;
     Alcotest.test_case "actuals and counters" `Quick test_actuals_and_counters;
+    Alcotest.test_case "multi-page indexes match eval" `Quick
+      test_multi_page_indexes;
+    Alcotest.test_case "stats one pass unchanged" `Quick
+      test_stats_one_pass_unchanged;
+    Alcotest.test_case "planning reads no page" `Quick
+      test_planning_reads_no_page;
     Alcotest.test_case "join elimination (fixed)" `Quick
       test_join_elimination_fixed;
     Alcotest.test_case "certify (fixed)" `Quick test_certify_fixed;

@@ -49,6 +49,53 @@ let test_crc32_incremental () =
        (Support.Crc32.update 0 b ~pos:0 ~len:8)
        b ~pos:8 ~len:(Bytes.length b - 8))
 
+(* The byte-at-a-time loop that slicing-by-8 replaced, kept as the
+   reference its checksums must equal. *)
+let crc32_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  fun crc b ~pos ~len ->
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
+let prop_crc32_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"crc32 = byte-at-a-time reference"
+       (QCheck2.Gen.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Support.Rng.create seed in
+         (* lengths 0-300 and a whole page, at any offset in a buffer with
+            slack after the range *)
+         let len =
+           if Support.Rng.int rng 8 = 0 then 4096 else Support.Rng.int rng 301
+         in
+         let pos = Support.Rng.int rng 17 in
+         let b =
+           Bytes.init
+             (pos + len + Support.Rng.int rng 9)
+             (fun _ -> Char.chr (Support.Rng.int rng 256))
+         in
+         let crc = Support.Crc32.update 0 b ~pos ~len in
+         (* chained: resume from a split point, and from a prior checksum *)
+         let split = Support.Rng.int rng (len + 1) in
+         let prior = Support.Rng.int rng 0x1_0000_0000 in
+         crc = crc32_reference 0 b ~pos ~len
+         && Support.Crc32.update
+              (Support.Crc32.update 0 b ~pos ~len:split)
+              b ~pos:(pos + split) ~len:(len - split)
+            = crc
+         && Support.Crc32.update prior b ~pos ~len
+            = crc32_reference prior b ~pos ~len))
+
 (* --- codec ------------------------------------------------------------- *)
 
 let test_codec_roundtrip () =
@@ -842,6 +889,59 @@ let test_recovery_analysis () =
   Alcotest.(check (list int)) "winners" [ 1; 4 ] winners;
   Alcotest.(check (list int)) "losers: begun, not ended" [ 2 ] losers
 
+(* The list-based analysis the hash-set version replaced, kept as the
+   reference it must equal. *)
+let analyze_reference entries =
+  let checkpoint = ref None in
+  let begun = ref [] and committed = ref [] and ended = ref [] in
+  List.iter
+    (fun { Storage.Wal.lsn; record } ->
+      match record with
+      | Storage.Wal.Checkpoint -> checkpoint := Some lsn
+      | Storage.Wal.Begin t -> begun := t :: !begun
+      | Storage.Wal.Commit t ->
+          committed := t :: !committed;
+          ended := t :: !ended
+      | Storage.Wal.Abort t -> ended := t :: !ended
+      | Storage.Wal.Prepare _ | Storage.Wal.Write _ -> ())
+    entries;
+  let uniq l = List.sort_uniq Int.compare l in
+  let ended = uniq !ended in
+  ( !checkpoint,
+    uniq !committed,
+    List.filter (fun t -> not (List.mem t ended)) (uniq !begun) )
+
+let prop_recovery_analysis_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"recovery analysis = list-based reference"
+       (QCheck2.Gen.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Support.Rng.create seed in
+         let txns = 1 + Support.Rng.int rng 40 in
+         let entries =
+           List.init (Support.Rng.int rng 300) (fun i ->
+               let txn = 1 + Support.Rng.int rng txns in
+               let record =
+                 match Support.Rng.int rng 6 with
+                 | 0 -> Storage.Wal.Begin txn
+                 | 1 ->
+                     Storage.Wal.Write
+                       {
+                         txn;
+                         item = Printf.sprintf "x%d" (Support.Rng.int rng 5);
+                         before = 0;
+                         after = i;
+                         compensation = false;
+                       }
+                 | 2 -> Storage.Wal.Commit txn
+                 | 3 -> Storage.Wal.Abort txn
+                 | 4 -> Storage.Wal.Prepare txn
+                 | _ -> Storage.Wal.Checkpoint
+               in
+               { Storage.Wal.lsn = 16 * i; record })
+         in
+         Storage.Recovery.analyze entries = analyze_reference entries))
+
 let test_recovery_redo_undo_counts () =
   let w txn item before after =
     Storage.Wal.Write { txn; item; before; after; compensation = false }
@@ -896,6 +996,7 @@ let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
     Alcotest.test_case "crc32 incremental" `Quick test_crc32_incremental;
+    prop_crc32_matches_reference;
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec corrupt" `Quick test_codec_corrupt;
     Alcotest.test_case "page slots" `Quick test_page_slots;
@@ -921,6 +1022,7 @@ let suite =
     Alcotest.test_case "engine crash loses uncommitted" `Quick
       test_engine_crash_loses_uncommitted;
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
+    prop_recovery_analysis_matches_reference;
     Alcotest.test_case "recovery redo/undo counts" `Quick test_recovery_redo_undo_counts;
     Alcotest.test_case "crash matrix" `Slow test_crash_matrix;
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
