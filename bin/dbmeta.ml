@@ -32,7 +32,7 @@ let input_error_to_exit f =
       fail (Printf.sprintf "unknown relation %S" name)
   | Relational.Codec.Corrupt msg ->
       fail (Printf.sprintf "corrupt record: %s" msg)
-  | Storage.Pager.Corrupt msg | Storage.Wal.Corrupt msg ->
+  | Storage.Pager.Corrupt msg ->
       fail (Printf.sprintf "corrupt database: %s" msg)
   | Storage.Engine.Unknown_table name ->
       fail (Printf.sprintf "no table %S in the database" name)
@@ -78,6 +78,31 @@ let dump_metrics fmt registry =
   | None -> ()
   | Some `Text -> prerr_string (Obs.Registry.to_text registry)
   | Some `Json -> prerr_string (Obs.Registry.to_json registry)
+
+(* [--trace=FILE] records spans while the command runs and writes them
+   afterwards as a Chrome trace, reporting the count on stderr. *)
+let trace_arg =
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
+         ~doc:"Record spans (restart recovery, checkpoints, WAL flushes, \
+               commits and aborts, and under $(b,db exec) each \
+               transaction incarnation per executor slot) and write them \
+               as Chrome trace_event JSON to $(docv) — open it in \
+               about:tracing or ui.perfetto.dev.")
+
+let trace_of = function
+  | None -> Obs.Trace.noop
+  | Some _ -> Obs.Trace.create ()
+
+let write_trace file trace =
+  match file with
+  | None -> ()
+  | Some file ->
+      let oc = open_out file in
+      output_string oc (Obs.Trace.to_chrome trace);
+      close_out oc;
+      Printf.eprintf "trace: %d span(s) written to %s (%d dropped)\n"
+        (List.length (Obs.Trace.events trace))
+        file (Obs.Trace.dropped trace)
 
 (* --- datalog run ----------------------------------------------------------- *)
 
@@ -378,11 +403,14 @@ let dist_crash_message path shards at =
     path shards;
   0
 
-let with_db ?crash_after ?faults ?(metrics = None) path f =
+let with_db ?crash_after ?faults ?(metrics = None) ?trace_file path f =
   let faults = Option.map Storage.Fault.spec_of_string faults in
   let registry = registry_of metrics in
+  let trace = trace_of trace_file in
   let code =
-    match Storage.Engine.open_db ?crash_after ?faults ~metrics:registry path with
+    match
+      Storage.Engine.open_db ?crash_after ?faults ~metrics:registry ~trace path
+    with
     | exception Storage.Fault.Crash at -> crash_message path at
     | eng -> (
         match
@@ -411,6 +439,7 @@ let with_db ?crash_after ?faults ?(metrics = None) path f =
               reason;
             1)
   in
+  write_trace trace_file trace;
   dump_metrics metrics registry;
   code
 
@@ -446,7 +475,7 @@ let report_recovery eng =
   | Some o -> Printf.printf "recovery: %s\n" (Storage.Recovery.outcome_to_string o)
   | None -> print_endline "recovery: log clean, nothing to do"
 
-let db_init_run path force =
+let db_init_run path force trace_file =
   input_error_to_exit @@ fun () ->
   if Sys.file_exists path && not force then
     invalid_arg
@@ -454,16 +483,16 @@ let db_init_run path force =
   if Sys.file_exists path then Sys.remove path;
   let wal = Storage.Engine.wal_path path in
   if Sys.file_exists wal then Sys.remove wal;
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       Printf.printf "created %s (%d pages, wal at %s)\n" path
         (Storage.Pager.page_count (Storage.Engine.pager eng))
         wal;
       0)
 
-let db_load_run path tables crash_after faults metrics =
+let db_load_run path tables crash_after faults metrics trace_file =
   input_error_to_exit @@ fun () ->
   let db = load_tables tables in
-  with_db ?crash_after ?faults ~metrics path (fun eng ->
+  with_db ?crash_after ?faults ~metrics ?trace_file path (fun eng ->
       let names =
         Relational.Database.fold
           (fun name rel acc ->
@@ -485,9 +514,9 @@ let db_load_run path tables crash_after faults metrics =
    print byte-identical results because the planner path realigns its
    output to the query's own schema. *)
 let db_query_run path text no_plan no_optimize no_semantic optimize certify
-    explain metrics =
+    explain metrics trace_file =
   input_error_to_exit @@ fun () ->
-  with_db ~metrics path (fun eng ->
+  with_db ~metrics ?trace_file path (fun eng ->
       let expr = Relational.Query_parser.parse text in
       if no_plan then begin
         let db = Storage.Engine.database eng in
@@ -566,7 +595,7 @@ let db_query_run path text no_plan no_optimize no_semantic optimize certify
             0
       end)
 
-let db_set_run path assignments abort crash_after faults =
+let db_set_run path assignments abort crash_after faults trace_file =
   input_error_to_exit @@ fun () ->
   let parsed =
     List.map
@@ -583,7 +612,7 @@ let db_set_run path assignments abort crash_after faults =
         | None -> invalid_arg (Printf.sprintf "expected item=int, got %S" spec))
       assignments
   in
-  with_db ?crash_after ?faults path (fun eng ->
+  with_db ?crash_after ?faults ?trace_file path (fun eng ->
       let txn = Storage.Engine.begin_txn eng in
       List.iter (fun (item, v) -> Storage.Engine.write eng ~txn item v) parsed;
       if abort then begin
@@ -596,9 +625,9 @@ let db_set_run path assignments abort crash_after faults =
       end;
       0)
 
-let db_get_run path items =
+let db_get_run path items trace_file =
   input_error_to_exit @@ fun () ->
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       (match items with
       | [] ->
           List.iter
@@ -611,11 +640,11 @@ let db_get_run path items =
             items);
       0)
 
-let db_status_run path =
+let db_status_run path trace_file =
   input_error_to_exit @@ fun () ->
   (* the raw log, inspected before recovery rewrites it *)
   let raw = Storage.Wal.report_file (Storage.Engine.wal_path path) in
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       let pager = Storage.Engine.pager eng in
       Printf.printf "file: %s (format v1, %d pages of %d bytes)\n" path
         (Storage.Pager.page_count pager)
@@ -680,7 +709,7 @@ let db_status_run path =
 (* Sharded recovery is auto-detected: a dist base has no file of its
    own, only BASE.shardK files, so probing them cannot misfire on a
    single-node database. *)
-let db_recover_run path verify_wal shards metrics =
+let db_recover_run path verify_wal shards metrics trace_file =
   input_error_to_exit @@ fun () ->
   let shards =
     match shards with
@@ -694,7 +723,7 @@ let db_recover_run path verify_wal shards metrics =
   match shards with
   | None ->
       let code =
-        with_db ~metrics path (fun eng ->
+        with_db ~metrics ?trace_file path (fun eng ->
             report_recovery eng;
             Printf.printf "items: %d, tables: %d\n"
               (Storage.Engine.item_count eng)
@@ -704,8 +733,10 @@ let db_recover_run path verify_wal shards metrics =
       if verify_wal then wal_audit path code else code
   | Some n ->
       let registry = registry_of metrics in
+      let trace = trace_of trace_file in
       let coord =
-        Distributed.Coordinator.open_dist ~shards:n ~metrics:registry path
+        Distributed.Coordinator.open_dist ~shards:n ~metrics:registry ~trace
+          path
       in
       let completed, presumed = Distributed.Coordinator.resolved coord in
       Printf.printf
@@ -734,6 +765,7 @@ let db_recover_run path verify_wal shards metrics =
             0 (List.init n Fun.id)
         else 0
       in
+      write_trace trace_file trace;
       dump_metrics metrics registry;
       code
 
@@ -926,11 +958,7 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
   input_error_to_exit @@ fun () ->
   let spec = Option.map Storage.Fault.spec_of_string faults in
   let registry = registry_of metrics in
-  let trace =
-    match trace_file with
-    | None -> Obs.Trace.noop
-    | Some _ -> Obs.Trace.create ()
-  in
+  let trace = trace_of trace_file in
   let params =
     {
       Transactions.Workload.txns;
@@ -1022,15 +1050,7 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
         in
         if verify_wal then wal_audit path code else code)
   in
-  (match trace_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Trace.to_chrome trace);
-      close_out oc;
-      Printf.eprintf "trace: %d span(s) written to %s (%d dropped)\n"
-        (List.length (Obs.Trace.events trace))
-        file (Obs.Trace.dropped trace));
+  write_trace trace_file trace;
   dump_metrics metrics registry;
   code
 
@@ -1065,7 +1085,7 @@ let db_init_cmd =
   in
   Cmd.v
     (Cmd.info "init" ~version ~doc:"Create an empty database file")
-    Term.(const db_init_run $ db_file_arg $ force)
+    Term.(const db_init_run $ db_file_arg $ force $ trace_arg)
 
 let db_load_cmd =
   let tables =
@@ -1075,7 +1095,7 @@ let db_load_cmd =
   Cmd.v
     (Cmd.info "load" ~version ~doc:"Load CSV tables into the database")
     Term.(const db_load_run $ db_file_arg $ tables $ crash_after_arg $ faults_arg
-          $ metrics_arg)
+          $ metrics_arg $ trace_arg)
 
 let db_query_cmd =
   let text =
@@ -1126,7 +1146,8 @@ let db_query_cmd =
        ~doc:"Evaluate a relational algebra query over stored tables \
              through the cost-based planner")
     Term.(const db_query_run $ db_file_arg $ text $ no_plan $ no_optimize
-          $ no_semantic $ optimize $ certify $ explain $ metrics_arg)
+          $ no_semantic $ optimize $ certify $ explain $ metrics_arg
+          $ trace_arg)
 
 (* --- db index: the secondary-index catalog ----------------------------------- *)
 
@@ -1148,9 +1169,9 @@ let db_index_attr_arg =
   Arg.(required & pos 2 (some string) None & info [] ~docv:"COLUMN"
          ~doc:"The indexed column.")
 
-let db_index_create_run path table attr kind =
+let db_index_create_run path table attr kind trace_file =
   input_error_to_exit @@ fun () ->
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       let idx = Planner.Indexes.load eng in
       Planner.Indexes.create eng idx { Planner.Indexes.table; attr; kind };
       (* fresh statistics, so the cost model prices the new access path
@@ -1161,9 +1182,9 @@ let db_index_create_run path table attr kind =
         table attr;
       0)
 
-let db_index_drop_run path table attr kind =
+let db_index_drop_run path table attr kind trace_file =
   input_error_to_exit @@ fun () ->
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       let idx = Planner.Indexes.load eng in
       Planner.Indexes.drop eng idx { Planner.Indexes.table; attr; kind };
       Printf.printf "dropped %s index on %s(%s)\n"
@@ -1171,9 +1192,9 @@ let db_index_drop_run path table attr kind =
         table attr;
       0)
 
-let db_index_list_run path =
+let db_index_list_run path trace_file =
   input_error_to_exit @@ fun () ->
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       (match Planner.Indexes.defs (Planner.Indexes.load eng) with
       | [] -> print_endline "no indexes"
       | defs ->
@@ -1192,18 +1213,18 @@ let db_index_cmd =
          ~doc:"Register a secondary index and refresh the table's \
                statistics")
       Term.(const db_index_create_run $ db_file_arg $ db_index_table_arg
-            $ db_index_attr_arg $ index_kind_arg)
+            $ db_index_attr_arg $ index_kind_arg $ trace_arg)
   in
   let drop =
     Cmd.v
       (Cmd.info "drop" ~version ~doc:"Remove a secondary index")
       Term.(const db_index_drop_run $ db_file_arg $ db_index_table_arg
-            $ db_index_attr_arg $ index_kind_arg)
+            $ db_index_attr_arg $ index_kind_arg $ trace_arg)
   in
   let list =
     Cmd.v
       (Cmd.info "list" ~version ~doc:"List the registered indexes")
-      Term.(const db_index_list_run $ db_file_arg)
+      Term.(const db_index_list_run $ db_file_arg $ trace_arg)
   in
   Cmd.group
     (Cmd.info "index" ~version
@@ -1225,7 +1246,7 @@ let db_set_cmd =
     (Cmd.info "set" ~version
        ~doc:"Write items transactionally (WAL-protected)")
     Term.(const db_set_run $ db_file_arg $ assignments $ abort $ crash_after_arg
-          $ faults_arg)
+          $ faults_arg $ trace_arg)
 
 let db_get_cmd =
   let items =
@@ -1234,13 +1255,13 @@ let db_get_cmd =
   in
   Cmd.v
     (Cmd.info "get" ~version ~doc:"Read items from the transactional store")
-    Term.(const db_get_run $ db_file_arg $ items)
+    Term.(const db_get_run $ db_file_arg $ items $ trace_arg)
 
 let db_status_cmd =
   Cmd.v
     (Cmd.info "status" ~version
        ~doc:"Show pages, tables, items, WAL and buffer-pool state")
-    Term.(const db_status_run $ db_file_arg)
+    Term.(const db_status_run $ db_file_arg $ trace_arg)
 
 let shards_arg =
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
@@ -1387,7 +1408,7 @@ let db_recover_cmd =
              termination protocol, then every shard's recovery) and \
              report its outcome")
     Term.(const db_recover_run $ db_file_arg $ verify_wal $ shards_arg
-          $ metrics_arg)
+          $ metrics_arg $ trace_arg)
 
 let db_exec_cmd =
   let txns =
@@ -1433,13 +1454,6 @@ let db_exec_cmd =
                  $(b,dbmeta lint wal)) and fold any errors into the exit \
                  code.")
   in
-  let trace =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record spans (WAL flushes, commits/aborts, transaction \
-                 incarnations per executor slot) and write them as Chrome \
-                 trace_event JSON to $(docv) — open it in about:tracing \
-                 or ui.perfetto.dev.")
-  in
   Cmd.v
     (Cmd.info "exec" ~version
        ~doc:"Run an interleaved transaction workload under locking, \
@@ -1450,7 +1464,7 @@ let db_exec_cmd =
     Term.(const db_exec_run $ db_file_arg $ shards_arg $ replicas_arg
           $ sync_mode_arg $ txns $ ops $ items $ write_ratio $ skew $ seed
           $ faults_arg $ crash_after_arg $ timeout $ verify $ verify_wal
-          $ metrics_arg $ trace)
+          $ metrics_arg $ trace_arg)
 
 let db_cmd =
   let doc = "persistent storage: pager, buffer pool, WAL, recovery" in
@@ -1632,9 +1646,9 @@ let lint_query_cmd =
    divergence) needs the actual row counts only a run can fill in.  The
    other passes would work on the unexecuted plan, but one uniform
    artifact keeps the subcommand simple. *)
-let lint_plan_run path text no_optimize format =
+let lint_plan_run path text no_optimize format trace_file =
   input_error_to_exit @@ fun () ->
-  with_db path (fun eng ->
+  with_db ?trace_file path (fun eng ->
       let expr = Relational.Query_parser.parse text in
       let config =
         { Planner.Plan.default_config with optimize = not no_optimize }
@@ -1664,7 +1678,8 @@ let lint_plan_cmd =
     (Cmd.info "plan" ~version
        ~doc:"Lint a physical query plan against a database (codes \
              PL001-PL004)")
-    Term.(const lint_plan_run $ db_file_arg $ text $ no_optimize $ format_arg)
+    Term.(const lint_plan_run $ db_file_arg $ text $ no_optimize $ format_arg
+          $ trace_arg)
 
 let lint_schedule_run text file format =
   input_error_to_exit @@ fun () ->

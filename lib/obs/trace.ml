@@ -66,10 +66,12 @@ let emit t ?(tid = 0) ?(args = []) ~name ~start_ns ~dur_ns () =
     t.recorded <- t.recorded + 1
   end
 
-let begin_span t ?(tid = 0) ?(args = []) name =
+let begin_span t ?(tid = 0) ?(args = []) ?start_ns name =
   if t.enabled then
-    t.stack <-
-      { o_name = name; o_tid = tid; o_start = t.clock (); o_args = args } :: t.stack
+    let o_start =
+      match start_ns with Some ns -> ns | None -> t.clock ()
+    in
+    t.stack <- { o_name = name; o_tid = tid; o_start; o_args = args } :: t.stack
 
 let end_span t =
   if t.enabled then
@@ -82,10 +84,10 @@ let end_span t =
           ~dur_ns:(t.clock () - span.o_start)
           ()
 
-let with_span t ?tid ?args name f =
+let with_span t ?tid ?args ?start_ns name f =
   if not t.enabled then f ()
   else begin
-    begin_span t ?tid ?args name;
+    begin_span t ?tid ?args ?start_ns name;
     Fun.protect ~finally:(fun () -> end_span t) f
   end
 

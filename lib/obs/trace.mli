@@ -43,14 +43,20 @@ val now : t -> int
 (** The recorder's clock ([0] when disabled) — for callers emitting
     pre-timed events via {!emit}. *)
 
-val begin_span : t -> ?tid:int -> ?args:(string * string) list -> string -> unit
-(** Open a span; it records when the matching {!end_span} closes it. *)
+val begin_span :
+  t -> ?tid:int -> ?args:(string * string) list -> ?start_ns:int -> string ->
+  unit
+(** Open a span; it records when the matching {!end_span} closes it.
+    [start_ns] (a {!now} reading) backdates its start, for a phase whose
+    first step ran before it was known whether the span is due. *)
 
 val end_span : t -> unit
 (** Close the innermost open span.  Raises [Invalid_argument] on an
     enabled recorder with no open span. *)
 
-val with_span : t -> ?tid:int -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
+val with_span :
+  t -> ?tid:int -> ?args:(string * string) list -> ?start_ns:int -> string ->
+  (unit -> 'a) -> 'a
 (** [begin_span]/[end_span] around the thunk, exception-safe. *)
 
 val emit :

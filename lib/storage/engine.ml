@@ -186,12 +186,20 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
     if fresh then Pager.create ~fault ~metrics path
     else Pager.open_file ~fault ~metrics path
   in
-  let wal, entries =
-    try Wal.open_log ~fault ~metrics ~trace (wal_path path)
+  (* the recovery span, when there is a log to recover, starts with the
+     log walk, so it also covers the item-store load and any open-time
+     repair below *)
+  let walk_start = Obs.Trace.now trace in
+  let tally = Recovery.tally () in
+  let wal, image =
+    try
+      Wal.open_log ~fault ~metrics ~trace ~on_frame:(Recovery.note tally)
+        (wal_path path)
     with e ->
       Pager.abandon pager;
       raise e
   in
+  let analysis = Recovery.analysis tally in
   let pool = Buffer_pool.create ~capacity:pool_size ~metrics pager in
   Buffer_pool.set_wal_barrier pool (fun lsn -> Wal.flush_to wal lsn);
   let items, first_repair =
@@ -213,7 +221,9 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       | Ok items -> (items, None)
       | Error quarantined ->
           Pager.set_items_root pager 0;
-          let items, replayed = replay_items pool entries in
+          let items, replayed =
+            replay_items pool (Wal.entries_from image 0)
+          in
           (items, Some { quarantined; replayed })
     with e ->
       Wal.abandon wal;
@@ -248,36 +258,32 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       Obs.Registry.Counter.incr t.emetrics.m_repairs;
       t.last_repair <- Some { quarantined; replayed }
   | None -> ());
-  let max_txn =
-    List.fold_left
-      (fun m { Wal.record; _ } ->
-        match record with
-        | Wal.Begin x | Wal.Commit x | Wal.Abort x | Wal.Prepare x -> max m x
-        | Wal.Write { txn; _ } -> max m txn
-        | Wal.Checkpoint -> m)
-      0 entries
-  in
-  t.next_txn <- max_txn + 1;
+  t.next_txn <- analysis.Recovery.next_txn;
   (try
-     if entries <> [] then begin
+     if image <> "" then begin
        let rec run_recovery tries =
          try
-           Recovery.run ~entries
+           Recovery.restart ~image analysis
              ~read:(fun item -> Heap.Items.get t.items item)
              ~write:(fun ~lsn item v -> Heap.Items.set t.items ~lsn item v)
              ~log:(fun r -> Wal.append t.wal r)
          with Pager.Corrupt _ when tries < 2 ->
            (* a page corrupted by recovery's own (faulty) page writes:
-              quarantine, rebuild, and re-run — the replay is idempotent *)
+              quarantine, rebuild, and re-run — the replay is idempotent.
+              The rebuild replays the log as it was read at open, not as
+              it is on disk now: recovery may have flushed CLRs into it. *)
            let quarantined = Pager.corrupt_pages t.pager in
            Pager.set_items_root t.pager 0;
-           let items, replayed = replay_items t.pool entries in
+           let items, replayed =
+             replay_items t.pool (Wal.entries_from image 0)
+           in
            t.items <- items;
            note_repair t ~quarantined ~replayed;
            run_recovery (tries + 1)
        in
        let outcome =
-         Obs.Trace.with_span trace "engine.recovery" (fun () -> run_recovery 0)
+         Obs.Trace.with_span trace ~start_ns:walk_start "engine.recovery"
+           (fun () -> run_recovery 0)
        in
        t.last_recovery <- Some outcome;
        (* the post-recovery checkpoint is an optimization: if the WAL (or

@@ -58,12 +58,26 @@ val open_db :
     one RNG stream, which is how the distributed layer crashes "the
     whole process" at its N-th durable I/O regardless of which shard
     (or the coordinator log) issues it.
+
+    The open reads the log once: {!Wal.open_log} walks every frame
+    (CRC and structure, no record built), truncates a torn tail, and
+    feeds the walk to the recovery analysis, which also yields the next
+    transaction id.  Restart recovery ({!Recovery.restart}) then
+    decodes records only from the restart point: the last checkpoint,
+    or the first record of a transaction still open at the end of the
+    log when that comes earlier.
     A corrupt item-store page found during the open is quarantined and
-    the item plane rebuilt from the log before recovery runs.
+    the item plane rebuilt, before recovery runs, by replaying the
+    whole surviving log as the walk read it; a page corrupted by
+    recovery's own writes is rebuilt the same way, from that image and
+    not from the file, which recovery may have extended.
 
     [metrics] is threaded into every layer (pager, pool, WAL, fault
     injector) and receives the engine's own [engine.*] instruments;
-    [trace] records [engine.recovery]/[engine.checkpoint]/
+    [trace] records [engine.recovery] (when the log holds a record,
+    from the walk through the last undo, so it also covers the
+    item-store load and any open-time quarantine repair between the
+    walk and redo)/[engine.checkpoint]/
     [engine.commit]/[engine.abort]/[engine.repair] and [wal.flush]
     spans.  Both default to the shared no-ops, costing only integer
     increments on the hot paths. *)

@@ -83,20 +83,26 @@ module Chain = struct
     end;
     c.first
 
-  (* Append a record; returns (page, slot). *)
-  let append c record =
+  (* Append a record; returns (page, slot).  A full [tail] that still
+     links onward (a chain being refilled from its first page) passes
+     the record on down the chain; new pages are allocated only past its
+     end. *)
+  let rec append c record =
     ignore (force c : int);
     let inserted =
       Buffer_pool.with_page c.pool c.tail (fun page ->
           match Page.insert page record with
           | slot ->
               Buffer_pool.mark_dirty c.pool c.tail;
-              Some slot
-          | exception Page.Page_full -> None)
+              Ok slot
+          | exception Page.Page_full -> Error (Page.next page))
     in
     match inserted with
-    | Some slot -> (c.tail, slot)
-    | None ->
+    | Ok slot -> (c.tail, slot)
+    | Error next when next <> 0 ->
+        c.tail <- next;
+        append c record
+    | Error _ ->
         let id = fresh_page c in
         Buffer_pool.with_page c.pool c.tail (fun page ->
             Page.set_next page id;
@@ -283,8 +289,10 @@ let replace_table pool table =
     let tables =
       List.map (fun t -> if t.name = table.name then table else t) existing
     in
-    (* clear the existing catalog pages, keeping the chain links *)
-    let first = Pager.catalog_root (Buffer_pool.pager pool) in
+    (* clear the existing catalog pages, keeping the chain links, then
+       refill them from the first page on *)
+    let pager = Buffer_pool.pager pool in
+    let first = Pager.catalog_root pager in
     let id = ref first in
     while !id <> 0 do
       let next =
@@ -298,6 +306,9 @@ let replace_table pool table =
       in
       id := next
     done;
-    let chain = catalog_chain pool in
+    let chain =
+      { Chain.pool; kind = kind_catalog; first; tail = first;
+        on_first = Pager.set_catalog_root pager }
+    in
     List.iter (fun t -> ignore (Chain.append chain (encode_table t))) tables
   end

@@ -10,12 +10,26 @@
        compensation record for every undone write and an Abort when a
        loser is fully undone.
 
-   "Lite" relative to ARIES: checkpoints are quiescent (taken only when
-   no transaction is active, so redo can really start there), there is no
-   dirty-page table, and compensation records carry no undo-next pointer
-   (a crash during undo just re-undoes; repeating history keeps that
-   idempotent).  Transactions whose Abort record made it to the log are
-   NOT re-undone: their compensations are ordinary logged history, which
+   Analysis covers the whole log, but builds no record: at open it is
+   fed frame by frame from the Wal's one validating walk, reading only
+   each frame's kind and transaction id into int lists.  Records are
+   decoded only from the restart point, the first LSN that redo or undo
+   needs: the last checkpoint, moved back to the first record naming a
+   loser when such a record precedes it.  A checkpoint flushes every
+   page before its record is logged, so redo can start there, but it
+   need not be quiescent: [Engine.save_table] checkpoints while
+   transactions are active, so a loser can have writes before the last
+   checkpoint, and undo must reach them.  A second header-only walk of
+   the log finds the first one; it runs only when there are losers.
+   [run] over a decoded entry list is the same analysis and the same
+   redo/undo, from LSN 0.
+
+   "Lite" relative to ARIES: there is no dirty-page table and no
+   active-transaction table in the checkpoint (hence that second walk),
+   and compensation records carry no undo-next pointer (a crash during
+   undo just re-undoes; repeating history keeps that idempotent).
+   Transactions whose Abort record made it to the log are NOT
+   re-undone: their compensations are ordinary logged history, which
    the redo pass repeats — this is what makes an abort followed by a
    committed overwrite of the same item crash-safe.
 
@@ -32,39 +46,77 @@ type outcome = {
   undone : int;
 }
 
-let analyze entries =
-  let checkpoint = ref None in
-  let begun = Hashtbl.create 64 in
-  let committed = Hashtbl.create 64 in
-  let ended = Hashtbl.create 64 in
-  List.iter
-    (fun { Wal.lsn; record } ->
-      match record with
-      | Wal.Checkpoint -> checkpoint := Some lsn
-      | Wal.Begin t -> Hashtbl.replace begun t ()
-      | Wal.Commit t ->
-          Hashtbl.replace committed t ();
-          Hashtbl.replace ended t ()
-      | Wal.Abort t -> Hashtbl.replace ended t ()
-      (* presumed abort: a surviving Prepare alone leaves the txn live,
-         hence a loser; the distributed termination protocol appends a
-         Commit before recovery when the coordinator decided commit *)
-      | Wal.Prepare _ -> ()
-      | Wal.Write _ -> ())
-    entries;
-  let sorted set =
-    List.sort Int.compare (Hashtbl.fold (fun t () acc -> t :: acc) set [])
-  in
-  let losers =
-    List.filter (fun t -> not (Hashtbl.mem ended t)) (sorted begun)
-  in
-  (!checkpoint, sorted committed, losers)
+type analysis = {
+  checkpoint_lsn : int option;
+  winners : int list;
+  losers : int list;
+  next_txn : int;
+}
 
-let run ~entries ~read ~write ~log =
-  let checkpoint_lsn, winners, losers = analyze entries in
+type tally = {
+  mutable last_checkpoint : int;  (* -1: none *)
+  mutable begun : int list;
+  mutable commits : int list;
+  mutable aborts : int list;
+  mutable max_txn : int;
+}
+
+let tally () =
+  { last_checkpoint = -1; begun = []; commits = []; aborts = []; max_txn = 0 }
+
+let note t lsn (kind : Wal.kind) txn =
+  (match kind with
+  | `Checkpoint -> t.last_checkpoint <- lsn
+  | `Begin -> t.begun <- txn :: t.begun
+  | `Commit -> t.commits <- txn :: t.commits
+  | `Abort -> t.aborts <- txn :: t.aborts
+  (* presumed abort: a surviving Prepare alone leaves the txn live,
+     hence a loser; the distributed termination protocol appends a
+     Commit before recovery when the coordinator decided commit *)
+  | `Prepare | `Write -> ());
+  if txn > t.max_txn then t.max_txn <- txn
+
+(* [a] minus [b], both sorted and duplicate-free *)
+let diff a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], _ -> List.rev acc
+    | _, [] -> List.rev_append acc a
+    | x :: a', y :: b' ->
+        if x < y then go (x :: acc) a' b
+        else if x > y then go acc a b'
+        else go acc a' b'
+  in
+  go [] a b
+
+let analysis t =
+  let sorted l = List.sort_uniq Int.compare l in
+  let winners = sorted t.commits in
+  {
+    checkpoint_lsn =
+      (if t.last_checkpoint < 0 then None else Some t.last_checkpoint);
+    winners;
+    losers = diff (diff (sorted t.begun) winners) (sorted t.aborts);
+    next_txn = t.max_txn + 1;
+  }
+
+let analysis_of_entries entries =
+  let t = tally () in
+  List.iter
+    (fun { Wal.lsn; record } -> note t lsn (Wal.kind_of record) (Wal.txn_of record))
+    entries;
+  analysis t
+
+let analyze entries =
+  let a = analysis_of_entries entries in
+  (a.checkpoint_lsn, a.winners, a.losers)
+
+(* Redo and undo over [entries], which must hold every record from the
+   restart point on. *)
+let replay (a : analysis) entries ~read ~write ~log =
   (* redo: repeat history from the checkpoint *)
   let redo_applied = ref 0 and redo_skipped = ref 0 in
-  let start = match checkpoint_lsn with Some l -> l | None -> -1 in
+  let start = match a.checkpoint_lsn with Some l -> l | None -> -1 in
   List.iter
     (fun { Wal.lsn; record } ->
       if lsn > start then
@@ -80,7 +132,7 @@ let run ~entries ~read ~write ~log =
     (fun { Wal.lsn = _; record } ->
       match record with
       | Wal.Write { txn; item; before; after = _; compensation = _ }
-        when List.mem txn losers ->
+        when List.mem txn a.losers ->
           let current = read item in
           let clr =
             Wal.Write
@@ -97,11 +149,32 @@ let run ~entries ~read ~write ~log =
           incr undone
       | _ -> ())
     (List.rev entries);
-  List.iter (fun t -> ignore (log (Wal.Abort t) : int)) losers;
-  { checkpoint_lsn; winners; losers; redo_applied = !redo_applied;
-    redo_skipped = !redo_skipped; undone = !undone }
+  List.iter (fun t -> ignore (log (Wal.Abort t) : int)) a.losers;
+  {
+    checkpoint_lsn = a.checkpoint_lsn;
+    winners = a.winners;
+    losers = a.losers;
+    redo_applied = !redo_applied;
+    redo_skipped = !redo_skipped;
+    undone = !undone;
+  }
 
-let outcome_to_string o =
+let run ~entries ~read ~write ~log =
+  replay (analysis_of_entries entries) entries ~read ~write ~log
+
+let restart_point image (a : analysis) =
+  match a.checkpoint_lsn with
+  | None -> 0
+  | Some ckpt when a.losers = [] -> ckpt
+  | Some ckpt ->
+      fst
+        (Wal.walk image ~init:ckpt ~f:(fun first lsn _ txn ->
+             if lsn < first && List.mem txn a.losers then lsn else first))
+
+let restart ~image a ~read ~write ~log =
+  replay a (Wal.entries_from image (restart_point image a)) ~read ~write ~log
+
+let outcome_to_string (o : outcome) =
   let ids l = String.concat "," (List.map string_of_int l) in
   Printf.sprintf
     "checkpoint=%s winners=[%s] losers=[%s] redo=%d skipped=%d undone=%d"

@@ -1,6 +1,17 @@
-(** ARIES-lite restart recovery: analysis, redo from the last
-    (quiescent) checkpoint repeating history, then undo of losers in
-    reverse-LSN order with compensation logging.
+(** ARIES-lite restart recovery: analysis, redo from the last checkpoint
+    repeating history, then undo of losers in reverse-LSN order with
+    compensation logging.
+
+    Analysis covers the whole log; records are built only from the
+    restart point.  At open, analysis is fed frame by frame from the
+    log's one validating walk ({!Wal.open_log}'s [on_frame], via
+    {!tally}/{!note}) and reads only each frame's kind and transaction
+    id.  {!restart} then decodes from the restart point: the last
+    checkpoint, or LSN 0 without one, moved back to the first record
+    naming a loser when that record precedes the checkpoint (a
+    checkpoint taken by [Engine.save_table] may have active
+    transactions).  {!run} over a decoded entry list is the same
+    analysis and the same redo/undo.
 
     The algorithm is store-agnostic: the engine supplies [read]/[write]
     over its item pages and [log] appending to its WAL, so the same pass
@@ -20,8 +31,29 @@ type outcome = {
   undone : int;
 }
 
+(** The analysis pass's result over a whole log. *)
+type analysis = {
+  checkpoint_lsn : int option;  (** the last checkpoint's LSN *)
+  winners : int list;  (** committed, sorted *)
+  losers : int list;  (** begun, neither committed nor aborted, sorted *)
+  next_txn : int;  (** one past the largest transaction id named *)
+}
+
+type tally
+(** Analysis in progress: int lists, one cons per record. *)
+
+val tally : unit -> tally
+(** An empty tally. *)
+
+val note : tally -> int -> Wal.kind -> int -> unit
+(** [note t lsn kind txn] counts one frame, in log order — the shape of
+    {!Wal.open_log}'s [on_frame]. *)
+
+val analysis : tally -> analysis
+(** Finish: sort the lists and take the losers as a sorted difference. *)
+
 val analyze : Wal.entry list -> int option * int list * int list
-(** (last checkpoint LSN, winners, losers). *)
+(** (last checkpoint LSN, winners, losers) of a decoded log. *)
 
 val run :
   entries:Wal.entry list ->
@@ -29,9 +61,24 @@ val run :
   write:(lsn:int -> string -> int -> bool) ->
   log:(Wal.record -> int) ->
   outcome
-(** [write ~lsn item v] must apply the page-LSN test: return [false]
-    (skip) when the item's page already carries an LSN ≥ [lsn], [true]
-    after applying and raising the page LSN.  [log] appends a WAL record
-    and returns its LSN. *)
+(** Recovery over a whole decoded log.  [write ~lsn item v] must apply
+    the page-LSN test: return [false] (skip) when the item's page
+    already carries an LSN ≥ [lsn], [true] after applying and raising
+    the page LSN.  [log] appends a WAL record and returns its LSN. *)
+
+val restart :
+  image:string ->
+  analysis ->
+  read:(string -> int) ->
+  write:(lsn:int -> string -> int -> bool) ->
+  log:(Wal.record -> int) ->
+  outcome
+(** {!run}'s outcome, identical field by field, for the verified image
+    {!Wal.open_log} returned and its {!analysis}, decoding records only
+    from the restart point: the first LSN redo or undo needs.  That is
+    the last checkpoint (0 without one), or the first record naming a
+    loser when it comes earlier, found by a second header-only walk of
+    the log that runs only when there are losers. *)
 
 val outcome_to_string : outcome -> string
+(** The one-line rendering [db status] and [db recover] print. *)

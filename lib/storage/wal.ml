@@ -29,8 +29,6 @@ type record =
 
 type entry = { lsn : int; record : record }
 
-exception Corrupt of string
-
 (* --- codec -------------------------------------------------------------- *)
 
 let payload_of_record r =
@@ -70,106 +68,115 @@ let frame payload =
 
 let frame_of_record r = frame (payload_of_record r)
 
-(* Tolerant payload-level scan: stop (not fail) at the first incomplete
-   or CRC-invalid frame.  Returns (offset, payload) pairs and the clean
-   byte length. *)
-let scan_frames image =
+let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+
+(* The one frame loop every scan below runs on.  Fold [f acc pos len]
+   over the frames of [image] from [from], stopping (not failing) at the
+   first frame that is incomplete, fails its CRC, or whose payload
+   [valid] rejects: the torn tail.  Returns the accumulator and the
+   clean length.  The CRC is checked in place, without copying the
+   payload. *)
+let fold_frames ~valid image ~from ~init ~f =
   let n = String.length image in
-  let frames = ref [] in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    if !pos + 8 > n then stop := true
-    else begin
-      let crc = Int32.to_int (String.get_int32_le image !pos) land 0xFFFFFFFF in
-      let len =
-        Int32.to_int (String.get_int32_le image (!pos + 4)) land 0xFFFFFFFF
-      in
-      if len > n - !pos - 8 then stop := true
-      else begin
-        let payload = String.sub image (!pos + 8) len in
-        if Support.Crc32.string payload <> crc then stop := true
-        else begin
-          frames := (!pos, payload) :: !frames;
-          pos := !pos + 8 + len
-        end
-      end
-    end
-  done;
-  (List.rev !frames, !pos)
+  let rec go pos acc =
+    if pos + 8 > n then (acc, pos)
+    else
+      let len = u32 image (pos + 4) in
+      if
+        len > n - pos - 8
+        || Support.Crc32.string ~pos:(pos + 8) ~len image <> u32 image pos
+        || not (valid image (pos + 8) len)
+      then (acc, pos)
+      else go (pos + 8 + len) (f acc pos len)
+  in
+  go from init
+
+let scan_frames image =
+  let frames, clean =
+    fold_frames image
+      ~valid:(fun _ _ _ -> true)
+      ~from:0 ~init:[]
+      ~f:(fun acc pos len -> (pos, String.sub image (pos + 8) len) :: acc)
+  in
+  (List.rev frames, clean)
 
 let frames_of_file path =
   if Sys.file_exists path then scan_frames (Support.Io.read_file path)
   else ([], 0)
 
-let record_of_payload s =
-  let pos = ref 0 in
-  let u8 () =
-    let v = Char.code s.[!pos] in
-    incr pos;
-    v
-  in
-  let u32 () =
-    let v = Int32.to_int (String.get_int32_le s !pos) land 0xFFFFFFFF in
-    pos := !pos + 4;
-    v
-  in
-  let i64 () =
-    let v = Int64.to_int (String.get_int64_le s !pos) in
-    pos := !pos + 8;
-    v
-  in
-  let str () =
-    let len = String.get_uint16_le s !pos in
-    pos := !pos + 2;
-    let v = String.sub s !pos len in
-    pos := !pos + len;
-    v
-  in
-  try
-    match u8 () with
-    | 1 -> Begin (u32 ())
-    | (2 | 6) as k ->
-        let txn = u32 () in
-        let item = str () in
-        let before = i64 () in
-        let after = i64 () in
-        Write { txn; item; before; after; compensation = k = 6 }
-    | 3 -> Commit (u32 ())
-    | 4 -> Abort (u32 ())
-    | 5 -> Checkpoint
-    | 7 -> Prepare (u32 ())
-    | k -> raise (Corrupt (Printf.sprintf "unknown record kind %d" k))
-  with Invalid_argument _ ->
-    raise (Corrupt "truncated record payload")
+(* Exactly the payloads the decoder below accepts, judged from the kind
+   byte and, for a write, the item length: a txn-carrying kind needs its
+   u32, a write its fixed fields plus the item; trailing bytes are
+   allowed, unknown kinds are not. *)
+let well_formed image off len =
+  len >= 1
+  &&
+  match Char.code image.[off] with
+  | 1 | 3 | 4 | 7 -> len >= 5
+  | 2 | 6 -> len >= 7 && len >= 23 + String.get_uint16_le image (off + 5)
+  | 5 -> true
+  | _ -> false
 
-(* Scan a log image, stopping (not failing) at the first frame that is
-   incomplete or fails its CRC — the torn tail.  Returns the entries and
-   the clean length. *)
-let scan image =
-  let n = String.length image in
-  let entries = ref [] in
-  let pos = ref 0 in
-  let stop = ref false in
-  while not !stop do
-    if !pos + 8 > n then stop := true
-    else begin
-      let crc = Int32.to_int (String.get_int32_le image !pos) land 0xFFFFFFFF in
-      let len = Int32.to_int (String.get_int32_le image (!pos + 4)) land 0xFFFFFFFF in
-      if len > n - !pos - 8 then stop := true
-      else begin
-        let payload = String.sub image (!pos + 8) len in
-        if Support.Crc32.string payload <> crc then stop := true
-        else
-          match record_of_payload payload with
-          | record ->
-              entries := { lsn = !pos; record } :: !entries;
-              pos := !pos + 8 + len
-          | exception Corrupt _ -> stop := true
-      end
-    end
-  done;
-  (List.rev !entries, !pos)
+type kind = [ `Begin | `Write | `Commit | `Abort | `Checkpoint | `Prepare ]
+
+(* Header reads of a frame at [lsn] that passed [well_formed]. *)
+let kind_at image lsn : kind =
+  match Char.code image.[lsn + 8] with
+  | 1 -> `Begin
+  | 2 | 6 -> `Write
+  | 3 -> `Commit
+  | 4 -> `Abort
+  | 5 -> `Checkpoint
+  | _ -> `Prepare
+
+let txn_at image lsn = if image.[lsn + 8] = '\005' then -1 else u32 image (lsn + 9)
+
+let record_at image lsn =
+  let off = lsn + 8 and txn = txn_at image lsn in
+  match Char.code image.[off] with
+  | 1 -> Begin txn
+  | (2 | 6) as k ->
+      let len = String.get_uint16_le image (off + 5) in
+      let at = off + 7 + len in
+      Write
+        {
+          txn;
+          item = String.sub image (off + 7) len;
+          before = Int64.to_int (String.get_int64_le image at);
+          after = Int64.to_int (String.get_int64_le image (at + 8));
+          compensation = k = 6;
+        }
+  | 3 -> Commit txn
+  | 4 -> Abort txn
+  | 5 -> Checkpoint
+  | _ -> Prepare txn
+
+let kind_of : record -> kind = function
+  | Begin _ -> `Begin
+  | Write _ -> `Write
+  | Commit _ -> `Commit
+  | Abort _ -> `Abort
+  | Checkpoint -> `Checkpoint
+  | Prepare _ -> `Prepare
+
+let txn_of = function
+  | Begin t | Commit t | Abort t | Prepare t | Write { txn = t; _ } -> t
+  | Checkpoint -> -1
+
+let walk image ~init ~f =
+  fold_frames ~valid:well_formed image ~from:0 ~init
+    ~f:(fun acc lsn _ -> f acc lsn (kind_at image lsn) (txn_at image lsn))
+
+(* Decode the frames from [from] to the first damaged one. *)
+let decode image ~from =
+  let entries, clean =
+    fold_frames ~valid:well_formed image ~from ~init:[]
+      ~f:(fun acc lsn _ -> { lsn; record = record_at image lsn } :: acc)
+  in
+  (List.rev entries, clean)
+
+let scan image = decode image ~from:0
+let entries_from image lsn = fst (decode image ~from:lsn)
 
 (* --- read-only scanning: the offline verifier's view --------------------- *)
 
@@ -182,23 +189,6 @@ type report = {
   resync : resync option;
 }
 
-(* Is there a whole, CRC-valid, decodable frame at [pos]? *)
-let valid_frame_at image pos =
-  let n = String.length image in
-  if pos + 8 > n then false
-  else begin
-    let crc = Int32.to_int (String.get_int32_le image pos) land 0xFFFFFFFF in
-    let len = Int32.to_int (String.get_int32_le image (pos + 4)) land 0xFFFFFFFF in
-    if len > n - pos - 8 then false
-    else begin
-      let payload = String.sub image (pos + 8) len in
-      Support.Crc32.string payload = crc
-      && match record_of_payload payload with
-         | (_ : record) -> true
-         | exception Corrupt _ -> false
-    end
-  end
-
 (* After the scan stops at damage, slide forward byte by byte looking for
    a point where valid frames resume.  A torn tail (partial frame, zeros,
    nothing after) never resyncs; a frame corrupted mid-log — with intact
@@ -208,14 +198,10 @@ let find_resync image clean =
   let n = String.length image in
   let rec search pos =
     if pos + 8 > n then None
-    else if valid_frame_at image pos then begin
-      let entries, _ = scan (String.sub image pos (n - pos)) in
-      let entries =
-        List.map (fun e -> { e with lsn = e.lsn + pos }) entries
-      in
-      Some { resync_at = pos; resync_records = entries }
-    end
-    else search (pos + 1)
+    else
+      match decode image ~from:pos with
+      | _, stop when stop = pos -> search (pos + 1)
+      | resync_records, _ -> Some { resync_at = pos; resync_records }
   in
   search (clean + 1)
 
@@ -294,13 +280,16 @@ let really_write fd s pos len =
   done
 
 let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
-    ?(trace = Obs.Trace.noop) path =
+    ?(trace = Obs.Trace.noop) ?(on_frame = fun _ _ _ -> ()) path =
   let metrics = make_metrics metrics in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   let image = Support.Io.read_file path in
-  let entries, clean = scan image in
+  let (), clean =
+    walk image ~init:() ~f:(fun () lsn kind txn -> on_frame lsn kind txn)
+  in
   (* drop the torn tail so new appends start on a clean frame boundary *)
-  if clean < String.length image then Unix.ftruncate fd clean;
+  let torn = String.length image - clean in
+  if torn > 0 then Unix.ftruncate fd clean;
   ignore (Unix.lseek fd clean Unix.SEEK_SET);
   ( {
       path;
@@ -313,9 +302,9 @@ let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
       appends = 0;
       flushes = 0;
       retried = 0;
-      truncated = String.length image - clean;
+      truncated = torn;
     },
-    entries )
+    if torn > 0 then String.sub image 0 clean else image )
 
 let append t record =
   let lsn = t.durable + Buffer.length t.pending in

@@ -30,9 +30,9 @@ type record =
 type entry = { lsn : int; record : record }
 (** A scanned record with its LSN (byte offset in the file). *)
 
-exception Corrupt of string
-(** A structurally impossible log (raised by strict internal checks;
-    the tolerant scans stop at damage instead of raising). *)
+type kind = [ `Begin | `Write | `Commit | `Abort | `Checkpoint | `Prepare ]
+(** A frame's record kind, read from its header byte without decoding
+    the payload; compensation writes are [`Write]s. *)
 
 type t
 (** An open log: file descriptor, pending append buffer, and durable
@@ -40,11 +40,16 @@ type t
 
 val open_log :
   ?fault:Fault.t -> ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t ->
-  string -> t * entry list
-(** Open (creating if needed), scan tolerantly, physically truncate any
-    torn tail, and return the surviving entries oldest-first.  The count
-    of truncated tail bytes is reported by {!truncated_at_open} rather
-    than silently dropped.
+  ?on_frame:(int -> kind -> int -> unit) -> string -> t * string
+(** Open (creating if needed), walk the whole log once, physically
+    truncate any torn tail, and return the surviving image: the file's
+    bytes up to the end of the last valid frame.  The walk is {!walk}:
+    it checks every frame's CRC in place and its payload's structure,
+    stops at the same frame as {!scan}, and builds no record; it calls
+    [on_frame lsn kind txn] for each surviving frame, oldest first
+    ([txn] is [-1] for a checkpoint).  {!entries_from} decodes the
+    image from any of those LSNs.  The count of truncated tail bytes is
+    reported by {!truncated_at_open} rather than silently dropped.
 
     [metrics] receives the [wal.*] instruments (append/flush counters
     and byte totals, [wal.fsync_ns]/[wal.flush_ns] latency histograms);
@@ -98,6 +103,26 @@ val read_entries : string -> entry list
 val scan : string -> entry list * int
 (** Tolerant scan of an in-memory log image; returns the entries and the
     clean byte length (exposed for tests). *)
+
+val walk :
+  string -> init:'a -> f:('a -> int -> kind -> int -> 'a) -> 'a * int
+(** [walk image ~init ~f] folds [f acc lsn kind txn] over the frames of
+    [image], oldest first, and returns the result with the clean
+    length.  It stops, exactly where {!scan} does, at the first frame
+    that is incomplete, fails its CRC, or has a payload the decoder
+    would reject, and decodes nothing: it reads only the kind byte and
+    the transaction id ([-1] for a checkpoint). *)
+
+val entries_from : string -> int -> entry list
+(** [entries_from image lsn] decodes the frames of [image] from the
+    frame at [lsn] up to the first damaged one — for the image
+    {!open_log} returned, to its end. *)
+
+val kind_of : record -> kind
+(** A record's {!kind}. *)
+
+val txn_of : record -> int
+(** The transaction a record names; [-1] for a checkpoint. *)
 
 type resync = { resync_at : int; resync_records : entry list }
 (** Where valid frames resume after mid-log damage, and what they decode

@@ -1,8 +1,8 @@
-(* Fast fault-matrix smoke for @check: run a small interleaved workload
-   under each fault kind (crash budget, torn writes, bit flips,
-   transient EIO, and all of them at once) and insist the reopened
-   database always equals the Transactions.Recovery model's committed
-   state.  A reduced version of the exhaustive sweeps in
+(* Fast fault-matrix smoke for @check: on a file that already holds a
+   committed history, run a small interleaved workload under each fault
+   kind (crash budget, torn writes, bit flips, transient EIO, and all of
+   them at once) and insist the reopened database always equals the
+   Transactions.Recovery model's committed state.  A reduced version of the exhaustive sweeps in
    test/test_executor.ml — seconds, not minutes. *)
 
 module E = Storage.Engine
@@ -44,8 +44,21 @@ let workload ~seed =
       write_ratio = 0.6;
     }
 
+(* A fault-free committed history over the same items, then a clean
+   close: every recovery the faulted run triggers restarts from a
+   checkpoint in the middle of the log, not from its first record. *)
+let committed_history path ~seed =
+  let eng = E.open_db ~pool_size:4 path in
+  let stats =
+    X.run ~config:{ X.default_config with seed } eng (workload ~seed:(seed + 1000))
+  in
+  E.close eng;
+  if stats.X.committed <> 4 then
+    fail "history (seed %d): expected 4 commits, got %d" seed stats.X.committed
+
 let run_case ~what ~spec ~seed =
   let path = fresh_path () in
+  committed_history path ~seed;
   let specs = workload ~seed in
   (* the crash budget may fire inside the open itself (header write,
      recovery I/O) — that is a legitimate sweep point too *)

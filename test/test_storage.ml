@@ -294,10 +294,15 @@ let test_pool_exhausted () =
 
 let wal_records l = List.map (fun e -> e.Storage.Wal.record) l
 
+(* [Wal.open_log] with the surviving image it returns decoded *)
+let open_log path =
+  let wal, image = Storage.Wal.open_log path in
+  (wal, Storage.Wal.entries_from image 0)
+
 let test_wal_roundtrip () =
   let path = fresh_path () in
   let wal_file = Storage.Engine.wal_path path in
-  let wal, entries = Storage.Wal.open_log wal_file in
+  let wal, entries = open_log wal_file in
   Alcotest.(check int) "fresh log empty" 0 (List.length entries);
   let records =
     [
@@ -313,7 +318,7 @@ let test_wal_roundtrip () =
   List.iter (fun r -> ignore (Storage.Wal.append wal r : int)) records;
   Storage.Wal.flush wal;
   Storage.Wal.close wal;
-  let _, entries = Storage.Wal.open_log wal_file in
+  let _, entries = open_log wal_file in
   Alcotest.(check int) "all back" (List.length records) (List.length entries);
   Alcotest.(check bool) "equal" true (wal_records entries = records);
   (* LSNs are strictly increasing byte offsets *)
@@ -336,13 +341,13 @@ let test_wal_torn_tail () =
   let frame = Storage.Wal.frame_of_record (Storage.Wal.Begin 10) in
   let torn = String.sub frame 0 (String.length frame / 2) in
   Support.Io.write_file wal_file (image ^ torn);
-  let wal, entries = Storage.Wal.open_log wal_file in
+  let wal, entries = open_log wal_file in
   Alcotest.(check int) "clean prefix survives" 2 (List.length entries);
   (* the torn tail was physically truncated; appending works again *)
   ignore (Storage.Wal.append wal (Storage.Wal.Begin 11) : int);
   Storage.Wal.flush wal;
   Storage.Wal.close wal;
-  let _, entries = Storage.Wal.open_log wal_file in
+  let _, entries = open_log wal_file in
   Alcotest.(check bool) "resumed cleanly" true
     (wal_records entries
     = [ Storage.Wal.Begin 9; Storage.Wal.Commit 9; Storage.Wal.Begin 11 ]);
@@ -351,7 +356,7 @@ let test_wal_torn_tail () =
   let flipped = Bytes.of_string image in
   Bytes.set flipped (String.length image - 3) '\xff';
   Support.Io.write_file wal_file (Bytes.to_string flipped);
-  let _, entries = Storage.Wal.open_log wal_file in
+  let _, entries = open_log wal_file in
   Alcotest.(check int) "flip truncates to prefix" 2 (List.length entries);
   cleanup path
 
@@ -451,6 +456,48 @@ let test_heap_replace_table () =
     (List.sort String.compare (Storage.Engine.table_names eng));
   Alcotest.(check bool) "t replaced" true
     (Relational.Relation.equal small (Storage.Engine.load_table eng "t"));
+  Storage.Engine.close eng;
+  cleanup path
+
+(* Replacing a table in a multi-page catalog refills the catalog's own
+   pages: five replaces leave the chain as long as it was. *)
+let test_heap_replace_keeps_catalog_pages () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  let one v =
+    Relational.Relation.of_list
+      (Relational.Schema.make [ ("k", V.TInt) ])
+      [ [ V.Int v ] ]
+  in
+  let name i = Printf.sprintf "replaced_table_number_%03d" i in
+  for i = 0 to 149 do
+    Storage.Engine.save_table eng (name i) (one i)
+  done;
+  let catalog_pages () =
+    Storage.Heap.chain_pages (Storage.Engine.pool eng)
+      ~first:(Storage.Pager.catalog_root (Storage.Engine.pager eng))
+  in
+  let pages = catalog_pages () in
+  Alcotest.(check bool) "150 tables span several catalog pages" true (pages > 1);
+  let info = Storage.Engine.table_info eng in
+  for v = 1 to 5 do
+    Storage.Engine.save_table eng (name 42) (one (1000 + v))
+  done;
+  Alcotest.(check int) "catalog page count unchanged" pages (catalog_pages ());
+  let replaced = snd (Storage.Engine.find_table eng (name 42)) in
+  let expected =
+    List.map
+      (fun (n, schema, first) ->
+        (n, schema, if n = name 42 then replaced else first))
+      info
+  in
+  Alcotest.(check bool) "only the replaced table's first page moved" true
+    (Storage.Engine.table_info eng = expected);
+  Storage.Engine.close eng;
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check bool) "replacement survives a reopen" true
+    (Relational.Relation.equal (one 1005)
+       (Storage.Engine.load_table eng (name 42)));
   Storage.Engine.close eng;
   cleanup path
 
@@ -633,12 +680,14 @@ let check_committed_state ~what path =
   Storage.Engine.close eng;
   Alcotest.(check (list (pair string int))) (what ^ ": committed state") expected actual
 
-let test_crash_matrix () =
+(* [history] prepares each fresh file before the crashed run. *)
+let crash_matrix ?(history = ignore) () =
   let seed = 1995 in
   let k = ref 0 in
   let continue = ref true in
   while !continue do
     let path = fresh_path () in
+    history path;
     (match run_workload ~crash_after:!k ~seed ~pool_size:2 path with
     | `Completed ->
         (* budget never exhausted: the whole workload fits in k I/Os *)
@@ -651,6 +700,27 @@ let test_crash_matrix () =
   done;
   (* sanity: the matrix exercised a meaningful number of crash points *)
   Alcotest.(check bool) "several crash points" true (!k > 10)
+
+let test_crash_matrix () = crash_matrix ()
+
+(* A committed history over the matrix's items (ids the workload does
+   not use), then two clean close/reopen cycles: the crashed run's open
+   and every reopen after it restart from a checkpoint deep in the log. *)
+let committed_history path =
+  let eng = Storage.Engine.open_db ~pool_size:2 path in
+  List.iteri
+    (fun i (item, v) ->
+      let txn = Storage.Engine.begin_txn ~id:(100 + i) eng in
+      Storage.Engine.write eng ~txn item v;
+      Storage.Engine.commit eng ~txn)
+    [ ("x", 1); ("y", 2); ("z", 3); ("w", 4); ("pad1", 5); ("pad2", 6) ];
+  Storage.Engine.close eng;
+  for _ = 1 to 2 do
+    Storage.Engine.close (Storage.Engine.open_db ~pool_size:2 path)
+  done
+
+let test_crash_matrix_deep_restart () =
+  crash_matrix ~history:committed_history ()
 
 let test_crash_during_recovery () =
   let seed = 77 in
@@ -992,6 +1062,307 @@ let test_recovery_redo_undo_counts () =
   Alcotest.(check bool) "abort logged" true
     (List.exists (function Storage.Wal.Abort 2 -> true | _ -> false) aborts)
 
+(* --- restart from the restart point = the full-log reference ---------------
+
+   The reference is the full-list path recovery took before restarts
+   decoded only from the restart point: copy, CRC-check and decode every
+   frame, analyze the whole list, then redo and undo over it.  It is kept
+   here, independent of the Wal's frame loop, so the walk, the analysis
+   from the walk and the decoded suffix are all checked against it. *)
+
+let decode_reference s =
+  let u32 p = Int32.to_int (String.get_int32_le s p) land 0xFFFFFFFF in
+  let i64 p = Int64.to_int (String.get_int64_le s p) in
+  try
+    match Char.code s.[0] with
+    | 1 -> Some (Storage.Wal.Begin (u32 1))
+    | (2 | 6) as k ->
+        let txn = u32 1 in
+        let len = String.get_uint16_le s 5 in
+        let item = String.sub s 7 len in
+        let before = i64 (7 + len) in
+        let after = i64 (15 + len) in
+        Some (Storage.Wal.Write { txn; item; before; after; compensation = k = 6 })
+    | 3 -> Some (Storage.Wal.Commit (u32 1))
+    | 4 -> Some (Storage.Wal.Abort (u32 1))
+    | 5 -> Some Storage.Wal.Checkpoint
+    | 7 -> Some (Storage.Wal.Prepare (u32 1))
+    | _ -> None
+  with Invalid_argument _ -> None
+
+let scan_reference image =
+  let n = String.length image in
+  let u32 p = Int32.to_int (String.get_int32_le image p) land 0xFFFFFFFF in
+  let rec go pos acc =
+    let stop () = (List.rev acc, pos) in
+    if pos + 8 > n then stop ()
+    else
+      let len = u32 (pos + 4) in
+      if len > n - pos - 8 then stop ()
+      else
+        let payload = String.sub image (pos + 8) len in
+        if Support.Crc32.string payload <> u32 pos then stop ()
+        else
+          match decode_reference payload with
+          | Some record ->
+              go (pos + 8 + len) ({ Storage.Wal.lsn = pos; record } :: acc)
+          | None -> stop ()
+  in
+  go 0 []
+
+(* the item store of [test_recovery_redo_undo_counts]: (value, page lsn) *)
+let hashtbl_store init =
+  let store : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
+  List.iter (fun (item, v, lsn) -> Hashtbl.replace store item (v, lsn)) init;
+  let read item =
+    match Hashtbl.find_opt store item with Some (v, _) -> v | None -> 0
+  in
+  let write ~lsn item v =
+    match Hashtbl.find_opt store item with
+    | Some (_, l) when l >= lsn -> false
+    | _ ->
+        Hashtbl.replace store item (v, lsn);
+        true
+  in
+  let contents () =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) store [])
+  in
+  (read, write, contents)
+
+(* appends get LSNs from the end of the surviving log on, as in the WAL *)
+let recording_log ~from =
+  let logged = ref [] and next = ref from in
+  let log r =
+    logged := r :: !logged;
+    let lsn = !next in
+    next := lsn + String.length (Storage.Wal.frame_of_record r);
+    lsn
+  in
+  (log, fun () -> List.rev !logged)
+
+let recover_reference entries ~read ~write ~log =
+  let checkpoint_lsn, winners, losers = analyze_reference entries in
+  let redo_applied = ref 0 and redo_skipped = ref 0 in
+  let start = match checkpoint_lsn with Some l -> l | None -> -1 in
+  List.iter
+    (fun { Storage.Wal.lsn; record } ->
+      match record with
+      | Storage.Wal.Write { item; after; _ } when lsn > start ->
+          if write ~lsn item after then incr redo_applied
+          else incr redo_skipped
+      | _ -> ())
+    entries;
+  let undone = ref 0 in
+  List.iter
+    (fun { Storage.Wal.record; _ } ->
+      match record with
+      | Storage.Wal.Write { txn; item; before; _ } when List.mem txn losers ->
+          let clr =
+            Storage.Wal.Write
+              { txn; item; before = read item; after = before; compensation = true }
+          in
+          ignore (write ~lsn:(log clr) item before : bool);
+          incr undone
+      | _ -> ())
+    (List.rev entries);
+  List.iter (fun t -> ignore (log (Storage.Wal.Abort t) : int)) losers;
+  {
+    Storage.Recovery.checkpoint_lsn;
+    winners;
+    losers;
+    redo_applied = !redo_applied;
+    redo_skipped = !redo_skipped;
+    undone = !undone;
+  }
+
+let next_txn_reference entries =
+  1
+  + List.fold_left
+      (fun m { Storage.Wal.record; _ } ->
+        match record with
+        | Storage.Wal.Begin t | Storage.Wal.Commit t | Storage.Wal.Abort t
+        | Storage.Wal.Prepare t | Storage.Wal.Write { txn = t; _ } ->
+            max m t
+        | Storage.Wal.Checkpoint -> m)
+      0 entries
+
+(* A random log (writes before their Begin, reused ids, Prepare-only
+   transactions, checkpoints anywhere), framed, then maybe damaged: a
+   torn tail, a changed byte, trailing junk, or a CRC-valid frame whose
+   payload may not decode. *)
+let damaged_log rng =
+  let txns = 1 + Support.Rng.int rng 12 in
+  let records =
+    List.init (Support.Rng.int rng 120) (fun i ->
+        let txn = 1 + Support.Rng.int rng txns in
+        match Support.Rng.int rng 6 with
+        | 0 -> Storage.Wal.Begin txn
+        | 1 ->
+            Storage.Wal.Write
+              {
+                txn;
+                item = Printf.sprintf "x%d" (Support.Rng.int rng 5);
+                before = Support.Rng.int rng 9;
+                after = 10 + i;
+                compensation = Support.Rng.int rng 8 = 0;
+              }
+        | 2 -> Storage.Wal.Commit txn
+        | 3 -> Storage.Wal.Abort txn
+        | 4 -> Storage.Wal.Prepare txn
+        | _ -> Storage.Wal.Checkpoint)
+  in
+  let frames = List.map Storage.Wal.frame_of_record records in
+  let image = String.concat "" frames in
+  let n = String.length image in
+  match Support.Rng.int rng 5 with
+  | 1 when n > 0 -> String.sub image 0 (Support.Rng.int rng n)
+  | 2 when n > 0 ->
+      let b = Bytes.of_string image in
+      let p = Support.Rng.int rng n in
+      Bytes.set b p (Char.chr (Char.code image.[p] lxor (1 + Support.Rng.int rng 255)));
+      Bytes.to_string b
+  | 3 -> image ^ String.init (1 + Support.Rng.int rng 20) (fun _ -> Char.chr (Support.Rng.int rng 256))
+  | 4 ->
+      (* a kind byte, random bytes, and for a write a short item length *)
+      let item_len = Support.Rng.int rng 12 in
+      let payload =
+        String.init (Support.Rng.int rng 40) (fun i ->
+            Char.chr
+              (match i with
+              | 0 -> 1 + Support.Rng.int rng 8
+              | 5 -> item_len
+              | 6 -> 0
+              | _ -> Support.Rng.int rng 256))
+      in
+      let k = Support.Rng.int rng (List.length frames + 1) in
+      String.concat ""
+        (List.filteri (fun i _ -> i < k) frames
+        @ [ Storage.Wal.frame payload ]
+        @ List.filteri (fun i _ -> i >= k) frames)
+  | _ -> image
+
+let prop_restart_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"restart = full-log reference"
+       (QCheck2.Gen.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Support.Rng.create seed in
+         let raw = damaged_log rng in
+         let init =
+           List.init (Support.Rng.int rng 4) (fun i ->
+               (Printf.sprintf "x%d" i, Support.Rng.int rng 50,
+                Support.Rng.int rng (String.length raw + 1) - 1))
+         in
+         (* the reference: decode everything, then recover *)
+         let entries, clean = scan_reference raw in
+         let read, write, ref_store = hashtbl_store init in
+         let log, ref_logged = recording_log ~from:clean in
+         let expected = recover_reference entries ~read ~write ~log in
+         (* the restart: one walk at open, records from the restart point *)
+         let path = fresh_path () in
+         let file = Storage.Engine.wal_path path in
+         Support.Io.write_file file raw;
+         let tally = Storage.Recovery.tally () in
+         let wal, image =
+           Storage.Wal.open_log ~on_frame:(Storage.Recovery.note tally) file
+         in
+         let truncated = Storage.Wal.truncated_at_open wal in
+         Storage.Wal.close wal;
+         let on_disk = (Unix.stat file).Unix.st_size in
+         cleanup path;
+         let analysis = Storage.Recovery.analysis tally in
+         let read, write, store = hashtbl_store init in
+         let log, logged = recording_log ~from:(String.length image) in
+         let outcome = Storage.Recovery.restart ~image analysis ~read ~write ~log in
+         let check what ok =
+           if not ok then QCheck2.Test.fail_reportf "seed %d: %s differs" seed what
+         in
+         check "scan" (Storage.Wal.scan raw = (entries, clean));
+         check "clean length" (String.length image = clean && on_disk = clean);
+         check "surviving image" (image = String.sub raw 0 clean);
+         check "truncated bytes" (truncated = String.length raw - clean);
+         check "outcome" (outcome = expected);
+         check "final store" (store () = ref_store ());
+         check "logged records" (logged () = ref_logged ());
+         check "next txn" (analysis.Storage.Recovery.next_txn = next_txn_reference entries);
+         check "run over the entry list"
+           (let read, write, _ = hashtbl_store init in
+            let log, _ = recording_log ~from:clean in
+            Storage.Recovery.run ~entries ~read ~write ~log = expected);
+         true))
+
+(* Every length limit of the walk's structure check, deterministically:
+   the open truncates the log where the walk stops, so the walk must
+   accept exactly the payloads the reference decodes.  Each kind byte
+   0-8, item length 0-3 and payload length 0-30, framed between two
+   valid frames. *)
+let test_wal_structure_limits () =
+  let first = Storage.Wal.frame_of_record (Storage.Wal.Begin 1)
+  and last = Storage.Wal.frame_of_record (Storage.Wal.Commit 1) in
+  let header { Storage.Wal.lsn; record } =
+    (lsn, Storage.Wal.kind_of record, Storage.Wal.txn_of record)
+  in
+  for kind = 0 to 8 do
+    for item_len = 0 to 3 do
+      for len = 0 to 30 do
+        let payload =
+          String.init len (fun i ->
+              Char.chr
+                (match i with
+                | 0 -> kind
+                | 1 -> 3
+                | 2 | 3 | 4 | 6 -> 0
+                | 5 -> item_len
+                | _ -> 0x40 + i))
+        in
+        let image = first ^ Storage.Wal.frame payload ^ last in
+        let what =
+          Printf.sprintf "kind %d, item length %d, payload %d" kind item_len len
+        in
+        let entries, clean = scan_reference image in
+        Alcotest.(check bool) (what ^ ": scan") true
+          (Storage.Wal.scan image = (entries, clean));
+        let headers, walked =
+          Storage.Wal.walk image ~init:[] ~f:(fun acc lsn kind txn ->
+              (lsn, kind, txn) :: acc)
+        in
+        Alcotest.(check int) (what ^ ": walk clean length") clean walked;
+        Alcotest.(check bool) (what ^ ": walk headers") true
+          (List.rev headers = List.map header entries)
+      done
+    done
+  done
+
+(* --- a loser spanning a checkpoint ------------------------------------------ *)
+
+(* [save_table] checkpoints while a transaction is active, so the loser's
+   first write precedes the last checkpoint: restart must decode from
+   that write, not from the checkpoint, to undo it. *)
+let test_loser_spanning_checkpoint () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  let t1 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t1 "x" 1;
+  Storage.Engine.commit eng ~txn:t1;
+  let t2 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t2 "x" 5;
+  Storage.Engine.save_table eng "t" (students ());
+  Storage.Engine.write eng ~txn:t2 "y" 6;
+  Storage.Wal.flush (Storage.Engine.wal eng);
+  Storage.Engine.crash eng;
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check (list (pair string int))) "only the committed write" [ ("x", 1) ]
+    (Storage.Engine.items eng);
+  (match Storage.Engine.last_recovery eng with
+  | Some o ->
+      Alcotest.(check bool) "recovered from a checkpoint" true
+        (o.Storage.Recovery.checkpoint_lsn <> None);
+      Alcotest.(check (list int)) "t2 is the loser" [ t2 ] o.Storage.Recovery.losers;
+      Alcotest.(check int) "both of its writes undone" 2 o.Storage.Recovery.undone
+  | None -> Alcotest.fail "expected a recovery outcome");
+  Storage.Engine.close eng;
+  cleanup path
+
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
@@ -1016,6 +1387,8 @@ let suite =
     Alcotest.test_case "heap relation roundtrip" `Quick test_heap_relation_roundtrip;
     Alcotest.test_case "heap many pages" `Quick test_heap_many_pages;
     Alcotest.test_case "heap replace table" `Quick test_heap_replace_table;
+    Alcotest.test_case "heap replace keeps catalog pages" `Quick
+      test_heap_replace_keeps_catalog_pages;
     Alcotest.test_case "engine commit persists" `Quick test_engine_commit_persists;
     Alcotest.test_case "engine abort restores" `Quick test_engine_abort_restores;
     Alcotest.test_case "engine strict locks" `Quick test_engine_strict_locks;
@@ -1024,7 +1397,13 @@ let suite =
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
     prop_recovery_analysis_matches_reference;
     Alcotest.test_case "recovery redo/undo counts" `Quick test_recovery_redo_undo_counts;
+    prop_restart_matches_reference;
+    Alcotest.test_case "wal structure limits" `Quick test_wal_structure_limits;
+    Alcotest.test_case "loser spanning a checkpoint" `Quick
+      test_loser_spanning_checkpoint;
     Alcotest.test_case "crash matrix" `Slow test_crash_matrix;
+    Alcotest.test_case "crash matrix, deep restart" `Slow
+      test_crash_matrix_deep_restart;
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
     prop_engine_matches_model_no_crash;
     Alcotest.test_case "wal truncated_at_open" `Quick test_wal_truncated_at_open;
