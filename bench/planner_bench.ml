@@ -1,8 +1,9 @@
 (* The physical planner measured along its three axes: access-path
-   payoff (indexed point lookup vs forced full scan vs the legacy
-   materialize-and-eval path), the hash-vs-merge join crossover as
-   input size grows, and the planning overhead itself.  Every run works
-   on throwaway files in the temp directory. *)
+   payoff (what one point lookup costs, cold and warm, by access path,
+   against a full scan and the legacy materialize-and-eval path), the
+   hash-vs-merge join crossover as input size grows, and the planning
+   overhead itself.  Every run works on throwaway files in the temp
+   directory. *)
 
 module E = Storage.Engine
 module A = Relational.Algebra
@@ -41,56 +42,90 @@ let repeat k f =
     ignore (f () : Relational.Relation.t)
   done
 
+(* Mean milliseconds per call of [f] over [reps] calls. *)
+let per_query reps f =
+  Bench_util.timed (fun () -> repeat reps f) /. float_of_int reps
+
 let run () =
   Bench_util.header
     "Physical planner: access paths, join algorithms, planning overhead";
   let metrics = Bench_util.fresh_registry () in
 
-  (* --- point query: index vs full scan vs legacy ------------------------- *)
+  (* --- point lookups: cost per query by access path, cold and warm ------- *)
+  (* [r] is sorted on its leading column [k], so a predicate on [k] takes
+     the fence scan; [g] (a permutation of [k]) carries a B+tree, rebuilt
+     from the whole chain by each new planning context; [payload] has no
+     access path but the full scan.  A cold query makes a fresh context
+     over a pool emptied of clean pages, as each CLI call starts. *)
   let n = 20_000 in
   let reps = 50 in
   Bench_util.note
-    "Point query select[k = %d] over %d rows, %d repetitions:" (n / 2) n reps;
+    "Point lookups over %d rows, ms per query (mean of %d queries):" n reps;
   let path = fresh_path () in
   let eng = E.open_db ~metrics path in
   E.save_table eng "r"
     (Relational.Relation.of_list
-       (Relational.Schema.make [ ("k", TInt); ("payload", TString) ])
-       (List.init n (fun i -> [ Int i; String (Printf.sprintf "p%06d" i) ])));
+       (Relational.Schema.make
+          [ ("k", TInt); ("g", TInt); ("payload", TString) ])
+       (List.init n (fun i ->
+            [ Int i; Int (i * 7919 mod n); String (Printf.sprintf "p%06d" i) ])));
   ignore (Planner.Stats.analyze eng [ "r" ] : Planner.Stats.t);
   let idx = Planner.Indexes.load eng in
   Planner.Indexes.create eng idx
-    { Planner.Indexes.table = "r"; attr = "k"; kind = Btree };
-  let ctx = Planner.Plan.make eng in
-  let q = A.Select (A.Cmp (A.Eq, A.Attr "k", A.Const (Int (n / 2))), A.Rel "r") in
-  let indexed = Planner.Plan.plan ctx q in
-  (* first run builds the in-memory index; keep it out of the timing *)
-  ignore (Planner.Exec.run ctx indexed : Relational.Relation.t);
-  let full =
-    (* the same selection with the access path pinned to a heap scan *)
-    let scan = P.make (P.Scan { table = "r"; access = P.Full; pages = 0 }) (Planner.Plan.catalog ctx "r") in
-    P.make (P.Filter (A.Cmp (A.Eq, A.Attr "k", A.Const (Int (n / 2))), scan)) scan.P.schema
+    { Planner.Indexes.table = "r"; attr = "g"; kind = Btree };
+  let point attr v =
+    A.Select (A.Cmp (A.Eq, A.Attr attr, A.Const v), A.Rel "r")
   in
-  let t_index =
-    Bench_util.timed (fun () -> repeat reps (fun () -> Planner.Exec.run ctx indexed))
+  let q_fence = point "k" (Int (n / 2))
+  and q_btree = point "g" (Int (n / 2))
+  and q_scan = point "payload" (String (Printf.sprintf "p%06d" (n / 2))) in
+  let label q =
+    let ctx = Planner.Plan.make eng in
+    let rec scan p =
+      match p.P.node with
+      | P.Scan _ -> P.label p
+      | _ -> ( match P.children p with c :: _ -> scan c | [] -> P.label p)
+    in
+    scan (Planner.Plan.plan ctx q)
   in
-  let t_full =
-    Bench_util.timed (fun () -> repeat reps (fun () -> Planner.Exec.run ctx full))
+  let cold q () =
+    Storage.Buffer_pool.drop_clean (E.pool eng);
+    let ctx = Planner.Plan.make eng in
+    Planner.Exec.run ctx (Planner.Plan.plan ctx q)
   in
+  let t_fence_cold = per_query reps (cold q_fence) in
+  let t_btree_cold = per_query reps (cold q_btree) in
+  let t_btree_warm =
+    let ctx = Planner.Plan.make eng in
+    let plan = Planner.Plan.plan ctx q_btree in
+    (* the first run builds the B+tree; the rest probe it *)
+    ignore (Planner.Exec.run ctx plan : Relational.Relation.t);
+    per_query reps (fun () -> Planner.Exec.run ctx plan)
+  in
+  let t_full = per_query reps (cold q_scan) in
   let t_legacy =
-    Bench_util.timed (fun () ->
-        repeat reps (fun () -> Relational.Eval.eval (E.database eng) q))
+    per_query reps (fun () -> Relational.Eval.eval (E.database eng) q_fence)
+  in
+  let rows =
+    [
+      ("fence point lookup, cold", t_fence_cold, label q_fence);
+      ("B+tree point lookup, cold", t_btree_cold, label q_btree);
+      ("B+tree point lookup, warm", t_btree_warm, label q_btree);
+      ("full scan, cold", t_full, label q_scan);
+      ("legacy eval path", t_legacy, "load every table, Eval.eval");
+    ]
   in
   E.close eng;
   cleanup path;
-  Bench_util.record ~metric:"point_index_ms" t_index;
+  Bench_util.record ~metric:"point_fence_cold_ms" t_fence_cold;
+  Bench_util.record ~metric:"point_btree_cold_ms" t_btree_cold;
+  Bench_util.record ~metric:"point_btree_warm_ms" t_btree_warm;
   Bench_util.record ~metric:"point_fullscan_ms" t_full;
   Bench_util.record ~metric:"point_legacy_ms" t_legacy;
-  Bench_util.note "  index point lookup  %s ms" (Bench_util.ms t_index);
-  Bench_util.note "  forced full scan    %s ms  (%sx)" (Bench_util.ms t_full)
-    (Bench_util.f1 (t_full /. Float.max 0.001 t_index));
-  Bench_util.note "  legacy eval path    %s ms  (%sx)" (Bench_util.ms t_legacy)
-    (Bench_util.f1 (t_legacy /. Float.max 0.001 t_index));
+  List.iter
+    (fun (what, t, how) ->
+      Bench_util.note "  %-26s %8s ms  %s" what (Bench_util.f3 t) how)
+    rows;
 
   (* --- join algorithms: hash vs merge over index order ------------------- *)
   Bench_util.note "";

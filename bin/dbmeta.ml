@@ -656,17 +656,21 @@ let db_status_run path trace_file =
          if torn = 0 then ""
          else Printf.sprintf ", %d torn tail byte(s)" torn);
       Printf.printf "items: %d\n" (Storage.Engine.item_count eng);
-      let tables = Storage.Engine.table_info eng in
+      let tables = Storage.Engine.tables eng in
       Printf.printf "tables: %d\n" (List.length tables);
       List.iter
-        (fun (name, schema, first) ->
-          Printf.printf "  %s(%s) @ page %d: %d tuples\n" name
+        (fun { Storage.Heap.name; schema; first; fences } ->
+          Printf.printf "  %s(%s) @ page %d: %d tuples%s\n" name
             (String.concat ", "
                (List.map
                   (fun (a, ty) -> a ^ ":" ^ Relational.Value.ty_to_string ty)
                   (Relational.Schema.pairs schema)))
             first
-            (Relational.Relation.cardinality (Storage.Engine.load_table eng name)))
+            (Relational.Relation.cardinality (Storage.Engine.load_table eng name))
+            (match fences with
+            | Some { Storage.Heap.root; count } ->
+                Printf.sprintf ", %d pages fenced @ page %d" count root
+            | None -> ""))
         tables;
       let hits, misses =
         let s = Storage.Buffer_pool.stats (Storage.Engine.pool eng) in

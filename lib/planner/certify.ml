@@ -29,10 +29,11 @@ let verdict_to_string = function
   | Skipped msg -> "skipped: " ^ msg
 
 (* The logical reading of a physical plan.  Index access paths re-become
-   the selections they absorbed: a point lookup is an equality
-   selection, a range scan the inclusive bounds it enforces (strict
-   bounds stayed behind in the residual filter, which shadows
-   separately).  Sort is an identity at the relation level. *)
+   the selections they absorbed: a point lookup (B+tree, hash, or fences
+   with equal bounds) is an equality selection, a range scan the
+   inclusive bounds it enforces (strict bounds stayed behind in the
+   residual filter, which shadows separately).  Sort is an identity at
+   the relation level. *)
 let rec shadow (p : P.t) =
   match p.P.node with
   | P.Scan { table; access; _ } -> (
@@ -41,7 +42,9 @@ let rec shadow (p : P.t) =
       | P.Full | P.Ordered _ -> base
       | P.Point { attr; key; _ } ->
           A.Select (A.Cmp (A.Eq, A.Attr attr, A.Const key), base)
-      | P.Range { attr; lo; hi } ->
+      | P.Fenced { attr; lo; hi } when P.fence_point lo hi <> None ->
+          A.Select (A.Cmp (A.Eq, A.Attr attr, A.Const (Option.get lo)), base)
+      | P.Range { attr; lo; hi } | P.Fenced { attr; lo; hi } ->
           let bound cmp = function
             | Some v -> [ A.Cmp (cmp, A.Attr attr, A.Const v) ]
             | None -> []

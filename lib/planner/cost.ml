@@ -5,6 +5,8 @@
      - index probes hit in-memory structures (lib/access), so they are
        priced as CPU work and beat even a one-page sequential scan when
        the predicate is selective;
+     - a fence scan pays the pages it reads: the fence chain plus the
+       data pages its estimated rows fill, one page at least;
      - a chain that fits in the buffer pool is charged the cached page
        rate, one that does not pays full reads;
      - hash join wins on unsorted inputs until its build side outgrows
@@ -98,6 +100,10 @@ let io_pages p pages =
   if pages <= float_of_int p.pool_pages then pages *. p.page_cached
   else pages *. p.page_io
 
+(* Fences a fence page holds: a page id and a tagged value each, so a
+   couple of hundred for integer keys. *)
+let fences_per_page = 200
+
 let spill_pages p rows =
   2.0 *. (rows /. p.tuples_per_page) *. p.page_io
 
@@ -145,7 +151,21 @@ let annotate p stats plan =
             set out (probe +. (p.cpu_tuple *. out))
         | P.Range _ ->
             let out = rows *. p.range_selectivity in
-            set out (p.probe_btree +. (p.cpu_tuple *. out)))
+            set out (p.probe_btree +. (p.cpu_tuple *. out))
+        | P.Fenced { attr; lo; hi } ->
+            let out =
+              match P.fence_point lo hi with
+              | Some _ -> rows /. float_of_int (dv attr)
+              | None -> rows *. p.range_selectivity
+            in
+            let per_page = rows /. float_of_int (max pages 1) in
+            let data =
+              min pages (1 + int_of_float (Float.ceil (out /. per_page)))
+            in
+            let fence = 1 + (pages / fences_per_page) in
+            set out
+              (io_pages p (fence + data)
+              +. (p.cpu_tuple *. per_page *. float_of_int data)))
     | P.Filter (pred, c) ->
         go c;
         let n = List.length (A.conjuncts pred) in

@@ -156,15 +156,12 @@ let sorted_cursor ctx on input_schema inner =
 
 (* --- scans --------------------------------------------------------------- *)
 
+(* Scans read the chains of the context's catalog snapshot
+   (Indexes.table), never the live catalog: a table replaced while the
+   context lives is read at the version the context planned against. *)
 let heap_scan ctx table =
   let eng = Plan.engine ctx in
-  let first =
-    match
-      List.find_opt (fun (n, _, _) -> n = table) (Storage.Engine.table_info eng)
-    with
-    | Some (_, _, first) -> first
-    | None -> raise (R.Database.Unknown_relation table)
-  in
+  let first = (Indexes.table (Plan.indexes ctx) table).Storage.Heap.first in
   let pool = Storage.Engine.pool eng in
   let page = ref first in
   let queue = ref [] in
@@ -183,6 +180,72 @@ let heap_scan ctx table =
         end
   in
   { next; close = ignore }
+
+(* The least index in 0 .. n-1 satisfying the monotone [pred], or [n]. *)
+let lower_bound n pred =
+  let rec go l h =
+    if l >= h then l
+    else
+      let m = (l + h) / 2 in
+      if pred m then go l m else go (m + 1) h
+  in
+  go 0 n
+
+(* A fence scan: the chain is sorted on its leading column, so only the
+   pages from the last one whose fence is below [lo] (a key repeated
+   across a page boundary may end it) up to the first one whose fence is
+   past [hi] can match.  Each page is entered at its first row reaching
+   [lo], and the scan ends at the first row past [hi].  Fences that
+   failed validation fall back to walking the whole chain with the
+   bounds as a filter. *)
+let fence_scan ctx table attr ~lo ~hi =
+  let eng = Plan.engine ctx and idx = Plan.indexes ctx in
+  let schema = (Indexes.table idx table).Storage.Heap.schema in
+  if R.Schema.index_of schema attr <> 0 then
+    invalid_arg "Exec: fence scan on a column that does not lead the table";
+  let reaches_lo v =
+    match lo with None -> true | Some l -> R.Value.compare_poly v l >= 0
+  and past_hi v =
+    match hi with None -> false | Some h -> R.Value.compare_poly v h > 0
+  in
+  let in_bounds v = reaches_lo v && not (past_hi v) in
+  match Indexes.fences eng idx ~table with
+  | None ->
+      Obs.Registry.Counter.incr (Plan.instruments ctx).Plan.i_fence_fallbacks;
+      let c = heap_scan ctx table in
+      let rec next () =
+        match c.next () with
+        | Some t when not (in_bounds t.(0)) -> next ()
+        | r -> r
+      in
+      { next; close = c.close }
+  | Some fences ->
+      let n = Array.length fences in
+      let key i = fences.(i).Storage.Heap.key in
+      let i = ref (max 0 (lower_bound n (fun m -> reaches_lo (key m)) - 1)) in
+      let rows = ref [||] and j = ref 0 in
+      let rec next () =
+        if !j < Array.length !rows then begin
+          let t = !rows.(!j) in
+          incr j;
+          if past_hi t.(0) then begin
+            (* sorted: nothing further matches *)
+            i := n;
+            j := Array.length !rows;
+            None
+          end
+          else Some t
+        end
+        else if !i >= n || past_hi (key !i) then None
+        else begin
+          let page = Indexes.page eng idx fences.(!i).Storage.Heap.page in
+          rows := page;
+          j := lower_bound (Array.length page) (fun m -> reaches_lo page.(m).(0));
+          incr i;
+          next ()
+        end
+      in
+      { next; close = ignore }
 
 let index_scan ctx table access =
   let eng = Plan.engine ctx in
@@ -206,6 +269,7 @@ let index_scan ctx table access =
            (Access.Btree.fold_range
               (fun _ payloads acc -> List.rev_append payloads acc)
               t []))
+  | P.Fenced { attr; lo; hi } -> fence_scan ctx table attr ~lo ~hi
   | P.Full -> heap_scan ctx table
 
 (* --- joins --------------------------------------------------------------- *)

@@ -1,11 +1,18 @@
 (* The secondary-index catalog: which (table, column) pairs carry a
    B+tree or hash index.  Definitions persist in the reserved catalog
    table "__indexes"; the index structures themselves are in-memory
-   (lib/access has no paged variant yet) and are rebuilt lazily, once
-   per context, from the heap.  A rebuild streams the table's chain
-   once (Heap.iter_relation, no relation built) and bulk-loads a B+tree
+   (lib/access has no paged variant) and are rebuilt lazily, once per
+   context, from the heap.  A rebuild streams the table's chain once
+   (Heap.iter_relation, no relation built) and bulk-loads a B+tree
    (Btree.of_list: a sort and a bottom-up build) or inserts into a hash
-   index; its cost at the CLI is documented in docs/PLANNER.md. *)
+   index; its cost at the CLI is documented in docs/PLANNER.md.
+
+   A loaded catalog is also the context's view of the tables: it
+   snapshots the public catalog entries once, and index builds, heap
+   scans and fence reads all start from those chain roots, so a table
+   replaced while the context lives is read at one version throughout.
+   Fences and the data pages a fence scan decodes are cached beside the
+   built structures, for the same lifetime. *)
 
 module R = Relational
 
@@ -18,7 +25,10 @@ type built =
 
 type t = {
   mutable defs : def list; (* sorted by (table, attr, kind) *)
+  tables : Storage.Heap.table list; (* the catalog snapshot *)
   cache : (string * string * kind, built) Hashtbl.t;
+  fences : (string, Storage.Heap.fence array option) Hashtbl.t;
+  pages : (int, R.Tuple.t array) Hashtbl.t; (* decoded data pages *)
 }
 
 exception Index_error of string
@@ -48,11 +58,14 @@ let compare_def a b =
   | c -> c
 
 let defs t = t.defs
+
 let on t ~table ~attr =
   List.filter (fun d -> d.table = table && d.attr = attr) t.defs
 
-let of_defs defs =
-  { defs = List.sort_uniq compare_def defs; cache = Hashtbl.create 8 }
+let table t name =
+  match List.find_opt (fun tb -> tb.Storage.Heap.name = name) t.tables with
+  | Some tb -> tb
+  | None -> raise (R.Database.Unknown_relation name)
 
 let to_relation defs =
   R.Relation.of_list schema
@@ -78,12 +91,20 @@ let of_relation rel =
           :: acc
       | None -> acc)
     rel []
-  |> of_defs
 
 let load eng =
-  match Storage.Engine.load_table eng catalog_table with
-  | rel -> of_relation rel
-  | exception Storage.Engine.Unknown_table _ -> of_defs []
+  let defs =
+    match Storage.Engine.load_table eng catalog_table with
+    | rel -> of_relation rel
+    | exception Storage.Engine.Unknown_table _ -> []
+  in
+  {
+    defs = List.sort_uniq compare_def defs;
+    tables = Storage.Engine.tables eng;
+    cache = Hashtbl.create 8;
+    fences = Hashtbl.create 8;
+    pages = Hashtbl.create 64;
+  }
 
 let save eng t = Storage.Engine.save_table eng catalog_table (to_relation t.defs)
 
@@ -119,7 +140,7 @@ let build eng t d =
   match Hashtbl.find_opt t.cache (d.table, d.attr, d.kind) with
   | Some b -> b
   | None ->
-      let schema, first = Storage.Engine.find_table eng d.table in
+      let { Storage.Heap.schema; first; _ } = table t d.table in
       let pos = R.Schema.index_of schema d.attr in
       let scan f =
         ignore
@@ -150,3 +171,24 @@ let hash eng t ~table ~attr =
   match build eng t { table; attr; kind = Hash } with
   | Built_hash h -> h
   | Built_btree _ -> assert false
+
+let fences eng t ~table:name =
+  match Hashtbl.find_opt t.fences name with
+  | Some f -> f
+  | None ->
+      let f =
+        Storage.Heap.read_fences (Storage.Engine.pool eng) (table t name)
+      in
+      Hashtbl.replace t.fences name f;
+      f
+
+let page eng t id =
+  match Hashtbl.find_opt t.pages id with
+  | Some tuples -> tuples
+  | None ->
+      let records, _ = Storage.Heap.page_records (Storage.Engine.pool eng) id in
+      let tuples =
+        Array.of_list (List.map R.Codec.tuple_of_string records)
+      in
+      Hashtbl.replace t.pages id tuples;
+      tuples

@@ -3,7 +3,14 @@
     ["__indexes"] (managed by [db index create/drop]); the structures
     themselves are in-memory and rebuilt lazily from the heap, once per
     planning context — an honest limitation documented in
-    docs/PLANNER.md ([lib/access] has no paged variant yet). *)
+    docs/PLANNER.md ([lib/access] has no paged variant).
+
+    A loaded catalog is also a planning context's snapshot of the
+    tables: {!load} records every public catalog entry, and index
+    builds, heap scans and fence scans all read the chains those entries
+    name, so a table replaced while the context lives is read at one
+    version.  Fences and the data pages a fence scan decodes are cached
+    beside the built structures for the catalog's lifetime. *)
 
 type kind = Btree | Hash
 (** The two access methods of [lib/access]: B+trees answer point and
@@ -30,7 +37,13 @@ val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string}. *)
 
 val load : Storage.Engine.t -> t
-(** The persisted definitions (empty when none were ever created). *)
+(** The persisted definitions (empty when none were ever created) and a
+    snapshot of the public catalog entries ({!Storage.Engine.tables}). *)
+
+val table : t -> string -> Storage.Heap.table
+(** One entry of the catalog snapshot taken by {!load}; raises
+    {!Relational.Database.Unknown_relation} for a name it does not
+    hold. *)
 
 val defs : t -> def list
 (** All definitions, sorted by (table, attr, kind). *)
@@ -50,11 +63,22 @@ val btree :
   Storage.Engine.t -> t -> table:string -> attr:string ->
   Relational.Tuple.t Access.Btree.t
 (** The built B+tree for a defined index (bulk-loaded from one pass
-    over the heap on first use, cached for the catalog's lifetime).
-    Only call for definitions present in {!defs}. *)
+    over the snapshot's chain on first use, cached for the catalog's
+    lifetime).  Only call for definitions present in {!defs}. *)
 
 val hash :
   Storage.Engine.t -> t -> table:string -> attr:string ->
   Relational.Tuple.t Access.Hash_index.t
 (** The built hash index for a defined index; same contract as
     {!btree}. *)
+
+val fences :
+  Storage.Engine.t -> t -> table:string -> Storage.Heap.fence array option
+(** The snapshot entry's validated fences ({!Storage.Heap.read_fences}):
+    read on first use, cached for the catalog's lifetime.  [None] for a
+    one-page table and for fences that failed validation. *)
+
+val page : Storage.Engine.t -> t -> int -> Relational.Tuple.t array
+(** One data page's tuples in slot order, decoded on first use through
+    the buffer pool and cached for the catalog's lifetime — what a fence
+    scan reads. *)

@@ -12,6 +12,7 @@ type access =
   | Ordered of string
   | Point of { attr : string; key : R.Value.t; via : Indexes.kind }
   | Range of { attr : string; lo : R.Value.t option; hi : R.Value.t option }
+  | Fenced of { attr : string; lo : R.Value.t option; hi : R.Value.t option }
 
 type meta = {
   mutable est_rows : float;
@@ -73,6 +74,11 @@ let bound_to_string pre = function
   | Some v -> R.Value.to_literal v
   | None -> pre
 
+let fence_point lo hi =
+  match (lo, hi) with
+  | Some v, Some w when R.Value.equal v w -> Some v
+  | _ -> None
+
 let access_to_string table = function
   | Full -> Printf.sprintf "seq scan %s" table
   | Ordered attr -> Printf.sprintf "index order scan %s via btree(%s)" table attr
@@ -82,6 +88,14 @@ let access_to_string table = function
   | Range { attr; lo; hi } ->
       Printf.sprintf "index range scan %s via btree(%s in [%s, %s])" table attr
         (bound_to_string "-inf" lo) (bound_to_string "+inf" hi)
+  | Fenced { attr; lo; hi } -> (
+      match fence_point lo hi with
+      | Some v ->
+          Printf.sprintf "index point scan %s via fences(%s = %s)" table attr
+            (R.Value.to_literal v)
+      | None ->
+          Printf.sprintf "index range scan %s via fences(%s in [%s, %s])" table
+            attr (bound_to_string "-inf" lo) (bound_to_string "+inf" hi))
 
 let label t =
   match t.node with

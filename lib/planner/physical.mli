@@ -7,12 +7,26 @@
 
 (** How a base table is read: a heap scan in chain order, a full B+tree
     walk in key order (what a merge join wants), an index point lookup,
-    or a B+tree range scan with inclusive, optionally open bounds. *)
+    a B+tree range scan with inclusive, optionally open bounds, or a
+    fence scan.  [Fenced] serves inclusive, optionally open bounds on the leading
+    column of a table whose chain has fences ({!Storage.Heap.fence}):
+    the chain is sorted on that column, so the executor binary-searches
+    the fences, starts one page before the first page whose fence
+    reaches [lo] (a key repeated across a page boundary may end the page
+    before), and stops at the first page whose fence is past [hi].  It
+    reads those pages and nothing else — no structure is built.  Equal
+    bounds are a point lookup.  When the fences fail validation the
+    executor walks the whole chain with the bounds as a filter. *)
 type access =
   | Full
   | Ordered of string
   | Point of { attr : string; key : Relational.Value.t; via : Indexes.kind }
   | Range of {
+      attr : string;
+      lo : Relational.Value.t option;
+      hi : Relational.Value.t option;
+    }
+  | Fenced of {
       attr : string;
       lo : Relational.Value.t option;
       hi : Relational.Value.t option;
@@ -51,6 +65,13 @@ and node =
   | Divide_op of t * t
   | Const of (string * Relational.Value.t) list
 
+val fence_point :
+  Relational.Value.t option -> Relational.Value.t option ->
+  Relational.Value.t option
+(** [fence_point lo hi] is [Some v] when a [Fenced] scan's bounds are
+    both [v] — a point lookup, estimated, rendered and certified as
+    one. *)
+
 val make : node -> Relational.Schema.t -> t
 (** Wrap an operator with fresh (zeroed) annotations. *)
 
@@ -63,7 +84,8 @@ val operator_name : t -> string
 
 val label : t -> string
 (** One-line human rendering of the node ([filter[gpa >= 3.8]],
-    [index point scan students via btree(sid = 2)], ...). *)
+    [index point scan students via btree(sid = 2)],
+    [index range scan r via fences(k in [10, +inf])], ...). *)
 
 val access_to_string : string -> access -> string
 (** [access_to_string table access] is the scan label. *)

@@ -2,9 +2,13 @@
    physical compile that picks access paths (sargable conjuncts against
    the index catalog) and join algorithms (hash vs merge) by cost.
 
-   A context snapshots the engine's public catalog, persisted statistics
-   and index definitions at creation time — one context per CLI
-   invocation / test scenario. *)
+   A context snapshots the engine's public catalog (chain and fence
+   roots), persisted statistics and index definitions at creation time —
+   one context per CLI invocation / test scenario.  Leading-column
+   predicates on a table whose chain carries fences are served by a
+   fence scan instead of a B+tree or hash lookup on that column: the
+   same rows, from the few pages that can hold them, with nothing to
+   build first. *)
 
 module R = Relational
 module A = R.Algebra
@@ -27,6 +31,7 @@ type instruments = {
   i_executions : Obs.Registry.Counter.t;
   i_index_scans : Obs.Registry.Counter.t;
   i_full_scans : Obs.Registry.Counter.t;
+  i_fence_fallbacks : Obs.Registry.Counter.t;
   i_spills : Obs.Registry.Counter.t;
   i_join_eliminations : Obs.Registry.Counter.t;
   i_certify_stages : Obs.Registry.Counter.t;
@@ -36,7 +41,6 @@ type instruments = {
 
 type ctx = {
   eng : Storage.Engine.t;
-  tables : (string * R.Schema.t * int) list;
   stats : Stats.t;
   indexes : Indexes.t;
   params : Cost.params;
@@ -55,6 +59,10 @@ let make_instruments registry =
         "plan.index_scans";
     i_full_scans =
       counter ~unit:"scans" ~help:"sequential scans chosen" "plan.full_scans";
+    i_fence_fallbacks =
+      counter ~unit:"scans"
+        ~help:"fence scans that walked the whole chain (fences failed validation)"
+        "plan.fence_fallbacks";
     i_spills =
       counter ~unit:"runs" ~help:"sort runs spilled to temporary files"
         "plan.spills";
@@ -74,11 +82,11 @@ let make_instruments registry =
   }
 
 let make ?(config = default_config) eng =
+  let indexes = Indexes.load eng in
   {
     eng;
-    tables = Storage.Engine.table_info eng;
     stats = Stats.load eng;
-    indexes = Indexes.load eng;
+    indexes;
     params =
       Cost.default
         ~pool_pages:(Storage.Buffer_pool.capacity (Storage.Engine.pool eng));
@@ -98,10 +106,7 @@ let sort_spill ctx =
   | Some n -> n
   | None -> ctx.params.Cost.sort_mem_tuples
 
-let catalog ctx name =
-  match List.find_opt (fun (n, _, _) -> n = name) ctx.tables with
-  | Some (_, sch, _) -> sch
-  | None -> raise (R.Database.Unknown_relation name)
+let catalog ctx name = (Indexes.table ctx.indexes name).Storage.Heap.schema
 
 let annotate ctx plan = Cost.annotate ctx.params ctx.stats plan
 
@@ -112,22 +117,25 @@ let cheaper a b =
    analyzed, so planning an analyzed table reads no page; a table with
    no statistics has its chain walked. *)
 let scan ctx name access =
-  let first =
-    match List.find_opt (fun (n, _, _) -> n = name) ctx.tables with
-    | Some (_, _, first) -> first
-    | None -> raise (R.Database.Unknown_relation name)
-  in
+  let { Storage.Heap.first; schema; _ } = Indexes.table ctx.indexes name in
   let pages =
     match Stats.find ctx.stats name with
     | Some tb -> tb.Stats.pages
     | None -> Storage.Heap.chain_pages (Storage.Engine.pool ctx.eng) ~first
   in
-  P.make (P.Scan { table = name; access; pages }) (catalog ctx name)
+  P.make (P.Scan { table = name; access; pages }) schema
 
 let has_index ctx table attr kind =
   List.exists
     (fun d -> d.Indexes.kind = kind)
     (Indexes.on ctx.indexes ~table ~attr)
+
+(* The leading column of a table whose catalog entry records fences —
+   read off the snapshot, so deciding reads no page. *)
+let fenced ctx table attr =
+  let { Storage.Heap.schema; fences; _ } = Indexes.table ctx.indexes table in
+  fences <> None
+  && match R.Schema.attributes schema with a :: _ -> a = attr | [] -> false
 
 (* A conjunct of the form <attr> <cmp> <const> (either orientation),
    normalized to the attribute on the left. *)
@@ -154,7 +162,9 @@ let filter_residual base residual =
 (* Access-path selection for a selection over a base table: the full
    scan plus every index-backed candidate (point lookups for equality
    conjuncts, range scans assembled from inequality bounds), each with
-   its residual filter; cost picks. *)
+   its residual filter; cost picks.  On the leading column of a fenced
+   table the fence scan stands in for the B+tree and hash candidates:
+   it returns the same rows without building anything. *)
 let select_access ctx name pred =
   let schema = catalog ctx name in
   let conj = A.conjuncts pred in
@@ -164,6 +174,12 @@ let select_access ctx name pred =
     List.concat_map
       (fun c ->
         match sargable schema c with
+        | Some (A.Eq, attr, v) when fenced ctx name attr ->
+            [
+              filter_residual
+                (scan ctx name (P.Fenced { attr; lo = Some v; hi = Some v }))
+                (except c);
+            ]
         | Some (A.Eq, attr, v) ->
             List.filter_map
               (fun kind ->
@@ -178,17 +194,17 @@ let select_access ctx name pred =
       conj
   in
   let range_candidates =
-    (* one candidate per btree-indexed attribute with at least one bound;
-       strict bounds stay in the residual (the inclusive range is a
-       superset), non-strict bound conjuncts matching the chosen bound
-       are consumed *)
+    (* one candidate per btree-indexed or fenced attribute with at least
+       one bound; strict bounds stay in the residual (the inclusive range
+       is a superset), non-strict bound conjuncts matching the chosen
+       bound are consumed *)
     let bounded_attrs =
       List.sort_uniq String.compare
         (List.filter_map
            (fun c ->
              match sargable schema c with
              | Some ((A.Lt | A.Le | A.Gt | A.Ge), a, _)
-               when has_index ctx name a Indexes.Btree ->
+               when has_index ctx name a Indexes.Btree || fenced ctx name a ->
                  Some a
              | _ -> None)
            conj)
@@ -219,10 +235,12 @@ let select_access ctx name pred =
             | _ -> false
           in
           let residual = List.filter (fun c -> not (consumed c)) conj in
-          Some
-            (filter_residual
-               (scan ctx name (P.Range { attr; lo = !lo; hi = !hi }))
-               residual))
+          let access =
+            if fenced ctx name attr then
+              P.Fenced { attr; lo = !lo; hi = !hi }
+            else P.Range { attr; lo = !lo; hi = !hi }
+          in
+          Some (filter_residual (scan ctx name access) residual))
       bounded_attrs
   in
   let candidates = full :: (point_candidates @ range_candidates) in

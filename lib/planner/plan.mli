@@ -5,7 +5,10 @@
 
     A {!ctx} snapshots the engine's public catalog, persisted statistics
     and index definitions at creation time — make one per CLI invocation
-    or test scenario, after the tables it should see are saved. *)
+    or test scenario, after the tables it should see are saved.  The
+    catalog snapshot is {!Indexes.load}'s: planning, heap scans, fence
+    scans and index builds all read the chains it names, so a table
+    replaced while the context lives is seen at one version. *)
 
 (** Join-algorithm selection override, for tests and the bench: [Auto]
     lets cost decide. *)
@@ -37,6 +40,7 @@ type instruments = {
   i_executions : Obs.Registry.Counter.t;
   i_index_scans : Obs.Registry.Counter.t;
   i_full_scans : Obs.Registry.Counter.t;
+  i_fence_fallbacks : Obs.Registry.Counter.t;
   i_spills : Obs.Registry.Counter.t;
   i_join_eliminations : Obs.Registry.Counter.t;
   i_certify_stages : Obs.Registry.Counter.t;
@@ -85,7 +89,11 @@ val plan : ctx -> Relational.Algebra.t -> Physical.t
 (** Type-check, optionally rewrite ([plan.optimize] span), run
     chase-based join elimination ([plan.semantic] span), compile with
     access-path and join-algorithm selection, and annotate with
-    estimates.  Scans are priced with the page counts of the statistics
+    estimates.  Point, range and open-bound predicates on the leading
+    column of a table with fences compile to a {!Physical.Fenced} scan
+    instead of a B+tree or hash lookup on that column, whether or not
+    such an index is defined; the snapshot says which tables have
+    fences.  Scans are priced with the page counts of the statistics
     snapshot, so planning reads no page of an analyzed table; a table
     with no statistics has its heap chain walked.
     Raises {!Relational.Algebra.Type_error} /

@@ -472,16 +472,16 @@ let public_catalog pool =
 
 let save_table t name rel =
   check_writable t;
-  let first = Heap.save_relation t.pool rel in
-  Heap.replace_table t.pool
-    { Heap.name; schema = Relational.Relation.schema rel; first };
+  Heap.replace_table t.pool (Heap.save_relation t.pool ~name rel);
   try checkpoint_now t
   with Fault.Io_error site ->
     degrade t site;
     raise (Read_only (Printf.sprintf "wal unflushable at %s" site))
 
+let tables t = public_catalog t.pool
+
 let table_info t =
-  List.map (fun { Heap.name; schema; first } -> (name, schema, first)) (public_catalog t.pool)
+  List.map (fun { Heap.name; schema; first; _ } -> (name, schema, first)) (tables t)
 
 let find_table t name =
   match List.find_opt (fun tb -> tb.Heap.name = name) (Heap.catalog t.pool) with
@@ -497,7 +497,7 @@ let table_names t =
 
 let database t =
   List.fold_left
-    (fun db { Heap.name; schema; first } ->
+    (fun db { Heap.name; schema; first; _ } ->
       Relational.Database.add db name (Heap.load_relation t.pool ~schema ~first))
     Relational.Database.empty (public_catalog t.pool)
 

@@ -145,7 +145,9 @@ val item_count : t -> int
 
 val save_table : t -> string -> Relational.Relation.t -> unit
 (** Persist a relation under a name (replacing any previous binding) and
-    checkpoint. *)
+    checkpoint.  The new chain, its fence chain when it spans two or
+    more pages ({!Heap.save_relation}), and the catalog entry naming
+    both are published together by that checkpoint. *)
 
 val load_table : t -> string -> Relational.Relation.t
 (** Raises {!Unknown_table}.  Unlike the enumeration APIs below this
@@ -166,6 +168,10 @@ val reserved : string -> bool
 val table_names : t -> string list
 (** Catalogued table names in catalog order, {!reserved} names
     omitted. *)
+
+val tables : t -> Heap.table list
+(** The catalog entries, {!reserved} names omitted, with their fence
+    roots — what a planning context snapshots. *)
 
 val table_info : t -> (string * Relational.Schema.t * int) list
 (** (name, schema, first page id) per catalog entry, {!reserved} names

@@ -1,12 +1,15 @@
 (* Heap storage over the pager: page chains of variable-length records.
 
-   Three uses share the machinery:
+   Four uses share the machinery:
      - the item store (the transactional KV plane the WAL protects):
        records are (item, i64 value), updated in place — the value field
        is fixed-width, so an update never moves a record;
-     - table chains: one chain of tuple records per relation;
-     - the catalog: one chain of (name, schema, first-page) records
-       describing the tables.
+     - table chains: one chain of tuple records per relation, written in
+       Tuple.compare order and so sorted on the leading column;
+     - fence chains: one (leading value, page id) record per page of a
+       table chain of two or more pages — a one-level sparse index;
+     - the catalog: one chain of (name, schema, first-page, fences)
+       records describing the tables.
 
    All access goes through the buffer pool, so scans and point reads are
    counted in its hit/miss statistics. *)
@@ -14,6 +17,7 @@
 let kind_items = 2
 let kind_table = 3
 let kind_catalog = 4
+let kind_fence = 5
 
 let iter_chain pool ~first f =
   let id = ref first in
@@ -215,16 +219,81 @@ end
 
 (* --- relations ----------------------------------------------------------- *)
 
-let save_relation pool rel =
+type fences = { root : int; count : int }
+type fence = { key : Relational.Value.t; page : int }
+
+type table = {
+  name : string;
+  schema : Relational.Schema.t;
+  first : int;
+  fences : fences option;
+}
+
+let encode_fence { key; page } =
+  let buf = Buffer.create 16 in
+  Buffer.add_int32_le buf (Int32.of_int page);
+  Relational.Codec.add_value buf key;
+  Buffer.contents buf
+
+let decode_fence r =
+  {
+    key = Relational.Codec.read_value r (ref 4);
+    page = Int32.to_int (String.get_int32_le r 0);
+  }
+
+(* The chain is written in Relation.iter order, which is Tuple.compare
+   order, so every page's first tuple carries the smallest leading value
+   on that page.  Appending a tuple that lands on a new page records that
+   page's fence; a chain of two or more pages then gets a fence chain of
+   its own, written after the data pages (so with higher page ids). *)
+let save_relation pool ~name rel =
   let chain =
     Chain.make pool ~kind:kind_table ~first:0 ~on_first:(fun _ -> ())
   in
+  let fences = ref [] and last = ref 0 in
   Relational.Relation.iter
     (fun tuple ->
-      ignore (Chain.append chain (Relational.Codec.tuple_to_string tuple)))
+      let page, _ =
+        Chain.append chain (Relational.Codec.tuple_to_string tuple)
+      in
+      if page <> !last && Array.length tuple > 0 then
+        fences := { key = tuple.(0); page } :: !fences;
+      last := page)
     rel;
   (* an empty relation still needs a chain for the catalog to point at *)
-  Chain.force chain
+  let first = Chain.force chain in
+  let fences =
+    match List.rev !fences with
+    | [] | [ _ ] -> None
+    | all ->
+        let fc =
+          Chain.make pool ~kind:kind_fence ~first:0 ~on_first:(fun _ -> ())
+        in
+        List.iter (fun f -> ignore (Chain.append fc (encode_fence f))) all;
+        Some { root = Chain.force fc; count = List.length all }
+  in
+  { name; schema = Relational.Relation.schema rel; first; fences }
+
+(* Fences are trusted only when the fence chain is exactly what the
+   catalog entry promises.  A crash inside the checkpoint that publishes
+   a replace can leave the catalog entry and the data chain durable while
+   a fence page is still blank or torn: flush_all writes in page-id order
+   and fence pages come last.  Such fences are refused (None), and the
+   caller walks the chain instead. *)
+let read_fences pool tb =
+  match tb.fences with
+  | None -> None
+  | Some { root; count } -> (
+      let out = ref [] in
+      match
+        iter_chain pool ~first:root (fun _ _ r -> out := decode_fence r :: !out)
+      with
+      | exception (Pager.Corrupt _ | Relational.Codec.Corrupt _) -> None
+      | () ->
+          let fences = Array.of_list (List.rev !out) in
+          if count > 0 && Array.length fences = count && fences.(0).page = tb.first
+          then Some fences
+          else None)
 
 let iter_relation pool ~first f =
   let rec walk id pages =
@@ -244,14 +313,21 @@ let load_relation pool ~schema ~first =
 
 (* --- the catalog ---------------------------------------------------------- *)
 
-type table = { name : string; schema : Relational.Schema.t; first : int }
-
+(* An unfenced entry keeps the original encoding, so files written before
+   fences existed decode unchanged (as unfenced) and an unfenced entry is
+   byte-identical to theirs; a fenced one appends the fence root and the
+   fence count. *)
 let encode_table t =
   let buf = Buffer.create 64 in
   Buffer.add_uint16_le buf (String.length t.name);
   Buffer.add_string buf t.name;
   Relational.Codec.add_schema buf t.schema;
   Buffer.add_int32_le buf (Int32.of_int t.first);
+  (match t.fences with
+  | None -> ()
+  | Some { root; count } ->
+      Buffer.add_int32_le buf (Int32.of_int root);
+      Buffer.add_int32_le buf (Int32.of_int count));
   Buffer.contents buf
 
 let decode_table r =
@@ -262,7 +338,16 @@ let decode_table r =
   pos := !pos + len;
   let schema = Relational.Codec.read_schema r pos in
   let first = Int32.to_int (String.get_int32_le r !pos) in
-  { name; schema; first }
+  let fences =
+    if String.length r >= !pos + 12 then
+      Some
+        {
+          root = Int32.to_int (String.get_int32_le r (!pos + 4));
+          count = Int32.to_int (String.get_int32_le r (!pos + 8));
+        }
+    else None
+  in
+  { name; schema; first; fences }
 
 let catalog_chain pool =
   let pager = Buffer_pool.pager pool in
@@ -280,7 +365,8 @@ let add_table pool table =
   ignore (Chain.append (catalog_chain pool) (encode_table table))
 
 (* Replacing a table rewrites the whole catalog chain in place (the old
-   data chain's pages are leaked — no free list yet, see DESIGN.md). *)
+   data and fence chains' pages are leaked — no free list yet, see
+   DESIGN.md). *)
 let replace_table pool table =
   let existing = catalog pool in
   if not (List.exists (fun t -> t.name = table.name) existing) then

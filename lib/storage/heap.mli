@@ -1,9 +1,9 @@
 (** Heap storage over the pager: page chains of variable-length records,
     accessed through the buffer pool.
 
-    Hosts the three on-disk structures above the raw pages: the
+    Hosts the four on-disk structures above the raw pages: the
     transactional item store (the KV plane the WAL protects), per-table
-    tuple chains, and the table catalog. *)
+    tuple chains, their fence chains, and the table catalog. *)
 
 val kind_items : int
 (** Page kind tag of item-store pages, visible in [db status]. *)
@@ -13,6 +13,9 @@ val kind_table : int
 
 val kind_catalog : int
 (** Page kind tag of catalog pages. *)
+
+val kind_fence : int
+(** Page kind tag of fence-chain pages. *)
 
 val iter_chain :
   Buffer_pool.t -> first:int -> (int -> int -> string -> unit) -> unit
@@ -60,9 +63,42 @@ module Items : sig
       stolen pages whose log records were lost. *)
 end
 
-val save_relation : Buffer_pool.t -> Relational.Relation.t -> int
-(** Write the relation's tuples into a fresh chain; returns its first
-    page id. *)
+type fences = { root : int; count : int }
+(** Where a table's fence chain starts and how many fences it holds —
+    one per data page. *)
+
+type fence = { key : Relational.Value.t; page : int }
+(** One fence: a data page's first leading-column value and its page
+    id. *)
+
+type table = {
+  name : string;
+  schema : Relational.Schema.t;
+  first : int;
+  fences : fences option;
+}
+(** One catalog entry: table name, schema, its chain's first page, and
+    its fence chain ([None] for a one-page chain, and for every entry
+    written before fence chains existed — their encoding has no fence
+    fields). *)
+
+val save_relation :
+  Buffer_pool.t -> name:string -> Relational.Relation.t -> table
+(** Write the relation's tuples into a fresh chain, in
+    {!Relational.Tuple.compare} order (so sorted on the leading column),
+    and return the catalog entry describing it.  A chain of two or more
+    pages also gets a fence chain (page kind {!kind_fence}), written
+    after the data pages: one {!fence} per data page, in chain order.
+    Nothing is published until the entry reaches the catalog. *)
+
+val read_fences : Buffer_pool.t -> table -> fence array option
+(** The table's fences in chain order, read from its fence chain —
+    [Some] only when the fence chain is exactly what the entry promises:
+    it holds [count] fences, the first names the chain's first page, and
+    no fence page fails its CRC check (a failure is still counted in
+    [pager.crc_failures]).  [None] for an unfenced
+    table and for fences a crash left blank or torn; callers then walk
+    the data chain. *)
 
 val iter_relation :
   Buffer_pool.t -> first:int -> (Relational.Tuple.t -> unit) -> int
@@ -76,9 +112,6 @@ val load_relation :
   Buffer_pool.t -> schema:Relational.Schema.t -> first:int -> Relational.Relation.t
 (** The whole chain as a relation, read with {!iter_relation}. *)
 
-type table = { name : string; schema : Relational.Schema.t; first : int }
-(** One catalog entry: table name, schema, and its chain's first page. *)
-
 val catalog : Buffer_pool.t -> table list
 (** All catalog entries, in catalog-chain order. *)
 
@@ -88,4 +121,4 @@ val add_table : Buffer_pool.t -> table -> unit
 
 val replace_table : Buffer_pool.t -> table -> unit
 (** [replace_table] rewrites the catalog chain; the replaced table's data
-    pages are leaked (no free list yet — see DESIGN.md). *)
+    and fence pages are leaked (no free list yet — see DESIGN.md). *)

@@ -726,6 +726,444 @@ let prop_semantic_rewrite_preserves_results =
             (Planner.Exec.run on (Planner.Plan.plan on q))
             (Planner.Exec.run off (Planner.Plan.plan off q))))
 
+(* --- fence scans ----------------------------------------------------------- *)
+
+module P = Planner.Physical
+module Heap = Storage.Heap
+
+let is_fenced plan =
+  match find_scan plan with Some (P.Fenced _) -> true | _ -> false
+
+(* The selection with its access path pinned to a heap scan. *)
+let forced_scan ctx table pred =
+  let scan =
+    P.make
+      (P.Scan { table; access = P.Full; pages = 0 })
+      (Planner.Plan.catalog ctx table)
+  in
+  P.make (P.Filter (pred, scan)) scan.P.schema
+
+let catalog_entry eng name =
+  List.find (fun tb -> tb.Heap.name = name) (Storage.Engine.tables eng)
+
+(* A table of 300-3,000 rows whose leading column [k] takes 2-40 values,
+   integers or strings by seed, so runs of equal keys straddle page
+   boundaries; [id] keeps rows distinct and [pad] varies the rows per
+   page.  [const j ~between] names the [j]-th key, a value just above it,
+   or (for [j] outside the domain) a value below or above every key. *)
+type fence_db = {
+  rel : R.Relation.t;
+  distinct : int;
+  const : int -> between:bool -> R.Value.t;
+}
+
+let fence_db rng =
+  let rows = Support.Rng.range rng 300 3000 in
+  let distinct = Support.Rng.range rng 2 40 in
+  let strings = Support.Rng.bool rng in
+  let const j ~between =
+    if strings then
+      if j < 0 then String "a"
+      else if j >= distinct then String "z"
+      else String (Printf.sprintf "key%02d%s" j (if between then "+" else ""))
+    else Int ((3 * j) + if between then 1 else 0)
+  in
+  let rel =
+    R.Relation.of_list
+      (R.Schema.make
+         [ ("k", if strings then TString else TInt); ("id", TInt); ("pad", TString) ])
+      (List.init rows (fun id ->
+           [
+             const (Support.Rng.int rng distinct) ~between:false;
+             Int id;
+             String (String.make (Support.Rng.range rng 1 30) 'p');
+           ]))
+  in
+  { rel; distinct; const }
+
+(* Point, one-sided, two-sided, empty and out-of-domain predicates on
+   [k], each with an optional residual conjunct on [id]. *)
+let fence_pred rng fdb =
+  let c () =
+    fdb.const
+      (Support.Rng.range rng (-1) fdb.distinct)
+      ~between:(Support.Rng.bool rng)
+  in
+  let k cmp v = A.Cmp (cmp, A.Attr "k", A.Const v) in
+  let core =
+    match Support.Rng.int rng 8 with
+    | 0 -> k A.Eq (c ())
+    | 1 -> k A.Lt (c ())
+    | 2 -> k A.Le (c ())
+    | 3 -> k A.Gt (c ())
+    | 4 -> k A.Ge (c ())
+    | 5 -> A.And (k A.Ge (c ()), k A.Le (c ()))
+    | 6 ->
+        (* empty: the lower bound above the upper *)
+        let hi = fdb.const (Support.Rng.int rng fdb.distinct) ~between:false in
+        A.And (k A.Gt (fdb.const fdb.distinct ~between:false), k A.Lt hi)
+    | _ ->
+        (* wholly outside the domain, below or above *)
+        let j = if Support.Rng.bool rng then -1 else fdb.distinct in
+        A.And (k A.Ge (fdb.const j ~between:false), k A.Le (fdb.const j ~between:true))
+  in
+  if Support.Rng.bool rng then
+    A.And (core, A.Cmp (A.Lt, A.Attr "id", A.Const (Int (Support.Rng.int rng 3000))))
+  else core
+
+let prop_fences_match_eval =
+  property 50 "fence scan = Eval.eval (multi-page tables, duplicate keys)"
+    seed_gen (fun seed ->
+      let rng = Support.Rng.create seed in
+      let fdb = fence_db rng in
+      let db = R.Database.add R.Database.empty "t" fdb.rel in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "t" fdb.rel;
+          if seed mod 2 = 0 then
+            ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+          (* an index on [k] must not win over the fences *)
+          (match seed mod 3 with
+          | 0 -> ()
+          | m ->
+              Planner.Indexes.create eng (Planner.Indexes.load eng)
+                {
+                  Planner.Indexes.table = "t";
+                  attr = "k";
+                  kind = (if m = 1 then Btree else Hash);
+                });
+          let ctx = Planner.Plan.make eng in
+          List.for_all
+            (fun _ ->
+              let q = A.Select (fence_pred rng fdb, A.Rel "t") in
+              let plan = Planner.Plan.plan ctx q in
+              is_fenced plan
+              && R.Relation.equal (R.Eval.eval db q) (Planner.Exec.run ctx plan))
+            [ 1; 2; 3; 4 ]))
+
+(* Random relations of 0-3,000 rows over small domains of every value
+   type: whatever is saved, the chain is in Tuple.compare order and its
+   fences are exactly each data page's first leading value and page id,
+   in chain order, on pages of the fence kind; a one-page chain has
+   none. *)
+let prop_chain_sorted_and_fenced =
+  property 40 "saved chains are sorted; fences name each page's first key"
+    seed_gen (fun seed ->
+      let rng = Support.Rng.create seed in
+      let types = [| TInt; TString; TFloat; TBool |] in
+      let arity = Support.Rng.range rng 1 3 in
+      let schema =
+        R.Schema.make
+          (List.init arity (fun i ->
+               (Printf.sprintf "c%d" i, Support.Rng.pick rng types)))
+      in
+      let value ty =
+        let d = Support.Rng.int rng 50 in
+        match ty with
+        | TInt -> Int (d - 10)
+        | TString -> String (String.make (1 + (d mod 7)) (Char.chr (97 + (d mod 26))))
+        | TFloat -> Float (float_of_int d /. 4.)
+        | TBool -> Bool (d mod 2 = 0)
+      in
+      let rows =
+        if Support.Rng.int rng 3 = 0 then Support.Rng.int rng 40
+        else Support.Rng.range rng 300 3000
+      in
+      let rel =
+        R.Relation.of_list schema
+          (List.init rows (fun _ ->
+               List.map (fun (_, ty) -> value ty) (R.Schema.pairs schema)))
+      in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "t" rel;
+          let pool = Storage.Engine.pool eng in
+          let tb = catalog_entry eng "t" in
+          (* the chain, page by page: (page id, its tuples) *)
+          let rec pages id =
+            if id = 0 then []
+            else
+              let records, next = Heap.page_records pool id in
+              (id, List.map R.Codec.tuple_of_string records) :: pages next
+          in
+          let chain = pages tb.Heap.first in
+          let tuples = List.concat_map snd chain in
+          let rec sorted = function
+            | a :: (b :: _ as rest) -> R.Tuple.compare a b < 0 && sorted rest
+            | _ -> true
+          in
+          let expected =
+            List.filter_map
+              (fun (page, tups) ->
+                match tups with
+                | first :: _ -> Some (first.(0), page)
+                | [] -> None)
+              chain
+          in
+          let rec fence_kinds id =
+            id = 0
+            || Storage.Buffer_pool.with_page pool id (fun p ->
+                   Storage.Page.kind p = Heap.kind_fence
+                   && fence_kinds (Storage.Page.next p))
+          in
+          sorted tuples
+          && R.Relation.equal rel (R.Relation.of_tuples schema tuples)
+          &&
+          match (chain, tb.Heap.fences) with
+          | [ _ ], None -> true
+          | _ :: _ :: _, Some { Heap.root; count } -> (
+              count = List.length chain
+              && fence_kinds root
+              &&
+              match Heap.read_fences pool tb with
+              | Some fences ->
+                  List.map (fun f -> (f.Heap.key, f.Heap.page)) (Array.to_list fences)
+                  = expected
+              | None -> false)
+          | _ -> false))
+
+(* Leading-column predicates over [fence_rows]' key column [k]. *)
+let fence_queries =
+  let k cmp v = A.Cmp (cmp, A.Attr "k", A.Const (Int v)) in
+  [
+    k A.Eq 120;
+    k A.Eq 7;
+    k A.Ge 400;
+    k A.Lt 33;
+    A.And (k A.Ge 150, k A.Le 210);
+    A.And (k A.Gt 500, k A.Lt 100);
+  ]
+
+(* 1,200 rows over 200 keys, six per key, about ten heap pages; [salt]
+   changes every row's [g] and [pad], so two versions share keys but no
+   row. *)
+let fence_rows salt =
+  R.Relation.of_list
+    (R.Schema.make [ ("k", TInt); ("g", TInt); ("pad", TString) ])
+    (List.init 1200 (fun i ->
+         [
+           Int (i mod 200);
+           Int ((i * 7) + salt);
+           String (Printf.sprintf "v%d-%04d" salt i);
+         ]))
+
+(* A query's outcome: its rows, or the table chain is unreadable. *)
+let outcome ctx plan =
+  match Planner.Exec.run ctx plan with
+  | rel -> Ok rel
+  | exception Storage.Pager.Corrupt _ -> Error ()
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> R.Relation.equal x y
+  | Error (), Error () -> true
+  | _ -> false
+
+(* Crash at every I/O of a save_table that replaces a fenced multi-page
+   table, with a 2-frame pool so dirty pages are stolen mid-save.  After
+   reopening, every fence scan must return what a forced full scan of
+   the same table returns.  Some crash points leave the new catalog entry
+   durable before its fence page: those scans must fall back. *)
+let test_fence_crash_matrix () =
+  let v1 = fence_rows 1 and v2 = fence_rows 2 in
+  let k = ref 0 and continue = ref true and fallbacks = ref 0 in
+  while !continue do
+    let path = fresh_path () in
+    let eng = Storage.Engine.open_db ~pool_size:2 path in
+    Storage.Engine.save_table eng "t" v1;
+    ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+    Storage.Engine.close eng;
+    (match Storage.Engine.open_db ~pool_size:2 ~crash_after:!k path with
+    | exception Storage.Fault.Crash _ -> ()
+    | eng -> (
+        match
+          Storage.Engine.save_table eng "t" v2;
+          Storage.Engine.close eng
+        with
+        | () -> continue := false
+        | exception Storage.Fault.Crash _ -> Storage.Engine.crash eng));
+    let metrics = Obs.Registry.create () in
+    let eng = Storage.Engine.open_db ~pool_size:2 ~metrics path in
+    let ctx = Planner.Plan.make eng in
+    List.iter
+      (fun pred ->
+        let what = Printf.sprintf "crash at io %d: %s" !k (A.predicate_to_string pred) in
+        let plan = Planner.Plan.plan ctx (A.Select (pred, A.Rel "t")) in
+        Alcotest.(check bool) (what ^ ": fence scan") true (is_fenced plan);
+        Alcotest.(check bool) (what ^ ": fences = forced scan") true
+          (same_outcome (outcome ctx plan) (outcome ctx (forced_scan ctx "t" pred))))
+      fence_queries;
+    fallbacks :=
+      !fallbacks
+      + Option.value ~default:0
+          (Obs.Registry.counter_value metrics "plan.fence_fallbacks");
+    Storage.Engine.close eng;
+    cleanup path;
+    incr k;
+    if !k > 500 then Alcotest.fail "fence crash matrix did not terminate"
+  done;
+  Alcotest.(check bool) "several crash points" true (!k > 10);
+  Alcotest.(check bool) "some crash point left fences to refuse" true
+    (!fallbacks > 0)
+
+(* A fence page torn or bit-flipped on disk: the scan falls back to the
+   chain walk and answers; the CRC failure is counted, once per
+   context, and no Pager.Corrupt escapes. *)
+let test_damaged_fence_page () =
+  let rel = fence_rows 3 in
+  let db = R.Database.add R.Database.empty "t" rel in
+  List.iter
+    (fun (what, damage) ->
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Storage.Engine.save_table eng "t" rel;
+      let root =
+        match (catalog_entry eng "t").Heap.fences with
+        | Some f -> f.Heap.root
+        | None -> Alcotest.fail "t should be fenced"
+      in
+      Storage.Engine.close eng;
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      let page = Bytes.create Storage.Page.size in
+      ignore (Unix.lseek fd (root * Storage.Page.size) Unix.SEEK_SET);
+      ignore (Unix.read fd page 0 Storage.Page.size);
+      damage page;
+      ignore (Unix.lseek fd (root * Storage.Page.size) Unix.SEEK_SET);
+      ignore (Unix.write fd page 0 Storage.Page.size);
+      Unix.close fd;
+      let metrics = Obs.Registry.create () in
+      let eng = Storage.Engine.open_db ~metrics path in
+      let ctx = Planner.Plan.make eng in
+      List.iter
+        (fun pred ->
+          let q = A.Select (pred, A.Rel "t") in
+          let plan = Planner.Plan.plan ctx q in
+          Alcotest.(check bool) (what ^ ": fence plan") true (is_fenced plan);
+          check_rel (what ^ ": " ^ A.to_string q) (R.Eval.eval db q)
+            (Planner.Exec.run ctx plan))
+        fence_queries;
+      let count name =
+        Option.value ~default:0 (Obs.Registry.counter_value metrics name)
+      in
+      Alcotest.(check int) (what ^ ": crc failure counted") 1
+        (count "pager.crc_failures");
+      Alcotest.(check int) (what ^ ": every fence scan fell back")
+        (List.length fence_queries)
+        (count "plan.fence_fallbacks");
+      Storage.Engine.close eng;
+      cleanup path)
+    [
+      ( "torn",
+        fun page ->
+          Bytes.fill page (Storage.Page.size / 2) (Storage.Page.size / 2) '\000' );
+      ( "bit flip",
+        fun page ->
+          Bytes.set_uint8 page 40 (Bytes.get_uint8 page 40 lxor 0x10) );
+    ]
+
+(* A catalog entry in the encoding used before fence chains existed —
+   name, schema, first page, nothing after — decodes as unfenced, and
+   its multi-page table still answers leading-column queries. *)
+let test_pre_fence_catalog_entry () =
+  let rel = fence_rows 4 in
+  let db = R.Database.add R.Database.empty "t" rel in
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  Storage.Engine.save_table eng "t" rel;
+  let tb = catalog_entry eng "t" in
+  Alcotest.(check bool) "saved fenced" true (tb.Heap.fences <> None);
+  let old_entry =
+    let buf = Buffer.create 64 in
+    Buffer.add_uint16_le buf 1;
+    Buffer.add_string buf "t";
+    R.Codec.add_schema buf tb.Heap.schema;
+    Buffer.add_int32_le buf (Int32.of_int tb.Heap.first);
+    Buffer.contents buf
+  in
+  let pool = Storage.Engine.pool eng in
+  let root = Storage.Pager.catalog_root (Storage.Engine.pager eng) in
+  Storage.Buffer_pool.with_page pool root (fun page ->
+      let blank = Storage.Page.init ~kind:Heap.kind_catalog in
+      ignore (Storage.Page.insert blank old_entry : int);
+      Bytes.blit blank 0 page 0 Storage.Page.size;
+      Storage.Buffer_pool.mark_dirty pool root);
+  Storage.Engine.close eng;
+  let eng = Storage.Engine.open_db path in
+  Fun.protect
+    ~finally:(fun () ->
+      Storage.Engine.close eng;
+      cleanup path)
+    (fun () ->
+      let tb' = catalog_entry eng "t" in
+      Alcotest.(check bool) "decodes unfenced" true (tb'.Heap.fences = None);
+      Alcotest.(check int) "same chain" tb.Heap.first tb'.Heap.first;
+      let ctx = Planner.Plan.make eng in
+      List.iter
+        (fun pred ->
+          let q = A.Select (pred, A.Rel "t") in
+          let plan = Planner.Plan.plan ctx q in
+          Alcotest.(check bool) "no fence scan" false (is_fenced plan);
+          check_rel (A.to_string q) (R.Eval.eval db q) (Planner.Exec.run ctx plan))
+        fence_queries)
+
+(* One version of a table per planning context: after [t] is replaced
+   inside a context, a fence scan, the same selection forced to a full
+   scan, and a B+tree lookup on a non-leading column all still read the
+   version the context was made on. *)
+let test_one_version_per_context () =
+  let v1 = fence_rows 5 and v2 = fence_rows 6 in
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  Fun.protect
+    ~finally:(fun () ->
+      Storage.Engine.close eng;
+      cleanup path)
+    (fun () ->
+      Storage.Engine.save_table eng "t" v1;
+      ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+      Planner.Indexes.create eng (Planner.Indexes.load eng)
+        { Planner.Indexes.table = "t"; attr = "g"; kind = Btree };
+      let ctx = Planner.Plan.make eng in
+      Storage.Engine.save_table eng "t" v2;
+      let old = R.Database.add R.Database.empty "t" v1 in
+      let range =
+        A.And
+          ( A.Cmp (A.Ge, A.Attr "k", A.Const (Int 40)),
+            A.Cmp (A.Le, A.Attr "k", A.Const (Int 45)) )
+      in
+      let fenced = Planner.Plan.plan ctx (A.Select (range, A.Rel "t")) in
+      Alcotest.(check bool) "fence scan" true (is_fenced fenced);
+      check_rel "fence scan reads the context's version"
+        (R.Eval.eval old (A.Select (range, A.Rel "t")))
+        (Planner.Exec.run ctx fenced);
+      check_rel "full scan reads the context's version"
+        (R.Eval.eval old (A.Select (range, A.Rel "t")))
+        (Planner.Exec.run ctx (forced_scan ctx "t" range));
+      (* g = 705 is a row of v1 only, g = 706 of v2 only *)
+      let g v = A.Select (A.Cmp (A.Eq, A.Attr "g", A.Const (Int v)), A.Rel "t") in
+      let point = Planner.Plan.plan ctx (g 705) in
+      (match find_scan point with
+      | Some (P.Point { attr = "g"; via = Btree; _ }) -> ()
+      | _ -> Alcotest.fail "expected a B+tree point lookup on g");
+      check_rel "B+tree lookup reads the context's version"
+        (R.Eval.eval old (g 705))
+        (Planner.Exec.run ctx point);
+      (* a fresh context sees the replacement *)
+      let fresh = Planner.Plan.make eng in
+      check_rel "a new context reads the new version"
+        (R.Eval.eval (R.Database.add R.Database.empty "t" v2) (g 706))
+        (Planner.Exec.run fresh (Planner.Plan.plan fresh (g 706))))
+
 let suite =
   [
     Alcotest.test_case "stats collect and persist" `Quick
@@ -758,7 +1196,16 @@ let suite =
     Alcotest.test_case "join elimination (fixed)" `Quick
       test_join_elimination_fixed;
     Alcotest.test_case "certify (fixed)" `Quick test_certify_fixed;
+    Alcotest.test_case "fence crash matrix" `Slow test_fence_crash_matrix;
+    Alcotest.test_case "damaged fence page falls back" `Quick
+      test_damaged_fence_page;
+    Alcotest.test_case "pre-fence catalog entry" `Quick
+      test_pre_fence_catalog_entry;
+    Alcotest.test_case "one table version per context" `Quick
+      test_one_version_per_context;
     prop_physical_matches_eval;
+    prop_fences_match_eval;
+    prop_chain_sorted_and_fenced;
     prop_forced_merge_matches_eval;
     prop_certify_never_refutes;
     prop_semantic_rewrite_preserves_results;
