@@ -7,8 +7,8 @@
    model. *)
 
 module C = Distributed.Coordinator
-module DX = Distributed.Executor
 module E = Storage.Engine
+module X = Storage.Executor
 module F = Storage.Fault
 module W = Transactions.Workload
 
@@ -35,24 +35,28 @@ let seeds () = List.init 6 (fun k -> 42 + !Bench_util.seed + k)
 
 (* One seeded run over a fresh sharded database: open, drive the
    workload, close (or abandon after a crash), then model-check the
-   survivor logs.  Returns (stats option, net ticks, diverged). *)
+   survivor logs.  Returns (stats option, net ticks, stranded decisions,
+   diverged). *)
 let run_once ?(metrics = Obs.Registry.noop) ~shards ~spec ~seed () =
   let base = fresh_base () in
   let rng = Support.Rng.create seed in
   let specs = W.generate rng params in
-  let stats, ticks =
+  let stats, ticks, stranded =
     match C.open_dist ~shards ~faults:(F.spec_of_string spec) ~metrics base with
     | coord ->
-        let stats = DX.run ~config:{ DX.default_config with seed } coord specs in
+        let stats =
+          X.run ~config:{ X.default_config with seed } (C.backend coord) specs
+        in
         let ticks = C.net_ticks coord in
-        if stats.DX.crashed = None then
+        let stranded = List.length (C.stranded_txns coord) in
+        if stats.X.crashed = None then
           (try C.close coord with F.Crash _ -> C.crash coord);
-        (Some stats, ticks)
-    | exception F.Crash _ -> (None, 0)
+        (Some stats, ticks, stranded)
+    | exception F.Crash _ -> (None, 0, 0)
   in
   let diverged = C.model_divergence ~path:base <> None in
   cleanup base shards;
-  (stats, ticks, diverged)
+  (stats, ticks, stranded, diverged)
 
 (* Commit latency and throughput as the same workload spreads over
    1/2/4/8 shards.  One shard never leaves the one-phase fast path;
@@ -68,7 +72,7 @@ let shard_scaling () =
         let ms = ref 0. in
         List.iter
           (fun seed ->
-            let (stats, run_ticks, diverged), elapsed =
+            let (stats, run_ticks, _, diverged), elapsed =
               Bench_util.time_ms (fun () ->
                   run_once ~metrics:!Bench_util.registry ~shards ~spec:""
                     ~seed ())
@@ -78,8 +82,8 @@ let shard_scaling () =
             ticks := !ticks + run_ticks;
             match stats with
             | Some s ->
-                committed := !committed + s.DX.committed;
-                steps := !steps + s.DX.steps
+                committed := !committed + s.X.committed;
+                steps := !steps + s.X.steps
             | None -> ())
           (seeds ());
         let n = float_of_int (List.length (seeds ())) in
@@ -136,17 +140,17 @@ let loss_sweep () =
               if base_spec = "" then ""
               else Printf.sprintf "%s,seed=%d" base_spec seed
             in
-            let stats, run_ticks, div =
+            let stats, run_ticks, stranded, div =
               run_once ~metrics:!Bench_util.registry ~shards:2 ~spec ~seed ()
             in
             if div then incr diverged;
             ticks := !ticks + run_ticks;
+            strand := !strand + stranded;
             match stats with
             | Some s ->
-                committed := !committed + s.DX.committed;
-                caborts := !caborts + s.DX.commit_aborts;
-                restarts := !restarts + s.DX.restarts;
-                strand := !strand + s.DX.stranded
+                committed := !committed + s.X.committed;
+                caborts := !caborts + s.X.commit_aborts;
+                restarts := !restarts + s.X.restarts
             | None -> ())
           (seeds ());
         Bench_util.record

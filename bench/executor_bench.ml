@@ -34,7 +34,8 @@ let seeds () = List.init 8 (fun k -> 42 + !Bench_util.seed + k)
 
 (* One seeded run: open (the fault budget may fire anywhere, including
    inside open or recovery), execute, close, then diff the reopened
-   database against the model.  Returns (stats option, diverged). *)
+   database against the model.  Returns ((stats, repairs, io retries)
+   option, diverged), the engine's counters read before its close. *)
 let run_once ?(metrics = Obs.Registry.noop) ~params ~spec ~seed () =
   let path = fresh_path () in
   let rng = Support.Rng.create seed in
@@ -42,10 +43,13 @@ let run_once ?(metrics = Obs.Registry.noop) ~params ~spec ~seed () =
   let stats =
     match E.open_db ~faults:(F.spec_of_string spec) ~metrics path with
     | eng ->
-        let stats = X.run ~config:{ X.default_config with seed } eng specs in
+        let stats =
+          X.run ~config:{ X.default_config with seed } (X.engine eng) specs
+        in
+        let repairs = E.repairs eng and retries = E.io_retries eng in
         if stats.X.crashed = None then
           (try E.close eng with F.Crash _ -> E.crash eng);
-        Some stats
+        Some (stats, repairs, retries)
     | exception F.Crash _ -> None
   in
   let diverged = X.model_divergence ~path <> None in
@@ -68,7 +72,7 @@ let contention () =
             ms := !ms +. elapsed;
             assert (not diverged);
             match stats with
-            | Some s ->
+            | Some (s, _, _) ->
                 acc.(0) <- acc.(0) +. float_of_int s.X.committed;
                 acc.(1) <- acc.(1) +. float_of_int s.X.restarts;
                 acc.(2) <- acc.(2) +. float_of_int s.X.deadlocks;
@@ -128,10 +132,10 @@ let fault_matrix () =
             in
             if div then incr diverged;
             match stats with
-            | Some s ->
+            | Some (s, r, io) ->
                 committed := !committed + s.X.committed;
-                repairs := !repairs + s.X.repairs;
-                retries := !retries + s.X.io_retries;
+                repairs := !repairs + r;
+                retries := !retries + io;
                 if s.X.degraded then incr degraded;
                 if s.X.crashed <> None then incr crashed
             | None -> incr crashed)

@@ -10,7 +10,7 @@ module M = Replication.Repl_meta
 module E = Storage.Engine
 module F = Storage.Fault
 module W = Transactions.Workload
-module S = Transactions.Schedule
+module X = Storage.Executor
 
 let fresh_base =
   let n = ref 0 in
@@ -36,24 +36,13 @@ let params =
 
 let seeds () = List.init 5 (fun k -> 42 + !Bench_util.seed + k)
 
-(* Drive the workload sequentially: replication prices durability and
-   shipping, so one transaction at a time isolates exactly that cost. *)
+(* Drive the workload through the shared SS2PL scheduler; returns how
+   many of its commits the group acknowledged. *)
 let drive g programs =
-  let acked = ref 0 and value = ref 0 in
-  Array.iter
-    (fun prog ->
-      let txn = G.begin_txn g in
-      List.iter
-        (function
-          | S.Read item -> ignore (G.read g item : int)
-          | S.Write item ->
-              incr value;
-              G.write g ~txn item !value
-          | S.Commit | S.Abort -> ())
-        prog;
-      match G.commit g ~txn with G.Acked -> incr acked | G.Local_only -> ())
-    programs;
-  !acked
+  let acked_before, _ = G.commits g in
+  let stats = X.run (G.backend g) programs in
+  assert (stats.X.committed = Array.length programs);
+  fst (G.commits g) - acked_before
 
 let lint_clean base =
   not

@@ -773,115 +773,114 @@ let db_recover_run path verify_wal shards metrics trace_file =
       dump_metrics metrics registry;
       code
 
-(* The sharded variant of [db exec]: same workload generator, but the
-   programs run against a 2PC coordinator over N engines instead of one.
-   Returns the exit code; printing mirrors the single-node path so the
-   two reports read side by side. *)
-let db_exec_dist path n ~txns ~seed spec crash_after timeout verify verify_wal
-    registry trace programs =
+(* [db exec] runs one scheduler, Storage.Executor, over one of three
+   backends: an engine, a 2PC coordinator over N shards (--shards), or
+   a WAL-shipping replication group (--replicas).  A target carries what
+   only its backend knows: extra report counters and lines, how to
+   close it, its crash hint and degraded line, its model check, and the
+   WALs it leaves behind. *)
+type exec_target = {
+  backend : Storage.Executor.backend;
+  close : unit -> unit;
+  counters : Storage.Executor.stats -> string;
+      (* ends the committed line; read as the run left the backend *)
+  ticks : unit -> string;  (* ends the throughput line *)
+  notes : unit -> string list;  (* lines after the throughput line *)
+  crash_hint : string;
+  degraded : unit -> string;
+  divergence :
+    unit -> ((string * int) list * (string * int) list) option;
+  wals : (string * string) list;  (* audit label, database path *)
+}
+
+let engine_degraded eng =
+  Printf.sprintf
+    "engine degraded to read-only: %s; unresolved transactions are in \
+     doubt and will be aborted by restart recovery"
+    (Option.value ~default:"unflushable wal"
+       (Storage.Engine.degraded_reason eng))
+
+let local_target path ?faults ?crash_after ~metrics ~trace () =
+  match Storage.Engine.open_db ?crash_after ?faults ~metrics ~trace path with
+  | exception Storage.Fault.Crash at -> Error (crash_message path at)
+  | eng ->
+      Ok
+        {
+          backend = Storage.Executor.engine eng;
+          close = (fun () -> Storage.Engine.close eng);
+          counters =
+            (fun _ ->
+              Printf.sprintf "  repairs %d  io-retries %d"
+                (Storage.Engine.repairs eng)
+                (Storage.Engine.io_retries eng));
+          ticks = (fun () -> "");
+          notes = (fun () -> []);
+          crash_hint =
+            Printf.sprintf
+              "run 'dbmeta db recover %s' (or any other db command) to \
+               repair the database"
+              path;
+          degraded = (fun () -> engine_degraded eng);
+          divergence = (fun () -> Storage.Executor.model_divergence ~path);
+          wals = [ ("wal audit", path) ];
+        }
+
+let dist_target path n ?faults ?crash_after ~metrics ~trace () =
   if n <= 0 then
     invalid_arg (Printf.sprintf "--shards must be positive, got %d" n);
-  match
-    Distributed.Coordinator.open_dist ~shards:n ?faults:spec ?crash_after
-      ~metrics:registry ~trace path
-  with
-  | exception Storage.Fault.Crash at -> dist_crash_message path n at
+  let module C = Distributed.Coordinator in
+  match C.open_dist ~shards:n ?faults ?crash_after ~metrics ~trace path with
+  | exception Storage.Fault.Crash at -> Error (dist_crash_message path n at)
   | coord ->
-      let completed, presumed = Distributed.Coordinator.resolved coord in
+      let completed, presumed = C.resolved coord in
       if completed + presumed > 0 then
         Printf.printf
           "resolution: %d in-doubt transaction(s) — %d completed, %d \
            presumed aborted\n"
           (completed + presumed) completed presumed;
-      let config =
-        { Distributed.Executor.default_config with seed; lock_timeout = timeout }
-      in
-      let stats = Distributed.Executor.run ~config coord programs in
-      if stats.Distributed.Executor.crashed = None then (
-        try Distributed.Coordinator.close coord
-        with Storage.Fault.Crash at ->
-          Distributed.Coordinator.crash coord;
-          Printf.printf "simulated crash at close: %s\n" at);
-      Printf.printf
-        "committed %d/%d  restarts %d  deadlocks %d  timeouts %d  \
-         commit-aborts %d\n"
-        stats.Distributed.Executor.committed txns
-        stats.Distributed.Executor.restarts
-        stats.Distributed.Executor.deadlocks
-        stats.Distributed.Executor.timeouts
-        stats.Distributed.Executor.commit_aborts;
-      Printf.printf
-        "throughput: %.4f commits/step (%d steps, %d wasted ops, %d net \
-         ticks)\n"
-        (Distributed.Executor.throughput stats)
-        stats.Distributed.Executor.steps
-        stats.Distributed.Executor.wasted_ops
-        (Distributed.Coordinator.net_ticks coord);
-      if stats.Distributed.Executor.stranded > 0 then
-        Printf.printf
-          "stranded: %d decision(s) undelivered; their locks stay held and \
-           restart recovery will complete them\n"
-          stats.Distributed.Executor.stranded;
-      let code =
-        match stats.Distributed.Executor.crashed with
-        | Some { Storage.Fault.site; io_index } ->
-            Printf.printf "simulated crash at: %s (io %d)\n" site io_index;
-            Printf.printf
+      Ok
+        {
+          backend = C.backend coord;
+          close = (fun () -> C.close coord);
+          counters =
+            (fun s ->
+              Printf.sprintf "  commit-aborts %d"
+                s.Storage.Executor.commit_aborts);
+          ticks =
+            (fun () -> Printf.sprintf ", %d net ticks" (C.net_ticks coord));
+          notes =
+            (fun () ->
+              match List.length (C.stranded_txns coord) with
+              | 0 -> []
+              | k ->
+                  [
+                    Printf.sprintf
+                      "stranded: %d decision(s) undelivered; their locks \
+                       stay held and restart recovery will complete them"
+                      k;
+                  ]);
+          crash_hint =
+            Printf.sprintf
               "run 'dbmeta db recover %s --shards=%d' to resolve in-doubt \
-               transactions and repair the shards\n"
+               transactions and repair the shards"
               path n;
-            0
-        | None ->
-            if stats.Distributed.Executor.degraded then begin
-              Printf.printf
-                "coordinator or shard degraded to read-only; unresolved \
-                 transactions are in doubt and will be settled by restart \
-                 recovery\n";
-              1
-            end
-            else if stats.Distributed.Executor.committed = txns then 0
-            else 1
-      in
-      let code =
-        if verify then
-          match Distributed.Coordinator.model_divergence ~path with
-          | None ->
-              print_endline "model check: ok";
-              code
-          | Some (expected, actual) ->
-              let show kv =
-                String.concat ", "
-                  (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
-              in
-              Printf.printf
-                "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
-                (show expected) (show actual);
-              1
-        else code
-      in
-      if verify_wal then
-        List.fold_left
-          (fun code k ->
-            wal_audit
-              ~label:(Printf.sprintf "shard %d wal audit" k)
-              (Distributed.Coordinator.shard_path path k)
-              code)
-          code (List.init n Fun.id)
-      else code
+          degraded =
+            (fun () ->
+              "coordinator or shard degraded to read-only; unresolved \
+               transactions are in doubt and will be settled by restart \
+               recovery");
+          divergence = (fun () -> C.model_divergence ~path);
+          wals =
+            List.init n (fun k ->
+                (Printf.sprintf "shard %d wal audit" k, C.shard_path path k));
+        }
 
-(* The replicated variant of [db exec]: the workload runs sequentially
-   against a primary that ships its WAL to N replicas after every
-   commit.  Sequential on purpose — replication is about durability and
-   failover, not concurrency, and a deterministic txn-at-a-time driver
-   keeps acked/local-only counts reproducible from the seed. *)
-let db_exec_repl path n sync ~txns spec crash_after verify_wal registry trace
-    programs =
+let repl_target path n sync ?faults ?crash_after ~metrics ~trace () =
   if n <= 0 then
     invalid_arg (Printf.sprintf "--replicas must be positive, got %d" n);
   let module G = Replication.Group in
   match
-    G.open_group ~replicas:n ~sync ?faults:spec ?crash_after ~metrics:registry
-      ~trace path
+    G.open_group ~replicas:n ~sync ?faults ?crash_after ~metrics ~trace path
   with
   | exception Storage.Fault.Crash at ->
       Printf.printf "simulated crash at: %s\n" at;
@@ -891,76 +890,54 @@ let db_exec_repl path n sync ~txns spec crash_after verify_wal registry trace
          reopen with 'dbmeta db exec --replicas=%d %s' to heal the \
          replicas\n"
         path path n path;
-      0
+      Error 0
   | g ->
       Printf.printf "replication: %d node(s), sync=%s, epoch %d\n"
         (G.node_count g)
         (Replication.Repl_meta.sync_mode_to_string (G.sync_mode g))
         (G.epoch g);
-      let acked = ref 0 and local = ref 0 and value = ref 0 in
-      let crashed = ref None and fenced = ref None in
-      (try
-         Array.iter
-           (fun prog ->
-             let txn = G.begin_txn g in
-             List.iter
-               (function
-                 | Transactions.Schedule.Read item ->
-                     ignore (G.read g item : int)
-                 | Transactions.Schedule.Write item ->
-                     incr value;
-                     G.write g ~txn item !value
-                 | Transactions.Schedule.Commit | Transactions.Schedule.Abort
-                   -> ())
-               prog;
-             match G.commit g ~txn with
-             | G.Acked -> incr acked
-             | G.Local_only -> incr local)
-           programs;
-         G.close g
-       with
-      | Storage.Fault.Crash at ->
-          G.crash g;
-          crashed := Some at
-      | G.Fenced e ->
-          G.crash g;
-          fenced := Some e);
-      Printf.printf "committed %d/%d  acked %d  local-only %d\n"
-        (!acked + !local) txns !acked !local;
-      Printf.printf "worst lag %d byte(s), %d net tick(s)\n" (G.lag g)
-        (G.net_ticks g);
-      let code =
-        match (!crashed, !fenced) with
-        | Some at, _ ->
-            Printf.printf "simulated crash at: %s\n" at;
-            Printf.printf
+      Ok
+        {
+          backend = G.backend g;
+          (* a deposed primary must not checkpoint or ship again *)
+          close =
+            (fun () -> if G.fenced g = None then G.close g else G.crash g);
+          counters =
+            (fun _ ->
+              let acked, local = G.commits g in
+              Printf.sprintf "  acked %d  local-only %d" acked local);
+          ticks = (fun () -> "");
+          notes =
+            (fun () ->
+              [
+                Printf.sprintf "worst lag %d byte(s), %d net tick(s)" (G.lag g)
+                  (G.net_ticks g);
+              ]);
+          crash_hint =
+            Printf.sprintf
               "run 'dbmeta db exec --replicas=%d %s' again to heal, or \
-               'dbmeta db failover %s' to promote a replica\n"
+               'dbmeta db failover %s' to promote a replica"
               n path path;
-            0
-        | None, Some e ->
-            Printf.printf
-              "primary fenced by epoch %d: a failover promoted another \
-               node; this primary stopped accepting writes\n"
-              e;
-            1
-        | None, None -> if !acked + !local = txns then 0 else 1
-      in
-      if verify_wal then
-        List.fold_left
-          (fun code k ->
-            wal_audit
-              ~label:(Printf.sprintf "node %d wal audit" k)
-              (Replication.Repl_meta.node_path path k)
-              code)
-          code
-          (List.init (G.node_count g) Fun.id)
-      else code
+          degraded =
+            (fun () ->
+              match G.fenced g with
+              | Some e ->
+                  Printf.sprintf
+                    "primary fenced by epoch %d: a failover promoted another \
+                     node; this primary stopped accepting writes"
+                    e
+              | None -> engine_degraded (G.primary g));
+          divergence = (fun () -> G.model_divergence ~path);
+          wals =
+            List.init (G.node_count g) (fun k ->
+                ( Printf.sprintf "node %d wal audit" k,
+                  Replication.Repl_meta.node_path path k ));
+        }
 
 let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
     seed faults crash_after timeout verify verify_wal metrics trace_file =
   input_error_to_exit @@ fun () ->
-  let spec = Option.map Storage.Fault.spec_of_string faults in
+  let faults = Option.map Storage.Fault.spec_of_string faults in
   let registry = registry_of metrics in
   let trace = trace_of trace_file in
   let params =
@@ -977,82 +954,76 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
     "workload: %d txns x %d ops over %d items (%.0f%% writes, skew %.1f), \
      seed %d\n"
     txns ops items (write_ratio *. 100.) skew seed;
-  (match spec with
+  (match faults with
   | Some s -> Printf.printf "faults: %s\n" (Storage.Fault.spec_to_string s)
   | None -> ());
-  let code =
+  let target =
+    let metrics = registry in
     match (shards, replicas) with
     | Some _, Some _ ->
         invalid_arg "--shards and --replicas are mutually exclusive"
-    | Some n, None ->
-        db_exec_dist path n ~txns ~seed spec crash_after timeout verify
-          verify_wal registry trace programs
+    | Some n, None -> dist_target path n ?faults ?crash_after ~metrics ~trace ()
     | None, Some n ->
-        db_exec_repl path n sync_mode ~txns spec crash_after verify_wal
-          registry trace programs
-    | None, None -> (
-    match
-      Storage.Engine.open_db ?crash_after ?faults:spec ~metrics:registry
-        ~trace path
-    with
-    | exception Storage.Fault.Crash at -> crash_message path at
-    | eng ->
-        let config =
-          { Storage.Executor.default_config with seed; lock_timeout = timeout }
-        in
-        let stats = Storage.Executor.run ~config eng programs in
-        if stats.Storage.Executor.crashed = None then (
-          try Storage.Engine.close eng
+        repl_target path n sync_mode ?faults ?crash_after ~metrics ~trace ()
+    | None, None -> local_target path ?faults ?crash_after ~metrics ~trace ()
+  in
+  let code =
+    match target with
+    | Error code -> code
+    | Ok t ->
+        let module X = Storage.Executor in
+        let config = { X.default_config with seed; lock_timeout = timeout } in
+        let stats = X.run ~config t.backend programs in
+        let counters = t.counters stats in
+        if stats.X.crashed = None then (
+          try t.close ()
           with Storage.Fault.Crash at ->
-            Storage.Engine.crash eng;
+            t.backend.X.crash ();
             Printf.printf "simulated crash at close: %s\n" at);
         Printf.printf
-          "committed %d/%d  restarts %d  deadlocks %d  timeouts %d  repairs \
-           %d  io-retries %d\n"
-          stats.Storage.Executor.committed txns stats.Storage.Executor.restarts
-          stats.Storage.Executor.deadlocks stats.Storage.Executor.timeouts
-          stats.Storage.Executor.repairs stats.Storage.Executor.io_retries;
-        Printf.printf "throughput: %.4f commits/step (%d steps, %d wasted ops)\n"
-          (Storage.Executor.throughput stats)
-          stats.Storage.Executor.steps stats.Storage.Executor.wasted_ops;
+          "committed %d/%d  restarts %d  deadlocks %d  timeouts %d%s\n"
+          stats.X.committed txns stats.X.restarts stats.X.deadlocks
+          stats.X.timeouts counters;
+        Printf.printf
+          "throughput: %.4f commits/step (%d steps, %d wasted ops%s)\n"
+          (X.throughput stats) stats.X.steps stats.X.wasted_ops (t.ticks ());
+        List.iter print_endline (t.notes ());
         let code =
-          match stats.Storage.Executor.crashed with
+          match stats.X.crashed with
           | Some { Storage.Fault.site; io_index } ->
               Printf.printf "simulated crash at: %s (io %d)\n" site io_index;
-              Printf.printf
-                "run 'dbmeta db recover %s' (or any other db command) to \
-                 repair the database\n"
-                path;
+              print_endline t.crash_hint;
               0
           | None ->
-              if stats.Storage.Executor.degraded then begin
-                Printf.printf
-                  "engine degraded to read-only: %s; unresolved transactions \
-                   are in doubt and will be aborted by restart recovery\n"
-                  (Option.value ~default:"unflushable wal"
-                     (Storage.Engine.degraded_reason eng));
+              if stats.X.degraded then begin
+                print_endline (t.degraded ());
                 1
               end
-              else if stats.Storage.Executor.committed = txns then 0
+              else if stats.X.committed = txns then 0
               else 1
         in
         let code =
-        if verify then
-          match Storage.Executor.model_divergence ~path with
-          | None ->
-              print_endline "model check: ok";
-              code
-          | Some (expected, actual) ->
-              let show kv =
-                String.concat ", "
-                  (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
-              in
-              Printf.printf "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
-                (show expected) (show actual);
-              1
-        else code
+          if verify then
+            match t.divergence () with
+            | None ->
+                print_endline "model check: ok";
+                code
+            | Some (expected, actual) ->
+                let show kv =
+                  String.concat ", "
+                    (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) kv)
+                in
+                Printf.printf
+                  "model check: DIVERGED\n  expected: %s\n  actual:   %s\n"
+                  (show expected) (show actual);
+                1
+          else code
         in
-        if verify_wal then wal_audit path code else code)
+        if verify_wal then
+          List.fold_left
+            (fun code (label, db) -> wal_audit ~label db code)
+            code t.wals
+        else code
   in
   write_trace trace_file trace;
   dump_metrics metrics registry;
@@ -1278,8 +1249,10 @@ let replicas_arg =
          ~doc:"Replicate the database at DB to $(docv) replica copies at \
                DB.r1 … DB.rN: the primary ships its WAL after every \
                commit, and replicas apply it through continuous redo.  \
-               The group descriptor lives at DB.repl, the quorum-ack \
-               journal at DB.acks.")
+               The workload runs concurrently against the primary, under \
+               the same scheduler as a single database.  The group \
+               descriptor lives at DB.repl, the quorum-ack journal at \
+               DB.acks.")
 
 let sync_mode_arg =
   Arg.(value
@@ -1461,10 +1434,12 @@ let db_exec_cmd =
   Cmd.v
     (Cmd.info "exec" ~version
        ~doc:"Run an interleaved transaction workload under locking, \
-             deadlock retry, and (optionally) injected faults; with \
-             $(b,--shards) the workload runs against a sharded database \
-             under two-phase commit, with $(b,--replicas) against a \
-             WAL-shipping replication group")
+             deadlock and timeout retry, and (optionally) injected \
+             faults.  One scheduler runs it against every backend: a \
+             single database, a sharded database under two-phase commit \
+             ($(b,--shards)), or a WAL-shipping replication group \
+             ($(b,--replicas)), so a seed makes the same locking \
+             decisions on all three")
     Term.(const db_exec_run $ db_file_arg $ shards_arg $ replicas_arg
           $ sync_mode_arg $ txns $ ops $ items $ write_ratio $ skew $ seed
           $ faults_arg $ crash_after_arg $ timeout $ verify $ verify_wal
@@ -1733,10 +1708,11 @@ let registered_metric_names () =
   Storage.Fault.arm fault 0;
   (try Storage.Fault.io fault ~at:"wal flush" ~on_crash:(fun () -> ())
    with Storage.Fault.Crash _ -> ());
-  (* pager/pool/wal/engine register at open; lock.*/exec.* at run *)
-  let path = Filename.temp_file "dbmeta-lint-metrics" ".db" in
-  Sys.remove path;
-  let eng = Storage.Engine.open_db ~metrics:registry path in
+  (* pager/pool/wal/engine register at open, 2pc.* and repl.* when the
+     coordinator and the group open, lock.*/exec.* when the scheduler
+     runs: drive the same tiny workload through each backend *)
+  let dir = Filename.temp_dir "dbmeta-lint-metrics" "" in
+  let base name = Filename.concat dir name in
   let programs =
     Transactions.Workload.generate (Support.Rng.create 0)
       {
@@ -1747,47 +1723,32 @@ let registered_metric_names () =
         write_ratio = 1.0;
       }
   in
-  let config =
-    { Storage.Executor.default_config with lock_timeout = Some 8 }
+  let drive backend =
+    let config =
+      { Storage.Executor.default_config with lock_timeout = Some 8 }
+    in
+    ignore
+      (Storage.Executor.run ~config backend programs : Storage.Executor.stats)
   in
-  ignore (Storage.Executor.run ~config eng programs : Storage.Executor.stats);
+  let eng = Storage.Engine.open_db ~metrics:registry (base "local.db") in
+  drive (Storage.Executor.engine eng);
   (* plan.*: the planner registers its counters at context creation *)
   ignore (Planner.Plan.make eng : Planner.Plan.ctx);
   Storage.Engine.close eng;
-  (try Sys.remove path with Sys_error _ -> ());
-  (try Sys.remove (Storage.Engine.wal_path path) with Sys_error _ -> ());
-  (* 2pc.*: the coordinator and its message layer register at open *)
-  let base = Filename.temp_file "dbmeta-lint-metrics" ".dist" in
-  Sys.remove base;
   let coord =
-    Distributed.Coordinator.open_dist ~shards:1 ~metrics:registry base
+    Distributed.Coordinator.open_dist ~shards:1 ~metrics:registry
+      (base "shard.db")
   in
+  drive (Distributed.Coordinator.backend coord);
   Distributed.Coordinator.close coord;
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    [
-      Distributed.Coordinator.coord_path base;
-      Distributed.Coordinator.shard_path base 0;
-      Storage.Engine.wal_path (Distributed.Coordinator.shard_path base 0);
-    ];
-  (* repl.*: the group, its replicas, and its shipping channel register
-     at open; one commit exercises the quorum path *)
-  let rbase = Filename.temp_file "dbmeta-lint-metrics" ".repl" in
-  Sys.remove rbase;
-  let grp = Replication.Group.open_group ~replicas:1 ~metrics:registry rbase in
-  let txn = Replication.Group.begin_txn grp in
-  Replication.Group.write grp ~txn "x" 1;
-  ignore (Replication.Group.commit grp ~txn : Replication.Group.outcome);
+  let grp =
+    Replication.Group.open_group ~replicas:1 ~metrics:registry
+      (base "group.db")
+  in
+  drive (Replication.Group.backend grp);
   Replication.Group.close grp;
-  List.iter
-    (fun f -> try Sys.remove f with Sys_error _ -> ())
-    (Replication.Repl_meta.group_path rbase
-     :: Replication.Repl_meta.acks_path rbase
-     :: List.concat_map
-          (fun k ->
-            let p = Replication.Repl_meta.node_path rbase k in
-            [ p; Storage.Engine.wal_path p; Replication.Repl_meta.epoch_path p ])
-          [ 0; 1 ]);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
   (* datalog.*: the semi-naive evaluator registers its instruments *)
   let prog =
     Datalog.Parser.parse_program

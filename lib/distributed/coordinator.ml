@@ -590,6 +590,29 @@ let nudge t =
         Coord_log.append t.log (Coord_log.Forget txn))
     !finished
 
+(* The scheduler's view: a decided abort is an [Aborted] commit, and a
+   stranded decision keeps the transaction unsettled until a nudge
+   delivers it. *)
+let backend t =
+  {
+    Storage.Executor.begin_txn = (fun () -> begin_txn t);
+    read = read t;
+    write = write t;
+    commit =
+      (fun ~txn ->
+        match commit t ~txn with
+        | Committed -> Storage.Executor.Committed
+        | Aborted _ -> Storage.Executor.Aborted);
+    abort = abort t;
+    crash = (fun () -> crash t);
+    settle = (fun () -> nudge t);
+    unsettled = is_stranded t;
+    degraded = (fun () -> degraded t);
+    fault = t.fault;
+    metrics = Engine.metrics t.shards.(0);
+    trace = t.trace;
+  }
+
 (* --- the model check ----------------------------------------------------- *)
 
 (* Expected state: Recovery.committed_state over the concatenated shard
@@ -601,35 +624,24 @@ let nudge t =
 let model_divergence ~path =
   let n = discover path in
   if n = 0 then invalid_arg "Coordinator.model_divergence: no shard files";
-  let coord_entries = Coord_log.read_file (coord_path path) in
-  let decided_commit =
+  let decided =
     List.filter_map
       (fun { Coord_log.record; _ } ->
         match record with
         | Coord_log.Decide { txn; decision = Coord_log.Commit } -> Some txn
         | _ -> None)
-      coord_entries
+      (Coord_log.read_file (coord_path path))
     |> List.sort_uniq Int.compare
   in
-  let shard_records =
-    List.init n (fun k ->
+  let records =
+    List.concat_map
+      (fun k ->
         List.map
           (fun e -> e.Wal.record)
           (Wal.read_entries (Engine.wal_path (shard_path path k))))
+      (List.init n Fun.id)
   in
-  let all = List.concat shard_records in
-  let committed_already =
-    List.filter_map (function Wal.Commit x -> Some x | _ -> None) all
-  in
-  let synthetic =
-    List.filter (fun x -> not (List.mem x committed_already)) decided_commit
-    |> List.map (fun x -> Transactions.Recovery.Commit x)
-  in
-  let expected =
-    Transactions.Recovery.committed_state (Wal.to_model all @ synthetic)
-    |> List.filter (fun (_, v) -> v <> 0)
-    |> List.sort compare
-  in
+  let expected = Storage.Executor.committed_items ~decided records in
   let c = open_dist ~shards:n path in
   let actual = items c in
   close c;

@@ -99,6 +99,12 @@ val nudge : t -> unit
     [No_such_transaction], which is what lets the coordinator log
     Forget. *)
 
+val backend : t -> Storage.Executor.backend
+(** The coordinator as a {!Storage.Executor} backend: a decided abort
+    commits as [Aborted], [settle] is {!nudge}, and a transaction is
+    unsettled while {!is_stranded} — its scheduler locks stay held until
+    every shard has the decision. *)
+
 val stranded_txns : t -> int list
 (** Transactions whose decision has not reached every shard, sorted.
     Their shard-side locks (and the executor's top-level locks) stay

@@ -60,6 +60,8 @@ type t = {
   acked : (int, int) Hashtbl.t;  (* node -> acked offset; -1 = diverged *)
   m : instruments;
   mutable fenced : int option;
+  mutable acked_commits : int;  (* commits answered Acked by this handle *)
+  mutable local_commits : int;  (* ... and Local_only *)
 }
 
 (* --- file helpers (all read-only; shipping never holds the engine's
@@ -296,6 +298,8 @@ let open_group ?replicas ?sync ?(config = default_config) ?faults ?crash_after
       acked = Hashtbl.create 4;
       m = make_instruments metrics;
       fenced = None;
+      acked_commits = 0;
+      local_commits = 0;
     }
   in
   let durable = durable_now t in
@@ -339,7 +343,7 @@ let write t ~txn item v = E.write t.engine ~txn item v
 let read t item = E.read t.engine item
 let abort t ~txn = E.abort t.engine ~txn
 
-let commit t ~txn =
+let ship_commit t ~txn =
   E.commit t.engine ~txn;
   Counter.incr t.m.m_commits;
   let durable = durable_now t in
@@ -366,6 +370,39 @@ let commit t ~txn =
         Counter.incr t.m.m_missed;
         Local_only
       end
+
+let commit t ~txn =
+  let outcome = ship_commit t ~txn in
+  (match outcome with
+  | Acked -> t.acked_commits <- t.acked_commits + 1
+  | Local_only -> t.local_commits <- t.local_commits + 1);
+  outcome
+
+(* The scheduler's view.  A Local_only commit is durable on the primary,
+   so it is [Committed]: retrying it would write it twice.  A fenced
+   primary stops the run the way an unflushable WAL does. *)
+let backend t =
+  {
+    Storage.Executor.begin_txn =
+      (fun () ->
+        try begin_txn t
+        with Fenced e ->
+          raise (E.Read_only (Printf.sprintf "primary fenced by epoch %d" e)));
+    read = read t;
+    write = write t;
+    commit =
+      (fun ~txn ->
+        ignore (commit t ~txn : outcome);
+        Storage.Executor.Committed);
+    abort = abort t;
+    crash = (fun () -> crash t);
+    settle = ignore;
+    unsettled = (fun _ -> false);
+    degraded = (fun () -> E.read_only t.engine || t.fenced <> None);
+    fault = t.fault;
+    metrics = t.metrics;
+    trace = t.trace;
+  }
 
 (* --- failover ------------------------------------------------------- *)
 
@@ -467,6 +504,27 @@ let lag t =
       max acc (durable - a))
     0 (replica_ids t)
 
+let commits t = (t.acked_commits, t.local_commits)
+let fenced t = t.fenced
 let fault t = t.fault
 let net_ticks t = Net.ticks t.net
 let base t = t.base_path
+
+(* --- the model check ------------------------------------------------ *)
+
+let model_divergence ~path =
+  let primary =
+    match Repl_meta.load_group path with
+    | Some g -> g.Repl_meta.primary
+    | None -> 0
+  in
+  let expected =
+    Storage.Executor.committed_items
+      (List.map
+         (fun e -> e.Wal.record)
+         (Wal.read_entries (E.wal_path (Repl_meta.node_path path primary))))
+  in
+  let g = open_group path in
+  let actual = items g in
+  close g;
+  if expected = actual then None else Some (expected, actual)

@@ -96,6 +96,19 @@ val commit : t -> txn:int -> outcome
 val abort : t -> txn:int -> unit
 (** Abort on the primary (compensations ship with the next tail). *)
 
+val backend : t -> Storage.Executor.backend
+(** The group as a {!Storage.Executor} backend.  Both {!outcome}s
+    commit as [Committed] — a [Local_only] commit is durable on the
+    primary, and retrying it would write it twice; {!commits} keeps the
+    split.  A {!Fenced} primary raises {!Storage.Engine.Read_only} from
+    [begin_txn], stopping the run, and counts as degraded. *)
+
+val commits : t -> int * int
+(** [(acked, local_only)]: how this handle's {!commit}s were answered. *)
+
+val fenced : t -> int option
+(** The epoch that deposed this primary, once a ship revealed one. *)
+
 val catch_up : t -> unit
 (** Bring every lagging replica forward: log tail for prefix-clean
     nodes, full snapshot (page-ship + log) for fresh or diverged
@@ -148,3 +161,11 @@ val net_ticks : t -> int
 
 val base : t -> string
 (** The base path the group is rooted at. *)
+
+val model_divergence : path:string -> ((string * int) list * (string * int) list) option
+(** The replicated model check: the current primary's surviving log
+    gives the expected state ({!Storage.Executor.committed_items});
+    the group is then reopened as its descriptor describes it (restart
+    recovery on the primary, catch-up for every replica) and its
+    {!items} compared.  [None] when they agree, [Some (expected,
+    actual)] otherwise.  The group must be closed or crashed. *)

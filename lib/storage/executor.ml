@@ -1,6 +1,13 @@
-(* Round-robin SS2PL executor over the engine; see the .mli for the
-   policy discussion.  The structure deliberately parallels
-   Transactions.Simulation.run so the two drivers can be compared. *)
+(* Round-robin SS2PL executor over any transactional backend; see the
+   .mli for the policy discussion.  The structure deliberately parallels
+   Transactions.Simulation.run so the two drivers can be compared.
+
+   Two hooks exist for 2PC.  A transaction whose decision has not
+   reached every shard is [unsettled]: it keeps its scheduler locks (the
+   shards still hold theirs) until a [settle] delivers the decision.
+   The scheduler settles once per round and once at the end, and
+   releases deferred locks as transactions become settled.  For an
+   engine or a replication group both hooks are inert. *)
 
 module Schedule = Transactions.Schedule
 
@@ -14,15 +21,50 @@ type config = {
 let default_config =
   { max_steps = 200_000; max_backoff = 64; lock_timeout = None; seed = 0 }
 
+type outcome = Committed | Aborted
+
+type backend = {
+  begin_txn : unit -> int;
+  read : string -> int;
+  write : txn:int -> string -> int -> unit;
+  commit : txn:int -> outcome;
+  abort : txn:int -> unit;
+  crash : unit -> unit;
+  settle : unit -> unit;
+  unsettled : int -> bool;
+  degraded : unit -> bool;
+  fault : Fault.t;
+  metrics : Obs.Registry.t;
+  trace : Obs.Trace.t;
+}
+
+let engine eng =
+  {
+    begin_txn = (fun () -> Engine.begin_txn eng);
+    read = Engine.read eng;
+    write = Engine.write eng;
+    commit =
+      (fun ~txn ->
+        Engine.commit eng ~txn;
+        Committed);
+    abort = Engine.abort eng;
+    crash = (fun () -> Engine.crash eng);
+    settle = ignore;
+    unsettled = (fun _ -> false);
+    degraded = (fun () -> Engine.read_only eng);
+    fault = Engine.fault eng;
+    metrics = Engine.metrics eng;
+    trace = Engine.trace eng;
+  }
+
 type stats = {
   committed : int;
   restarts : int;
   deadlocks : int;
   timeouts : int;
+  commit_aborts : int;
   steps : int;
   wasted_ops : int;
-  repairs : int;
-  io_retries : int;
   degraded : bool;
   crashed : Fault.crash_info option;
 }
@@ -43,7 +85,7 @@ let victim_pref ~age a b =
 type slot = {
   base : int;
   program : Schedule.action array;
-  mutable txn : int option;  (* engine transaction id, fresh per incarnation *)
+  mutable txn : int option;  (* backend transaction id, fresh per incarnation *)
   mutable incarnation : int;
   mutable pc : int;
   mutable finished : bool;
@@ -51,17 +93,17 @@ type slot = {
   mutable started_ns : int;  (* incarnation start, for the txn trace event *)
 }
 
-let run ?(config = default_config) eng specs =
+let run ?(config = default_config) b specs =
   let rng = Support.Rng.create config.seed in
-  let metrics = Engine.metrics eng in
-  let trace = Engine.trace eng in
+  let metrics = b.metrics in
   let counter = Obs.Registry.counter metrics in
   let m_steps =
     counter ~unit:"attempts" ~help:"operation attempts (scheduler steps)"
       "exec.steps"
   in
   let m_restarts =
-    counter ~unit:"restarts" ~help:"victim aborts (deadlock + timeout)"
+    counter ~unit:"restarts"
+      ~help:"victim aborts (deadlock + timeout) and decided commit aborts"
       "exec.restarts"
   in
   let m_deadlocks =
@@ -81,8 +123,8 @@ let run ?(config = default_config) eng specs =
       ~help:"backoff drawn per restart" "exec.backoff_rounds"
   in
   let emit_txn slot id ~outcome =
-    let now = Obs.Trace.now trace in
-    Obs.Trace.emit trace ~tid:(slot.base + 1)
+    let now = Obs.Trace.now b.trace in
+    Obs.Trace.emit b.trace ~tid:(slot.base + 1)
       ~args:
         [
           ("txn", string_of_int id);
@@ -121,36 +163,62 @@ let run ?(config = default_config) eng specs =
   let restarts = ref 0 in
   let deadlocks = ref 0 in
   let timeouts = ref 0 in
+  let commit_aborts = ref 0 in
   let wasted = ref 0 in
   let committed = ref 0 in
   let stopped = ref false in
   (* unique written values make the log's committed projection sharp *)
   let next_value = ref 0 in
+  (* retired but unsettled transactions, whose locks are still held *)
+  let deferred = ref [] in
+  let drain_deferred () =
+    deferred :=
+      List.filter
+        (fun txn ->
+          b.unsettled txn
+          || begin
+               Lock_manager.release_all lm ~txn;
+               false
+             end)
+        !deferred
+  in
   let ensure_started slot =
     match slot.txn with
     | Some id -> id
     | None ->
-        let id = Engine.begin_txn eng in
+        let id = b.begin_txn () in
         slot.txn <- Some id;
-        slot.started_ns <- Obs.Trace.now trace;
+        slot.started_ns <- Obs.Trace.now b.trace;
         Hashtbl.replace by_txn id slot;
         id
   in
   let retire slot id =
-    Lock_manager.release_all lm ~txn:id;
+    if b.unsettled id then deferred := id :: !deferred
+    else Lock_manager.release_all lm ~txn:id;
     Hashtbl.remove by_txn id;
     slot.txn <- None
+  in
+  (* count the restart, then sit out a bounded exponential backoff with
+     seeded jitter, as Simulation does *)
+  let backoff slot =
+    incr restarts;
+    Obs.Registry.Counter.incr m_restarts;
+    wasted := !wasted + slot.pc;
+    Obs.Registry.Counter.add m_wasted slot.pc;
+    slot.pc <- 0;
+    slot.incarnation <- slot.incarnation + 1;
+    let window = min config.max_backoff (1 lsl min 6 slot.incarnation) in
+    slot.delay <- 1 + Support.Rng.int rng window;
+    Obs.Histogram.observe m_backoff slot.delay
   in
   let restart slot why =
     (match slot.txn with
     | Some id ->
         emit_txn slot id
           ~outcome:(match why with `Deadlock -> "deadlock" | `Timeout -> "timeout");
-        Engine.abort eng ~txn:id;
+        b.abort ~txn:id;
         retire slot id
     | None -> ());
-    incr restarts;
-    Obs.Registry.Counter.incr m_restarts;
     (match why with
     | `Deadlock ->
         incr deadlocks;
@@ -158,14 +226,7 @@ let run ?(config = default_config) eng specs =
     | `Timeout ->
         incr timeouts;
         Obs.Registry.Counter.incr m_timeouts);
-    wasted := !wasted + slot.pc;
-    Obs.Registry.Counter.add m_wasted slot.pc;
-    slot.pc <- 0;
-    slot.incarnation <- slot.incarnation + 1;
-    (* bounded exponential backoff + seeded jitter, as Simulation does *)
-    let window = min config.max_backoff (1 lsl min 6 slot.incarnation) in
-    slot.delay <- 1 + Support.Rng.int rng window;
-    Obs.Histogram.observe m_backoff slot.delay
+    backoff slot
   in
   let restart_txn victim why =
     match Hashtbl.find_opt by_txn victim with
@@ -173,15 +234,22 @@ let run ?(config = default_config) eng specs =
     | None -> ()  (* already gone (raced with its own restart) *)
   in
   let commit_slot slot id =
-    match Engine.commit eng ~txn:id with
-    | () ->
+    match b.commit ~txn:id with
+    | Committed ->
         emit_txn slot id ~outcome:"commit";
         retire slot id;
         slot.finished <- true;
         incr committed
+    | Aborted ->
+        (* the backend already undid the work (or left the undo to
+           restart recovery): retry the whole program after backoff *)
+        emit_txn slot id ~outcome:"commit_abort";
+        incr commit_aborts;
+        retire slot id;
+        backoff slot
     | exception Engine.Read_only _ ->
         (* in doubt: leave the transaction active; restart recovery will
-           abort it.  Nothing more can commit — stop the run. *)
+           settle it.  Nothing more can commit — stop the run. *)
         stopped := true
   in
   let attempt slot =
@@ -194,7 +262,7 @@ let run ?(config = default_config) eng specs =
       | Schedule.Commit -> commit_slot slot id
       | Schedule.Abort ->
           emit_txn slot id ~outcome:"abort";
-          Engine.abort eng ~txn:id;
+          b.abort ~txn:id;
           retire slot id;
           slot.finished <- true
       | (Schedule.Read item | Schedule.Write item) as op -> (
@@ -205,12 +273,18 @@ let run ?(config = default_config) eng specs =
           in
           match Lock_manager.acquire lm ~txn:id ~item mode with
           | Lock_manager.Granted -> (
-              (match op with
-              | Schedule.Read _ -> ignore (Engine.read eng item : int)
-              | _ ->
-                  incr next_value;
-                  Engine.write eng ~txn:id item !next_value);
-              slot.pc <- slot.pc + 1)
+              match
+                match op with
+                | Schedule.Read _ -> ignore (b.read item : int)
+                | _ ->
+                    incr next_value;
+                    b.write ~txn:id item !next_value
+              with
+              | () -> slot.pc <- slot.pc + 1
+              | exception Engine.Locked _ ->
+                  (* held below us by an unsettled transaction the lock
+                     manager no longer tracks: settle and retry *)
+                  b.settle ())
           | Lock_manager.Blocked -> ()
           | Lock_manager.Deadlock { victim; _ } -> restart_txn victim `Deadlock)
   in
@@ -225,32 +299,48 @@ let run ?(config = default_config) eng specs =
                try attempt slot
                with Engine.Read_only _ -> stopped := true)
          slots;
-       if not !stopped then
+       if not !stopped then begin
+         b.settle ();
+         drain_deferred ();
          List.iter (fun t -> restart_txn t `Timeout) (Lock_manager.tick lm)
-     done
-   with Fault.Crash _ -> Engine.crash eng);
+       end
+     done;
+     (* give unsettled transactions a final chance before the run ends *)
+     if not !stopped then begin
+       b.settle ();
+       drain_deferred ()
+     end
+   with Fault.Crash _ -> b.crash ());
   {
     committed = !committed;
     restarts = !restarts;
     deadlocks = !deadlocks;
     timeouts = !timeouts;
+    commit_aborts = !commit_aborts;
     steps = !steps;
     wasted_ops = !wasted;
-    repairs = Engine.repairs eng;
-    io_retries = Engine.io_retries eng;
-    degraded = Engine.read_only eng;
-    crashed = Fault.crashed_at (Engine.fault eng);
+    degraded = b.degraded ();
+    crashed = Fault.crashed_at b.fault;
   }
 
-let model_divergence ~path =
-  let entries = Wal.read_entries (Engine.wal_path path) in
-  let model_log =
-    Wal.to_model (List.map (fun e -> e.Wal.record) entries)
+let committed_items ?(decided = []) records =
+  let committed =
+    List.filter_map (function Wal.Commit x -> Some x | _ -> None) records
   in
+  let synthetic =
+    List.filter (fun x -> not (List.mem x committed)) decided
+    |> List.map (fun x -> Transactions.Recovery.Commit x)
+  in
+  Transactions.Recovery.committed_state (Wal.to_model records @ synthetic)
+  |> List.filter (fun (_, v) -> v <> 0)
+  |> List.sort compare
+
+let model_divergence ~path =
   let expected =
-    Transactions.Recovery.committed_state model_log
-    |> List.filter (fun (_, v) -> v <> 0)
-    |> List.sort compare
+    committed_items
+      (List.map
+         (fun e -> e.Wal.record)
+         (Wal.read_entries (Engine.wal_path path)))
   in
   let eng = Engine.open_db path in
   let actual = Engine.items eng in

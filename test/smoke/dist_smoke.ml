@@ -6,8 +6,8 @@
    exhaustive crash matrix in test/test_distributed.ml. *)
 
 module C = Distributed.Coordinator
-module DX = Distributed.Executor
 module E = Storage.Engine
+module X = Storage.Executor
 module F = Storage.Fault
 module W = Storage.Wal
 module D = Analysis.Diagnostic
@@ -57,9 +57,10 @@ let run_cell ~what ~shards ~spec ~seed =
   | exception F.Crash _ -> ()
   | coord -> (
       let stats =
-        DX.run ~config:{ DX.default_config with seed } coord (workload ~seed)
+        X.run ~config:{ X.default_config with seed } (C.backend coord)
+          (workload ~seed)
       in
-      match stats.DX.crashed with
+      match stats.X.crashed with
       | Some _ -> ()
       | None -> ( try C.close coord with F.Crash _ -> C.crash coord)));
   for k = 0 to shards - 1 do

@@ -50,7 +50,8 @@ let workload ~seed =
 let committed_history path ~seed =
   let eng = E.open_db ~pool_size:4 path in
   let stats =
-    X.run ~config:{ X.default_config with seed } eng (workload ~seed:(seed + 1000))
+    X.run ~config:{ X.default_config with seed } (X.engine eng)
+      (workload ~seed:(seed + 1000))
   in
   E.close eng;
   if stats.X.committed <> 4 then
@@ -64,7 +65,9 @@ let run_case ~what ~spec ~seed =
      recovery I/O) — that is a legitimate sweep point too *)
   (match E.open_db ~pool_size:4 ~faults:(F.spec_of_string spec) path with
   | eng ->
-      let stats = X.run ~config:{ X.default_config with seed } eng specs in
+      let stats =
+        X.run ~config:{ X.default_config with seed } (X.engine eng) specs
+      in
       if stats.X.crashed = None then (
         try E.close eng with F.Crash _ -> E.crash eng)
   | exception F.Crash _ -> ());
@@ -111,7 +114,9 @@ let () =
       [ Transactions.Schedule.Write "y"; Transactions.Schedule.Write "x" ];
     |]
   in
-  let stats = X.run ~config:{ X.default_config with seed = 7 } eng specs in
+  let stats =
+    X.run ~config:{ X.default_config with seed = 7 } (X.engine eng) specs
+  in
   E.close eng;
   if stats.X.committed <> 2 then
     fail "deadlock retry: expected 2 commits, got %d" stats.X.committed;

@@ -7,11 +7,11 @@
 
 module C = Distributed.Coordinator
 module CL = Distributed.Coord_log
-module DX = Distributed.Executor
 module N = Distributed.Net
 module R = Distributed.Router
 module E = Storage.Engine
 module F = Storage.Fault
+module X = Storage.Executor
 module W = Storage.Wal
 module S = Transactions.Schedule
 
@@ -324,7 +324,7 @@ let test_stranded_commit_resolved_at_restart () =
     (Analysis.Diagnostic.has_errors (Analysis.Commit_lint.lint_base base));
   cleanup base 2
 
-(* --- the distributed executor --------------------------------------------- *)
+(* --- the executor over a coordinator ---------------------------------------- *)
 
 let test_dist_executor_workload () =
   let base = fresh_base () in
@@ -339,10 +339,13 @@ let test_dist_executor_workload () =
         write_ratio = 0.6;
       }
   in
-  let stats = DX.run ~config:{ DX.default_config with seed = 11 } coord specs in
+  let stats =
+    X.run ~config:{ X.default_config with seed = 11 } (C.backend coord) specs
+  in
+  let stranded = C.stranded_txns coord in
   C.close coord;
-  Alcotest.(check int) "all commit" 6 stats.DX.committed;
-  Alcotest.(check int) "nothing stranded" 0 stats.DX.stranded;
+  Alcotest.(check int) "all commit" 6 stats.X.committed;
+  Alcotest.(check (list int)) "nothing stranded" [] stranded;
   Alcotest.(check bool) "model agrees" true
     (C.model_divergence ~path:base = None);
   cleanup base 2
@@ -352,9 +355,11 @@ let test_dist_executor_cross_shard_deadlock () =
   let coord = C.open_dist ~shards:2 base in
   let a = item_on ~shards:2 0 and b = item_on ~shards:2 1 in
   let specs = [| [ S.Write a; S.Write b ]; [ S.Write b; S.Write a ] |] in
-  let stats = DX.run ~config:{ DX.default_config with seed = 7 } coord specs in
+  let stats =
+    X.run ~config:{ X.default_config with seed = 7 } (C.backend coord) specs
+  in
   C.close coord;
-  Alcotest.(check int) "both commit" 2 stats.DX.committed;
+  Alcotest.(check int) "both commit" 2 stats.X.committed;
   Alcotest.(check bool) "model agrees" true
     (C.model_divergence ~path:base = None);
   cleanup base 2
@@ -375,8 +380,11 @@ let run_crashy base crash_after =
   match C.open_dist ~shards:2 ~crash_after base with
   | exception F.Crash _ -> true
   | coord -> (
-      let stats = DX.run ~config:{ DX.default_config with seed = 23 } coord specs in
-      match stats.DX.crashed with
+      let stats =
+        X.run ~config:{ X.default_config with seed = 23 } (C.backend coord)
+          specs
+      in
+      match stats.X.crashed with
       | Some _ -> true
       | None -> (
           try
@@ -456,9 +464,10 @@ let prop_crash_sweep_lints_clean =
          | exception F.Crash _ -> ()
          | coord -> (
              let stats =
-               DX.run ~config:{ DX.default_config with seed } coord programs
+               X.run ~config:{ X.default_config with seed } (C.backend coord)
+                 programs
              in
-             match stats.DX.crashed with
+             match stats.X.crashed with
              | Some _ -> ()
              | None -> ( try C.close coord with F.Crash _ -> C.crash coord)));
          let ok =

@@ -253,7 +253,9 @@ let prop_fault_sweep =
          in
          (match E.open_db ~pool_size:4 ~faults:(F.spec_of_string spec) path with
          | eng ->
-             let stats = X.run ~config:{ X.default_config with seed } eng specs in
+             let stats =
+               X.run ~config:{ X.default_config with seed } (X.engine eng) specs
+             in
              if stats.X.crashed = None then (
                try E.close eng with F.Crash _ -> E.crash eng)
          | exception F.Crash _ -> ());
@@ -269,7 +271,9 @@ let test_executor_deadlock_retry () =
   let specs =
     [| [ S.Write "x"; S.Write "y" ]; [ S.Write "y"; S.Write "x" ] |]
   in
-  let stats = X.run ~config:{ X.default_config with seed = 7 } eng specs in
+  let stats =
+    X.run ~config:{ X.default_config with seed = 7 } (X.engine eng) specs
+  in
   E.close eng;
   Alcotest.(check int) "both commit" 2 stats.X.committed;
   Alcotest.(check bool) "at least one deadlock" true (stats.X.deadlocks >= 1);
@@ -289,7 +293,9 @@ let test_executor_lock_timeout () =
       { Transactions.Workload.default with txns = 4; ops_per_txn = 4; items = 3 }
   in
   let stats =
-    X.run ~config:{ X.default_config with seed = 3; lock_timeout = Some 1 } eng specs
+    X.run
+      ~config:{ X.default_config with seed = 3; lock_timeout = Some 1 }
+      (X.engine eng) specs
   in
   E.close eng;
   Alcotest.(check int) "all commit" 4 stats.X.committed;

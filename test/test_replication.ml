@@ -3,18 +3,23 @@
    fencing, the checkpoint-needs-snapshot rule), group streaming and
    quorum accounting, catch-up after lag, deterministic failover with
    the deposed primary rejoining, the RP lint codes on synthetic
-   files, and the QCheck sweep: under seeded crash + message-loss
+   files, and the QCheck sweeps: under seeded crash + message-loss
    faults, quorum-acked commits survive, replicas converge
-   byte-identically, and every survivor file lints clean. *)
+   byte-identically, and every survivor file lints clean; concurrent
+   workloads driven through Storage.Executor heal to the model; and
+   the scheduler makes the same decisions on an engine, a sharded
+   coordinator and a replication group. *)
 
 module G = Replication.Group
 module R = Replication.Replica
 module M = Replication.Repl_meta
 module RL = Analysis.Replication_lint
 module WL = Analysis.Wal_lint
+module C = Distributed.Coordinator
 module E = Storage.Engine
 module F = Storage.Fault
 module W = Storage.Wal
+module X = Storage.Executor
 
 let tmp_counter = ref 0
 
@@ -282,6 +287,11 @@ let test_fencing_deposes_primary () =
   (match G.begin_txn g with
   | exception G.Fenced e -> Alcotest.(check int) "fenced by epoch" 9 e
   | _ -> Alcotest.fail "expected Fenced");
+  (* the scheduler stops on a fenced primary as on a degraded engine *)
+  let stats = X.run (G.backend g) [| [ Transactions.Schedule.Write "w" ] |] in
+  Alcotest.(check int) "nothing more commits" 0 stats.X.committed;
+  Alcotest.(check bool) "run stopped as degraded" true stats.X.degraded;
+  Alcotest.(check (option int)) "fencing epoch kept" (Some 9) (G.fenced g);
   G.crash g;
   cleanup base
 
@@ -440,6 +450,151 @@ let prop_sweep_converges_and_lints_clean =
          cleanup base;
          true))
 
+(* --- QCheck: concurrent replicated workloads under faults ------------------ *)
+
+let workload seed =
+  Transactions.Workload.generate (Support.Rng.create seed)
+    {
+      Transactions.Workload.txns = 4;
+      ops_per_txn = 4;
+      items = 8;
+      skew = 0.5;
+      write_ratio = 0.6;
+    }
+
+let sched_fault_specs =
+  [|
+    "crash=9";
+    "crash=17,drop=0.2";
+    "crash=13,delay=0.3";
+    "crash=21,part=0.15";
+    "drop=0.3,delay=0.2,part=0.1";
+    "crash=29,drop=0.1,part=0.1";
+    "crash=25,drop=0.15,delay=0.15,part=0.1";
+  |]
+
+(* run the scheduler over a faulted group; lint the survivor files as
+   the run left them; then heal through the model check, which reopens
+   the group.  Odd seeds also fail over, so a replica that applied the
+   concurrent run's shipped log becomes the primary checked next. *)
+let prop_scheduler_crash_sweep =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25
+       ~name:"replicated scheduler survivors lint clean and heal to the model"
+       (QCheck2.Gen.int_range 0 100_000)
+       (fun seed ->
+         let spec0 =
+           sched_fault_specs.(seed mod Array.length sched_fault_specs)
+         in
+         let spec = F.spec_of_string (Printf.sprintf "%s,seed=%d" spec0 seed) in
+         let base = fresh_base () in
+         (match G.open_group ~replicas:2 ~sync:M.Quorum ~faults:spec base with
+         | exception F.Crash _ -> ()
+         | g -> (
+             let stats =
+               X.run ~config:{ X.default_config with seed } (G.backend g)
+                 (workload seed)
+             in
+             match stats.X.crashed with
+             | Some _ -> ()
+             | None -> ( try G.close g with F.Crash _ -> G.crash g)));
+         let fail what codes =
+           if codes <> [] then
+             QCheck2.Test.fail_reportf "spec %S: %s: %s" spec0 what
+               (String.concat "," codes)
+         in
+         fail "lint repl" (errors (RL.lint_base base));
+         for k = 0 to 2 do
+           fail
+             (Printf.sprintf "node %d lint wal" k)
+             (errors (WL.lint_file (E.wal_path (M.node_path base k))))
+         done;
+         let model () =
+           if G.model_divergence ~path:base <> None then
+             fail "model check" [ "diverged" ]
+         in
+         model ();
+         if seed land 1 = 1 then begin
+           let g = G.open_group base in
+           ignore (G.failover g : int);
+           G.close g;
+           model ()
+         end;
+         cleanup base;
+         true))
+
+(* --- QCheck: one scheduler, three backends, the same decisions -------------- *)
+
+let with_dir f =
+  let dir = Filename.temp_dir "dbmeta_backends" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f (Filename.concat dir "db"))
+
+(* one fault-free run per backend: the scheduler's counters, and
+   whether that backend's model check passed *)
+let on_backends config programs =
+  let counters s =
+    X.(s.committed, s.restarts, s.deadlocks, s.timeouts, s.steps, s.wasted_ops)
+  in
+  let local =
+    with_dir (fun path ->
+        let eng = E.open_db path in
+        let s = X.run ~config (X.engine eng) programs in
+        E.close eng;
+        (counters s, X.model_divergence ~path = None))
+  in
+  let sharded =
+    with_dir (fun path ->
+        let coord = C.open_dist ~shards:2 path in
+        let s = X.run ~config (C.backend coord) programs in
+        C.close coord;
+        (counters s, C.model_divergence ~path = None))
+  in
+  let replicated =
+    with_dir (fun path ->
+        let g = G.open_group ~replicas:2 ~sync:M.Quorum path in
+        let s = X.run ~config (G.backend g) programs in
+        G.close g;
+        (counters s, G.model_divergence ~path = None))
+  in
+  (local, sharded, replicated)
+
+let prop_same_decisions_on_every_backend =
+  let open QCheck2 in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:15
+       ~name:"scheduler decides alike on engine, 2 shards and 2 replicas"
+       Gen.(
+         quad (int_range 0 100_000) (int_range 2 8) (int_range 2 8)
+           (opt (int_range 1 4)))
+       (fun (seed, txns, items, lock_timeout) ->
+         let programs =
+           Transactions.Workload.generate (Support.Rng.create seed)
+             {
+               Transactions.Workload.txns;
+               ops_per_txn = 5;
+               items;
+               skew = 0.5;
+               write_ratio = 0.7;
+             }
+         in
+         let (local, ok_l), (sharded, ok_s), (replicated, ok_r) =
+           on_backends { X.default_config with seed; lock_timeout } programs
+         in
+         let show (c, r, d, t, s, w) =
+           Printf.sprintf
+             "committed %d restarts %d deadlocks %d timeouts %d steps %d \
+              wasted %d"
+             c r d t s w
+         in
+         if local = sharded && local = replicated then ok_l && ok_s && ok_r
+         else
+           Test.fail_reportf "local: %s\nsharded: %s\nreplicated: %s"
+             (show local) (show sharded) (show replicated)))
+
 let suite =
   [
     ("meta: codecs round-trip", `Quick, test_meta_roundtrip);
@@ -458,4 +613,6 @@ let suite =
     ("lint repl: RP003 acked lost", `Quick, test_lint_rp003_acked_lost);
     ("lint repl: RP004 snapshot gap", `Quick, test_lint_rp004_snapshot_gap);
     prop_sweep_converges_and_lints_clean;
+    prop_scheduler_crash_sweep;
+    prop_same_decisions_on_every_backend;
   ]

@@ -832,7 +832,9 @@ let prop_recovered_log_lints_clean =
          (match Storage.Engine.open_db ~pool_size:4 ~faults path with
          | eng ->
              let config = { Storage.Executor.default_config with seed } in
-             let stats = Storage.Executor.run ~config eng programs in
+             let stats =
+               Storage.Executor.run ~config (Storage.Executor.engine eng) programs
+             in
              if stats.Storage.Executor.crashed = None then (
                try Storage.Engine.close eng
                with Storage.Fault.Crash _ -> Storage.Engine.crash eng)
