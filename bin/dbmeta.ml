@@ -1269,10 +1269,11 @@ let sync_mode_arg =
 
 (* --- db failover / db repl status: replication-group operations ------- *)
 
-let db_failover_run path metrics =
+let db_failover_run path metrics trace_file =
   input_error_to_exit @@ fun () ->
   let registry = registry_of metrics in
-  let g = Replication.Group.open_group ~metrics:registry path in
+  let trace = trace_of trace_file in
+  let g = Replication.Group.open_group ~metrics:registry ~trace path in
   let old = Replication.Group.primary_id g in
   let winner = Replication.Group.failover g in
   Printf.printf
@@ -1286,6 +1287,7 @@ let db_failover_run path metrics =
     (Replication.Group.lag g);
   Replication.Group.close g;
   dump_metrics metrics registry;
+  write_trace trace_file trace;
   0
 
 let db_failover_cmd =
@@ -1295,7 +1297,7 @@ let db_failover_cmd =
              the old primary, bump the fencing epoch, and heal the \
              remaining nodes (including the deposed primary, which \
              rejoins as a replica)")
-    Term.(const db_failover_run $ db_file_arg $ metrics_arg)
+    Term.(const db_failover_run $ db_file_arg $ metrics_arg $ trace_arg)
 
 (* The whole report is computed from files — descriptor, node stamps,
    ack journal, and read-only WAL scans — so it works on the survivors
@@ -1638,7 +1640,7 @@ let lint_plan_run path text no_optimize format trace_file =
       drive format Analysis.Plan_lint.passes
         {
           Analysis.Plan_lint.plan;
-          indexes = Planner.Indexes.defs (Planner.Plan.indexes ctx);
+          indexes = Planner.Plan.indexes ctx;
         })
 
 let lint_plan_cmd =

@@ -10,7 +10,7 @@ module A = R.Algebra
 module P = Planner.Physical
 module I = Planner.Indexes
 
-type input = { plan : P.t; indexes : I.def list }
+type input = { plan : P.t; indexes : I.t }
 
 let subject = P.label
 
@@ -27,7 +27,7 @@ let sargable_attrs pred =
 (* Can some index on [table](attr) serve a conjunct with this
    comparison?  Equality probes work on either kind; inequalities need
    key order, so only a B+tree. *)
-let usable indexes table cmp attr =
+let indexed indexes table cmp attr =
   List.exists
     (fun d ->
       d.I.table = table && d.I.attr = attr
@@ -36,13 +36,26 @@ let usable indexes table cmp attr =
       | A.Eq -> true
       | A.Lt | A.Le | A.Gt | A.Ge -> d.I.kind = I.Btree
       | A.Ne -> false)
-    indexes
+    (I.defs indexes)
+
+(* Can [table]'s fences serve it?  A fenced table's chain is sorted on
+   its leading column, so any comparison but [<>] on that column reads
+   only the pages that can match.  Fence presence comes from the
+   catalog snapshot the plan was made against. *)
+let fenced indexes table cmp attr =
+  cmp <> A.Ne
+  &&
+  match I.table indexes table with
+  | { Storage.Heap.fences = Some _; schema; _ } -> (
+      match R.Schema.attributes schema with a :: _ -> a = attr | [] -> false)
+  | _ -> false
+  | exception R.Database.Unknown_relation _ -> false
 
 (* PL001: a sequential scan of a table while an enclosing filter holds a
-   sargable conjunct an existing index could have served.  The planner
-   avoids this when selections sit directly on the table; the warning
-   fires when they do not (e.g. an unpushed selection above a join,
-   visible under [--no-optimize]). *)
+   sargable conjunct an existing index, or the table's fences, could
+   have served.  The planner avoids this when selections sit directly
+   on the table; the warning fires when they do not (e.g. an unpushed
+   selection above a join, visible under [--no-optimize]). *)
 let full_scan_pass { plan; indexes } =
   let diags = ref [] in
   let idx = ref (-1) in
@@ -53,22 +66,30 @@ let full_scan_pass { plan; indexes } =
     | P.Scan { table; access = P.Full; _ } ->
         let attrs =
           List.sort_uniq String.compare
-            (List.filter_map
-               (fun (cmp, a) ->
-                 if R.Schema.mem t.P.schema a && usable indexes table cmp a
-                 then Some a
-                 else None)
-               carried)
+            (List.filter (R.Schema.mem t.P.schema) (List.map snd carried))
         in
         List.iter
           (fun a ->
-            diags :=
-              Diagnostic.warning ~subject:(subject t) ~loc:here "PL001"
-                (Printf.sprintf
-                   "full scan of %s although an index on %S could serve the \
-                    enclosing filter"
-                   table a)
-              :: !diags)
+            let serves usable =
+              List.exists (fun (cmp, b) -> b = a && usable indexes table cmp a) carried
+            in
+            let what =
+              match (serves indexed, serves fenced) with
+              | true, false -> Some "an index"
+              | false, true -> Some "its fences"
+              | true, true -> Some "an index and its fences"
+              | false, false -> None
+            in
+            Option.iter
+              (fun what ->
+                diags :=
+                  Diagnostic.warning ~subject:(subject t) ~loc:here "PL001"
+                    (Printf.sprintf
+                       "full scan of %s although %s on %S could serve the \
+                        enclosing filter"
+                       table what a)
+                  :: !diags)
+              what)
           attrs
     | _ -> ());
     let carried =

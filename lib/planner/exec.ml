@@ -154,32 +154,125 @@ let sorted_cursor ctx on input_schema inner =
       ~spills:(Plan.instruments ctx).Plan.i_spills
       ~chunk:threshold cmp tuples
 
+(* --- predicates ---------------------------------------------------------- *)
+
+(* How a compiled predicate reads column [i] of a row: decoded, or
+   compared with a constant as Value.compare would compare the decoded
+   value (Type_clash included). *)
+type 'row columns = {
+  value : 'row -> int -> R.Value.t;
+  compare : 'row -> int -> R.Value.t -> int;
+}
+
+let tuple_columns =
+  { value = (fun t i -> t.(i)); compare = (fun t i c -> R.Value.compare t.(i) c) }
+
+let record_columns = { value = R.Codec.column; compare = R.Codec.compare_column }
+
+let holds cmp c =
+  match cmp with
+  | A.Eq -> c = 0
+  | A.Ne -> c <> 0
+  | A.Lt -> c < 0
+  | A.Le -> c <= 0
+  | A.Gt -> c > 0
+  | A.Ge -> c >= 0
+
+(* Compile [pred] over rows laid out by [schema], resolving attribute
+   positions once; it agrees with Algebra.eval_predicate on every row.
+   An attribute compared with a constant is compared in place; a
+   constant-first leaf flips the sign, and on a type clash re-raises
+   with the operands in the order Value.compare names them. *)
+let compile cols schema pred =
+  let pos a = R.Schema.index_of schema a in
+  let rec go = function
+    | A.True -> fun _ -> true
+    | A.False -> fun _ -> false
+    | A.Cmp (cmp, A.Attr a, A.Const c) ->
+        let i = pos a in
+        fun row -> holds cmp (cols.compare row i c)
+    | A.Cmp (cmp, A.Const c, A.Attr a) ->
+        let i = pos a in
+        fun row ->
+          holds cmp
+            (match cols.compare row i c with
+            | n -> -n
+            | exception R.Value.Type_clash _ -> R.Value.compare c (cols.value row i))
+    | A.Cmp (cmp, l, r) ->
+        let operand = function
+          | A.Const v -> fun _ -> v
+          | A.Attr a ->
+              let i = pos a in
+              fun row -> cols.value row i
+        in
+        let l = operand l and r = operand r in
+        fun row -> holds cmp (R.Value.compare (l row) (r row))
+    | A.And (p, q) ->
+        let p = go p and q = go q in
+        fun row -> p row && q row
+    | A.Or (p, q) ->
+        let p = go p and q = go q in
+        fun row -> p row || q row
+    | A.Not p ->
+        let p = go p in
+        fun row -> not (p row)
+  in
+  go pred
+
 (* --- scans --------------------------------------------------------------- *)
 
-(* Scans read the chains of the context's catalog snapshot
-   (Indexes.table), never the live catalog: a table replaced while the
-   context lives is read at the version the context planned against. *)
-let heap_scan ctx table =
-  let eng = Plan.engine ctx in
-  let first = (Indexes.table (Plan.indexes ctx) table).Storage.Heap.first in
-  let pool = Storage.Engine.pool eng in
-  let page = ref first in
-  let queue = ref [] in
+(* The scan of a table's whole chain, fused with the filter above it:
+   each page is pinned once, every live record is validated and tested
+   with [keep] where it lies, and only the records that pass are
+   decoded, in chain and slot order.  [on_page n] hears how many records
+   each page held.  Scans read the chains of the context's catalog
+   snapshot (Indexes.table), never the live catalog: a table replaced
+   while the context lives is read at the version the context planned
+   against. *)
+let fused_scan ctx table ~on_page keep =
+  let pool = Storage.Engine.pool (Plan.engine ctx) in
+  let view = R.Codec.view () in
+  let page = ref (Indexes.table (Plan.indexes ctx) table).Storage.Heap.first in
+  let rows = ref [] in
   let rec next () =
-    match !queue with
-    | r :: rest ->
-        queue := rest;
-        Some (R.Codec.tuple_of_string r)
+    match !rows with
+    | t :: rest ->
+        rows := rest;
+        Some t
     | [] ->
         if !page = 0 then None
         else begin
-          let records, nxt = Storage.Heap.page_records pool !page in
-          page := nxt;
-          queue := records;
+          let examined = ref 0 and kept = ref [] in
+          page :=
+            Storage.Heap.scan_page pool !page view (fun v ->
+                incr examined;
+                if keep v then kept := R.Codec.tuple v :: !kept);
+          on_page !examined;
+          rows := List.rev !kept;
           next ()
         end
   in
   { next; close = ignore }
+
+(* Reset [p]'s actual_rows and return the function that adds to it and
+   to the per-operator plan.rows.<op> counter. *)
+let row_counter ctx (p : P.t) =
+  p.P.meta.P.actual_rows <- 0;
+  let rows =
+    Obs.Registry.counter
+      (Storage.Engine.metrics (Plan.engine ctx))
+      ~unit:"tuples" ~help:"rows emitted by this operator kind"
+      ("plan.rows." ^ P.operator_name p)
+  in
+  fun n ->
+    p.P.meta.P.actual_rows <- p.P.meta.P.actual_rows + n;
+    Obs.Registry.Counter.add rows n
+
+(* A full scan counts, per page, every record it examined — with a
+   filter fused in, the filter counts the survivors. *)
+let full_scan ctx (scan : P.t) table pred =
+  fused_scan ctx table ~on_page:(row_counter ctx scan)
+    (compile record_columns scan.P.schema pred)
 
 (* The least index in 0 .. n-1 satisfying the monotone [pred], or [n]. *)
 let lower_bound n pred =
@@ -212,7 +305,7 @@ let fence_scan ctx table attr ~lo ~hi =
   match Indexes.fences eng idx ~table with
   | None ->
       Obs.Registry.Counter.incr (Plan.instruments ctx).Plan.i_fence_fallbacks;
-      let c = heap_scan ctx table in
+      let c = fused_scan ctx table ~on_page:ignore (fun _ -> true) in
       let rec next () =
         match c.next () with
         | Some t when not (in_bounds t.(0)) -> next ()
@@ -247,7 +340,7 @@ let fence_scan ctx table attr ~lo ~hi =
       in
       { next; close = ignore }
 
-let index_scan ctx table access =
+let scan_cursor ctx (scan : P.t) table access =
   let eng = Plan.engine ctx in
   let idx = Plan.indexes ctx in
   match access with
@@ -270,7 +363,7 @@ let index_scan ctx table access =
               (fun _ payloads acc -> List.rev_append payloads acc)
               t []))
   | P.Fenced { attr; lo; hi } -> fence_scan ctx table attr ~lo ~hi
-  | P.Full -> heap_scan ctx table
+  | P.Full -> full_scan ctx scan table A.True
 
 (* --- joins --------------------------------------------------------------- *)
 
@@ -386,14 +479,17 @@ let merge_join_cursor left_c right_c left_schema right_schema on =
 
 let rec open_plain ctx (p : P.t) : cursor =
   match p.P.node with
-  | P.Scan { table; access; _ } -> index_scan ctx table access
+  | P.Scan { table; access; _ } -> scan_cursor ctx p table access
+  | P.Filter (pred, ({ P.node = P.Scan { table; access = P.Full; _ }; _ } as scan))
+    ->
+      full_scan ctx scan table pred
   | P.Filter (pred, child) ->
+      let keep = compile tuple_columns child.P.schema pred in
       let c = open_cursor ctx child in
       let rec next () =
         match c.next () with
         | None -> None
-        | Some t ->
-            if A.eval_predicate child.P.schema pred t then Some t else next ()
+        | Some t -> if keep t then Some t else next ()
       in
       { next; close = c.close }
   | P.Project (attrs, child) ->
@@ -455,27 +551,24 @@ let rec open_plain ctx (p : P.t) : cursor =
   | P.Const bindings -> of_list [ R.Tuple.make (List.map snd bindings) ]
 
 (* Wrap a node's cursor so emitted rows are counted into its actual_rows
-   annotation and the per-operator plan.rows.<op> counter. *)
+   annotation and the per-operator plan.rows.<op> counter.  A full scan
+   counts itself, a page at a time. *)
 and open_cursor ctx (p : P.t) : cursor =
   let inner = open_plain ctx p in
-  p.P.meta.P.actual_rows <- 0;
-  let rows =
-    Obs.Registry.counter
-      (Storage.Engine.metrics (Plan.engine ctx))
-      ~unit:"tuples" ~help:"rows emitted by this operator kind"
-      ("plan.rows." ^ P.operator_name p)
-  in
-  {
-    next =
-      (fun () ->
-        match inner.next () with
-        | Some t ->
-            p.P.meta.P.actual_rows <- p.P.meta.P.actual_rows + 1;
-            Obs.Registry.Counter.incr rows;
-            Some t
-        | None -> None);
-    close = inner.close;
-  }
+  match p.P.node with
+  | P.Scan { access = P.Full; _ } -> inner
+  | _ ->
+      let count = row_counter ctx p in
+      {
+        next =
+          (fun () ->
+            match inner.next () with
+            | Some t ->
+                count 1;
+                Some t
+            | None -> None);
+        close = inner.close;
+      }
 
 and materialize ctx (p : P.t) =
   let c = open_cursor ctx p in

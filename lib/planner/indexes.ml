@@ -186,9 +186,11 @@ let page eng t id =
   match Hashtbl.find_opt t.pages id with
   | Some tuples -> tuples
   | None ->
-      let records, _ = Storage.Heap.page_records (Storage.Engine.pool eng) id in
-      let tuples =
-        Array.of_list (List.map R.Codec.tuple_of_string records)
-      in
+      let rows = ref [] in
+      ignore
+        (Storage.Heap.scan_page (Storage.Engine.pool eng) id (R.Codec.view ())
+           (fun v -> rows := R.Codec.tuple v :: !rows)
+          : int);
+      let tuples = Array.of_list (List.rev !rows) in
       Hashtbl.replace t.pages id tuples;
       tuples

@@ -106,6 +106,102 @@ let tuple_of_string s =
   if !pos <> String.length s then corrupt "trailing bytes after tuple";
   t
 
+(* --- tuples read in place ------------------------------------------------ *)
+
+(* A view of one encoded tuple inside a larger buffer (a pinned page):
+   [walk] validates the record exactly as tuple_of_string validates the
+   same bytes, with the same messages, and records where each column's
+   tag byte sits, so a predicate can be tested on the encoded values
+   and only the records that pass are decoded.  [offs] only grows. *)
+type view = { mutable buf : Bytes.t; mutable offs : int array; mutable arity : int }
+
+let view () = { buf = Bytes.empty; offs = Array.make 8 0; arity = 0 }
+
+(* [walk]'s bounds failures, worded as [need]'s, offsets from the
+   record's start. *)
+let truncated what ~off pos = corrupt "truncated %s at offset %d" what (pos - off)
+
+let walk v b ~off ~len =
+  let stop = off + len in
+  if off + 2 > stop then truncated "u16" ~off off;
+  let arity = Bytes.get_uint16_le b off in
+  if arity > Array.length v.offs then v.offs <- Array.make arity 0;
+  let offs = v.offs in
+  let pos = ref (off + 2) in
+  for i = 0 to arity - 1 do
+    let p = !pos in
+    offs.(i) <- p;
+    if p + 1 > stop then truncated "u8" ~off p;
+    pos :=
+      match Bytes.get_uint8 b p with
+      | 0 ->
+          if p + 9 > stop then truncated "i64" ~off (p + 1);
+          p + 9
+      | 1 ->
+          if p + 3 > stop then truncated "u16" ~off (p + 1);
+          let n = p + 3 + Bytes.get_uint16_le b (p + 1) in
+          if n > stop then truncated "string body" ~off (p + 3);
+          n
+      | 2 ->
+          if p + 9 > stop then truncated "float" ~off (p + 1);
+          p + 9
+      | 3 ->
+          if p + 2 > stop then truncated "u8" ~off (p + 1);
+          p + 2
+      | n -> corrupt "unknown value tag %d" n
+  done;
+  if !pos <> stop then corrupt "trailing bytes after tuple";
+  v.buf <- b;
+  v.arity <- arity
+
+(* Column [i]'s offset; out of range fails as indexing the decoded
+   tuple would. *)
+let column_at v i =
+  if i >= v.arity then invalid_arg "index out of bounds";
+  v.offs.(i)
+
+let value_at b p =
+  match Bytes.get_uint8 b p with
+  | 0 -> Value.Int (Int64.to_int (Bytes.get_int64_le b (p + 1)))
+  | 1 -> Value.String (Bytes.sub_string b (p + 3) (Bytes.get_uint16_le b (p + 1)))
+  | 2 -> Value.Float (Int64.float_of_bits (Bytes.get_int64_le b (p + 1)))
+  | 3 -> Value.Bool (Bytes.get_uint8 b (p + 1) <> 0)
+  | n -> corrupt "unknown value tag %d" n
+
+let column v i = value_at v.buf (column_at v i)
+
+(* String.compare on [len] bytes of [b] at [pos] against [s]. *)
+let compare_bytes b pos len s =
+  let n = String.length s in
+  let m = Int.min len n in
+  let rec go i =
+    if i = m then Int.compare len n
+    else
+      let d = Char.compare (Bytes.get b (pos + i)) (String.get s i) in
+      if d <> 0 then d else go (i + 1)
+  in
+  go 0
+
+let compare_column v i c =
+  let b = v.buf and p = column_at v i in
+  match (Bytes.get_uint8 b p, c) with
+  | 0, Value.Int n -> Int.compare (Int64.to_int (Bytes.get_int64_le b (p + 1))) n
+  | 1, Value.String s -> compare_bytes b (p + 3) (Bytes.get_uint16_le b (p + 1)) s
+  | 2, Value.Float f ->
+      Float.compare (Int64.float_of_bits (Bytes.get_int64_le b (p + 1))) f
+  | 3, Value.Bool x -> Bool.compare (Bytes.get_uint8 b (p + 1) <> 0) x
+  | _ -> Value.compare (value_at b p) c
+
+let tuple v =
+  if v.arity = 0 then [||]
+  else begin
+    let t = Array.make v.arity (value_at v.buf v.offs.(0)) in
+    for i = 1 to v.arity - 1 do
+      t.(i) <- value_at v.buf v.offs.(i)
+    done;
+    t
+  end
+
 (* --- schemas ----------------------------------------------------------- *)
 
 let add_schema buf schema =

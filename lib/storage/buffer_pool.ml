@@ -1,7 +1,13 @@
 (* The buffer pool: a bounded cache of pages with pin counts, dirty
    tracking, and LRU eviction.  Evicting a dirty page flushes it — the
    "steal" in steal/no-force — but only after the WAL hook has made the
-   log durable up to that page's LSN (write-ahead rule). *)
+   log durable up to that page's LSN (write-ahead rule).
+
+   Frames own their buffers: a miss reads into the buffer of the frame
+   it evicts, so a pool allocates at most [capacity] page buffers in its
+   life.  Buffers that leave the frame table without a successor — a
+   failed read, [drop_clean] — wait in [spare] for the next frame;
+   resident frames plus spares never exceed [capacity]. *)
 
 type stats = {
   mutable hits : int;
@@ -46,6 +52,7 @@ type t = {
   stats : stats;
   metrics : metrics;
   mutable clock : int;
+  mutable spare : Page.t list;
   mutable wal_barrier : int -> unit;
 }
 
@@ -60,6 +67,7 @@ let create ?(capacity = 64) ?(metrics = Obs.Registry.noop) pager =
     stats = { hits = 0; misses = 0; evictions = 0; flushes = 0 };
     metrics = make_metrics metrics;
     clock = 0;
+    spare = [];
     wal_barrier = (fun _ -> ());
   }
 
@@ -99,7 +107,25 @@ let evict_one t =
       Hashtbl.remove t.frames id;
       t.stats.evictions <- t.stats.evictions + 1;
       Obs.Registry.Counter.incr t.metrics.m_evictions;
-      Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
+      Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames);
+      frame.page
+
+(* A buffer for a new frame: the LRU victim's when the pool is full,
+   else a spare one, else a fresh allocation. *)
+let take_buffer t =
+  if Hashtbl.length t.frames >= t.capacity then evict_one t
+  else
+    match t.spare with
+    | page :: rest ->
+        t.spare <- rest;
+        page
+    | [] -> Bytes.create Page.size
+
+let install t id page ~pins =
+  let frame = { page; dirty = false; pins; stamp = 0 } in
+  touch t frame;
+  Hashtbl.replace t.frames id frame;
+  Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
 
 let fetch t id =
   match Hashtbl.find_opt t.frames id with
@@ -112,12 +138,12 @@ let fetch t id =
   | None ->
       t.stats.misses <- t.stats.misses + 1;
       Obs.Registry.Counter.incr t.metrics.m_misses;
-      if Hashtbl.length t.frames >= t.capacity then evict_one t;
-      let page = Pager.read_page t.pager id in
-      let frame = { page; dirty = false; pins = 1; stamp = 0 } in
-      touch t frame;
-      Hashtbl.replace t.frames id frame;
-      Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames);
+      let page = take_buffer t in
+      (try Pager.read_into t.pager id page
+       with e ->
+         t.spare <- page :: t.spare;
+         raise e);
+      install t id page ~pins:1;
       page
 
 let frame_exn t id what =
@@ -136,12 +162,14 @@ let with_page t id f =
   let page = fetch t id in
   Fun.protect ~finally:(fun () -> unpin t id) (fun () -> f page)
 
+(* The adopted page becomes the frame's buffer; the one it displaces —
+   the victim's, or a spare when the pool already holds [capacity] —
+   is dropped. *)
 let adopt t id page =
-  if Hashtbl.length t.frames >= t.capacity then evict_one t;
-  let frame = { page; dirty = false; pins = 0; stamp = 0 } in
-  touch t frame;
-  Hashtbl.replace t.frames id frame;
-  Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
+  if Hashtbl.length t.frames >= t.capacity then ignore (evict_one t : Page.t)
+  else if Hashtbl.length t.frames + List.length t.spare >= t.capacity then
+    t.spare <- List.tl t.spare;
+  install t id page ~pins:0
 
 let flush_page t id =
   match Hashtbl.find_opt t.frames id with
@@ -156,10 +184,14 @@ let flush_all t =
 let drop_clean t =
   let victims =
     Hashtbl.fold
-      (fun id f acc -> if (not f.dirty) && f.pins = 0 then id :: acc else acc)
+      (fun id f acc -> if (not f.dirty) && f.pins = 0 then (id, f) :: acc else acc)
       t.frames []
   in
-  List.iter (Hashtbl.remove t.frames) victims;
+  List.iter
+    (fun (id, f) ->
+      Hashtbl.remove t.frames id;
+      t.spare <- f.page :: t.spare)
+    victims;
   Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
 
 let resident t = Hashtbl.length t.frames

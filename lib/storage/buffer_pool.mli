@@ -5,7 +5,15 @@
     dirtied it is still running — the {e steal} policy — but only after
     the WAL barrier has made the log durable up to that page's LSN
     (the write-ahead rule).  Commit does not force pages ({e no-force});
-    durability comes from the WAL alone. *)
+    durability comes from the WAL alone.
+
+    Frames own their buffers: a miss reads the page into the buffer of
+    the frame it evicts (or of a frame that left earlier), so the pool
+    never holds more than its capacity in page buffers.  The bytes a
+    {!fetch} returns therefore belong to the frame only while it is
+    pinned: {b do not use a page's bytes after {!unpin}} — once the frame
+    is evicted, its buffer holds another page.  {!with_page} keeps this
+    discipline for you. *)
 
 (** Legacy in-process counters (predates [lib/obs]); kept because tests
     and the storage bench read them without wiring a registry. *)
@@ -29,10 +37,15 @@ val create : ?capacity:int -> ?metrics:Obs.Registry.t -> Pager.t -> t
     defaults to {!Obs.Registry.noop}. *)
 
 val fetch : t -> int -> Page.t
-(** Pin and return the page, reading (and possibly evicting) on miss. *)
+(** Pin and return the page, reading (and possibly evicting) on miss.
+    The victim is the least recently used unpinned frame, and the page
+    is read into its buffer ({!Pager.read_into}).  A failed read raises
+    as {!Pager.read_into} does, leaves the page non-resident and keeps
+    the buffer for the next miss. *)
 
 val unpin : t -> int -> unit
-(** Drop one pin; the frame becomes evictable at zero pins. *)
+(** Drop one pin; the frame becomes evictable at zero pins, and the
+    bytes {!fetch} returned must not be used again. *)
 
 val with_page : t -> int -> (Page.t -> 'a) -> 'a
 (** Fetch, apply, unpin (exception-safe). *)
@@ -41,7 +54,10 @@ val mark_dirty : t -> int -> unit
 (** The caller mutated the page; it must currently be resident. *)
 
 val adopt : t -> int -> Page.t -> unit
-(** Insert a freshly allocated page into the pool without re-reading it. *)
+(** Insert a freshly allocated page into the pool without re-reading it.
+    The page becomes the frame's buffer (the pool owns it from now on);
+    the buffer it displaces, the victim's when the pool is full, is
+    dropped, so the pool still holds at most its capacity. *)
 
 val flush_page : t -> int -> unit
 (** Write back one dirty frame (after the WAL barrier); no-op if clean
@@ -52,7 +68,8 @@ val flush_all : t -> unit
 
 val drop_clean : t -> unit
 (** Forget clean unpinned frames — used by tests to simulate a cold
-    cache without closing the file. *)
+    cache without closing the file.  Their buffers stay with the pool
+    for the next misses. *)
 
 val set_wal_barrier : t -> (int -> unit) -> unit
 (** [f lsn] is called before any dirty page with page-LSN [lsn] is

@@ -30,9 +30,12 @@ let iter_chain pool ~first f =
     id := next
   done
 
-let page_records pool id =
+let scan_page pool id view f =
   Buffer_pool.with_page pool id (fun page ->
-      (List.map snd (Page.records page), Page.next page))
+      Page.iter_live page (fun ~off ~len ->
+          Relational.Codec.walk view page ~off ~len;
+          f view);
+      Page.next page)
 
 let chain_pages pool ~first =
   let n = ref 0 and id = ref first in
@@ -296,13 +299,10 @@ let read_fences pool tb =
           else None)
 
 let iter_relation pool ~first f =
+  let view = Relational.Codec.view () in
+  let decode v = f (Relational.Codec.tuple v) in
   let rec walk id pages =
-    if id = 0 then pages
-    else begin
-      let records, next = page_records pool id in
-      List.iter (fun r -> f (Relational.Codec.tuple_of_string r)) records;
-      walk next (pages + 1)
-    end
+    if id = 0 then pages else walk (scan_page pool id view decode) (pages + 1)
   in
   walk first 0
 

@@ -22,11 +22,16 @@ val iter_chain :
 (** [iter_chain pool ~first f] calls [f page slot record] for every live
     record of the chain. *)
 
-val page_records : Buffer_pool.t -> int -> string list * int
-(** [page_records pool id] returns one chain page's live records in slot
-    order together with the next page id (0 at the end of the chain) —
-    the unit a pull-based scan cursor consumes, holding at most one page
-    of the chain in working memory at a time. *)
+val scan_page :
+  Buffer_pool.t -> int -> Relational.Codec.view ->
+  (Relational.Codec.view -> unit) -> int
+(** [scan_page pool id view f] reads one table-chain page in place: it
+    pins page [id], points [view] at each live record in slot order
+    ({!Relational.Codec.walk}, which validates it), calls [f view] while
+    the page is still pinned, and returns the next page id (0 at the end
+    of the chain).  No record is copied; [f] decodes what it keeps.
+    Every table-chain reader goes through it: {!iter_relation}, the
+    executor's scans and the fence scan's page reads. *)
 
 val chain_pages : Buffer_pool.t -> first:int -> int
 (** Number of pages in the chain rooted at [first] (0 when [first] is 0)
@@ -103,9 +108,10 @@ val read_fences : Buffer_pool.t -> table -> fence array option
 val iter_relation :
   Buffer_pool.t -> first:int -> (Relational.Tuple.t -> unit) -> int
 (** [iter_relation pool ~first f] streams a table chain: it decodes each
-    record and calls [f] on the tuple, page by page in chain order,
-    without building a relation, and returns the number of pages walked
-    (the {!chain_pages} count).  {!load_relation}, the planner's index
+    record in place ({!scan_page}) and calls [f] on the tuple, page by
+    page in chain order, without building a relation, and returns the
+    number of pages walked (the {!chain_pages} count).  [f] runs while
+    the record's page is pinned.  {!load_relation}, the planner's index
     builds and its statistics scan all read tables through it. *)
 
 val load_relation :

@@ -91,6 +91,19 @@ let records p =
   done;
   !out
 
+(* Live records in slot order, in place: [f] gets each record's offset
+   and length within [p]. *)
+let iter_live p f =
+  for i = 0 to nslots p - 1 do
+    let pos = slot_pos i in
+    let len = Bytes.get_uint16_le p (pos + 2) in
+    if len <> dead then begin
+      let off = Bytes.get_uint16_le p pos in
+      if off + len > size then invalid_arg "Page.iter_live: record out of bounds";
+      f ~off ~len
+    end
+  done
+
 let seal p =
   let crc = Support.Crc32.bytes p ~pos:4 ~len:(size - 4) in
   Bytes.set_int32_le p 0 (Int32.of_int crc)

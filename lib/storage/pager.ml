@@ -194,10 +194,10 @@ let with_transient_retries t ~at f =
   in
   attempt 0
 
-let read_page t id =
+let read_into t id buf =
+  if Bytes.length buf <> Page.size then invalid_arg "Pager.read_into: not a page buffer";
   check_id t id;
   let at = Printf.sprintf "page %d read" id in
-  let buf = Bytes.make Page.size '\000' in
   let got =
     with_transient_retries t ~at (fun () ->
         really_pread t.fd ~off:(id * Page.size) buf Page.size)
@@ -209,7 +209,11 @@ let read_page t id =
     corrupt "%s: page %d CRC mismatch" t.path id
   end;
   t.reads <- t.reads + 1;
-  Obs.Registry.Counter.incr t.metrics.m_reads;
+  Obs.Registry.Counter.incr t.metrics.m_reads
+
+let read_page t id =
+  let buf = Bytes.create Page.size in
+  read_into t id buf;
   buf
 
 (* Write a sealed page image, injecting the probabilistic disk faults:

@@ -40,11 +40,17 @@ val allocate : t -> kind:int -> int
     before the header records the new count, so a crash between the two
     leaves a consistent file. *)
 
+val read_into : t -> int -> Page.t -> unit
+(** [read_into t id buf] reads page [id] into [buf], overwriting it.
+    Raises {!Corrupt} on a short read or a CRC mismatch (the page id is
+    also recorded in {!corrupt_pages} so the engine can quarantine it);
+    transient read faults are retried, raising {!Fault.Io_error} only
+    when every retry fails.  After a failure [buf]'s contents are
+    unspecified.  The buffer pool reads every miss through it, into the
+    buffer of the frame it evicted. *)
+
 val read_page : t -> int -> Page.t
-(** Raises {!Corrupt} on CRC mismatch (the page id is also recorded in
-    {!corrupt_pages} so the engine can quarantine it); transient read
-    faults are retried, raising {!Fault.Io_error} only when every retry
-    fails. *)
+(** {!read_into} a fresh buffer. *)
 
 val write_page : t -> int -> Page.t -> unit
 (** Seals (checksums) and writes the page. *)

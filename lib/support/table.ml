@@ -1,35 +1,36 @@
+(* Column widths first, then every line written straight into one
+   buffer sized for the whole table: cells padded with a shared run of
+   spaces, two spaces between columns, short rows padded with empty
+   cells. *)
 let render ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
-  let pad r = r @ List.init (ncols - List.length r) (fun _ -> "") in
-  let all = List.map pad all in
   let widths = Array.make ncols 0 in
   List.iter
     (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
     all;
-  let render_row r =
-    String.concat "  "
-      (List.mapi
-         (fun i cell -> cell ^ String.make (widths.(i) - String.length cell) ' ')
-         r)
+  let widest = Array.fold_left max 0 widths in
+  let line = Array.fold_left ( + ) (2 * max 0 (ncols - 1) + 1) widths in
+  let buf = Buffer.create (line * (List.length all + 1)) in
+  let spaces = String.make widest ' ' and dashes = String.make widest '-' in
+  let cell i fill len s =
+    if i > 0 then Buffer.add_string buf "  ";
+    Buffer.add_string buf s;
+    Buffer.add_substring buf fill 0 (widths.(i) - len)
   in
-  let sep =
-    String.concat "  "
-      (Array.to_list (Array.map (fun w -> String.make w '-') widths))
+  let add_row r =
+    let n = List.fold_left (fun i s -> cell i spaces (String.length s) s; i + 1) 0 r in
+    for i = n to ncols - 1 do
+      cell i spaces 0 ""
+    done;
+    Buffer.add_char buf '\n'
   in
-  let buf = Buffer.create 256 in
-  (match all with
-  | h :: rest ->
-      Buffer.add_string buf (render_row h);
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf sep;
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun r ->
-          Buffer.add_string buf (render_row r);
-          Buffer.add_char buf '\n')
-        rest
-  | [] -> ());
+  add_row header;
+  for i = 0 to ncols - 1 do
+    cell i dashes 0 ""
+  done;
+  Buffer.add_char buf '\n';
+  List.iter add_row rows;
   Buffer.contents buf
 
 let print ~header rows = print_string (render ~header rows)

@@ -893,8 +893,12 @@ let prop_chain_sorted_and_fenced =
           let rec pages id =
             if id = 0 then []
             else
-              let records, next = Heap.page_records pool id in
-              (id, List.map R.Codec.tuple_of_string records) :: pages next
+              let rows = ref [] in
+              let next =
+                Heap.scan_page pool id (R.Codec.view ()) (fun v ->
+                    rows := R.Codec.tuple v :: !rows)
+              in
+              (id, List.rev !rows) :: pages next
           in
           let chain = pages tb.Heap.first in
           let tuples = List.concat_map snd chain in
@@ -1164,6 +1168,167 @@ let test_one_version_per_context () =
         (R.Eval.eval (R.Database.add R.Database.empty "t" v2) (g 706))
         (Planner.Exec.run fresh (Planner.Plan.plan fresh (g 706))))
 
+(* --- the fused filter scan ----------------------------------------------- *)
+
+(* Edge values of each type: negative ints, empty and shared-prefix
+   strings, both zeros, nan and the infinities, both bools. *)
+let edge_values = function
+  | TInt -> [ Int 0; Int (-1); Int (-7); Int 3; Int max_int; Int min_int ]
+  | TString -> [ String ""; String "a"; String "ab"; String "abc"; String "b"; String "ab\000" ]
+  | TFloat ->
+      [ Float 0.0; Float (-0.0); Float Float.nan; Float Float.infinity;
+        Float Float.neg_infinity; Float 1.5; Float (-2.5) ]
+  | TBool -> [ Bool true; Bool false ]
+
+let edge_schema =
+  R.Schema.make
+    [ ("i", TInt); ("s", TString); ("f", TFloat); ("b", TBool); ("pad", TString) ]
+
+let pick rng l = List.nth l (Support.Rng.int rng (List.length l))
+
+(* Random predicates over [edge_schema]: every comparison, both operand
+   orders, attribute pairs, true/false and the connectives.  One leaf in
+   eight compares across types, which must raise Type_clash exactly when
+   and as Algebra.eval_predicate does. *)
+let rec edge_predicate rng depth =
+  let attrs = R.Schema.pairs edge_schema in
+  let cmp = pick rng [ A.Eq; A.Ne; A.Lt; A.Le; A.Gt; A.Ge ] in
+  let const ty =
+    let ty = if Support.Rng.int rng 8 = 0 then pick rng [ TInt; TString; TFloat; TBool ] else ty in
+    A.Const (pick rng (edge_values ty))
+  in
+  match Support.Rng.int rng (if depth = 0 then 5 else 8) with
+  | 0 | 1 ->
+      let a, ty = pick rng attrs in
+      A.Cmp (cmp, A.Attr a, const ty)
+  | 2 ->
+      let a, ty = pick rng attrs in
+      A.Cmp (cmp, const ty, A.Attr a)
+  | 3 ->
+      let a, ty = pick rng attrs in
+      let same = List.filter (fun (_, t) -> t = ty || Support.Rng.int rng 8 = 0) attrs in
+      A.Cmp (cmp, A.Attr a, A.Attr (fst (pick rng same)))
+  | 4 -> if Support.Rng.bool rng then A.True else A.False
+  | 5 -> A.And (edge_predicate rng (depth - 1), edge_predicate rng (depth - 1))
+  | 6 -> A.Or (edge_predicate rng (depth - 1), edge_predicate rng (depth - 1))
+  | _ -> A.Not (edge_predicate rng (depth - 1))
+
+(* A Filter over a full heap scan (fused: tested on the encoded records)
+   and over a projection of it (compiled over decoded tuples) both equal
+   Eval on multi-page tables of edge values, Type_clash included; the
+   scan node counts every record and the filter its survivors. *)
+let prop_fused_scan_matches_eval =
+  property 60 "fused filter scan = Eval.eval (edge values, multi-page)" seed_gen
+    (fun seed ->
+      let rng = Support.Rng.create seed in
+      let rel =
+        R.Relation.of_list edge_schema
+          (List.init
+             (300 + Support.Rng.int rng 300)
+             (fun _ ->
+               List.map
+                 (fun (a, ty) ->
+                   if a = "pad" then String (String.make (Support.Rng.int rng 60) 'p')
+                   else pick rng (edge_values ty))
+                 (R.Schema.pairs edge_schema)))
+      in
+      let db = R.Database.add R.Database.empty "t" rel in
+      let pred = edge_predicate rng 3 in
+      let outcome f = match f () with r -> Ok r | exception Type_clash m -> Error m in
+      let expected = outcome (fun () -> R.Eval.eval_unchecked db (A.Select (pred, A.Rel "t"))) in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "t" rel;
+          let ctx = Planner.Plan.make eng in
+          let fused = forced_scan ctx "t" pred in
+          let scan = List.hd (P.children fused) in
+          let unfused =
+            P.make
+              (P.Filter (pred, P.make (P.Project (R.Schema.attributes edge_schema, scan)) edge_schema))
+              edge_schema
+          in
+          let same plan =
+            match (expected, outcome (fun () -> Planner.Exec.run ctx plan)) with
+            | Ok e, Ok g ->
+                R.Relation.equal e g
+                && scan.P.meta.P.actual_rows = R.Relation.cardinality rel
+                && plan.P.meta.P.actual_rows = R.Relation.cardinality e
+            | Error e, Error g -> e = g
+            | _ -> false
+          in
+          chain_pages eng "t" > 1 && same fused && same unfused))
+
+(* A record that fails validation under a valid page CRC makes every
+   reader of the chain raise Codec.Corrupt — the fused scan even when
+   the predicate would have rejected the record, a plain full scan, the
+   fence scan's page read and a table load — and never return an
+   answer.  Damaged: the last column's type tag, its string length, the
+   arity. *)
+let test_malformed_record_raises () =
+  let rel =
+    R.Relation.of_list
+      (R.Schema.make [ ("k", TInt); ("g", TInt); ("pad", TString) ])
+      (List.init 600 (fun i -> [ Int i; Int (i mod 5); String (Printf.sprintf "row-%04d" i) ]))
+  in
+  List.iter
+    (fun (what, damage) ->
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "t" rel;
+          let pool = Storage.Engine.pool eng in
+          let first = (catalog_entry eng "t").Heap.first in
+          let second = Storage.Buffer_pool.with_page pool first Storage.Page.next in
+          (* the first record of the second page, then its damage *)
+          let victim = ref None in
+          Storage.Buffer_pool.with_page pool second (fun page ->
+              Storage.Page.iter_live page (fun ~off ~len:_ ->
+                  if !victim = None then begin
+                    victim := Some (Int64.to_int (Bytes.get_int64_le page (off + 3)));
+                    damage page off
+                  end);
+              Storage.Buffer_pool.mark_dirty pool second);
+          Storage.Buffer_pool.flush_all pool;
+          Storage.Buffer_pool.drop_clean pool;
+          let k = Option.get !victim in
+          let ctx = Planner.Plan.make eng in
+          let raises label plan =
+            match Planner.Exec.run ctx plan with
+            | _ -> Alcotest.failf "%s, %s: returned an answer" what label
+            | exception R.Codec.Corrupt _ -> ()
+          in
+          let g_other =
+            A.Select (A.Cmp (A.Eq, A.Attr "g", A.Const (Int ((k + 1) mod 5))), A.Rel "t")
+          in
+          let plan = Planner.Plan.plan ctx g_other in
+          (match plan.P.node with
+          | P.Filter (_, { P.node = P.Scan { access = P.Full; _ }; _ }) -> ()
+          | _ -> Alcotest.failf "%s: expected a filter over a full scan" what);
+          raises "filter rejecting the record" plan;
+          raises "full scan" (Planner.Plan.plan ctx (A.Project ([ "pad" ], A.Rel "t")));
+          let point = Planner.Plan.plan ctx (A.Select (A.Cmp (A.Eq, A.Attr "k", A.Const (Int k)), A.Rel "t")) in
+          Alcotest.(check bool) (what ^ ": point lookup is fenced") true (is_fenced point);
+          raises "fence scan" point;
+          match Storage.Engine.load_table eng "t" with
+          | _ -> Alcotest.failf "%s: load_table returned" what
+          | exception R.Codec.Corrupt _ -> ()))
+    [
+      ("last tag", fun page off -> Bytes.set_uint8 page (off + 20) 7);
+      ( "string length",
+        fun page off ->
+          Bytes.set_uint16_le page (off + 21) (Bytes.get_uint16_le page (off + 21) + 1) );
+      ("arity", fun page off -> Bytes.set_uint16_le page off 2);
+    ]
+
 let suite =
   [
     Alcotest.test_case "stats collect and persist" `Quick
@@ -1203,7 +1368,9 @@ let suite =
       test_pre_fence_catalog_entry;
     Alcotest.test_case "one table version per context" `Quick
       test_one_version_per_context;
+    Alcotest.test_case "malformed record raises" `Quick test_malformed_record_raises;
     prop_physical_matches_eval;
+    prop_fused_scan_matches_eval;
     prop_fences_match_eval;
     prop_chain_sorted_and_fenced;
     prop_forced_merge_matches_eval;

@@ -136,6 +136,97 @@ let test_codec_corrupt () =
   let good = Relational.Codec.tuple_to_string [| V.Int 1 |] in
   Alcotest.(check bool) "trailing" true (corrupt (good ^ "x"))
 
+(* The in-place walk against the reference decoder: encoded tuples of
+   every value type (edge values included), their truncations, and
+   mutations of a type tag, a string length, the arity or any byte —
+   each placed at an offset inside a larger buffer.  The walk must
+   accept exactly what tuple_of_string accepts (rejecting with the same
+   message), decode the same tuple, and compare each column with a
+   constant exactly as Value.compare compares the decoded value. *)
+let edge_value rng =
+  let pick l = List.nth l (Support.Rng.int rng (List.length l)) in
+  match Support.Rng.int rng 4 with
+  | 0 -> V.Int (pick [ 0; 1; -1; 42; -42; max_int; min_int ])
+  | 1 -> V.String (pick [ ""; "a"; "ab"; "abc"; "b"; "\xff"; "ab\x00" ])
+  | 2 ->
+      V.Float
+        (pick [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1.5; -2.5 ])
+  | _ -> V.Bool (Support.Rng.bool rng)
+
+let prop_walk_matches_tuple_of_string =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"in-place walk = tuple_of_string"
+       (QCheck2.Gen.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Support.Rng.create seed in
+         let tuple = Array.init (Support.Rng.int rng 5) (fun _ -> edge_value rng) in
+         let good = Relational.Codec.tuple_to_string tuple in
+         (* where each column's tag byte sits in [good] *)
+         let tags =
+           let pos = ref 2 in
+           Array.map
+             (fun v ->
+               let at = !pos in
+               let b = Buffer.create 16 in
+               Relational.Codec.add_value b v;
+               pos := !pos + Buffer.length b;
+               at)
+             tuple
+         in
+         let set s i byte =
+           let b = Bytes.of_string s in
+           Bytes.set_uint8 b i byte;
+           Bytes.to_string b
+         in
+         let n = String.length good in
+         let record =
+           match Support.Rng.int rng 7 with
+           | 0 | 1 -> good
+           | 2 -> String.sub good 0 (Support.Rng.int rng n)
+           | 3 when Array.length tags > 0 ->
+               set good tags.(Support.Rng.int rng (Array.length tags)) (Support.Rng.int rng 6)
+           | 4 -> (
+               (* a string length, else the arity *)
+               match
+                 List.filter (fun i -> good.[i] = '\001') (Array.to_list tags)
+               with
+               | i :: _ -> set good (i + 1) (Support.Rng.int rng 256)
+               | [] -> set good 0 (Support.Rng.int rng 8))
+           | 5 -> good ^ String.make (1 + Support.Rng.int rng 3) '\000'
+           | _ -> set good (Support.Rng.int rng n) (Support.Rng.int rng 256)
+         in
+         let pad = Support.Rng.int rng 9 in
+         let buf =
+           Bytes.of_string (String.make pad '\003' ^ record ^ String.make 9 '\001')
+         in
+         let view = Relational.Codec.view () in
+         let walked =
+           match
+             Relational.Codec.walk view buf ~off:pad ~len:(String.length record)
+           with
+           | () -> Ok (Relational.Codec.tuple view)
+           | exception Relational.Codec.Corrupt m -> Error m
+         in
+         let reference =
+           match Relational.Codec.tuple_of_string record with
+           | t -> Ok t
+           | exception Relational.Codec.Corrupt m -> Error m
+         in
+         let clash f = match f () with n -> Ok (compare n 0) | exception V.Type_clash m -> Error m in
+         match (walked, reference) with
+         | Error a, Error b -> a = b
+         | Ok t, Ok r ->
+             Relational.Tuple.equal t r
+             && Array.for_all
+                  (fun c ->
+                    List.for_all
+                      (fun i ->
+                        clash (fun () -> Relational.Codec.compare_column view i c)
+                        = clash (fun () -> V.compare r.(i) c))
+                      (List.init (Array.length r) Fun.id))
+                  (Array.init 6 (fun _ -> edge_value rng))
+         | _ -> false))
+
 (* --- slotted pages ------------------------------------------------------ *)
 
 let test_page_slots () =
@@ -287,6 +378,301 @@ let test_pool_exhausted () =
     | _ -> false
     | exception Storage.Buffer_pool.Pool_exhausted -> true);
   Storage.Buffer_pool.unpin pool a;
+  Storage.Pager.close pager;
+  cleanup path
+
+(* A reference model of the pool with a fresh buffer per miss
+   (Pager.read_page): exact LRU by a touch clock, pins, dirty write-back
+   on eviction and flush_all, drop_clean. *)
+module Model_pool = struct
+  type frame = { page : Storage.Page.t; mutable dirty : bool; mutable pins : int; mutable stamp : int }
+
+  type t = {
+    pager : Storage.Pager.t;
+    capacity : int;
+    frames : (int, frame) Hashtbl.t;
+    mutable clock : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+    mutable flushes : int;
+  }
+
+  let create ~capacity pager =
+    { pager; capacity; frames = Hashtbl.create 8; clock = 0; hits = 0; misses = 0;
+      evictions = 0; flushes = 0 }
+
+  let touch t f =
+    t.clock <- t.clock + 1;
+    f.stamp <- t.clock
+
+  let flush t id f =
+    if f.dirty then begin
+      Storage.Pager.write_page t.pager id f.page;
+      f.dirty <- false;
+      t.flushes <- t.flushes + 1
+    end
+
+  let evict t =
+    match
+      Hashtbl.fold
+        (fun id f best ->
+          match best with
+          | _ when f.pins > 0 -> best
+          | Some (_, b) when b.stamp <= f.stamp -> best
+          | _ -> Some (id, f))
+        t.frames None
+    with
+    | None -> raise Storage.Buffer_pool.Pool_exhausted
+    | Some (id, f) ->
+        flush t id f;
+        Hashtbl.remove t.frames id;
+        t.evictions <- t.evictions + 1
+
+  let install t id page pins =
+    let f = { page; dirty = false; pins; stamp = 0 } in
+    touch t f;
+    Hashtbl.replace t.frames id f
+
+  let fetch t id =
+    match Hashtbl.find_opt t.frames id with
+    | Some f ->
+        t.hits <- t.hits + 1;
+        f.pins <- f.pins + 1;
+        touch t f;
+        f.page
+    | None ->
+        t.misses <- t.misses + 1;
+        if Hashtbl.length t.frames >= t.capacity then evict t;
+        let page = Storage.Pager.read_page t.pager id in
+        install t id page 1;
+        page
+
+  let unpin t id = let f = Hashtbl.find t.frames id in f.pins <- f.pins - 1
+  let mark_dirty t id = (Hashtbl.find t.frames id).dirty <- true
+
+  let adopt t id page =
+    if Hashtbl.length t.frames >= t.capacity then evict t;
+    install t id page 0
+
+  let flush_all t =
+    Hashtbl.fold (fun id _ acc -> id :: acc) t.frames []
+    |> List.sort Int.compare
+    |> List.iter (fun id -> flush t id (Hashtbl.find t.frames id))
+
+  let drop_clean t =
+    Hashtbl.fold (fun id f acc -> if (not f.dirty) && f.pins = 0 then id :: acc else acc) t.frames []
+    |> List.iter (Hashtbl.remove t.frames)
+end
+
+type pool_op =
+  | Read of int  (* fetch and unpin *)
+  | Pin of int  (* fetch and keep the pin *)
+  | Release  (* drop the oldest pin held *)
+  | Write of int  (* fetch, insert a record, mark dirty, unpin *)
+  | Adopt  (* allocate a page and adopt it, dirty *)
+  | Flush_all
+  | Drop_clean
+
+let pool_op_gen pages =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (6, map (fun i -> Read i) (int_range 1 pages));
+      (2, map (fun i -> Pin i) (int_range 1 pages));
+      (2, return Release);
+      (3, map (fun i -> Write i) (int_range 1 pages));
+      (1, return Adopt);
+      (1, return Flush_all);
+      (1, return Drop_clean);
+    ]
+
+(* Random op sequences on the pool and on the model, each over its own
+   copy of the same file: every op must end alike (or raise alike),
+   leave the same counters and resident count, and hand out the same
+   page bytes.  Besides the pages it adopted, the pool must never hand
+   out more distinct buffers than its capacity. *)
+let prop_pool_matches_model =
+  let pages = 7 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"buffer pool = fresh-buffer LRU model"
+       QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 1 80) (pool_op_gen pages)))
+       (fun (capacity, ops) ->
+         let open_copy () =
+           let path = fresh_path () in
+           let pager = Storage.Pager.create path in
+           for i = 1 to pages do
+             let id = Storage.Pager.allocate pager ~kind:3 in
+             let page = Storage.Pager.read_page pager id in
+             ignore (Storage.Page.insert page (Printf.sprintf "page %d" i) : int);
+             Storage.Pager.write_page pager id page
+           done;
+           (path, pager)
+         in
+         let path_a, pager_a = open_copy () and path_b, pager_b = open_copy () in
+         let pool = Storage.Buffer_pool.create ~capacity pager_a in
+         let model = Model_pool.create ~capacity pager_b in
+         let buffers = ref [] and adopted = ref [] and pins = Queue.create () in
+         let seen page =
+           if not (List.exists (( == ) page) (!buffers @ !adopted)) then
+             buffers := page :: !buffers
+         in
+         let outcome f = match f () with x -> Ok x | exception e -> Error (Printexc.to_string e) in
+         let step k op =
+           let same_bytes a b = Bytes.equal a b in
+           let ok =
+             match op with
+             | Read id | Pin id | Write id ->
+                 let a = outcome (fun () -> Storage.Buffer_pool.fetch pool id)
+                 and b = outcome (fun () -> Model_pool.fetch model id) in
+                 (match (a, b) with
+                 | Ok pa, Ok pb ->
+                     seen pa;
+                     let same = same_bytes pa pb in
+                     (match op with
+                     | Pin _ -> Queue.push id pins
+                     | Write _ ->
+                         let r = Printf.sprintf "w%d" k in
+                         (try
+                            ignore (Storage.Page.insert pa r : int);
+                            ignore (Storage.Page.insert pb r : int)
+                          with Storage.Page.Page_full -> ());
+                         Storage.Buffer_pool.mark_dirty pool id;
+                         Model_pool.mark_dirty model id;
+                         Storage.Buffer_pool.unpin pool id;
+                         Model_pool.unpin model id
+                     | _ ->
+                         Storage.Buffer_pool.unpin pool id;
+                         Model_pool.unpin model id);
+                     same
+                 | Error ea, Error eb -> ea = eb
+                 | _ -> false)
+             | Release ->
+                 (match Queue.take_opt pins with
+                 | Some id ->
+                     Storage.Buffer_pool.unpin pool id;
+                     Model_pool.unpin model id
+                 | None -> ());
+                 true
+             | Adopt ->
+                 let ia = Storage.Pager.allocate pager_a ~kind:3
+                 and ib = Storage.Pager.allocate pager_b ~kind:3 in
+                 let fresh () =
+                   let p = Storage.Page.init ~kind:3 in
+                   ignore (Storage.Page.insert p (Printf.sprintf "adopted %d" k) : int);
+                   p
+                 in
+                 let page = fresh () in
+                 adopted := page :: !adopted;
+                 let a = outcome (fun () -> Storage.Buffer_pool.adopt pool ia page)
+                 and b = outcome (fun () -> Model_pool.adopt model ib (fresh ())) in
+                 (match (a, b) with
+                 | Ok (), Ok () ->
+                     Storage.Buffer_pool.mark_dirty pool ia;
+                     Model_pool.mark_dirty model ib
+                 | _ -> ());
+                 ia = ib && a = b
+             | Flush_all ->
+                 Storage.Buffer_pool.flush_all pool;
+                 Model_pool.flush_all model;
+                 true
+             | Drop_clean ->
+                 Storage.Buffer_pool.drop_clean pool;
+                 Model_pool.drop_clean model;
+                 true
+           in
+           let st = Storage.Buffer_pool.stats pool in
+           ok
+           && st.Storage.Buffer_pool.hits = model.Model_pool.hits
+           && st.Storage.Buffer_pool.misses = model.Model_pool.misses
+           && st.Storage.Buffer_pool.evictions = model.Model_pool.evictions
+           && st.Storage.Buffer_pool.flushes = model.Model_pool.flushes
+           && Storage.Buffer_pool.resident pool = Hashtbl.length model.Model_pool.frames
+           && Storage.Pager.io_counts pager_a = Storage.Pager.io_counts pager_b
+           && List.length !buffers <= capacity
+         in
+         let agree = List.for_all Fun.id (List.mapi step ops) in
+         (* every page's bytes, read back through each side *)
+         Queue.iter
+           (fun id ->
+             Storage.Buffer_pool.unpin pool id;
+             Model_pool.unpin model id)
+           pins;
+         Storage.Buffer_pool.flush_all pool;
+         Model_pool.flush_all model;
+         let on_disk =
+           List.for_all
+             (fun id ->
+               Bytes.equal
+                 (Storage.Pager.read_page pager_a id)
+                 (Storage.Pager.read_page pager_b id))
+             (List.init (Storage.Pager.page_count pager_a - 1) (fun i -> i + 1))
+         in
+         Storage.Pager.close pager_a;
+         Storage.Pager.close pager_b;
+         cleanup path_a;
+         cleanup path_b;
+         agree && on_disk))
+
+(* A failed read into a reused buffer: a CRC mismatch, a torn page and
+   an exhausted EIO retry budget each leave the page non-resident and
+   its buffer with the pool; once the disk is right again the next
+   fetch returns the correct bytes, in one of the pool's own buffers. *)
+let test_pool_failed_reads () =
+  let path = fresh_path () in
+  let pager = Storage.Pager.create path in
+  let a = Storage.Pager.allocate pager ~kind:3 in
+  let b = Storage.Pager.allocate pager ~kind:3 in
+  let image = Storage.Pager.read_page pager b in
+  ignore (Storage.Page.insert image "bravo" : int);
+  Storage.Pager.write_page pager b image;
+  let good = Bytes.copy image in
+  let pool = Storage.Buffer_pool.create ~capacity:1 pager in
+  let s = Storage.Buffer_pool.stats pool in
+  let buf_a = Storage.Buffer_pool.fetch pool a in
+  Storage.Buffer_pool.unpin pool a;
+  let damage f =
+    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
+    f fd;
+    Unix.close fd
+  in
+  let fails what exn_ok =
+    (match Storage.Buffer_pool.with_page pool b Bytes.copy with
+    | _ -> Alcotest.failf "%s: fetch succeeded" what
+    | exception e -> Alcotest.(check bool) (what ^ ": raised") true (exn_ok e));
+    Alcotest.(check int) (what ^ ": nothing resident") 0 (Storage.Buffer_pool.resident pool);
+    Storage.Pager.write_page pager b (Bytes.copy good);
+    let page = Storage.Buffer_pool.fetch pool b in
+    Alcotest.(check bool) (what ^ ": next fetch reads correct bytes") true
+      (Bytes.equal page good);
+    Alcotest.(check bool) (what ^ ": in the pool's one buffer") true (page == buf_a);
+    Storage.Buffer_pool.unpin pool b;
+    (* make b the victim again for the next case *)
+    Storage.Buffer_pool.with_page pool a ignore
+  in
+  let corrupt = function Storage.Pager.Corrupt _ -> true | _ -> false in
+  damage (fun fd ->
+      ignore (Unix.lseek fd ((b * Storage.Page.size) + 2000) Unix.SEEK_SET);
+      ignore (Unix.write_substring fd "X" 0 1));
+  fails "crc mismatch" corrupt;
+  damage (fun fd ->
+      let half = Storage.Page.size / 2 in
+      ignore (Unix.lseek fd ((b * Storage.Page.size) + half) Unix.SEEK_SET);
+      ignore (Unix.write fd (Bytes.make half '\000') 0 half));
+  fails "torn page" corrupt;
+  let fault = Storage.Pager.fault pager in
+  Storage.Fault.configure fault (Storage.Fault.spec_of_string "eio@read=1.0,seed=3");
+  (match Storage.Buffer_pool.fetch pool b with
+  | _ -> Alcotest.fail "eio: fetch succeeded"
+  | exception Storage.Fault.Io_error _ -> ());
+  Alcotest.(check int) "eio: nothing resident" 0 (Storage.Buffer_pool.resident pool);
+  Storage.Fault.configure fault Storage.Fault.no_faults;
+  Storage.Buffer_pool.with_page pool b (fun page ->
+      Alcotest.(check bool) "eio: next fetch reads correct bytes" true
+        (Bytes.equal page good && page == buf_a));
+  (* every fetch of b missed, and every one that found a resident evicted it *)
+  Alcotest.(check int) "misses counted as before" 9 s.Storage.Buffer_pool.misses;
+  Alcotest.(check int) "evictions counted as before" 5 s.Storage.Buffer_pool.evictions;
   Storage.Pager.close pager;
   cleanup path
 
@@ -1372,6 +1758,7 @@ let suite =
     prop_crc32_matches_reference;
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec corrupt" `Quick test_codec_corrupt;
+    prop_walk_matches_tuple_of_string;
     Alcotest.test_case "page slots" `Quick test_page_slots;
     Alcotest.test_case "page full" `Quick test_page_full;
     Alcotest.test_case "page lsn monotone" `Quick test_page_lsn_monotone;
@@ -1383,6 +1770,8 @@ let suite =
     Alcotest.test_case "pool dirty flush and wal barrier" `Quick
       test_pool_dirty_flush_and_barrier;
     Alcotest.test_case "pool exhausted" `Quick test_pool_exhausted;
+    prop_pool_matches_model;
+    Alcotest.test_case "pool failed reads" `Quick test_pool_failed_reads;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
     prop_wal_model_roundtrip;

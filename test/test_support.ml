@@ -158,6 +158,42 @@ let test_table_render () =
   Alcotest.(check bool) "header present" true
     (String.length (List.nth lines 0) >= String.length "a    bb")
 
+(* A list-building renderer as the reference model: pad every row to
+   the widest, pad every cell to its column, join with two spaces. *)
+let reference_render ~header rows =
+  let all = header :: rows in
+  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
+  let all = List.map (fun r -> r @ List.init (ncols - List.length r) (fun _ -> "")) all in
+  let widths = Array.make ncols 0 in
+  List.iter
+    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
+    all;
+  let row r =
+    String.concat "  "
+      (List.mapi (fun i c -> c ^ String.make (widths.(i) - String.length c) ' ') r)
+  in
+  let sep =
+    String.concat "  " (Array.to_list (Array.map (fun w -> String.make w '-') widths))
+  in
+  String.concat "" (List.map (fun l -> l ^ "\n") (row (List.hd all) :: sep :: List.map row (List.tl all)))
+
+let test_table_render_bytes () =
+  Alcotest.(check string) "aligned, padded, ragged rows filled"
+    "a    bb\n---  --\n1    2 \n333  4 \nx      \n"
+    (Support.Table.render ~header:[ "a"; "bb" ]
+       [ [ "1"; "2" ]; [ "333"; "4" ]; [ "x" ] ]);
+  Alcotest.(check string) "no columns" "\n\n" (Support.Table.render ~header:[] [])
+
+let prop_table_render_matches_reference =
+  let open QCheck2 in
+  let cell = Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\xe2' ]) (int_range 0 6)) in
+  let row = Gen.(list_size (int_range 0 5) cell) in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:300 ~name:"table render = list-building reference"
+       Gen.(pair row (list_size (int_range 0 8) row))
+       (fun (header, rows) ->
+         Support.Table.render ~header rows = reference_render ~header rows))
+
 let test_sparkline () =
   let s = Support.Table.sparkline [| 0.; 1.; 2. |] in
   Alcotest.(check bool) "non-empty" true (String.length s > 0);
@@ -186,5 +222,7 @@ let suite =
     Alcotest.test_case "rk4 beats euler" `Quick test_ode_rk4_beats_euler;
     Alcotest.test_case "ode sample_at" `Quick test_ode_sample_at;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "table render bytes" `Quick test_table_render_bytes;
+    prop_table_render_matches_reference;
     Alcotest.test_case "sparkline" `Quick test_sparkline;
   ]
