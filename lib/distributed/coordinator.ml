@@ -31,16 +31,6 @@ module Engine = Storage.Engine
 module Wal = Storage.Wal
 module Fault = Storage.Fault
 
-type config = {
-  msg_timeout : int;
-  max_attempts : int;
-  max_backoff : int;
-  seed : int;
-}
-
-let default_config =
-  { msg_timeout = 8; max_attempts = 6; max_backoff = 64; seed = 0 }
-
 type outcome = Committed | Aborted of string
 
 type metrics = {
@@ -81,7 +71,6 @@ let make_metrics registry =
 
 type t = {
   base : string;
-  config : config;
   shards : Engine.t array;
   log : Coord_log.t;
   net : Net.t;
@@ -223,12 +212,30 @@ let max_txn_of_shard base k =
     0
     (Wal.read_entries (Engine.wal_path (shard_path base k)))
 
-let open_dist ?shards ?(config = default_config) ?faults ?crash_after
+(* whether shard [k]'s log holds a transaction that committed, or that
+   a coordinator decision may yet commit *)
+let holds_commits base k =
+  List.exists
+    (fun { Wal.record; _ } ->
+      match record with Wal.Commit _ | Wal.Prepare _ -> true | _ -> false)
+    (Wal.read_entries (Engine.wal_path (shard_path base k)))
+
+let open_dist ?shards ?faults ?crash_after
     ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) base =
   let n =
     match shards with
     | Some n ->
         if n <= 0 then invalid_arg "Coordinator.open_dist: shards must be positive";
+        let found = discover base in
+        if
+          found <> n
+          && List.exists (holds_commits base) (List.init found Fun.id)
+        then
+          invalid_arg
+            (Printf.sprintf
+               "Coordinator.open_dist: %s has %d shard(s) holding committed \
+                data; opening it with %d would re-route its items"
+               base found n);
         n
     | None -> (
         match discover base with
@@ -274,17 +281,9 @@ let open_dist ?shards ?(config = default_config) ?faults ?crash_after
       Array.iter Engine.crash shards;
       raise e
   in
-  let net =
-    Net.create ~metrics ~fault ~seed:config.seed
-      {
-        Net.msg_timeout = config.msg_timeout;
-        max_attempts = config.max_attempts;
-        max_backoff = config.max_backoff;
-      }
-  in
+  let net = Net.create ~metrics ~fault ~seed:0 Net.default_config in
   {
     base;
-    config;
     shards;
     log;
     net;

@@ -18,18 +18,6 @@
     is presumed aborted and undone by the engine's ordinary restart
     recovery. *)
 
-(** The commit protocol's retry policy: message timeout, attempt
-    budget, backoff cap, and the jitter seed. *)
-type config = {
-  msg_timeout : int;  (** ticks before one message attempt is abandoned *)
-  max_attempts : int;  (** send attempts per exchange *)
-  max_backoff : int;  (** backoff window cap, in ticks *)
-  seed : int;  (** jitter RNG seed *)
-}
-
-val default_config : config
-(** [msg_timeout = 8; max_attempts = 6; max_backoff = 64; seed = 0]. *)
-
 (** What {!commit} decided.  [Aborted] carries the reason (a no-vote,
     a lost message, a degraded log). *)
 type outcome = Committed | Aborted of string
@@ -39,12 +27,15 @@ type t
     message layer, and the in-flight transaction table. *)
 
 val open_dist :
-  ?shards:int -> ?config:config -> ?faults:Storage.Fault.spec ->
-  ?crash_after:int -> ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t ->
-  string -> t
+  ?shards:int -> ?faults:Storage.Fault.spec -> ?crash_after:int ->
+  ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t -> string -> t
 (** Open (creating if needed) the sharded database rooted at [base].
     [shards] defaults to probing which [base.shardK] files exist;
     raises [Invalid_argument] when none do and [shards] was not given.
+    Items hash over the shard count, so a [shards] that disagrees with
+    the files on disk also raises [Invalid_argument], changing no file,
+    when any of those shards holds a committed or prepared transaction;
+    a family of empty shards (a crash while creating it) is completed.
     Runs the termination protocol, then opens every shard engine
     (restart recovery included) under one shared fault injector.
     [crash_after] overrides the spec's crash budget, as in

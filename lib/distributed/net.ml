@@ -26,6 +26,8 @@ type config = {
   max_backoff : int;  (* cap on the backoff window, in ticks *)
 }
 
+let default_config = { msg_timeout = 8; max_attempts = 6; max_backoff = 64 }
+
 type t = {
   fault : Fault.t;
   config : config;

@@ -14,6 +14,10 @@ type config = {
   max_backoff : int;  (** cap on the backoff window, in ticks *)
 }
 
+val default_config : config
+(** [msg_timeout = 8; max_attempts = 6; max_backoff = 64]: the policy
+    the 2PC coordinator and the replication group both run. *)
+
 type t
 (** A message channel: fault injector, retry policy, jitter RNG, and
     the [2pc.msgs]/[2pc.msg_retries]/[2pc.msg_lost]/[2pc.backoff_ticks]

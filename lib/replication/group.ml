@@ -21,15 +21,6 @@ module Fault = Storage.Fault
 module Net = Distributed.Net
 module Counter = Obs.Registry.Counter
 
-type config = {
-  msg_timeout : int;
-  max_attempts : int;
-  max_backoff : int;
-  seed : int;
-}
-
-let default_config = { msg_timeout = 8; max_attempts = 6; max_backoff = 64; seed = 0 }
-
 type outcome = Acked | Local_only
 
 exception Fenced of int
@@ -236,7 +227,7 @@ let catch_up t =
   Obs.Trace.with_span t.trace "repl.catchup" (fun () ->
       ship_all t ~reliable:true ~durable:(durable_now t))
 
-let open_group ?replicas ?sync ?(config = default_config) ?faults ?crash_after
+let open_group ?replicas ?sync ?faults ?crash_after
     ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) base =
   let described = Repl_meta.load_group base in
   let nodes =
@@ -272,12 +263,7 @@ let open_group ?replicas ?sync ?(config = default_config) ?faults ?crash_after
   Repl_meta.save_group ~fault base
     { Repl_meta.epoch; primary = primary_id; nodes; sync };
   let net =
-    Net.create ~prefix:"repl" ~metrics ~fault ~seed:config.seed
-      {
-        Net.msg_timeout = config.msg_timeout;
-        max_attempts = config.max_attempts;
-        max_backoff = config.max_backoff;
-      }
+    Net.create ~prefix:"repl" ~metrics ~fault ~seed:0 Net.default_config
   in
   let engine =
     E.open_db ~fault ~metrics ~trace (Repl_meta.node_path base primary_id)

@@ -21,19 +21,6 @@
     Under [Async] the commit returns after local durability and
     replicas are shipped best-effort, one attempt per commit. *)
 
-(** The shipping channel's retry policy (quorum-mode exchanges retry
-    with backoff; async mode sends one attempt per commit). *)
-type config = {
-  msg_timeout : int;  (** ticks before one attempt is given up *)
-  max_attempts : int;  (** send attempts per reliable exchange *)
-  max_backoff : int;  (** backoff window cap, in ticks *)
-  seed : int;  (** jitter RNG seed *)
-}
-
-val default_config : config
-(** [msg_timeout = 8; max_attempts = 6; max_backoff = 64; seed = 0] —
-    the same policy as the 2PC coordinator's. *)
-
 (** What a commit achieved.  [Acked] is the full promise (quorum
     reached and journaled, or async mode's local durability);
     [Local_only] means the commit is durable on the primary but quorum
@@ -52,9 +39,9 @@ type t
     watermarks. *)
 
 val open_group :
-  ?replicas:int -> ?sync:Repl_meta.sync_mode -> ?config:config ->
-  ?faults:Storage.Fault.spec -> ?crash_after:int ->
-  ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t -> string -> t
+  ?replicas:int -> ?sync:Repl_meta.sync_mode -> ?faults:Storage.Fault.spec ->
+  ?crash_after:int -> ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t ->
+  string -> t
 (** Open (creating if needed) the group rooted at [base].  [replicas]
     defaults to what the group descriptor (or the [base.rK] file
     family) says; raises [Invalid_argument] when neither names any.

@@ -217,9 +217,6 @@ let report_file path =
   if Sys.file_exists path then scan_report (Support.Io.read_file path)
   else { records = []; clean_bytes = 0; total_bytes = 0; resync = None }
 
-let fold_file path ~init ~f =
-  List.fold_left f init (report_file path).records
-
 (* --- the log file ------------------------------------------------------- *)
 
 type metrics = {

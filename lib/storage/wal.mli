@@ -151,10 +151,6 @@ val report_file : string -> report
     log owned by a crashed (or even live) process.  A missing file
     yields the empty report. *)
 
-val fold_file : string -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Fold over the valid prefix of a log file without ever holding a
-    writable descriptor (the offline verifier's iteration API). *)
-
 val frame_of_record : record -> string
 (** The exact on-disk frame (exposed for tests and the offline
     termination protocol, which appends decided commits to a shard log

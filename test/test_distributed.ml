@@ -256,6 +256,56 @@ let test_one_phase_commit () =
     (List.length (CL.read_file (C.coord_path base)));
   cleanup base 2
 
+(* Items hash over the shard count: a count that disagrees with the
+   files on disk is refused, with no file touched, once a shard holds
+   committed data.  A crash while creating a family leaves fewer shard
+   files, all empty, and the next open with the intended count
+   completes it. *)
+let test_shard_count_mismatch () =
+  let base = fresh_base () in
+  let coord = C.open_dist ~shards:2 base in
+  let txn = C.begin_txn coord in
+  C.write coord ~txn (item_on ~shards:2 0) 1;
+  (match C.commit coord ~txn with
+  | C.Committed -> ()
+  | C.Aborted why -> Alcotest.failf "aborted: %s" why);
+  C.close coord;
+  let files =
+    C.coord_path base
+    :: List.concat_map
+         (fun k -> [ C.shard_path base k; E.wal_path (C.shard_path base k) ])
+         [ 0; 1; 2 ]
+  in
+  let snapshot () =
+    List.map
+      (fun p ->
+        if Sys.file_exists p then Some (Support.Io.read_file p) else None)
+      files
+  in
+  let before = snapshot () in
+  List.iter
+    (fun n ->
+      match C.open_dist ~shards:n base with
+      | exception Invalid_argument _ -> ()
+      | c ->
+          C.close c;
+          Alcotest.failf "a 2-shard family opened with %d shards" n)
+    [ 1; 3 ];
+  Alcotest.(check bool) "no file changed" true (before = snapshot ());
+  cleanup base 3;
+  let base = fresh_base () in
+  (match C.open_dist ~shards:2 ~crash_after:0 base with
+  | exception F.Crash _ -> ()
+  | c ->
+      C.close c;
+      Alcotest.fail "no crash at the first durable I/O");
+  Alcotest.(check int) "one empty shard file" 1 (C.discover base);
+  let coord = C.open_dist ~shards:2 base in
+  Alcotest.(check int) "family completed" 2 (C.shard_count coord);
+  C.close coord;
+  Alcotest.(check int) "both shard files" 2 (C.discover base);
+  cleanup base 2
+
 let test_lost_prepare_aborts () =
   let base = fresh_base () in
   let spec = F.spec_of_string "drop@prepare=1,seed=4" in
@@ -620,6 +670,7 @@ let suite =
     ("net: partition may process", `Quick, test_net_partition_may_process);
     ("2pc: two-shard commit", `Quick, test_two_shard_commit);
     ("2pc: single shard commits one-phase", `Quick, test_one_phase_commit);
+    ("2pc: shard count must match the files", `Quick, test_shard_count_mismatch);
     ("2pc: lost prepares decide abort", `Quick, test_lost_prepare_aborts);
     ("2pc: voluntary abort rolls back", `Quick, test_voluntary_abort);
     ( "2pc: stranded commit resolved at restart",
