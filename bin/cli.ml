@@ -151,11 +151,16 @@ let sharded_hint path n =
      transactions and repair the shards"
     path n
 
+(* [db failover] needs a group descriptor or replica files; a crash
+   before either was written leaves only the rerun *)
 let replicated_hint path n =
-  Printf.sprintf
-    "run 'dbmeta db exec --replicas=%d %s' again to heal, or 'dbmeta db \
-     failover %s' to promote a replica"
-    n path path
+  let rerun =
+    Printf.sprintf "run 'dbmeta db exec --replicas=%d %s' again to heal" n path
+  in
+  if Replication.Repl_meta.discover path >= 2 then
+    Printf.sprintf "%s, or 'dbmeta db failover %s' to promote a replica" rerun
+      path
+  else rerun
 
 let engine_degraded eng =
   Printf.sprintf
@@ -193,3 +198,55 @@ let with_db ?(create = false) ?crash_after ?faults ?metrics ?trace_file path
           print_endline (engine_degraded eng);
           1
       | code -> code)
+
+(* --- inspecting a replication node ------------------------------------------ *)
+
+(* Would restart on this log write?  Not when the log is clean to its
+   end and idle (empty, or ending in a checkpoint with no loser open):
+   the open then writes nothing. *)
+let restart_idle (r : Storage.Wal.report) =
+  r.Storage.Wal.clean_bytes = r.Storage.Wal.total_bytes
+  && (Storage.Recovery.analyze r.Storage.Wal.records).Storage.Recovery.idle
+
+(* The group base and node id of a replication node's file: node 0 is
+   the base itself, node K > 0 lives at BASE.rK. *)
+let node_of path =
+  let module M = Replication.Repl_meta in
+  let base = Filename.remove_extension path in
+  match Scanf.sscanf_opt (Filename.extension path) ".r%u%!" Fun.id with
+  | Some k
+    when k > 0
+         && M.node_path base k = path
+         && not (Sys.file_exists (M.group_path path)) ->
+      (base, k)
+  | _ -> (path, 0)
+
+(* An inspecting command (db status|get|query|index list, lint plan)
+   must leave a replication node's files as they are: a replica whose
+   log gained a byte of its own no longer matches its primary's.  A
+   clean open writes nothing; a node whose restart has work, such as a
+   replica a crash left mid-stream, is refused before it is opened.
+   [report] is the node's log scan when the caller already holds it. *)
+let inspect_db ?report ?metrics ?trace_file path f =
+  let module M = Replication.Repl_meta in
+  (if Sys.file_exists (M.epoch_path path) then
+     let base, k = node_of path in
+     let primary =
+       match M.load_group base with Some g -> g.M.primary | None -> 0
+     in
+     let report =
+       match report with
+       | Some r -> r
+       | None -> Storage.Wal.report_file (Storage.Engine.wal_path path)
+     in
+     if k <> primary && not (restart_idle report) then
+       invalid_arg
+         (Printf.sprintf
+            "%s is replica node %d of the group at %s, and opening it would \
+             run restart recovery, which writes to it; heal the group with \
+             'dbmeta db exec --replicas=%d %s' or promote a node with \
+             'dbmeta db failover %s' first"
+            path k base
+            (max 1 (M.discover base - 1))
+            base base));
+  with_db ?metrics ?trace_file path f

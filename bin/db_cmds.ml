@@ -94,7 +94,7 @@ let db_load_run path tables crash_after faults metrics trace_file =
 let db_query_run path text no_plan no_optimize no_semantic optimize certify
     explain metrics trace_file =
   input_error_to_exit @@ fun () ->
-  with_db ?metrics ?trace_file path (fun eng ->
+  inspect_db ?metrics ?trace_file path (fun eng ->
       let expr = Relational.Query_parser.parse text in
       if no_plan then eval_logical (Storage.Engine.database eng) expr ~optimize
       else begin
@@ -190,7 +190,7 @@ let db_set_run path assignments abort crash_after faults trace_file =
 
 let db_get_run path items trace_file =
   input_error_to_exit @@ fun () ->
-  with_db ?trace_file path (fun eng ->
+  inspect_db ?trace_file path (fun eng ->
       (match items with
       | [] ->
           List.iter
@@ -207,7 +207,7 @@ let db_status_run path trace_file =
   input_error_to_exit @@ fun () ->
   (* the raw log, inspected before recovery rewrites it *)
   let raw = Storage.Wal.report_file (Storage.Engine.wal_path path) in
-  with_db ?trace_file path (fun eng ->
+  inspect_db ~report:raw ?trace_file path (fun eng ->
       let pager = Storage.Engine.pager eng in
       Printf.printf "file: %s (format v1, %d pages of %d bytes)\n" path
         (Storage.Pager.page_count pager)
@@ -443,21 +443,22 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
   (match faults with
   | Some s -> Printf.printf "faults: %s\n" (Storage.Fault.spec_to_string s)
   | None -> ());
+  (* the hint is worded from the files the crash left *)
   let hint, open_target =
     match (shards, replicas) with
     | Some _, Some _ ->
         invalid_arg "--shards and --replicas are mutually exclusive"
     | Some n, None ->
         let n = positive "--shards" n in
-        (sharded_hint path n, dist_target path n)
+        ((fun () -> sharded_hint path n), dist_target path n)
     | None, Some n ->
         let n = positive "--replicas" n in
-        (replicated_hint path n, repl_target path n sync_mode)
-    | None, None -> (local_hint path, local_target path)
+        ((fun () -> replicated_hint path n), repl_target path n sync_mode)
+    | None, None -> ((fun () -> local_hint path), local_target path)
   in
   observed ?metrics ?trace_file @@ fun metrics trace ->
   match open_target ?faults ?crash_after ~metrics ~trace () with
-  | exception Storage.Fault.Crash at -> crashed hint at
+  | exception Storage.Fault.Crash at -> crashed (hint ()) at
   | t ->
       let module X = Storage.Executor in
       let config = { X.default_config with seed; lock_timeout = timeout } in
@@ -479,7 +480,7 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
       let code =
         match stats.X.crashed with
         | Some { Storage.Fault.site; io_index } ->
-            crashed hint (Printf.sprintf "%s (io %d)" site io_index)
+            crashed (hint ()) (Printf.sprintf "%s (io %d)" site io_index)
         | None ->
             if stats.X.degraded then begin
               print_endline (t.degraded ());
@@ -650,7 +651,7 @@ let db_index_cmd =
   in
   let list_run path trace_file =
     input_error_to_exit @@ fun () ->
-    with_db ?trace_file path (fun eng ->
+    inspect_db ?trace_file path (fun eng ->
         (match Planner.Indexes.defs (Planner.Indexes.load eng) with
         | [] -> print_endline "no indexes"
         | defs ->

@@ -162,7 +162,7 @@ let lint_query_cmd =
    artifact keeps the subcommand simple. *)
 let lint_plan_run path text no_optimize format trace_file =
   input_error_to_exit @@ fun () ->
-  with_db ?trace_file path (fun eng ->
+  inspect_db ?trace_file path (fun eng ->
       let expr = Relational.Query_parser.parse text in
       let config =
         { Planner.Plan.default_config with optimize = not no_optimize }

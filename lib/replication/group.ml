@@ -466,6 +466,21 @@ let failover t =
             | Some r -> Hashtbl.replace t.acked k (verify_prefix t r ~durable)
             | None -> ())
         (replica_ids t);
+      (* a replica already level with the winner gets nothing from the
+         catch-up (an idle open of the winner logs nothing), so it would
+         keep the old epoch and accept a late ship from the deposed
+         primary: an empty chunk at its end carries the new epoch *)
+      List.iter
+        (fun k ->
+          match (Hashtbl.find_opt t.replicas k, Hashtbl.find_opt t.acked k) with
+          | Some r, Some at when at >= durable ->
+              ignore
+                (exchange t ~reliable:true
+                   ~site:(Printf.sprintf "ship replica %d" k)
+                   (fun () -> Replica.receive r ~epoch:epoch' ~start:at ~chunk:"")
+                  : (Replica.receipt, bool) result)
+          | _ -> ())
+        (replica_ids t);
       winner)
 
 (* --- accessors ------------------------------------------------------ *)

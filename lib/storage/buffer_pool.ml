@@ -195,3 +195,4 @@ let drop_clean t =
   Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames)
 
 let resident t = Hashtbl.length t.frames
+let has_dirty t = Seq.exists (fun f -> f.dirty) (Hashtbl.to_seq_values t.frames)

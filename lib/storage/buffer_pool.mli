@@ -84,5 +84,8 @@ val capacity : t -> int
 val resident : t -> int
 (** Frames currently cached (= the [pool.resident] gauge). *)
 
+val has_dirty : t -> bool
+(** Whether some resident frame holds changes not yet written back. *)
+
 val pager : t -> Pager.t
 (** The underlying pager. *)

@@ -13,6 +13,19 @@
    log; a database file abandoned mid-flight (or killed by Fault
    injection) is repaired to exactly the committed transactions' writes.
 
+   A clean open and close write nothing.  Checkpoints run:
+     after restart, unless restart was idle — the log ends in a
+       Checkpoint, no loser is open, and the open repaired nothing.  A
+       checkpoint flushes and syncs every page before its record is
+       logged, so such a log already says everything redo needs;
+     at [save_table] and [checkpoint];
+     at [close], when no transaction is active and something changed
+       since the last checkpoint: a record was logged or a pool frame
+       is dirty.  The pager then writes its header back only when that
+       checkpoint moved it.
+   The open reads the item chain's page LSNs (the quarantine check
+   below) but builds the item directory only on the first item access.
+
    Robustness (the fault taxonomy, see Fault):
      quarantine-and-repair — a CRC-corrupt item-store page (torn write,
        bit flip) is abandoned, not fatal: the item plane is rebuilt by
@@ -58,7 +71,7 @@ type t = {
   pager : Pager.t;
   pool : Buffer_pool.t;
   wal : Wal.t;
-  mutable items : Heap.Items.t;
+  mutable items : Heap.Items.t option;  (* the directory, built on first use *)
   fault : Fault.t;
   metrics : Obs.Registry.t;
   emetrics : emetrics;
@@ -74,6 +87,9 @@ type t = {
   mutable degraded_reason : string option;
   mutable repairs : int;
   mutable last_repair : repair option;
+  mutable checkpoint_end : int;
+      (* Wal.next_lsn when the last checkpoint ended: no record has been
+         logged since while the two are equal *)
 }
 
 exception Locked of string * int
@@ -97,14 +113,17 @@ let check_writable t =
 
 let checkpoint_now t =
   Obs.Trace.with_span t.trace "engine.checkpoint" (fun () ->
-      (* order is the whole point: pages first, checkpoint record after,
-         so redo may really start at the checkpoint *)
+      (* order is the whole point: pages written and synced first, the
+         checkpoint record after, so a durable record vouches for the
+         pages — redo may really start at it, and an open whose log ends
+         in it has nothing to write *)
       Wal.flush t.wal;
       Buffer_pool.flush_all t.pool;
+      Pager.sync t.pager;
       ignore (Wal.append t.wal Wal.Checkpoint : int);
       Wal.flush t.wal;
       Pager.set_flushed_lsn t.pager (Wal.durable_lsn t.wal);
-      Pager.sync t.pager)
+      t.checkpoint_end <- Wal.next_lsn t.wal)
 
 let checkpoint t =
   if Hashtbl.length t.active > 0 then raise Active_transactions;
@@ -133,6 +152,14 @@ let replay_items pool entries =
     entries;
   (items, !replayed)
 
+let dir t =
+  match t.items with
+  | Some items -> items
+  | None ->
+      let items = Heap.Items.load t.pool in
+      t.items <- Some items;
+      items
+
 let note_repair t ~quarantined ~replayed =
   Pager.forget_corrupt t.pager;
   t.repairs <- t.repairs + 1;
@@ -150,7 +177,7 @@ let repair_now t =
       let entries = Wal.read_entries (Wal.path t.wal) in
       Pager.set_items_root t.pager 0;
       let items, replayed = replay_items t.pool entries in
-      t.items <- items;
+      t.items <- Some items;
       note_repair t ~quarantined ~replayed)
 
 (* Run an item-plane access, repairing once on a CRC failure. *)
@@ -187,7 +214,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
     else Pager.open_file ~fault ~metrics path
   in
   (* the recovery span, when there is a log to recover, starts with the
-     log walk, so it also covers the item-store load and any open-time
+     log walk, so it also covers the item-chain LSN check and any open-time
      repair below *)
   let walk_start = Obs.Trace.now trace in
   let tally = Recovery.tally () in
@@ -204,27 +231,31 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
   Buffer_pool.set_wal_barrier pool (fun lsn -> Wal.flush_to wal lsn);
   let items, first_repair =
     try
-      let loaded =
-        match Heap.Items.load pool with
-        | items ->
-            (* pages newer than the surviving log betray a lost suffix *)
+      (* pages newer than the surviving log betray a lost suffix.  The
+         page LSNs come from the headers of the item chain's pages, each
+         read (and CRC-checked) through the pool; no record is decoded *)
+      let quarantine =
+        match Heap.chain_lsns pool ~first:(Pager.items_root pager) with
+        | lsns -> (
             let horizon = Wal.durable_lsn wal in
-            let future =
+            match
               List.filter_map
-                (fun (page, lsn) -> if lsn >= horizon && lsn > 0 then Some page else None)
-                (Heap.Items.page_lsns items)
-            in
-            if future = [] then Ok items else Error future
-        | exception Pager.Corrupt _ -> Error (Pager.corrupt_pages pager)
+                (fun (page, lsn) ->
+                  if lsn >= horizon && lsn > 0 then Some page else None)
+                lsns
+            with
+            | [] -> None
+            | future -> Some future)
+        | exception Pager.Corrupt _ -> Some (Pager.corrupt_pages pager)
       in
-      match loaded with
-      | Ok items -> (items, None)
-      | Error quarantined ->
+      match quarantine with
+      | None -> (None, None)
+      | Some quarantined ->
           Pager.set_items_root pager 0;
           let items, replayed =
             replay_items pool (Wal.entries_from image 0)
           in
-          (items, Some { quarantined; replayed })
+          (Some items, Some { quarantined; replayed })
     with e ->
       Wal.abandon wal;
       Pager.abandon pager;
@@ -249,6 +280,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       degraded_reason = None;
       repairs = 0;
       last_repair = None;
+      checkpoint_end = Wal.next_lsn wal;
     }
   in
   (match first_repair with
@@ -264,8 +296,8 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
        let rec run_recovery tries =
          try
            Recovery.restart ~image analysis
-             ~read:(fun item -> Heap.Items.get t.items item)
-             ~write:(fun ~lsn item v -> Heap.Items.set t.items ~lsn item v)
+             ~read:(fun item -> Heap.Items.get (dir t) item)
+             ~write:(fun ~lsn item v -> Heap.Items.set (dir t) ~lsn item v)
              ~log:(fun r -> Wal.append t.wal r)
          with Pager.Corrupt _ when tries < 2 ->
            (* a page corrupted by recovery's own (faulty) page writes:
@@ -277,7 +309,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
            let items, replayed =
              replay_items t.pool (Wal.entries_from image 0)
            in
-           t.items <- items;
+           t.items <- Some items;
            note_repair t ~quarantined ~replayed;
            run_recovery (tries + 1)
        in
@@ -286,13 +318,17 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
            (fun () -> run_recovery 0)
        in
        t.last_recovery <- Some outcome;
-       (* the post-recovery checkpoint is an optimization: if the WAL (or
-          pager) reports persistent EIO, skip it — the log on disk still
-          covers everything, the appended undo records stay pending for
-          the next flush, and a WAL that keeps failing degrades the
-          engine to read-only at the first commit instead of making the
-          database unopenable *)
-       try checkpoint_now t with Fault.Io_error _ -> ()
+       (* an idle restart (the log ends in a checkpoint, no loser, no
+          repair) redid and undid nothing, and that checkpoint already
+          flushed and synced every page: a new one would only repeat it.
+          Otherwise the post-recovery checkpoint is an optimization: if
+          the WAL (or pager) reports persistent EIO, skip it — the log
+          on disk still covers everything, the appended undo records
+          stay pending for the next flush, and a WAL that keeps failing
+          degrades the engine to read-only at the first commit instead
+          of making the database unopenable *)
+       if not (analysis.Recovery.idle && t.repairs = 0) then
+         try checkpoint_now t with Fault.Io_error _ -> ()
      end
    with e ->
      (* a crash injected into recovery itself: release the descriptors so
@@ -306,13 +342,18 @@ let crash t =
   Wal.abandon t.wal;
   Pager.abandon t.pager
 
+(* Something a close must checkpoint: a record logged, or a page
+   changed, since the last checkpoint. *)
+let changed t =
+  Wal.next_lsn t.wal <> t.checkpoint_end || Buffer_pool.has_dirty t.pool
+
 let close t =
   if t.read_only then
     (* degraded: the WAL cannot be made durable, so a checkpoint or even
        a final flush would lie — abandon, exactly as a crash would *)
     crash t
   else begin
-    (try if Hashtbl.length t.active = 0 then checkpoint_now t
+    (try if Hashtbl.length t.active = 0 && changed t then checkpoint_now t
      with Fault.Io_error site -> degrade t site);
     if t.read_only then crash t
     else begin
@@ -348,7 +389,7 @@ let begin_txn ?id t =
 
 let lock_holder t item = Hashtbl.find_opt t.locks item
 
-let read t item = with_repair t (fun () -> Heap.Items.get t.items item)
+let read t item = with_repair t (fun () -> Heap.Items.get (dir t) item)
 
 let write t ~txn item value =
   check_writable t;
@@ -360,12 +401,12 @@ let write t ~txn item value =
   (match Hashtbl.find_opt t.locks item with
   | Some holder when holder <> txn -> raise (Locked (item, holder))
   | _ -> Hashtbl.replace t.locks item txn);
-  let before = with_repair t (fun () -> Heap.Items.get t.items item) in
+  let before = with_repair t (fun () -> Heap.Items.get (dir t) item) in
   let lsn =
     Wal.append t.wal
       (Wal.Write { txn; item; before; after = value; compensation = false })
   in
-  (match with_repair t (fun () -> Heap.Items.set t.items ~lsn item value) with
+  (match with_repair t (fun () -> Heap.Items.set (dir t) ~lsn item value) with
   | (_ : bool) -> ()
   | exception Fault.Io_error site ->
       (* the steal barrier could not flush the log: durability is gone *)
@@ -437,13 +478,13 @@ let abort t ~txn =
       try
         List.iter
           (fun (item, before) ->
-            let current = with_repair t (fun () -> Heap.Items.get t.items item) in
+            let current = with_repair t (fun () -> Heap.Items.get (dir t) item) in
             let lsn =
               Wal.append t.wal
                 (Wal.Write
                    { txn; item; before = current; after = before; compensation = true })
             in
-            ignore (with_repair t (fun () -> Heap.Items.set t.items ~lsn item before) : bool))
+            ignore (with_repair t (fun () -> Heap.Items.set (dir t) ~lsn item before) : bool))
           !writes;
         ignore (Wal.append t.wal (Wal.Abort txn) : int);
         Wal.flush t.wal
@@ -453,8 +494,8 @@ let abort t ~txn =
   Hashtbl.remove t.prepared txn;
   Obs.Registry.Counter.incr t.emetrics.m_aborts
 
-let items t = with_repair t (fun () -> Heap.Items.all t.items)
-let item_count t = Heap.Items.count t.items
+let items t = with_repair t (fun () -> Heap.Items.all (dir t))
+let item_count t = with_repair t (fun () -> Heap.Items.count (dir t))
 let active_txns t = Hashtbl.fold (fun k _ acc -> k :: acc) t.active [] |> List.sort Int.compare
 
 (* --- tables --------------------------------------------------------------- *)

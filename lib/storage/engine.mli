@@ -11,6 +11,11 @@
     reopened store holds exactly the committed transactions' writes in
     log order.
 
+    A clean open and close write nothing: no log record, no fsync, no
+    page and no header.  Checkpoints run after a restart that had work
+    ({!open_db}), at {!save_table} and {!checkpoint}, and at {!close}
+    when something changed since the last one.
+
     Fault tolerance (see {!Fault} for the taxonomy): CRC-corrupt
     item-store pages are {e quarantined and repaired} by replaying the
     full WAL (which is never truncated), transient I/O errors are
@@ -70,22 +75,35 @@ val open_db :
     the item plane rebuilt, before recovery runs, by replaying the
     whole surviving log as the walk read it; a page corrupted by
     recovery's own writes is rebuilt the same way, from that image and
-    not from the file, which recovery may have extended.
+    not from the file, which recovery may have extended.  The open
+    checks the item pages by reading their header LSNs through the
+    pool; the item directory is built on the first item access
+    ({!read}, {!write}, {!abort}, {!items}, {!item_count}, or a restart
+    with work).
+
+    After restart the open checkpoints, unless restart was idle: the
+    log ends in a checkpoint, no loser is open ({!Recovery.analysis}'s
+    [idle]), and the open repaired nothing.  That checkpoint already
+    flushed and synced every page before its record was logged, so an
+    idle open writes nothing (the torn-tail truncation aside).
 
     [metrics] is threaded into every layer (pager, pool, WAL, fault
     injector) and receives the engine's own [engine.*] instruments;
     [trace] records [engine.recovery] (when the log holds a record,
     from the walk through the last undo, so it also covers the
-    item-store load and any open-time quarantine repair between the
+    item-chain LSN check and any open-time quarantine repair between the
     walk and redo)/[engine.checkpoint]/
     [engine.commit]/[engine.abort]/[engine.repair] and [wal.flush]
     spans.  Both default to the shared no-ops, costing only integer
     increments on the hot paths. *)
 
 val close : t -> unit
-(** Clean shutdown: checkpoint (when quiescent) and close.  A degraded
-    (read-only) engine abandons instead — its pending WAL bytes cannot
-    be made durable, and restart recovery repairs from the log. *)
+(** Clean shutdown: checkpoint when no transaction is active and
+    something changed since the last checkpoint (a record was logged or
+    a pool frame is dirty), then close.  A close after an idle open
+    that changed nothing writes nothing.  A degraded (read-only) engine
+    abandons instead — its pending WAL bytes cannot be made durable,
+    and restart recovery repairs from the log. *)
 
 val crash : t -> unit
 (** Abandon without flushing anything — simulates the process dying.
@@ -128,8 +146,9 @@ val abort : t -> txn:int -> unit
     records, then appends Abort. *)
 
 val checkpoint : t -> unit
-(** Quiescent checkpoint: flush all pages, then log Checkpoint.  Raises
-    {!Active_transactions} when transactions are running. *)
+(** Quiescent checkpoint: write and sync all dirty pages, then log and
+    flush Checkpoint.  Raises {!Active_transactions} when transactions
+    are running. *)
 
 val lock_holder : t -> string -> int option
 (** Which transaction write-locks the item, if any. *)

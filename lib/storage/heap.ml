@@ -45,6 +45,16 @@ let chain_pages pool ~first =
   done;
   !n
 
+let chain_lsns pool ~first =
+  let out = ref [] and id = ref first in
+  while !id <> 0 do
+    id :=
+      Buffer_pool.with_page pool !id (fun page ->
+          out := (!id, Page.lsn page) :: !out;
+          Page.next page)
+  done;
+  List.rev !out
+
 (* A page chain with a remembered tail, so appends are O(1) in chain
    length.  [on_first] persists the root of a chain created lazily (e.g.
    into the pager header or the catalog). *)
@@ -131,7 +141,7 @@ module Items = struct
 
   type t = {
     pool : Buffer_pool.t;
-    dir : (string, loc) Hashtbl.t;  (* item -> location, built at open *)
+    dir : (string, loc) Hashtbl.t;  (* item -> location, built by [load] *)
     chain : Chain.t;
   }
 
@@ -202,22 +212,6 @@ module Items = struct
            match get t item with 0 -> None | v -> Some (item, v))
 
   let count t = Hashtbl.length t.dir
-
-  (* (page id, page LSN) down the chain — the engine compares these
-     against the surviving log's end to spot stolen pages whose log
-     records were lost (a corrupted WAL frame truncates the scan). *)
-  let page_lsns t =
-    let out = ref [] in
-    let id = ref t.chain.Chain.first in
-    while !id <> 0 do
-      let next =
-        Buffer_pool.with_page t.pool !id (fun p ->
-            out := (!id, Page.lsn p) :: !out;
-            Page.next p)
-      in
-      id := next
-    done;
-    List.rev !out
 end
 
 (* --- relations ----------------------------------------------------------- *)

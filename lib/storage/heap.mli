@@ -39,15 +39,24 @@ val chain_pages : Buffer_pool.t -> first:int -> int
     model takes it from statistics and walks the chain only for a table
     that has none. *)
 
+val chain_lsns : Buffer_pool.t -> first:int -> (int * int) list
+(** (page id, page LSN) down the chain rooted at [first], in chain
+    order, read from the page headers: each page is fetched through the
+    pool, so CRC-checked ({!Pager.Corrupt} on a failure), but no record
+    is decoded.  The engine's open compares the item chain's LSNs
+    against the surviving log's end to spot stolen pages whose log
+    records were lost. *)
+
 (** The item store: a string-keyed map to int values (absent reads 0),
-    with an in-memory directory built at open and in-place updates whose
-    page-LSN discipline implements the ARIES redo test. *)
+    with an in-memory directory built by {!load} and in-place updates
+    whose page-LSN discipline implements the ARIES redo test. *)
 module Items : sig
   type t
 
   val load : Buffer_pool.t -> t
   (** Scan the item chain (root in the pager header) and build the
-      directory. *)
+      directory.  The engine calls it on the first item access, not at
+      open. *)
 
   val get : t -> string -> int
 
@@ -61,11 +70,6 @@ module Items : sig
       absent item yields 0, matching {!Transactions.Recovery.read}). *)
 
   val count : t -> int
-
-  val page_lsns : t -> (int * int) list
-  (** (page id, page LSN) down the item chain, in chain order — the
-      engine compares these against the surviving log's end to spot
-      stolen pages whose log records were lost. *)
 end
 
 type fences = { root : int; count : int }

@@ -63,6 +63,7 @@ type t = {
   fault : Fault.t;
   header : Bytes.t;
   metrics : metrics;
+  mutable header_dirty : bool;  (* flushed LSN moved since the last write *)
   mutable writes : int;
   mutable reads : int;
   mutable retried : int;  (* transient-EIO retries that eventually won *)
@@ -103,6 +104,7 @@ let write_header t =
   Fault.io t.fault ~at:"header write" ~on_crash:(fun () -> ());
   Page.seal t.header;
   really_pwrite t.fd ~off:0 t.header Page.size;
+  t.header_dirty <- false;
   t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
@@ -114,7 +116,11 @@ let set_items_root t n =
   Bytes.set_int32_le t.header 22 (Int32.of_int n);
   write_header t
 
-let set_flushed_lsn t l = Bytes.set_int64_le t.header 26 (Int64.of_int l)
+let set_flushed_lsn t l =
+  if l <> flushed_lsn t then begin
+    Bytes.set_int64_le t.header 26 (Int64.of_int l);
+    t.header_dirty <- true
+  end
 
 (* --- open / create ----------------------------------------------------- *)
 
@@ -125,6 +131,7 @@ let make path fd fault metrics header =
     fault;
     header;
     metrics;
+    header_dirty = false;
     writes = 0;
     reads = 0;
     retried = 0;
@@ -167,8 +174,10 @@ let open_file ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop) path =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
 
+(* a clean open and close writes nothing: the header goes back only when
+   a checkpoint moved its flushed LSN since it was last written *)
 let close t =
-  write_header t;
+  if t.header_dirty then write_header t;
   Unix.close t.fd
 
 let abandon t = try Unix.close t.fd with Unix.Unix_error _ -> ()

@@ -26,7 +26,8 @@ val open_file : ?fault:Fault.t -> ?metrics:Obs.Registry.t -> string -> t
     [metrics] as for {!create}. *)
 
 val close : t -> unit
-(** Writes the header back and closes the descriptor. *)
+(** Writes the header back when it changed since it was last written
+    (a checkpoint moved {!flushed_lsn}), then closes the descriptor. *)
 
 val abandon : t -> unit
 (** Close the descriptor without writing anything — the file is left

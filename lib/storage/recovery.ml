@@ -12,7 +12,11 @@
 
    Analysis covers the whole log, but builds no record: at open it is
    fed frame by frame from the Wal's one validating walk, reading only
-   each frame's kind and transaction id into int lists.  Records are
+   each frame's kind and transaction id into int lists.  The engine
+   allocates ids in ascending order, so those newest-first lists are
+   usually strictly descending and reverse into sorted ones; only a
+   list that is not (concurrent commits, ids given to [begin_txn ~id])
+   is sorted.  Records are
    decoded only from the restart point, the first LSN that redo or undo
    needs: the last checkpoint, moved back to the first record naming a
    loser when such a record precedes it.  A checkpoint flushes every
@@ -51,10 +55,12 @@ type analysis = {
   winners : int list;
   losers : int list;
   next_txn : int;
+  idle : bool;
 }
 
 type tally = {
   mutable last_checkpoint : int;  (* -1: none *)
+  mutable last_frame : int;  (* -1: none, like [last_checkpoint] *)
   mutable begun : int list;
   mutable commits : int list;
   mutable aborts : int list;
@@ -62,9 +68,17 @@ type tally = {
 }
 
 let tally () =
-  { last_checkpoint = -1; begun = []; commits = []; aborts = []; max_txn = 0 }
+  {
+    last_checkpoint = -1;
+    last_frame = -1;
+    begun = [];
+    commits = [];
+    aborts = [];
+    max_txn = 0;
+  }
 
 let note t lsn (kind : Wal.kind) txn =
+  t.last_frame <- lsn;
   (match kind with
   | `Checkpoint -> t.last_checkpoint <- lsn
   | `Begin -> t.begun <- txn :: t.begun
@@ -89,27 +103,34 @@ let diff a b =
   in
   go [] a b
 
+(* A newest-first list of ids that arrived in strictly ascending order
+   reverses into a sorted, duplicate-free one; any other is sorted. *)
+let sorted newest_first =
+  let rec descending = function
+    | x :: (y :: _ as rest) -> x > y && descending rest
+    | _ -> true
+  in
+  if descending newest_first then List.rev newest_first
+  else List.sort_uniq Int.compare newest_first
+
 let analysis t =
-  let sorted l = List.sort_uniq Int.compare l in
   let winners = sorted t.commits in
+  let losers = diff (diff (sorted t.begun) winners) (sorted t.aborts) in
   {
     checkpoint_lsn =
       (if t.last_checkpoint < 0 then None else Some t.last_checkpoint);
     winners;
-    losers = diff (diff (sorted t.begun) winners) (sorted t.aborts);
+    losers;
     next_txn = t.max_txn + 1;
+    idle = t.last_frame = t.last_checkpoint && losers = [];
   }
 
-let analysis_of_entries entries =
+let analyze entries =
   let t = tally () in
   List.iter
     (fun { Wal.lsn; record } -> note t lsn (Wal.kind_of record) (Wal.txn_of record))
     entries;
   analysis t
-
-let analyze entries =
-  let a = analysis_of_entries entries in
-  (a.checkpoint_lsn, a.winners, a.losers)
 
 (* Redo and undo over [entries], which must hold every record from the
    restart point on. *)
@@ -159,8 +180,7 @@ let replay (a : analysis) entries ~read ~write ~log =
     undone = !undone;
   }
 
-let run ~entries ~read ~write ~log =
-  replay (analysis_of_entries entries) entries ~read ~write ~log
+let run ~entries ~read ~write ~log = replay (analyze entries) entries ~read ~write ~log
 
 let restart_point image (a : analysis) =
   match a.checkpoint_lsn with
@@ -174,8 +194,19 @@ let restart_point image (a : analysis) =
 let restart ~image a ~read ~write ~log =
   replay a (Wal.entries_from image (restart_point image a)) ~read ~write ~log
 
+(* at most [max_ids] ids per list, so a long history stays one readable
+   line *)
+let max_ids = 16
+
 let outcome_to_string (o : outcome) =
-  let ids l = String.concat "," (List.map string_of_int l) in
+  let ids l =
+    let shown = List.filteri (fun i _ -> i < max_ids) l in
+    String.concat "," (List.map string_of_int shown)
+    ^
+    match List.length l - max_ids with
+    | more when more > 0 -> Printf.sprintf ",\u{2026}+%d more" more
+    | _ -> ""
+  in
   Printf.sprintf
     "checkpoint=%s winners=[%s] losers=[%s] redo=%d skipped=%d undone=%d"
     (match o.checkpoint_lsn with None -> "none" | Some l -> string_of_int l)

@@ -6,7 +6,8 @@
     restart point.  At open, analysis is fed frame by frame from the
     log's one validating walk ({!Wal.open_log}'s [on_frame], via
     {!tally}/{!note}) and reads only each frame's kind and transaction
-    id.  {!restart} then decodes from the restart point: the last
+    id; ids that arrive in ascending order need no sort.  {!restart}
+    then decodes from the restart point: the last
     checkpoint, or LSN 0 without one, moved back to the first record
     naming a loser when that record precedes the checkpoint (a
     checkpoint taken by [Engine.save_table] may have active
@@ -37,6 +38,11 @@ type analysis = {
   winners : int list;  (** committed, sorted *)
   losers : int list;  (** begun, neither committed nor aborted, sorted *)
   next_txn : int;  (** one past the largest transaction id named *)
+  idle : bool;
+      (** restart has nothing to redo or undo: the log is empty or its
+          last frame is a checkpoint, and no loser is open.  The engine
+          then skips the post-recovery checkpoint, so an open writes
+          nothing. *)
 }
 
 type tally
@@ -50,10 +56,14 @@ val note : tally -> int -> Wal.kind -> int -> unit
     {!Wal.open_log}'s [on_frame]. *)
 
 val analysis : tally -> analysis
-(** Finish: sort the lists and take the losers as a sorted difference. *)
+(** Finish: order the lists and take the losers as a sorted difference.
+    A list whose ids arrived in strictly ascending order — the engine's
+    own allocation order — is reversed, not sorted; any other (ids out
+    of order or repeated) goes through [List.sort_uniq]. *)
 
-val analyze : Wal.entry list -> int option * int list * int list
-(** (last checkpoint LSN, winners, losers) of a decoded log. *)
+val analyze : Wal.entry list -> analysis
+(** The {!analysis} of a decoded log, as if its frames were {!note}d in
+    order. *)
 
 val run :
   entries:Wal.entry list ->
@@ -81,4 +91,5 @@ val restart :
     the log that runs only when there are losers. *)
 
 val outcome_to_string : outcome -> string
-(** The one-line rendering [db status] and [db recover] print. *)
+(** The one-line rendering [db status] and [db recover] print.  Each id
+    list shows at most 16 ids, then […+N more]. *)

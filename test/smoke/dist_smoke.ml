@@ -1,9 +1,10 @@
 (* Fast distributed fault-matrix smoke for @check: a reduced sweep of
    shard counts x {message drops, message delays, coordinator crashes}
-   over a 2PC workload, each cell checked three ways — the distributed
-   model check, every shard WAL through the offline WAL verifier, and
-   the survivor logs through the commit lint.  A reduced version of the
-   exhaustive crash matrix in test/test_distributed.ml. *)
+   over a 2PC workload, each cell checked four ways — the distributed
+   model check, every shard WAL through the offline WAL verifier, the
+   survivor logs through the commit lint, and one more open and close
+   of every recovered shard, which must change no byte.  A reduced
+   version of the exhaustive crash matrix in test/test_distributed.ml. *)
 
 module C = Distributed.Coordinator
 module E = Storage.Engine
@@ -51,6 +52,27 @@ let workload ~seed =
 
 let errors diags = List.filter (fun d -> d.D.severity = D.Error) diags
 
+(* The model check's reopen has recovered every shard; one more open
+   and close of each shard engine finds an idle restart and must not
+   change a byte of any file in the family. *)
+let check_clean_reopen ~what base shards =
+  let paths =
+    C.coord_path base
+    :: List.concat
+         (List.init shards (fun k ->
+              [ C.shard_path base k; E.wal_path (C.shard_path base k) ]))
+  in
+  let files () =
+    List.map
+      (fun p -> if Sys.file_exists p then Some (Support.Io.read_file p) else None)
+      paths
+  in
+  let before = files () in
+  for k = 0 to shards - 1 do
+    E.close (E.open_db (C.shard_path base k))
+  done;
+  if files () <> before then fail "%s: a clean reopen changed the files" what
+
 let run_cell ~what ~shards ~spec ~seed =
   let base = fresh_base () in
   (match C.open_dist ~shards ~faults:(F.spec_of_string spec) base with
@@ -83,6 +105,9 @@ let run_cell ~what ~shards ~spec ~seed =
       in
       fail "%s (shards %d spec %S seed %d): diverged\n  expected: %s\n  actual:   %s"
         what shards spec seed (show expected) (show actual));
+  check_clean_reopen
+    ~what:(Printf.sprintf "%s (shards %d spec %S seed %d)" what shards spec seed)
+    base shards;
   cleanup base shards
 
 let () =

@@ -2,8 +2,10 @@
    committed history, run a small interleaved workload under each fault
    kind (crash budget, torn writes, bit flips, transient EIO, and all of
    them at once) and insist the reopened database always equals the
-   Transactions.Recovery model's committed state.  A reduced version of the exhaustive sweeps in
-   test/test_executor.ml — seconds, not minutes. *)
+   Transactions.Recovery model's committed state, and that one more
+   open and close of the recovered file changes no byte.  A reduced
+   version of the exhaustive sweeps in test/test_executor.ml — seconds,
+   not minutes. *)
 
 module E = Storage.Engine
 module X = Storage.Executor
@@ -32,6 +34,14 @@ let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; E.wal_path path ]
+
+(* The model check's reopen has recovered the file; one more open and
+   close finds an idle restart and must not change a byte. *)
+let check_clean_reopen ~what path =
+  let files () = List.map Support.Io.read_file [ path; E.wal_path path ] in
+  let before = files () in
+  E.close (E.open_db path);
+  if files () <> before then fail "%s: a clean reopen changed the files" what
 
 let workload ~seed =
   let rng = Support.Rng.create seed in
@@ -78,6 +88,9 @@ let run_case ~what ~spec ~seed =
         what spec seed
         (String.concat ", " (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) expected))
         (String.concat ", " (List.map (fun (i, v) -> Printf.sprintf "%s=%d" i v) actual)));
+  check_clean_reopen
+    ~what:(Printf.sprintf "%s (faults %S seed %d)" what spec seed)
+    path;
   cleanup path
 
 let () =
@@ -125,6 +138,7 @@ let () =
   (match X.model_divergence ~path with
   | None -> ()
   | Some _ -> fail "deadlock retry: committed state diverged");
+  check_clean_reopen ~what:"deadlock retry" path;
   cleanup path;
   say "deadlock retry: ok";
   if !failures > 0 then exit 1;

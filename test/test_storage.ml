@@ -1091,13 +1091,21 @@ let test_crash_matrix () = crash_matrix ()
 
 (* A committed history over the matrix's items (ids the workload does
    not use), then two clean close/reopen cycles: the crashed run's open
-   and every reopen after it restart from a checkpoint deep in the log. *)
+   and every reopen after it restart from a checkpoint deep in the log.
+   Those reopens write nothing, so the crashed run's durable I/O is its
+   own: 210 filler items after each matrix item (a page holds about 200)
+   put the six on six item pages, and under the 2-frame pool the run
+   steals a dirty page (a WAL flush and a page write) whenever it moves
+   between them. *)
 let committed_history path =
   let eng = Storage.Engine.open_db ~pool_size:2 path in
   List.iteri
     (fun i (item, v) ->
       let txn = Storage.Engine.begin_txn ~id:(100 + i) eng in
       Storage.Engine.write eng ~txn item v;
+      for j = 1 to 210 do
+        Storage.Engine.write eng ~txn (Printf.sprintf "f%d.%03d" i j) j
+      done;
       Storage.Engine.commit eng ~txn)
     [ ("x", 1); ("y", 2); ("z", 3); ("w", 4); ("pad1", 5); ("pad2", 6) ];
   Storage.Engine.close eng;
@@ -1236,6 +1244,65 @@ let prop_recovered_log_lints_clean =
              (show_diags errors)
          else true))
 
+(* A clean open writes nothing: after one recovering open and close,
+   each open that inspects (items, the tables and their tuples) and
+   closes leaves the database and its log byte-identical, however the
+   workload before it ended. *)
+let prop_clean_reopen_changes_no_byte =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"a clean reopen changes no byte"
+       QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 60))
+       (fun (seed, crash_after) ->
+         let path = fresh_path () in
+         let eng = Storage.Engine.open_db ~pool_size:4 path in
+         Storage.Engine.save_table eng "t" (students ());
+         Storage.Engine.close eng;
+         let programs =
+           Transactions.Workload.generate (Support.Rng.create seed)
+             {
+               Transactions.Workload.txns = 4;
+               ops_per_txn = 5;
+               items = 6;
+               skew = 0.5;
+               write_ratio = 0.6;
+             }
+         in
+         (match Storage.Engine.open_db ~pool_size:4 ~crash_after path with
+         | eng ->
+             let config = { Storage.Executor.default_config with seed } in
+             let stats =
+               Storage.Executor.run ~config (Storage.Executor.engine eng) programs
+             in
+             if stats.Storage.Executor.crashed = None then (
+               try Storage.Engine.close eng
+               with Storage.Fault.Crash _ -> Storage.Engine.crash eng)
+         | exception Storage.Fault.Crash _ -> ());
+         (* the recovering open *)
+         Storage.Engine.close (Storage.Engine.open_db path);
+         let files () =
+           ( Support.Io.read_file path,
+             Support.Io.read_file (Storage.Engine.wal_path path) )
+         in
+         let before = files () in
+         let inspect () =
+           let eng = Storage.Engine.open_db path in
+           ignore (Storage.Engine.items eng : (string * int) list);
+           List.iter
+             (fun tb ->
+               ignore
+                 (Storage.Engine.load_table eng tb.Storage.Heap.name
+                   : Relational.Relation.t))
+             (Storage.Engine.tables eng);
+           Storage.Engine.close eng;
+           files () = before
+         in
+         let unchanged = List.for_all inspect [ (); (); () ] in
+         cleanup path;
+         if not unchanged then
+           QCheck2.Test.fail_reportf "seed %d, crash after %d: a clean reopen wrote"
+             seed crash_after
+         else true))
+
 (* tamper detection: CRC framing means no single-byte mutation of the
    durable prefix escapes the verifier *)
 let prop_mutated_byte_is_detected =
@@ -1342,10 +1409,10 @@ let test_recovery_analysis () =
               Storage.Wal.Commit 4;
             ]))
   in
-  let ckpt, winners, losers = Storage.Recovery.analyze entries in
-  Alcotest.(check bool) "found checkpoint" true (ckpt <> None);
-  Alcotest.(check (list int)) "winners" [ 1; 4 ] winners;
-  Alcotest.(check (list int)) "losers: begun, not ended" [ 2 ] losers
+  let a = Storage.Recovery.analyze entries in
+  Alcotest.(check bool) "found checkpoint" true (a.Storage.Recovery.checkpoint_lsn <> None);
+  Alcotest.(check (list int)) "winners" [ 1; 4 ] a.Storage.Recovery.winners;
+  Alcotest.(check (list int)) "losers: begun, not ended" [ 2 ] a.Storage.Recovery.losers
 
 (* The list-based analysis the hash-set version replaced, kept as the
    reference it must equal. *)
@@ -1398,7 +1465,119 @@ let prop_recovery_analysis_matches_reference =
                in
                { Storage.Wal.lsn = 16 * i; record })
          in
-         Storage.Recovery.analyze entries = analyze_reference entries))
+         let a = Storage.Recovery.analyze entries in
+         (a.Storage.Recovery.checkpoint_lsn, a.winners, a.losers)
+         = analyze_reference entries))
+
+(* Sort-free analysis: a tally list whose ids arrived in ascending order
+   is reversed, not sorted.  Fed id streams of every shape — ascending
+   (the engine's own allocation), shuffled (concurrent commits), with
+   repeats, and with [begin_txn ~id]-style jumps — interleaved with
+   writes, prepares and checkpoints, [analysis] must agree with sorting
+   every list outright. *)
+let prop_analysis_matches_sorting =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"sort-free analysis = sorting reference"
+       (QCheck2.Gen.int_range 0 1_000_000)
+       (fun seed ->
+         let rng = Support.Rng.create seed in
+         let stream () =
+           let n = Support.Rng.int rng 40 in
+           match Support.Rng.int rng 4 with
+           | 0 -> List.init n (fun i -> i + 1)
+           | 1 ->
+               let a = Array.init n (fun i -> i + 1) in
+               Support.Rng.shuffle rng a;
+               Array.to_list a
+           | 2 -> List.init n (fun _ -> 1 + Support.Rng.int rng (1 + (n / 3)))
+           | _ ->
+               List.init n (fun i ->
+                   if Support.Rng.int rng 5 = 0 then 100 + Support.Rng.int rng 20
+                   else i + 1)
+         in
+         let begins = stream () and commits = stream () and aborts = stream () in
+         (* merge the three streams in random order, each kept in its own
+            order, with writes, prepares and checkpoints between them *)
+         let rec merge acc = function
+           | [], [], [] -> List.rev acc
+           | b, c, a ->
+               let other =
+                 match Support.Rng.int rng 3 with
+                 | 0 -> `Write
+                 | 1 -> `Prepare
+                 | _ -> `Checkpoint
+               in
+               let txn = 1 + Support.Rng.int rng 30 in
+               let acc =
+                 if Support.Rng.int rng 3 = 0 then
+                   (other, if other = `Checkpoint then -1 else txn) :: acc
+                 else acc
+               in
+               (match (Support.Rng.int rng 3, b, c, a) with
+               | 0, t :: b', _, _ -> merge ((`Begin, t) :: acc) (b', c, a)
+               | 1, _, t :: c', _ -> merge ((`Commit, t) :: acc) (b, c', a)
+               | _, _, _, t :: a' -> merge ((`Abort, t) :: acc) (b, c, a')
+               | _, t :: b', _, [] -> merge ((`Begin, t) :: acc) (b', c, a)
+               | _, [], t :: c', [] -> merge ((`Commit, t) :: acc) (b, c', a)
+               | _, [], [], [] -> List.rev acc)
+         in
+         let frames = merge [] (begins, commits, aborts) in
+         let tally = Storage.Recovery.tally () in
+         List.iteri (fun i (kind, txn) -> Storage.Recovery.note tally (16 * i) kind txn) frames;
+         let a = Storage.Recovery.analysis tally in
+         (* the reference sorts every list *)
+         let uniq l = List.sort_uniq Int.compare l in
+         let winners = uniq commits in
+         let losers =
+           List.filter
+             (fun t -> not (List.mem t winners || List.mem t aborts))
+             (uniq begins)
+         in
+         let checkpoint =
+           List.fold_left
+             (fun acc (i, (kind, _)) -> if kind = `Checkpoint then Some (16 * i) else acc)
+             None
+             (List.mapi (fun i f -> (i, f)) frames)
+         in
+         let next_txn = 1 + List.fold_left (fun m (_, t) -> max m t) 0 frames in
+         let idle =
+           (match List.rev frames with
+           | [] | (`Checkpoint, _) :: _ -> true
+           | _ -> false)
+           && losers = []
+         in
+         let check what ok =
+           if not ok then QCheck2.Test.fail_reportf "seed %d: %s differs" seed what
+         in
+         check "winners" (a.Storage.Recovery.winners = winners);
+         check "losers" (a.losers = losers);
+         check "checkpoint" (a.checkpoint_lsn = checkpoint);
+         check "next txn" (a.next_txn = next_txn);
+         check "idle" (a.idle = idle);
+         true))
+
+(* A long history's recovery line stays readable: 16 ids per list, then
+   a count of the rest. *)
+let test_outcome_caps_ids () =
+  let outcome winners =
+    {
+      Storage.Recovery.checkpoint_lsn = Some 9;
+      winners;
+      losers = [ 1001; 1002 ];
+      redo_applied = 0;
+      redo_skipped = 3;
+      undone = 0;
+    }
+  in
+  let upto n = List.init n (fun i -> i + 1) in
+  Alcotest.(check string) "1,000 winners"
+    "checkpoint=9 winners=[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,\u{2026}+984 \
+     more] losers=[1001,1002] redo=0 skipped=3 undone=0"
+    (Storage.Recovery.outcome_to_string (outcome (upto 1000)));
+  Alcotest.(check string) "16 winners, all shown"
+    "checkpoint=9 winners=[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16] \
+     losers=[1001,1002] redo=0 skipped=3 undone=0"
+    (Storage.Recovery.outcome_to_string (outcome (upto 16)))
 
 let test_recovery_redo_undo_counts () =
   let w txn item before after =
@@ -1787,6 +1966,8 @@ let suite =
       test_engine_crash_loses_uncommitted;
     Alcotest.test_case "recovery analysis" `Quick test_recovery_analysis;
     prop_recovery_analysis_matches_reference;
+    prop_analysis_matches_sorting;
+    Alcotest.test_case "recovery line caps its id lists" `Quick test_outcome_caps_ids;
     Alcotest.test_case "recovery redo/undo counts" `Quick test_recovery_redo_undo_counts;
     prop_restart_matches_reference;
     Alcotest.test_case "wal structure limits" `Quick test_wal_structure_limits;
@@ -1802,5 +1983,6 @@ let suite =
       test_scan_report_resync_classification;
     prop_survivor_log_lints_clean;
     prop_recovered_log_lints_clean;
+    prop_clean_reopen_changes_no_byte;
     prop_mutated_byte_is_detected;
   ]
