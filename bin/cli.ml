@@ -224,9 +224,10 @@ let node_of path =
 (* An inspecting command (db status|get|query|index list, lint plan)
    must leave a replication node's files as they are: a replica whose
    log gained a byte of its own no longer matches its primary's.  A
-   clean open writes nothing; a node whose restart has work, such as a
-   replica a crash left mid-stream, is refused before it is opened.
-   [report] is the node's log scan when the caller already holds it. *)
+   clean open writes nothing; a node whose open has work, such as a
+   replica a crash left mid-stream or one whose item store the open
+   would rebuild, is refused before it is opened.  [report] is the
+   node's log scan when the caller already holds it. *)
 let inspect_db ?report ?metrics ?trace_file path f =
   let module M = Replication.Repl_meta in
   (if Sys.file_exists (M.epoch_path path) then
@@ -239,14 +240,21 @@ let inspect_db ?report ?metrics ?trace_file path f =
        | Some r -> r
        | None -> Storage.Wal.report_file (Storage.Engine.wal_path path)
      in
-     if k <> primary && not (restart_idle report) then
+     let refuse work =
        invalid_arg
          (Printf.sprintf
             "%s is replica node %d of the group at %s, and opening it would \
-             run restart recovery, which writes to it; heal the group with \
-             'dbmeta db exec --replicas=%d %s' or promote a node with \
-             'dbmeta db failover %s' first"
-            path k base
+             %s, which writes to it; heal the group with 'dbmeta db exec \
+             --replicas=%d %s' or promote a node with 'dbmeta db failover \
+             %s' first"
+            path k base work
             (max 1 (M.discover base - 1))
-            base base));
+            base base)
+     in
+     if k <> primary then
+       if not (restart_idle report) then refuse "run restart recovery"
+       else if
+         Storage.Engine.repair_needed path
+           ~horizon:report.Storage.Wal.clean_bytes
+       then refuse "rebuild its item store");
   with_db ?metrics ?trace_file path f

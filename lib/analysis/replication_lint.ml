@@ -25,16 +25,6 @@ type input = {
   acks : Repl_meta.ack list;
 }
 
-let read_prefix path len =
-  if len = 0 || not (Sys.file_exists path) then ""
-  else begin
-    let ic = open_in_bin path in
-    let n = min len (in_channel_length ic) in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  end
-
 let of_base base =
   let group = Repl_meta.load_group base in
   let count = Repl_meta.discover base in
@@ -54,7 +44,8 @@ let of_base base =
           node_epoch;
           node_snapshot;
           wal;
-          wal_prefix = read_prefix wal_file wal.Wal.clean_bytes;
+          wal_prefix =
+            Support.Io.read_span wal_file ~from:0 ~len:wal.Wal.clean_bytes;
         })
   in
   { group; nodes; acks = Repl_meta.load_acks base }
@@ -186,12 +177,6 @@ let check_acked_lost input =
                  else [])
                input.acks))
 
-let last_checkpoint entries =
-  List.fold_left
-    (fun acc { Wal.lsn; record } ->
-      match record with Wal.Checkpoint -> Some lsn | _ -> acc)
-    None entries
-
 (* RP004: a node's page image and log must agree about where redo may
    start.  The snapshot watermark may not run ahead of the clean log
    (pages the log cannot explain) and — for replicas — may not lag a
@@ -218,7 +203,7 @@ let check_snapshot_gap input =
       let behind =
         if primary_id = Some n.id then []
         else
-          match last_checkpoint n.wal.Wal.records with
+          match Wal.last_checkpoint n.wal.Wal.records with
           | Some c when snap < c ->
               [
                 D.error ~loc:n.id "RP004"

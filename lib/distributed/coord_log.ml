@@ -1,6 +1,7 @@
-(* The coordinator's write-ahead log: 2PC protocol records in the same
-   CRC frames as Storage.Wal (u32 crc | u32 len | payload), with its own
-   payload codec.  Presumed abort dictates the force discipline:
+(* The codec of the coordinator's write-ahead log: 2PC protocol records
+   in a Storage.Log_file, the same CRC frames as the storage WAL, with
+   their own payloads.  Presumed abort dictates the force discipline the
+   coordinator keeps:
 
      - only Decide(commit) must be forced before any COMMIT message goes
        out (the commit point);
@@ -10,11 +11,8 @@
      - Decide(abort) and Forget need never be forced: a transaction the
        log says nothing about is presumed aborted.
 
-   An injected crash during flush leaves a torn prefix, exactly as the
-   storage WAL does, and the tolerant scan stops there. *)
-
-module Wal = Storage.Wal
-module Fault = Storage.Fault
+   The file itself (open, flush, crash tear, fsync retry) is
+   Storage.Log_file's. *)
 
 type decision = Commit | Abort
 
@@ -99,85 +97,16 @@ let record_to_string = function
       Printf.sprintf "decide(%d, %s)" txn (decision_to_string decision)
   | Forget txn -> Printf.sprintf "forget(%d)" txn
 
-(* Decode the tolerant frame scan, stopping at the first payload the
-   codec rejects — damage past the valid prefix is a torn tail. *)
-let entries_of_frames frames =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | (off, payload) :: rest -> (
-        match record_of_payload payload with
-        | record -> go ({ off; record } :: acc) rest
-        | exception Corrupt _ -> List.rev acc)
-  in
-  go [] frames
+let frame r = Storage.Log_file.frame (payload_of_record r)
 
-let read_file path = entries_of_frames (fst (Wal.frames_of_file path))
+(* The payload check of every scan: a frame whose payload the codec
+   rejects ends the log like a torn one. *)
+let valid image off len =
+  match record_of_payload (String.sub image off len) with
+  | _ -> true
+  | exception Corrupt _ -> false
 
-(* --- the log file, mirroring Storage.Wal's flush discipline -------------- *)
-
-type t = {
-  path : string;
-  fd : Unix.file_descr;
-  fault : Fault.t;
-  pending : Buffer.t;
-  mutable durable : int;
-}
-
-let max_retries = 8
-
-let really_write fd s pos len =
-  let written = ref 0 in
-  while !written < len do
-    written := !written + Unix.write_substring fd s (pos + !written) (len - !written)
-  done
-
-let open_log ?(fault = Fault.create ()) path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let frames, clean = Wal.frames_of_file path in
-  let entries = entries_of_frames frames in
-  (* like the storage WAL: the clean prefix ends at the last frame whose
-     payload decodes, so appends resume on a frame boundary *)
-  let clean =
-    match List.rev entries with
-    | [] -> if entries = [] && frames <> [] then 0 else clean
-    | { off; record } :: _ ->
-        if List.length entries = List.length frames then clean
-        else off + 8 + String.length (payload_of_record record)
-  in
-  if clean < (Unix.fstat fd).Unix.st_size then Unix.ftruncate fd clean;
-  ignore (Unix.lseek fd clean Unix.SEEK_SET : int);
-  ({ path; fd; fault; pending = Buffer.create 256; durable = clean }, entries)
-
-let append t record = Buffer.add_string t.pending (Wal.frame (payload_of_record record))
-
-let flush t =
-  if Buffer.length t.pending > 0 then begin
-    let data = Buffer.contents t.pending and len = Buffer.length t.pending in
-    Fault.io t.fault ~at:"coord flush" ~on_crash:(fun () ->
-        (* the torn tail: half the pending bytes reach the platter *)
-        really_write t.fd data 0 (len / 2));
-    really_write t.fd data 0 len;
-    (let rec fsync n =
-       if Fault.transient t.fault ~at:"coord fsync" then
-         if n >= max_retries then begin
-           (* fsyncgate: written-but-unsynced bytes are lost, not merely
-              unconfirmed — truncate back so they cannot resurface *)
-           Unix.ftruncate t.fd t.durable;
-           ignore (Unix.lseek t.fd t.durable Unix.SEEK_SET : int);
-           raise (Fault.Io_error "coord fsync")
-         end
-         else fsync (n + 1)
-       else Unix.fsync t.fd
-     in
-     fsync 0);
-    t.durable <- t.durable + len;
-    Buffer.clear t.pending
-  end
-
-let close t =
-  flush t;
-  Unix.close t.fd
-
-let abandon t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-let durable_bytes t = t.durable
-let path t = t.path
+let read_file path =
+  List.map
+    (fun (off, payload) -> { off; record = record_of_payload payload })
+    (Storage.Log_file.read_payloads ~valid path)

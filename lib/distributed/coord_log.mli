@@ -1,8 +1,9 @@
-(** The coordinator's write-ahead log: 2PC protocol records in
-    {!Storage.Wal}'s CRC frames, with a presumed-abort force
-    discipline — only [Decide Commit] must be flushed (the commit
-    point); abort decisions and [Forget] records never are, because a
-    transaction the log says nothing about is presumed aborted. *)
+(** The codec of the coordinator's write-ahead log: 2PC protocol
+    records in a {!Storage.Log_file}, which owns the file.  The
+    coordinator keeps a presumed-abort force discipline — only
+    [Decide Commit] must be flushed (the commit point); abort decisions
+    and [Forget] records never are, because a transaction the log says
+    nothing about is presumed aborted. *)
 
 (** The coordinator's verdict on a transaction. *)
 type decision = Commit | Abort
@@ -25,41 +26,17 @@ exception Corrupt of string
 (** A structurally impossible payload (the tolerant scans stop at
     damage instead of raising). *)
 
-type t
-(** An open coordinator log: descriptor, pending buffer, durable
-    watermark. *)
+val frame : record -> string
+(** The record's on-disk frame, for {!Storage.Log_file.append}. *)
 
-val open_log : ?fault:Storage.Fault.t -> string -> t * entry list
-(** Open (creating if needed), scan tolerantly, truncate any torn
-    tail, and return the surviving entries oldest-first.  [fault] is
-    consulted at ["coord flush"]/["coord fsync"] — sharing the shards'
-    injector puts the coordinator's I/O under the same crash budget. *)
-
-val append : t -> record -> unit
-(** Buffer a record; not durable until {!flush}. *)
-
-val flush : t -> unit
-(** Write + fsync everything pending.  An injected crash tears the
-    pending bytes' tail; transient fsync faults are retried with a
-    bounded budget before escaping as {!Storage.Fault.Io_error}, after
-    which the unsynced bytes are truncated away (they are lost, not
-    merely unconfirmed) and the coordinator must degrade. *)
-
-val close : t -> unit
-(** Flush whatever is pending, then close the descriptor. *)
-
-val abandon : t -> unit
-(** Close without flushing — pending records are lost, as in a crash. *)
+val valid : string -> int -> int -> bool
+(** [valid image off len]: does the payload at [off] decode?  The
+    payload check of every scan, {!Storage.Log_file.open_file}'s
+    included: the log ends at the first frame it rejects. *)
 
 val read_file : string -> entry list
 (** Read-only tolerant scan (the termination protocol's and the
     commit lint's view).  A missing file yields []. *)
-
-val durable_bytes : t -> int
-(** Bytes made durable so far. *)
-
-val path : t -> string
-(** The log file path. *)
 
 val decision_to_string : decision -> string
 (** ["commit"] / ["abort"]. *)

@@ -30,6 +30,7 @@
 module Engine = Storage.Engine
 module Wal = Storage.Wal
 module Fault = Storage.Fault
+module Log_file = Storage.Log_file
 
 type outcome = Committed | Aborted of string
 
@@ -72,7 +73,7 @@ let make_metrics registry =
 type t = {
   base : string;
   shards : Engine.t array;
-  log : Coord_log.t;
+  log : Log_file.t;  (* the coordinator log, in Coord_log's codec *)
   net : Net.t;
   fault : Fault.t;
   trace : Obs.Trace.t;
@@ -98,60 +99,40 @@ let discover base =
 
 (* --- the termination protocol -------------------------------------------- *)
 
-let really_write fd s pos len =
-  let written = ref 0 in
-  while !written < len do
-    written := !written + Unix.write_substring fd s (pos + !written) (len - !written)
-  done
-
 (* Complete decided-commit transactions on a shard whose engine is not
-   open: truncate the WAL's torn tail once (appending after damage
-   would read as mid-log corruption), then append and fsync a Commit
-   frame per transaction.  The engine's own restart recovery then sees
-   ordinary winners.  One call per shard — truncating anew for each
-   transaction would chop off the commits appended just before.
-   Idempotent: a crash mid-append leaves a prefix of whole frames (the
-   torn one is the new tail, re-resolved next time). *)
-let append_commits_offline fault wal_file clean txns ~site =
-  let fd = Unix.openfile wal_file [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.ftruncate fd clean;
-      ignore (Unix.lseek fd clean Unix.SEEK_SET : int);
-      let frames =
-        String.concat ""
-          (List.map (fun txn -> Wal.frame_of_record (Wal.Commit txn)) txns)
-      in
-      let len = String.length frames in
-      Fault.io fault ~at:site ~on_crash:(fun () ->
-          really_write fd frames 0 (len / 2));
-      really_write fd frames 0 len;
-      let rec fsync n =
-        if Fault.transient fault ~at:site then
-          if n >= 8 then begin
-            Unix.ftruncate fd clean;
-            raise (Fault.Io_error site)
-          end
-          else fsync (n + 1)
-        else Unix.fsync fd
-      in
-      fsync 0)
+   open: open its WAL (which cuts the torn tail once: appending after
+   damage would read as mid-log corruption), append a Commit frame per
+   transaction and flush them together.  The engine's own restart
+   recovery then sees ordinary winners.  Idempotent: a crash mid-append
+   leaves a prefix of whole frames (the torn one is the new tail,
+   re-resolved next time). *)
+let append_commits_offline fault wal_file txns ~site =
+  let log, _ = Log_file.open_file ~fault ~valid:Wal.valid wal_file in
+  let commit txn = Wal.frame_of_record (Wal.Commit txn) in
+  match
+    List.iter (fun txn -> ignore (Log_file.append log (commit txn) : int)) txns;
+    Log_file.flush log ~at:site ~fsync_at:site
+  with
+  | () -> Log_file.close log
+  | exception e ->
+      Log_file.abandon log;
+      raise e
 
-(* In-doubt transactions on one shard log: prepared and still live. *)
-let in_doubt_txns records =
+(* In-doubt transactions on one shard log: prepared and still live.
+   Read from the frames' kinds and ids; no record is decoded. *)
+let in_doubt_txns image =
   let live = Hashtbl.create 8 in
   let prepared = Hashtbl.create 8 in
-  List.iter
-    (fun record ->
-      match record with
-      | Wal.Begin t -> Hashtbl.replace live t ()
-      | Wal.Prepare t -> if Hashtbl.mem live t then Hashtbl.replace prepared t ()
-      | Wal.Commit t | Wal.Abort t ->
-          Hashtbl.remove live t;
-          Hashtbl.remove prepared t
-      | Wal.Write _ | Wal.Checkpoint -> ())
-    records;
+  ignore
+    (Wal.walk image ~init:() ~f:(fun () _ kind t ->
+         match kind with
+         | `Begin -> Hashtbl.replace live t ()
+         | `Prepare -> if Hashtbl.mem live t then Hashtbl.replace prepared t ()
+         | `Commit | `Abort ->
+             Hashtbl.remove live t;
+             Hashtbl.remove prepared t
+         | `Write | `Checkpoint -> ())
+      : unit * int);
   Hashtbl.fold (fun t () acc -> t :: acc) prepared [] |> List.sort Int.compare
 
 (* Resolve every shard's in-doubt prepared transactions against the
@@ -169,8 +150,9 @@ let resolve_in_doubt fault base n coord_entries =
   let commits = ref 0 and aborts = ref 0 in
   for k = 0 to n - 1 do
     let wal_file = Engine.wal_path (shard_path base k) in
-    let report = Wal.report_file wal_file in
-    let records = List.map (fun e -> e.Wal.record) report.Wal.records in
+    let image =
+      if Sys.file_exists wal_file then Support.Io.read_file wal_file else ""
+    in
     let to_complete =
       List.filter
         (fun txn ->
@@ -180,10 +162,10 @@ let resolve_in_doubt fault base n coord_entries =
               (* presumed abort: restart recovery undoes the loser *)
               incr aborts;
               false)
-        (in_doubt_txns records)
+        (in_doubt_txns image)
     in
     if to_complete <> [] then begin
-      append_commits_offline fault wal_file report.Wal.clean_bytes to_complete
+      append_commits_offline fault wal_file to_complete
         ~site:(Printf.sprintf "shard %d resolve" k);
       commits := !commits + List.length to_complete
     end
@@ -201,16 +183,6 @@ let max_txn_of_coord entries =
       | Coord_log.Decide { txn; _ }
       | Coord_log.Forget txn -> max m txn)
     0 entries
-
-let max_txn_of_shard base k =
-  List.fold_left
-    (fun m { Wal.record; _ } ->
-      match record with
-      | Wal.Begin x | Wal.Commit x | Wal.Abort x | Wal.Prepare x -> max m x
-      | Wal.Write { txn; _ } -> max m txn
-      | Wal.Checkpoint -> m)
-    0
-    (Wal.read_entries (Engine.wal_path (shard_path base k)))
 
 (* whether shard [k]'s log holds a transaction that committed, or that
    a coordinator decision may yet commit *)
@@ -259,13 +231,6 @@ let open_dist ?shards ?faults ?crash_after
         resolve_in_doubt fault base n coord_entries)
   in
   Obs.Registry.Counter.add m.m_resolved (resolved_commit + resolved_abort);
-  let next_txn =
-    let mt = ref (max_txn_of_coord coord_entries) in
-    for k = 0 to n - 1 do
-      mt := max !mt (max_txn_of_shard base k)
-    done;
-    !mt + 1
-  in
   let shards = Array.make n None in
   (try
      for k = 0 to n - 1 do
@@ -276,10 +241,18 @@ let open_dist ?shards ?faults ?crash_after
      raise e);
   let shards = Array.map Option.get shards in
   let log, _ =
-    try Coord_log.open_log ~fault (coord_path base)
+    try Log_file.open_file ~fault ~valid:Coord_log.valid (coord_path base)
     with e ->
       Array.iter Engine.crash shards;
       raise e
+  in
+  (* each engine's restart analysis already knows one past the largest
+     id its log names *)
+  let next_txn =
+    Array.fold_left
+      (fun m eng -> max m (Engine.next_txn eng))
+      (max_txn_of_coord coord_entries + 1)
+      shards
   in
   let net = Net.create ~metrics ~fault ~seed:0 Net.default_config in
   {
@@ -298,17 +271,24 @@ let open_dist ?shards ?faults ?crash_after
     resolved_abort;
   }
 
+(* the coordinator log's fault sites *)
+let log_append t record =
+  ignore (Log_file.append t.log (Coord_log.frame record) : int)
+
+let log_flush t = Log_file.flush t.log ~at:"coord flush" ~fsync_at:"coord fsync"
+
 let crash t =
-  Coord_log.abandon t.log;
+  Log_file.abandon t.log;
   Array.iter Engine.crash t.shards
 
 let close t =
   (if not t.degraded then
-     try Coord_log.close t.log
-     with Fault.Io_error _ ->
-       t.degraded <- true;
-       Coord_log.abandon t.log
-   else Coord_log.abandon t.log);
+     match log_flush t with
+     | () -> Log_file.close t.log
+     | exception Fault.Io_error _ ->
+         t.degraded <- true;
+         Log_file.abandon t.log
+   else Log_file.abandon t.log);
   let err = ref None in
   Array.iter
     (fun eng ->
@@ -425,7 +405,7 @@ let deliver_commits t ~txn parts =
       parts
   in
   if lost = [] then begin
-    if not t.degraded then Coord_log.append t.log (Coord_log.Forget txn)
+    if not t.degraded then log_append t (Coord_log.Forget txn)
   end
   else strand t txn Coord_log.Commit lost
 
@@ -434,7 +414,7 @@ let abort t ~txn =
   Hashtbl.remove t.active txn;
   Obs.Registry.Counter.incr t.m.m_aborts;
   if parts <> [] && not t.degraded then
-    Coord_log.append t.log (Coord_log.Decide { txn; decision = Coord_log.Abort });
+    log_append t (Coord_log.Decide { txn; decision = Coord_log.Abort });
   deliver_aborts t ~txn parts
 
 (* The one-phase optimization: a single participant needs no protocol,
@@ -466,7 +446,7 @@ let commit_one_phase t ~txn k =
       end
 
 let commit_two_phase t ~txn parts =
-  Coord_log.append t.log (Coord_log.Begin { txn; shards = parts });
+  log_append t (Coord_log.Begin { txn; shards = parts });
   (* phase 1: PREPARE everyone, collect votes *)
   let veto = ref None in
   Obs.Trace.with_span t.trace
@@ -488,11 +468,11 @@ let commit_two_phase t ~txn parts =
                 handler
             with
             | Ok yes ->
-                Coord_log.append t.log (Coord_log.Vote { txn; shard = k; yes });
+                log_append t (Coord_log.Vote { txn; shard = k; yes });
                 if yes then Obs.Registry.Counter.incr t.m.m_prepares
                 else veto := Some (Printf.sprintf "shard %d voted no" k)
             | Error _ ->
-                Coord_log.append t.log
+                log_append t
                   (Coord_log.Vote { txn; shard = k; yes = false });
                 veto :=
                   Some (Printf.sprintf "prepare for shard %d timed out" k))
@@ -508,9 +488,9 @@ let commit_two_phase t ~txn parts =
     (fun () ->
       match !veto with
       | None -> (
-          Coord_log.append t.log
+          log_append t
             (Coord_log.Decide { txn; decision = Coord_log.Commit });
-          match Coord_log.flush t.log with
+          match log_flush t with
           | () ->
               Obs.Registry.Counter.incr t.m.m_commits;
               deliver_commits t ~txn parts;
@@ -525,7 +505,7 @@ let commit_two_phase t ~txn parts =
               Aborted (Printf.sprintf "coordinator log unflushable at %s" site))
       | Some reason ->
           if not t.degraded then
-            Coord_log.append t.log
+            log_append t
               (Coord_log.Decide { txn; decision = Coord_log.Abort });
           Obs.Registry.Counter.incr t.m.m_aborts;
           deliver_aborts t ~txn parts;
@@ -586,7 +566,7 @@ let nudge t =
     (fun (txn, decision) ->
       Hashtbl.remove t.stranded txn;
       if decision = Coord_log.Commit && not t.degraded then
-        Coord_log.append t.log (Coord_log.Forget txn))
+        log_append t (Coord_log.Forget txn))
     !finished
 
 (* The scheduler's view: a decided abort is an [Aborted] commit, and a

@@ -49,6 +49,8 @@ type t = {
   mutable epoch : int;
   replicas : (int, Replica.t) Hashtbl.t;
   acked : (int, int) Hashtbl.t;  (* node -> acked offset; -1 = diverged *)
+  mutable journal : Storage.Log_file.t option;
+      (* the ack journal, opened at the first ack *)
   m : instruments;
   mutable fenced : int option;
   mutable acked_commits : int;  (* commits answered Acked by this handle *)
@@ -58,31 +60,8 @@ type t = {
 (* --- file helpers (all read-only; shipping never holds the engine's
    descriptors) ------------------------------------------------------ *)
 
-let read_file path =
-  if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some s
-  end
-
-let read_span path ~from ~len =
-  let ic = open_in_bin path in
-  seek_in ic from;
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 let primary_path t = Repl_meta.node_path t.base_path t.primary_id
 let primary_wal t = E.wal_path (primary_path t)
-
-let last_checkpoint entries =
-  List.fold_left
-    (fun acc { Wal.lsn; record } ->
-      match record with Wal.Checkpoint -> Some lsn | _ -> acc)
-    None entries
 
 (* Is node k's log a verbatim prefix of the primary's durable log?
    Returns the prefix length, or -1 (diverged — only a snapshot can
@@ -92,8 +71,8 @@ let verify_prefix t r ~durable =
   if n > durable then -1
   else if n = 0 then 0
   else
-    let p = read_span (primary_wal t) ~from:0 ~len:n in
-    let q = read_span (E.wal_path (Replica.path r)) ~from:0 ~len:n in
+    let p = Support.Io.read_span (primary_wal t) ~from:0 ~len:n in
+    let q = Support.Io.read_span (E.wal_path (Replica.path r)) ~from:0 ~len:n in
     if String.equal p q then n else -1
 
 let make_instruments registry =
@@ -137,10 +116,11 @@ let exchange t ~reliable ~site handler =
    plus its whole durable log, installed atomically on the replica. *)
 let send_snapshot t ~reliable k r ~durable =
   Obs.Trace.with_span t.trace "repl.snapshot" (fun () ->
-      let db_image = read_file (primary_path t) in
-      let wal_image =
-        if durable = 0 then "" else read_span (primary_wal t) ~from:0 ~len:durable
+      let db_image =
+        let path = primary_path t in
+        if Sys.file_exists path then Some (Support.Io.read_file path) else None
       in
+      let wal_image = Support.Io.read_span (primary_wal t) ~from:0 ~len:durable in
       let epoch = t.epoch in
       match
         exchange t ~reliable
@@ -167,9 +147,11 @@ let ship_replica t ~reliable k ~durable =
         let rec go from budget =
           if from >= durable || budget = 0 then Hashtbl.replace t.acked k from
           else begin
-            let chunk = read_span (primary_wal t) ~from ~len:(durable - from) in
+            let chunk =
+              Support.Io.read_span (primary_wal t) ~from ~len:(durable - from)
+            in
             let entries, _ = Wal.scan chunk in
-            if last_checkpoint entries <> None then
+            if Wal.last_checkpoint entries <> None then
               (* a Checkpoint may only travel with the page image its
                  redo-start contract assumes: take the snapshot path *)
               send_snapshot t ~reliable k r ~durable
@@ -227,6 +209,13 @@ let catch_up t =
   Obs.Trace.with_span t.trace "repl.catchup" (fun () ->
       ship_all t ~reliable:true ~durable:(durable_now t))
 
+(* The process dies: every descriptor the group holds is dropped. *)
+let crash t =
+  E.crash t.engine;
+  Option.iter Storage.Log_file.abandon t.journal;
+  t.journal <- None;
+  Hashtbl.iter (fun _ r -> Replica.abandon r) t.replicas
+
 let open_group ?replicas ?sync ?faults ?crash_after
     ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) base =
   let described = Repl_meta.load_group base in
@@ -282,28 +271,33 @@ let open_group ?replicas ?sync ?faults ?crash_after
       epoch;
       replicas = Hashtbl.create 4;
       acked = Hashtbl.create 4;
+      journal = None;
       m = make_instruments metrics;
       fenced = None;
       acked_commits = 0;
       local_commits = 0;
     }
   in
-  let durable = durable_now t in
-  (* the primary's own files are self-consistent by construction; stamp
-     its watermark so a later failover can judge it as a candidate *)
-  Repl_meta.save_node ~fault (primary_path t) ~epoch ~snapshot_lsn:durable;
-  for k = 0 to nodes - 1 do
-    if k <> primary_id then begin
-      let r =
-        Replica.attach ~metrics ~fault ~node_id:k ~epoch
-          (Repl_meta.node_path base k)
-      in
-      Hashtbl.replace t.replicas k r;
-      Hashtbl.replace t.acked k (verify_prefix t r ~durable)
-    end
-  done;
-  catch_up t;
-  t
+  try
+    let durable = durable_now t in
+    (* the primary's own files are self-consistent by construction; stamp
+       its watermark so a later failover can judge it as a candidate *)
+    Repl_meta.save_node ~fault (primary_path t) ~epoch ~snapshot_lsn:durable;
+    for k = 0 to nodes - 1 do
+      if k <> primary_id then begin
+        let r =
+          Replica.attach ~metrics ~fault ~node_id:k ~epoch
+            (Repl_meta.node_path base k)
+        in
+        Hashtbl.replace t.replicas k r;
+        Hashtbl.replace t.acked k (verify_prefix t r ~durable)
+      end
+    done;
+    catch_up t;
+    t
+  with e ->
+    crash t;
+    raise e
 
 let close t =
   E.close t.engine;
@@ -312,9 +306,10 @@ let close t =
   let durable = (Wal.report_file (primary_wal t)).Wal.clean_bytes in
   Repl_meta.save_node ~fault:t.fault (primary_path t) ~epoch:t.epoch
     ~snapshot_lsn:durable;
-  ship_all t ~reliable:true ~durable
-
-let crash t = E.crash t.engine
+  ship_all t ~reliable:true ~durable;
+  Option.iter Storage.Log_file.close t.journal;
+  t.journal <- None;
+  Hashtbl.iter (fun _ r -> Replica.close r) t.replicas
 
 (* --- the transactional facade -------------------------------------- *)
 
@@ -347,7 +342,15 @@ let ship_commit t ~txn =
          ship just revealed a newer epoch, in which case this deposed
          primary must not promise anything *)
       if t.fenced = None && 2 * (replica_acks + 1) > t.nodes then begin
-        Repl_meta.append_ack ~fault:t.fault t.base_path
+        let journal =
+          match t.journal with
+          | Some j -> j
+          | None ->
+              let j = Repl_meta.open_journal ~fault:t.fault t.base_path in
+              t.journal <- Some j;
+              j
+        in
+        Repl_meta.append_ack journal
           { Repl_meta.txn; lsn = durable; ack_epoch = t.epoch };
         Counter.incr t.m.m_quorum;
         Acked
@@ -401,7 +404,7 @@ let judge_candidate path =
     match Repl_meta.load_node path with Some (_, s) -> s | None -> 0
   in
   let eligible =
-    match last_checkpoint report.Wal.records with
+    match Wal.last_checkpoint report.Wal.records with
     | None -> true
     | Some c -> snap >= c
   in
@@ -409,7 +412,11 @@ let judge_candidate path =
 
 let failover t =
   Obs.Trace.with_span t.trace "repl.failover" (fun () ->
+      (* the primary dies, and with it the ack journal it appended to;
+         the new primary reopens the journal at its first ack *)
       E.crash t.engine;
+      Option.iter Storage.Log_file.abandon t.journal;
+      t.journal <- None;
       let old = t.primary_id in
       let candidates =
         List.filter (fun k -> k <> old) (List.init t.nodes (fun k -> k))
@@ -443,6 +450,7 @@ let failover t =
           sync = t.sync };
       t.epoch <- epoch';
       t.primary_id <- winner;
+      Option.iter Replica.close (Hashtbl.find_opt t.replicas winner);
       Hashtbl.remove t.replicas winner;
       Hashtbl.remove t.acked winner;
       t.engine <- E.open_db ~fault:t.fault ~metrics:t.metrics ~trace:t.trace win_path;

@@ -1,10 +1,11 @@
 (* Durable replication metadata.  Every file here is a sequence of
-   CRC-framed text payloads (Storage.Wal.frame), so the same tolerant
-   scanner that reads WALs reads these: a torn tail is dropped, never
-   fatal.  The descriptor and node stamps are replaced atomically
-   (temp + rename); the ack journal is append-only like a log. *)
+   CRC-framed text payloads (Storage.Log_file.frame), so the same
+   tolerant scanner that reads WALs reads these: a torn tail is
+   dropped, never fatal.  The descriptor and node stamps are replaced
+   atomically (temp + rename); the ack journal is a Storage.Log_file,
+   append-only like a log. *)
 
-module Wal = Storage.Wal
+module Log_file = Storage.Log_file
 module Fault = Storage.Fault
 
 type sync_mode = Quorum | Async
@@ -27,7 +28,7 @@ let epoch_path node = node ^ ".node"
    over the target.  A crash before the rename leaves the old file; the
    fault injector accounts the write as one durable I/O. *)
 let replace_file ?fault ~site path payload =
-  let frame = Wal.frame payload in
+  let frame = Log_file.frame payload in
   let tmp = path ^ ".tmp" in
   (match fault with
   | Some f ->
@@ -43,7 +44,7 @@ let replace_file ?fault ~site path payload =
   Sys.rename tmp path
 
 let first_payload path =
-  match Wal.frames_of_file path with (_, p) :: _, _ -> Some p | [], _ -> None
+  match Log_file.read_payloads path with (_, p) :: _ -> Some p | [] -> None
 
 let save_group ?fault base g =
   replace_file ?fault ~site:"repl group write" (group_path base)
@@ -97,37 +98,28 @@ let load_node node =
 
 type ack = { txn : int; lsn : int; ack_epoch : int }
 
-let append_ack ?fault base a =
-  let path = acks_path base in
-  let frame =
-    Wal.frame (Printf.sprintf "%d %d %d" a.txn a.lsn a.ack_epoch)
-  in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  let len = Unix.lseek fd 0 Unix.SEEK_END in
-  (match fault with
-  | Some f ->
-      Fault.io f ~at:"ack journal append" ~on_crash:(fun () ->
-          (* torn append: half the frame reaches the disk *)
-          let half = String.length frame / 2 in
-          ignore (Unix.write_substring fd frame 0 half : int);
-          Unix.ftruncate fd (len + half);
-          Unix.close fd)
-  | None -> ());
-  let n = Unix.write_substring fd frame 0 (String.length frame) in
-  assert (n = String.length frame);
-  Unix.fsync fd;
-  Unix.close fd
+let ack_of_payload p =
+  match String.split_on_char ' ' p with
+  | [ t; l; e ] -> (
+      match (int_of_string_opt t, int_of_string_opt l, int_of_string_opt e) with
+      | Some txn, Some lsn, Some ack_epoch -> Some { txn; lsn; ack_epoch }
+      | _ -> None)
+  | _ -> None
+
+(* the journal ends at the first frame that is not an ack *)
+let valid_ack image off len = ack_of_payload (String.sub image off len) <> None
+
+let open_journal ?fault base =
+  fst (Log_file.open_file ?fault ~valid:valid_ack (acks_path base))
+
+let append_ack journal a =
+  ignore
+    (Log_file.append journal
+       (Log_file.frame (Printf.sprintf "%d %d %d" a.txn a.lsn a.ack_epoch))
+      : int);
+  Log_file.flush journal ~at:"ack journal append"
 
 let load_acks base =
-  let frames, _ = Wal.frames_of_file (acks_path base) in
   List.filter_map
-    (fun (_, p) ->
-      match String.split_on_char ' ' p with
-      | [ t; l; e ] -> (
-          match
-            (int_of_string_opt t, int_of_string_opt l, int_of_string_opt e)
-          with
-          | Some txn, Some lsn, Some ack_epoch -> Some { txn; lsn; ack_epoch }
-          | _ -> None)
-      | _ -> None)
-    frames
+    (fun (_, p) -> ack_of_payload p)
+    (Log_file.read_payloads ~valid:valid_ack (acks_path base))

@@ -1,6 +1,6 @@
 (** Durable replication metadata: the group descriptor, per-node epoch
     stamps, and the ack journal — all small CRC-framed files beside the
-    database (reusing {!Storage.Wal.frame}), scannable offline by
+    database (reusing {!Storage.Log_file.frame}), scannable offline by
     [dbmeta] and {!Analysis.Replication_lint}.
 
     A replication group rooted at [base] is a file family: the primary's
@@ -76,9 +76,17 @@ type ack = {
     (RP002) and their transactions present in the primary's WAL
     (RP003). *)
 
-val append_ack : ?fault:Storage.Fault.t -> string -> ack -> unit
-(** Append one CRC-framed ack to [base.acks] and fsync — durable before
-    the client hears [Committed], exactly like a commit record. *)
+val open_journal : ?fault:Storage.Fault.t -> string -> Storage.Log_file.t
+(** Open the ack journal [base.acks] for appending (creating it if
+    needed): one scan, and the torn tail a crashed append left is cut,
+    so the acks appended next are read back after the ones before it.
+    [fault] is the injector the appends consult. *)
+
+val append_ack : Storage.Log_file.t -> ack -> unit
+(** Append one CRC-framed ack and fsync it — durable before the client
+    hears [Committed], exactly like a commit record.  Fault site
+    ["ack journal append"]; an injected crash there tears the frame. *)
 
 val load_acks : string -> ack list
-(** The journal's valid prefix, oldest first (torn tails tolerated). *)
+(** The journal's valid prefix, oldest first: the scan stops at a torn
+    tail, or at the first frame that is not an ack. *)

@@ -8,12 +8,14 @@
 module Wal = Storage.Wal
 module Fault = Storage.Fault
 module Engine = Storage.Engine
+module Log_file = Storage.Log_file
 
 type t = {
   path : string;
   wal_file : string;
   node_id : int;
   fault : Fault.t;
+  mutable log : Log_file.t option;  (* the log copy, opened once it exists *)
   mutable epoch : int;
   mutable snapshot_lsn : int;
   mutable wal_len : int;  (* durable clean bytes — the replica's LSN *)
@@ -65,6 +67,7 @@ let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
       wal_file;
       node_id;
       fault;
+      log = None;
       epoch;
       snapshot_lsn = 0;
       wal_len = 0;
@@ -84,35 +87,37 @@ let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
       t.epoch <- e;
       t.snapshot_lsn <- snap
   | None -> Repl_meta.save_node ~fault path ~epoch ~snapshot_lsn:0);
-  let report = Wal.report_file wal_file in
-  if report.Wal.total_bytes > report.Wal.clean_bytes then begin
-    (* a crashed append left a torn tail; drop it like open_log does *)
-    let fd = Unix.openfile wal_file [ Unix.O_WRONLY ] 0o644 in
-    Unix.ftruncate fd report.Wal.clean_bytes;
-    Unix.close fd
+  (* a node that never received a byte keeps no log file until its
+     first chunk or snapshot arrives *)
+  if Sys.file_exists wal_file then begin
+    (* the open cuts a torn tail a crashed append left *)
+    let log, image = Log_file.open_file ~fault ~valid:Wal.valid wal_file in
+    t.log <- Some log;
+    t.wal_len <- String.length image;
+    replay t (Wal.entries_from image 0)
   end;
-  t.wal_len <- report.Wal.clean_bytes;
-  replay t report.Wal.records;
   t
+
+let log t =
+  match t.log with
+  | Some log -> log
+  | None ->
+      let log, _ =
+        Log_file.open_file ~fault:t.fault ~valid:Wal.valid t.wal_file
+      in
+      t.log <- Some log;
+      log
 
 (* Append [chunk] at byte offset [t.wal_len], fault-injected: an
    injected crash writes only half the chunk (a torn shipment, healed
-   by the torn-tail truncation of the next attach). *)
+   by the torn-tail cut of the next attach).  A chunk whose tail did
+   not scan clean was appended whole but counted only to its clean
+   end, so the copy is first cut back to the bytes the replica holds. *)
 let append_bytes t chunk =
-  let site = Printf.sprintf "replica %d wal append" t.node_id in
-  let fd =
-    Unix.openfile t.wal_file [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-  in
-  Unix.ftruncate fd t.wal_len;
-  ignore (Unix.lseek fd t.wal_len Unix.SEEK_SET : int);
-  Fault.io t.fault ~at:site ~on_crash:(fun () ->
-      let half = String.length chunk / 2 in
-      ignore (Unix.write_substring fd chunk 0 half : int);
-      Unix.close fd);
-  let n = Unix.write_substring fd chunk 0 (String.length chunk) in
-  assert (n = String.length chunk);
-  Unix.fsync fd;
-  Unix.close fd
+  let log = log t in
+  if Log_file.durable log <> t.wal_len then Log_file.cut log t.wal_len;
+  ignore (Log_file.append log chunk : int);
+  Log_file.flush log ~at:(Printf.sprintf "replica %d wal append" t.node_id)
 
 let adopt_epoch t epoch =
   if epoch > t.epoch then begin
@@ -175,15 +180,10 @@ let install_snapshot t ~epoch ~db_image ~wal_image ~snapshot_lsn =
     ~at:(Printf.sprintf "replica %d snapshot" t.node_id)
     ~on_crash:(fun () -> ());
   write_db_image t db_image;
-  let fd =
-    Unix.openfile t.wal_file
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-      0o644
-  in
-  let n = Unix.write_substring fd wal_image 0 (String.length wal_image) in
-  assert (n = String.length wal_image);
-  Unix.fsync fd;
-  Unix.close fd;
+  let log = log t in
+  Log_file.cut log 0;
+  ignore (Log_file.append log wal_image : int);
+  Log_file.flush log;
   t.epoch <- max t.epoch epoch;
   t.snapshot_lsn <- snapshot_lsn;
   Repl_meta.save_node ~fault:t.fault t.path ~epoch:t.epoch ~snapshot_lsn;
@@ -202,3 +202,11 @@ let state t =
   |> List.sort compare
 
 let applied_commits t = t.commits
+
+let close t =
+  Option.iter Log_file.close t.log;
+  t.log <- None
+
+let abandon t =
+  Option.iter Log_file.abandon t.log;
+  t.log <- None

@@ -33,10 +33,10 @@ type receipt =
 val attach :
   ?metrics:Obs.Registry.t -> fault:Storage.Fault.t -> node_id:int ->
   epoch:int -> string -> t
-(** Attach to (or create) the replica files at a node path: truncate
-    any torn WAL tail, replay the surviving prefix through redo, and
-    load the node's durable epoch stamp ([epoch] seeds a stamp-less
-    node).  Registers the [repl.apply_commits] / [repl.stale_rejects]
+(** Attach to (or create) the replica files at a node path: open its
+    log copy as a {!Storage.Log_file}, which cuts any torn tail, replay
+    the surviving prefix through redo, and load the node's durable
+    epoch stamp ([epoch] seeds a stamp-less node).  Registers the [repl.apply_commits] / [repl.stale_rejects]
     counters on [metrics]. *)
 
 val receive : t -> epoch:int -> start:int -> chunk:string -> receipt
@@ -83,3 +83,10 @@ val state : t -> (string * int) list
 
 val applied_commits : t -> int
 (** Transactions applied by the redo loop since attach. *)
+
+val close : t -> unit
+(** Close the node's log copy; a replica holds it open from attach (or
+    from its first chunk, when it had no log yet). *)
+
+val abandon : t -> unit
+(** Close the log copy's descriptor as a crash would. *)

@@ -189,6 +189,32 @@ let with_repair t f =
 
 (* --- open / close --------------------------------------------------------- *)
 
+(* The item pages an open must quarantine, or [None]: the chain's
+   corrupt pages when one fails its CRC, otherwise the pages whose LSN
+   lies at or past [horizon], the surviving log's end — they betray a
+   lost log suffix.  Only page headers are read, through the pool; no
+   record is decoded and nothing is written. *)
+let quarantine pager pool ~horizon =
+  match Heap.chain_lsns pool ~first:(Pager.items_root pager) with
+  | lsns -> (
+      match
+        List.filter_map
+          (fun (page, lsn) ->
+            if lsn >= horizon && lsn > 0 then Some page else None)
+          lsns
+      with
+      | [] -> None
+      | future -> Some future)
+  | exception Pager.Corrupt _ -> Some (Pager.corrupt_pages pager)
+
+let repair_needed ~horizon path =
+  (Sys.file_exists path && (Unix.stat path).Unix.st_size > 0)
+  &&
+  let pager = Pager.open_file path in
+  Fun.protect
+    ~finally:(fun () -> Pager.abandon pager)
+    (fun () -> quarantine pager (Buffer_pool.create pager) ~horizon <> None)
+
 let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
     ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) path =
   (* [?fault] shares one injector (and so one crash budget / RNG stream)
@@ -231,24 +257,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
   Buffer_pool.set_wal_barrier pool (fun lsn -> Wal.flush_to wal lsn);
   let items, first_repair =
     try
-      (* pages newer than the surviving log betray a lost suffix.  The
-         page LSNs come from the headers of the item chain's pages, each
-         read (and CRC-checked) through the pool; no record is decoded *)
-      let quarantine =
-        match Heap.chain_lsns pool ~first:(Pager.items_root pager) with
-        | lsns -> (
-            let horizon = Wal.durable_lsn wal in
-            match
-              List.filter_map
-                (fun (page, lsn) ->
-                  if lsn >= horizon && lsn > 0 then Some page else None)
-                lsns
-            with
-            | [] -> None
-            | future -> Some future)
-        | exception Pager.Corrupt _ -> Some (Pager.corrupt_pages pager)
-      in
-      match quarantine with
+      match quarantine pager pool ~horizon:(Wal.durable_lsn wal) with
       | None -> (None, None)
       | Some quarantined ->
           Pager.set_items_root pager 0;
@@ -283,13 +292,9 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       checkpoint_end = Wal.next_lsn wal;
     }
   in
-  (match first_repair with
-  | Some { quarantined; replayed } ->
-      Pager.forget_corrupt pager;
-      t.repairs <- 1;
-      Obs.Registry.Counter.incr t.emetrics.m_repairs;
-      t.last_repair <- Some { quarantined; replayed }
-  | None -> ());
+  Option.iter
+    (fun { quarantined; replayed } -> note_repair t ~quarantined ~replayed)
+    first_repair;
   t.next_txn <- analysis.Recovery.next_txn;
   (try
      if image <> "" then begin
@@ -556,3 +561,4 @@ let degraded_reason t = t.degraded_reason
 let repairs t = t.repairs
 let last_repair t = t.last_repair
 let io_retries t = Pager.retries t.pager + Wal.retries t.wal
+let next_txn t = t.next_txn

@@ -239,6 +239,19 @@ val last_repair : t -> repair option
 val io_retries : t -> int
 (** Transient-EIO retries (pager + WAL) that eventually succeeded. *)
 
+val next_txn : t -> int
+(** The id {!begin_txn} assigns next: after the open, one past the
+    largest transaction id the log names (1 for an empty log). *)
+
+val repair_needed : horizon:int -> string -> bool
+(** Would {!open_db} quarantine and rebuild the item store of the
+    database at this path, given a log whose clean length is [horizon]?
+    The open's own test — an item page that fails its CRC, or one whose
+    LSN lies past the log's end — run on a private pager that is then
+    abandoned, so it writes nothing.  [false] for a missing or empty
+    file (a fresh database); a damaged header raises
+    {!Pager.Corrupt}, as the open would. *)
+
 val wal_path : string -> string
 (** [wal_path db_path] is where {!open_db} keeps the log:
     [db_path ^ ".wal"]. *)

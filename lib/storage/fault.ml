@@ -281,6 +281,19 @@ let transient t ~at =
   end;
   fires
 
+let max_retries = 8
+
+(* Each retry draws afresh, so a sub-certain failure probability always
+   yields eventual success; a fault surviving every retry escapes. *)
+let with_retries t ~at ?(on_retry = ignore) f =
+  let retries = ref 0 in
+  while transient t ~at do
+    if !retries >= max_retries then raise (Io_error at);
+    on_retry ();
+    incr retries
+  done;
+  f ()
+
 (* --- the message-fault family (distributed commit) ----------------------- *)
 
 let dropped t ~at =

@@ -130,6 +130,12 @@ val transient : t -> at:string -> bool
 (** Should this read/fsync attempt fail with a transient error?  Each
     retry draws afresh, so with p < 1 retries eventually succeed. *)
 
+val with_retries : t -> at:string -> ?on_retry:(unit -> unit) -> (unit -> 'a) -> 'a
+(** The one transient-retry loop: run the operation unless
+    {!transient} fires at [at]; each firing calls [on_retry] and draws
+    again, up to 8 retries, after which {!Io_error} [at] escapes.  The
+    pager's reads and fsyncs and every {!Log_file} fsync run under it. *)
+
 val dropped : t -> at:string -> bool
 (** Should this message be lost before the receiver sees it?  Each
     send attempt draws afresh.  (Counted when it fires.) *)

@@ -33,7 +33,6 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let magic = "DBMETA1\n"
 let version = 1
-let max_retries = 8
 
 type metrics = {
   m_reads : Obs.Registry.Counter.t;
@@ -73,12 +72,10 @@ type t = {
 
 (* --- low-level exact-offset I/O --------------------------------------- *)
 
-let really_pwrite fd ~off buf len =
+(* [Unix.write] loops until every byte is written *)
+let pwrite fd ~off buf len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let written = ref 0 in
-  while !written < len do
-    written := !written + Unix.write fd buf !written (len - !written)
-  done
+  ignore (Unix.write fd buf 0 len : int)
 
 let really_pread fd ~off buf len =
   ignore (Unix.lseek fd off Unix.SEEK_SET);
@@ -103,7 +100,7 @@ let write_header t =
      tearing it would lose the chain roots, which no log protects *)
   Fault.io t.fault ~at:"header write" ~on_crash:(fun () -> ());
   Page.seal t.header;
-  really_pwrite t.fd ~off:0 t.header Page.size;
+  pwrite t.fd ~off:0 t.header Page.size;
   t.header_dirty <- false;
   t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
@@ -187,21 +184,11 @@ let abandon t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 let check_id t id =
   if id <= 0 || id >= page_count t then corrupt "%s: page id %d out of range" t.path id
 
-(* One transient-retry loop shared by reads and fsyncs: each attempt
-   draws afresh, so a sub-certain failure probability always yields
-   eventual success; a fault that survives every retry escapes. *)
+(* Reads and fsyncs share the fault injector's transient-retry loop. *)
 let with_transient_retries t ~at f =
-  let rec attempt n =
-    if Fault.transient t.fault ~at then
-      if n >= max_retries then raise (Fault.Io_error at)
-      else begin
-        t.retried <- t.retried + 1;
-        Obs.Registry.Counter.incr t.metrics.m_retries;
-        attempt (n + 1)
-      end
-    else f ()
-  in
-  attempt 0
+  Fault.with_retries t.fault ~at f ~on_retry:(fun () ->
+      t.retried <- t.retried + 1;
+      Obs.Registry.Counter.incr t.metrics.m_retries)
 
 let read_into t id buf =
   if Bytes.length buf <> Page.size then invalid_arg "Pager.read_into: not a page buffer";
@@ -240,8 +227,8 @@ let write_image t ~at ~off page =
         dirty
   in
   if Fault.torn_write t.fault ~at then
-    really_pwrite t.fd ~off image (Page.size / 2)
-  else really_pwrite t.fd ~off image Page.size;
+    pwrite t.fd ~off image (Page.size / 2)
+  else pwrite t.fd ~off image Page.size;
   t.unsynced <- (off, Page.size) :: t.unsynced;
   t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
@@ -252,7 +239,7 @@ let write_page t id page =
   Page.seal page;
   (* a crash mid-write leaves a torn prefix of the new image *)
   Fault.io t.fault ~at ~on_crash:(fun () ->
-      really_pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
+      pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
   write_image t ~at ~off:(id * Page.size) page
 
 let allocate t ~kind =
@@ -263,7 +250,7 @@ let allocate t ~kind =
   (* order matters: the page must exist before the header admits it *)
   Page.seal page;
   Fault.io t.fault ~at ~on_crash:(fun () ->
-      really_pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
+      pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
   write_image t ~at ~off:(id * Page.size) page;
   write_header t;
   id
@@ -277,7 +264,7 @@ let sync t =
         (fun (off, len) ->
           if off > 0 && Fault.torn_write t.fault ~at:"pager fsync" then begin
             let half = len / 2 in
-            really_pwrite t.fd ~off:(off + half) (Bytes.make half '\000') half
+            pwrite t.fd ~off:(off + half) (Bytes.make half '\000') half
           end)
         t.unsynced);
   with_transient_retries t ~at:"pager fsync" (fun () -> Unix.fsync t.fd);

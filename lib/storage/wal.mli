@@ -1,11 +1,14 @@
-(** The binary write-ahead log: an append-only file of CRC-framed
-    records whose LSN is their byte offset.
+(** The binary write-ahead log: a {!Log_file} of CRC-framed records
+    whose LSN is their byte offset.
 
     Appends are buffered; {!flush} makes them durable with one write +
     fsync (group commit).  An injected crash during flush leaves a torn
     prefix of the pending bytes on disk, and the opening scan stops —
     without failing — at the first incomplete or CRC-invalid frame,
-    exactly as recovery after a power cut must.
+    exactly as recovery after a power cut must.  This module adds the
+    record codec, the [wal.*] metrics, the [wal.flush] span and the
+    log's own silent faults (bit flips and torn writes) to
+    {!Log_file}'s append protocol.
 
     The record type deliberately mirrors {!Transactions.Recovery.record}
     (the paper's §6 in-memory model); {!to_model}/{!of_model} are the
@@ -43,9 +46,11 @@ val open_log :
   ?on_frame:(int -> kind -> int -> unit) -> string -> t * string
 (** Open (creating if needed), walk the whole log once, physically
     truncate any torn tail, and return the surviving image: the file's
-    bytes up to the end of the last valid frame.  The walk is {!walk}:
-    it checks every frame's CRC in place and its payload's structure,
-    stops at the same frame as {!scan}, and builds no record; it calls
+    bytes up to the end of the last valid frame.  The walk is
+    {!Log_file.open_file}'s one scan with {!valid}, the same walk as
+    {!walk}: it checks every frame's CRC in place and its payload's
+    structure, stops at the same frame as {!scan}, and builds no
+    record; it calls
     [on_frame lsn kind txn] for each surviving frame, oldest first
     ([txn] is [-1] for a checkpoint).  {!entries_from} decodes the
     image from any of those LSNs.  The count of truncated tail bytes is
@@ -96,6 +101,9 @@ val retries : t -> int
 
 val path : t -> string
 (** The log file path. *)
+
+val last_checkpoint : entry list -> int option
+(** The LSN of the last checkpoint among the entries. *)
 
 val read_entries : string -> entry list
 (** Read-only tolerant scan of a log file (for [db status]). *)
@@ -156,18 +164,10 @@ val frame_of_record : record -> string
     termination protocol, which appends decided commits to a shard log
     without opening the engine). *)
 
-val frame : string -> string
-(** CRC-frame an arbitrary payload ([u32 crc | u32 len | payload]) —
-    the generic framing layer the coordinator log reuses with its own
-    record payloads. *)
-
-val scan_frames : string -> (int * string) list * int
-(** Tolerant payload-level scan of a framed image: [(offset, payload)]
-    pairs up to the first incomplete or CRC-invalid frame, plus the
-    clean byte length.  The inverse of repeated {!frame}. *)
-
-val frames_of_file : string -> (int * string) list * int
-(** {!scan_frames} over a file; a missing file yields [([], 0)]. *)
+val valid : string -> int -> int -> bool
+(** [valid image off len]: is the [len]-byte payload at [off] one the
+    decoder accepts?  The payload check of every {!Log_file} scan of a
+    WAL image. *)
 
 val to_model : record list -> Transactions.Recovery.log
 (** Checkpoints are dropped, as are prepares — a prepared-but-undecided

@@ -9,3 +9,15 @@ let write_file path contents =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
+
+let read_span path ~from ~len =
+  if len <= 0 || not (Sys.file_exists path) then ""
+  else begin
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let len = max 0 (min len (in_channel_length ic - from)) in
+        seek_in ic from;
+        really_input_string ic len)
+  end

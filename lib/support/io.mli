@@ -9,3 +9,7 @@ val read_file : string -> string
 
 val write_file : string -> string -> unit
 (** Creates or truncates; raises [Sys_error] on failure. *)
+
+val read_span : string -> from:int -> len:int -> string
+(** Up to [len] bytes of a file from offset [from]: fewer when the file
+    ends first, none when it does not exist. *)

@@ -3,8 +3,11 @@
    WAL-shipping group, each cell healed by a faultless reopen and then
    checked three ways — every acked commit present on the primary,
    every node's WAL through the offline verifier, and the survivor
-   files through the replication lint.  A reduced version of the
-   QCheck sweep in test/test_replication.ml. *)
+   files through the replication lint.  A quorum cell's heal also
+   commits one more transaction, which the ack journal must then hold;
+   one cell's crash lands on an ack append, so that check reads past a
+   torn ack.  A reduced version of the QCheck sweep in
+   test/test_replication.ml. *)
 
 module G = Replication.Group
 module M = Replication.Repl_meta
@@ -45,14 +48,14 @@ let cleanup base =
 
 let errors diags = List.filter (fun d -> d.D.severity = D.Error) diags
 
-let run_cell ~what ~sync ~spec ~failover =
-  let base = fresh_base () in
+(* A faulted run over 2 replicas: the commits it promised, and where
+   its crash fired, if one did. *)
+let faulted_run ~sync ~spec base =
   let acked = ref [] in
-  (* phase 1: a faulted run over 2 replicas; record what was promised *)
-  (match
-     G.open_group ~replicas:2 ~sync ~faults:(F.spec_of_string spec) base
-   with
-  | exception F.Crash _ -> ()
+  match
+    G.open_group ~replicas:2 ~sync ~faults:(F.spec_of_string spec) base
+  with
+  | exception F.Crash site -> (!acked, Some site)
   | g -> (
       try
         for t = 1 to 6 do
@@ -62,8 +65,16 @@ let run_cell ~what ~sync ~spec ~failover =
           | G.Acked when sync = M.Quorum -> acked := txn :: !acked
           | G.Acked | G.Local_only -> ()
         done;
-        G.close g
-      with F.Crash _ -> ( try G.crash g with _ -> ())));
+        G.close g;
+        (!acked, None)
+      with F.Crash _ ->
+        (try G.crash g with _ -> ());
+        (!acked, Option.map (fun c -> c.F.site) (F.crashed_at (G.fault g))))
+
+let run_cell ~what ~sync ~spec ~failover =
+  let base = fresh_base () in
+  (* phase 1: a faulted run; record what was promised *)
+  let acked, _ = faulted_run ~sync ~spec base in
   (* phase 2: heal faultlessly, optionally fail over, and audit *)
   (match G.open_group base with
   | exception e ->
@@ -71,6 +82,18 @@ let run_cell ~what ~sync ~spec ~failover =
   | g ->
       if failover then ignore (G.failover g : int);
       G.catch_up g;
+      (* the heal's own commit must reach the ack journal, even when a
+         crash tore the last ack before it *)
+      (if sync = M.Quorum then
+         let txn = G.begin_txn g in
+         G.write g ~txn "heal" 1;
+         match G.commit g ~txn with
+         | G.Local_only -> fail "%s: the heal commit missed quorum" what
+         | G.Acked ->
+             if not (List.exists (fun a -> a.M.txn = txn) (M.load_acks base))
+             then
+               fail "%s: heal commit %d not read back from the ack journal"
+                 what txn);
       let committed =
         List.filter_map
           (fun { W.record; _ } ->
@@ -81,7 +104,7 @@ let run_cell ~what ~sync ~spec ~failover =
         (fun txn ->
           if not (List.mem txn committed) then
             fail "%s: acked txn %d lost" what txn)
-        !acked;
+        acked;
       G.close g;
       let d = match M.load_group base with Some d -> d.M.nodes | None -> 0 in
       for k = 0 to d - 1 do
@@ -95,7 +118,23 @@ let run_cell ~what ~sync ~spec ~failover =
       | e :: _ -> fail "%s: repl lint: %s %s" what e.D.code e.D.message));
   cleanup base
 
+(* The crash budget whose crash lands on an ack append, found by
+   stepping, so the cell follows changes in I/O counts. *)
+let ack_crash_budget ~seed =
+  let rec step n =
+    if n > 200 then failwith "no crash budget lands on an ack append"
+    else
+      let base = fresh_base () in
+      let spec = Printf.sprintf "crash=%d,seed=%d" n seed in
+      let _, site = faulted_run ~sync:M.Quorum ~spec base in
+      cleanup base;
+      if site = Some "ack journal append" then n else step (n + 1)
+  in
+  step 0
+
 let () =
+  (* the last cell's seed: 100 + its index *)
+  let ack_crash = ack_crash_budget ~seed:107 in
   let cells =
     [
       ("quorum clean", M.Quorum, "", false);
@@ -105,6 +144,10 @@ let () =
       ("quorum partition 20%", M.Quorum, "part=0.2", true);
       ("async drop 40%", M.Async, "drop=0.4", false);
       ("async crash 20", M.Async, "crash=20", true);
+      ( Printf.sprintf "quorum crash %d on an ack append" ack_crash,
+        M.Quorum,
+        Printf.sprintf "crash=%d" ack_crash,
+        false );
     ]
   in
   List.iteri

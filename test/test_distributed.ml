@@ -121,14 +121,22 @@ let all_records =
     CL.Forget 8;
   ]
 
+(* the coordinator log is a Log_file in Coord_log's codec *)
+let open_coord_log path = Storage.Log_file.open_file ~valid:CL.valid path
+
+let append_all log =
+  List.iter
+    (fun r -> ignore (Storage.Log_file.append log (CL.frame r) : int))
+    all_records;
+  Storage.Log_file.flush log;
+  Storage.Log_file.close log
+
 let test_coord_log_roundtrip () =
   let base = fresh_base () in
   let path = C.coord_path base in
-  let log, entries = CL.open_log path in
-  Alcotest.(check int) "fresh log empty" 0 (List.length entries);
-  List.iter (CL.append log) all_records;
-  CL.flush log;
-  CL.close log;
+  let log, image = open_coord_log path in
+  Alcotest.(check int) "fresh log empty" 0 (String.length image);
+  append_all log;
   let survivors = List.map (fun e -> e.CL.record) (CL.read_file path) in
   Alcotest.(check int) "all survive" (List.length all_records)
     (List.length survivors);
@@ -142,10 +150,8 @@ let test_coord_log_roundtrip () =
 let test_coord_log_torn_tail () =
   let base = fresh_base () in
   let path = C.coord_path base in
-  let log, _ = CL.open_log path in
-  List.iter (CL.append log) all_records;
-  CL.flush log;
-  CL.close log;
+  let log, _ = open_coord_log path in
+  append_all log;
   let whole = (Unix.stat path).Unix.st_size in
   (* tear the file mid-frame: the tolerant scan keeps the prefix *)
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
@@ -155,10 +161,10 @@ let test_coord_log_torn_tail () =
   Alcotest.(check int) "one frame lost" (List.length all_records - 1)
     (List.length survivors);
   (* reopening truncates the torn bytes away *)
-  let log, entries = CL.open_log path in
+  let log, image = open_coord_log path in
   Alcotest.(check int) "reopen sees the prefix" (List.length survivors)
-    (List.length entries);
-  CL.close log;
+    (List.length (fst (Storage.Log_file.payloads ~valid:CL.valid image)));
+  Storage.Log_file.close log;
   Alcotest.(check bool) "tail gone" true ((Unix.stat path).Unix.st_size < whole);
   cleanup base 0
 

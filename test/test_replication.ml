@@ -60,6 +60,12 @@ let errors diags =
 
 (* --- metadata ------------------------------------------------------------ *)
 
+(* Journal acks through one open of the journal, as a group does. *)
+let append_acks ?fault base acks =
+  let journal = M.open_journal ?fault base in
+  List.iter (M.append_ack journal) acks;
+  Storage.Log_file.close journal
+
 let test_meta_roundtrip () =
   let base = fresh_base () in
   let g = { M.epoch = 3; primary = 1; nodes = 3; sync = M.Quorum } in
@@ -69,8 +75,11 @@ let test_meta_roundtrip () =
   M.save_node (M.node_path base 1) ~epoch:3 ~snapshot_lsn:42;
   Alcotest.(check bool) "node stamp round-trips" true
     (M.load_node (M.node_path base 1) = Some (3, 42));
-  M.append_ack base { M.txn = 7; lsn = 100; ack_epoch = 3 };
-  M.append_ack base { M.txn = 9; lsn = 160; ack_epoch = 3 };
+  append_acks base
+    [
+      { M.txn = 7; lsn = 100; ack_epoch = 3 };
+      { M.txn = 9; lsn = 160; ack_epoch = 3 };
+    ];
   Alcotest.(check int) "two acks" 2 (List.length (M.load_acks base));
   Alcotest.(check bool) "ack fields" true
     (List.hd (M.load_acks base) = { M.txn = 7; lsn = 100; ack_epoch = 3 });
@@ -81,7 +90,7 @@ let test_meta_roundtrip () =
 
 let test_meta_torn_ack_tolerated () =
   let base = fresh_base () in
-  M.append_ack base { M.txn = 1; lsn = 10; ack_epoch = 1 };
+  append_acks base [ { M.txn = 1; lsn = 10; ack_epoch = 1 } ];
   (* a torn tail: half a frame of garbage after the valid ack *)
   let oc =
     open_out_gen [ Open_append; Open_binary ] 0o644 (M.acks_path base)
@@ -90,6 +99,28 @@ let test_meta_torn_ack_tolerated () =
   close_out oc;
   Alcotest.(check int) "valid prefix survives" 1
     (List.length (M.load_acks base));
+  cleanup base
+
+(* A crash tears an ack append; the next open of the journal cuts the
+   torn half frame, so an ack appended after the crash is read back
+   after the one before it instead of hiding behind the tear. *)
+let test_meta_torn_ack_then_append () =
+  let base = fresh_base () in
+  let fault = F.create () in
+  let journal = M.open_journal ~fault base in
+  M.append_ack journal { M.txn = 1; lsn = 10; ack_epoch = 1 };
+  let whole = (Unix.stat (M.acks_path base)).Unix.st_size in
+  F.arm fault 0;
+  (match M.append_ack journal { M.txn = 2; lsn = 20; ack_epoch = 1 } with
+  | () -> Alcotest.fail "the armed append did not crash"
+  | exception F.Crash site ->
+      Alcotest.(check string) "crash site" "ack journal append" site);
+  Storage.Log_file.abandon journal;
+  Alcotest.(check bool) "half a frame torn onto the journal" true
+    ((Unix.stat (M.acks_path base)).Unix.st_size > whole);
+  append_acks base [ { M.txn = 3; lsn = 30; ack_epoch = 1 } ];
+  Alcotest.(check (list int)) "both acks read back" [ 1; 3 ]
+    (List.map (fun a -> a.M.txn) (M.load_acks base));
   cleanup base
 
 (* --- replica receive/redo ------------------------------------------------ *)
@@ -321,9 +352,12 @@ let test_lint_rp002_epoch_regress () =
   write_file base "";
   write_file (M.node_path base 1) "";
   M.save_group base { M.epoch = 3; primary = 0; nodes = 2; sync = M.Quorum };
-  M.append_ack base { M.txn = 1; lsn = 10; ack_epoch = 2 };
-  M.append_ack base { M.txn = 2; lsn = 20; ack_epoch = 1 };
-  M.append_ack base { M.txn = 3; lsn = 30; ack_epoch = 9 };
+  append_acks base
+    [
+      { M.txn = 1; lsn = 10; ack_epoch = 2 };
+      { M.txn = 2; lsn = 20; ack_epoch = 1 };
+      { M.txn = 3; lsn = 30; ack_epoch = 9 };
+    ];
   let codes = errors (RL.lint_base base) in
   Alcotest.(check bool) "epoch regression flagged" true
     (List.mem "RP002" codes);
@@ -339,12 +373,15 @@ let test_lint_rp003_acked_lost () =
   let log = frames [ W.Begin 1; W.Commit 1 ] in
   write_file (E.wal_path base) log;
   (* txn 1 acked within the log: fine; txn 9 never committed: lost *)
-  M.append_ack base { M.txn = 1; lsn = String.length log; ack_epoch = 1 };
-  M.append_ack base { M.txn = 9; lsn = String.length log; ack_epoch = 1 };
+  append_acks base
+    [
+      { M.txn = 1; lsn = String.length log; ack_epoch = 1 };
+      { M.txn = 9; lsn = String.length log; ack_epoch = 1 };
+    ];
   Alcotest.(check (list string)) "acked-but-lost commit" [ "RP003" ]
     (errors (RL.lint_base base));
   (* a watermark beyond the clean log is also a loss *)
-  M.append_ack base { M.txn = 1; lsn = String.length log + 64; ack_epoch = 1 };
+  append_acks base [ { M.txn = 1; lsn = String.length log + 64; ack_epoch = 1 } ];
   Alcotest.(check int) "watermark beyond log" 2
     (List.length (errors (RL.lint_base base)));
   cleanup base
@@ -599,6 +636,7 @@ let suite =
   [
     ("meta: codecs round-trip", `Quick, test_meta_roundtrip);
     ("meta: torn ack tail tolerated", `Quick, test_meta_torn_ack_tolerated);
+    ("meta: append after a torn ack", `Quick, test_meta_torn_ack_then_append);
     ("replica: receive, redo, fencing", `Quick, test_replica_receive_and_redo);
     ("group: streams and quorum-acks", `Quick, test_group_streams_and_acks);
     ("group: reopen catches up", `Quick, test_group_reopen_catches_up);

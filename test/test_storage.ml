@@ -1366,6 +1366,88 @@ let test_wal_truncated_at_open () =
   Storage.Wal.close log2;
   cleanup path
 
+(* The log-file protocol under a crash at any flush: batches of random
+   frames are flushed one by one until the crash tears one; a reopen
+   must scan exactly the frames flushed before it, plus those of the
+   torn batch that lie whole in the half that reached the disk, and
+   frames appended after the reopen must follow them.  Then an fsync that exhausts its
+   retries must leave the file at its durable length, with the frames
+   still pending for a later flush. *)
+let prop_log_file_crash_reopen =
+  let module LF = Storage.Log_file in
+  let payload = QCheck2.Gen.(string_size ~gen:char (int_range 0 40)) in
+  let batches = QCheck2.Gen.(list_size (int_range 1 4) (list_size (int_range 1 3) payload)) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"log file: crash, reopen, append"
+       QCheck2.Gen.(
+         quad batches (int_range 0 4) (list_size (int_range 1 3) payload)
+           (int_range 0 1000))
+       (fun (batches, crash_at, more, seed) ->
+         let path = fresh_path () in
+         let any _ _ _ = true in
+         let fault = Storage.Fault.create () in
+         let log, _ = LF.open_file ~fault ~valid:any path in
+         let rec run i durable = function
+           | [] ->
+               LF.close log;
+               durable
+           | batch :: rest ->
+               List.iter (fun p -> ignore (LF.append log (LF.frame p) : int)) batch;
+               if i = crash_at then begin
+                 Storage.Fault.arm fault 0;
+                 (match LF.flush log ~at:"log flush" with
+                 | () -> QCheck2.Test.fail_report "the armed flush did not crash"
+                 | exception Storage.Fault.Crash _ -> ());
+                 LF.abandon log;
+                 let half = String.length (String.concat "" (List.map LF.frame batch)) / 2 in
+                 let whole, _ =
+                   List.fold_left
+                     (fun (acc, ends) p ->
+                       let ends = ends + String.length (LF.frame p) in
+                       ((if ends <= half then acc @ [ p ] else acc), ends))
+                     ([], 0) batch
+                 in
+                 durable @ whole
+               end
+               else begin
+                 LF.flush log ~at:"log flush";
+                 run (i + 1) (durable @ batch) rest
+               end
+         in
+         let durable = run 0 [] batches in
+         let log, image = LF.open_file ~fault ~valid:any path in
+         let scanned = List.map snd (fst (LF.payloads image)) in
+         let size () = (Unix.stat path).Unix.st_size in
+         let length = size () in
+         List.iter (fun p -> ignore (LF.append log (LF.frame p) : int)) more;
+         Storage.Fault.configure fault
+           {
+             Storage.Fault.no_faults with
+             eio = [ { Storage.Fault.scope = None; prob = 1. } ];
+             seed = Some seed;
+           };
+         let exhausted =
+           match LF.flush log ~at:"log flush" ~fsync_at:"log fsync" with
+           | () -> false
+           | exception Storage.Fault.Io_error _ -> true
+         in
+         let after_failure = size () in
+         Storage.Fault.configure fault Storage.Fault.no_faults;
+         LF.flush log ~at:"log flush" ~fsync_at:"log fsync";
+         LF.close log;
+         let final = List.map snd (LF.read_payloads path) in
+         cleanup path;
+         if scanned <> durable then
+           QCheck2.Test.fail_reportf "reopen scanned %d frame(s), %d were durable"
+             (List.length scanned) (List.length durable)
+         else if not exhausted then QCheck2.Test.fail_report "fsync did not fail"
+         else if after_failure <> length then
+           QCheck2.Test.fail_reportf "failed fsync left %d bytes, durable %d"
+             after_failure length
+         else if final <> durable @ more then
+           QCheck2.Test.fail_report "frames appended after the reopen were lost"
+         else true))
+
 let test_scan_report_resync_classification () =
   let frame r = Storage.Wal.frame_of_record r in
   let f1 = frame (Storage.Wal.Begin 1) in
@@ -1804,7 +1886,7 @@ let damaged_log rng =
       let k = Support.Rng.int rng (List.length frames + 1) in
       String.concat ""
         (List.filteri (fun i _ -> i < k) frames
-        @ [ Storage.Wal.frame payload ]
+        @ [ Storage.Log_file.frame payload ]
         @ List.filteri (fun i _ -> i >= k) frames)
   | _ -> image
 
@@ -1882,7 +1964,7 @@ let test_wal_structure_limits () =
                 | 5 -> item_len
                 | _ -> 0x40 + i))
         in
-        let image = first ^ Storage.Wal.frame payload ^ last in
+        let image = first ^ Storage.Log_file.frame payload ^ last in
         let what =
           Printf.sprintf "kind %d, item length %d, payload %d" kind item_len len
         in
@@ -1979,6 +2061,7 @@ let suite =
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
     prop_engine_matches_model_no_crash;
     Alcotest.test_case "wal truncated_at_open" `Quick test_wal_truncated_at_open;
+    prop_log_file_crash_reopen;
     Alcotest.test_case "wal resync classification" `Quick
       test_scan_report_resync_classification;
     prop_survivor_log_lints_clean;
