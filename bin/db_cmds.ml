@@ -243,6 +243,10 @@ let db_status_run path trace_file =
         (Storage.Buffer_pool.resident (Storage.Engine.pool eng))
         (Storage.Buffer_pool.capacity (Storage.Engine.pool eng))
         hits misses;
+      Printf.printf "free pages: %s\n"
+        (match Storage.Engine.free_pages eng with
+        | Some n -> string_of_int n
+        | None -> "unknown");
       (* a replica family beside this file means the db is one node of a
          replication group: report its role from the descriptor *)
       (match Replication.Repl_meta.load_group path with

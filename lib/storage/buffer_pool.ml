@@ -164,8 +164,14 @@ let with_page t id f =
 
 (* The adopted page becomes the frame's buffer; the one it displaces —
    the victim's, or a spare when the pool already holds [capacity] —
-   is dropped. *)
+   is dropped.  A frame the id still has is a reused page's old image:
+   it is dropped unflushed, so it can never overwrite the new page. *)
 let adopt t id page =
+  (match Hashtbl.find_opt t.frames id with
+  | Some stale ->
+      Hashtbl.remove t.frames id;
+      t.spare <- stale.page :: t.spare
+  | None -> ());
   if Hashtbl.length t.frames >= t.capacity then ignore (evict_one t : Page.t)
   else if Hashtbl.length t.frames + List.length t.spare >= t.capacity then
     t.spare <- List.tl t.spare;

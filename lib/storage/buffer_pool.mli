@@ -57,7 +57,9 @@ val adopt : t -> int -> Page.t -> unit
 (** Insert a freshly allocated page into the pool without re-reading it.
     The page becomes the frame's buffer (the pool owns it from now on);
     the buffer it displaces, the victim's when the pool is full, is
-    dropped, so the pool still holds at most its capacity. *)
+    dropped, so the pool still holds at most its capacity.  A frame
+    still resident under the same id (a reused page's old image) is
+    dropped without being flushed. *)
 
 val flush_page : t -> int -> unit
 (** Write back one dirty frame (after the WAL barrier); no-op if clean

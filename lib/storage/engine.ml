@@ -39,7 +39,17 @@
        engine flips to read-only and refuses begin/write/commit with
        [Read_only] instead of crashing.  Reads still work.
      Table chains are not WAL-protected; a corrupt table page remains a
-       hard [Pager.Corrupt] (documented limitation). *)
+       hard [Pager.Corrupt] (documented limitation).
+
+   Tables are shadow-paged.  [save_table] writes the new data, fence and
+   catalog pages where nothing the header reaches lives (the pager's
+   free set, derived by [Heap.owned_pages] at the first allocation),
+   makes them durable with a checkpoint, and only then switches the
+   catalog root with one header write, synced before it returns.  A
+   crash anywhere inside a replace leaves the old table or the new one.
+   The replaced table's pages join the free set at the next open, since
+   a planning context of this one may still read them; the old catalog
+   chain, which no reader holds, is free at once. *)
 
 type repair = { quarantined : int list; replayed : int }
 
@@ -255,6 +265,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
   let analysis = Recovery.analysis tally in
   let pool = Buffer_pool.create ~capacity:pool_size ~metrics pager in
   Buffer_pool.set_wal_barrier pool (fun lsn -> Wal.flush_to wal lsn);
+  Pager.set_owner pager (fun () -> Heap.owned_pages pool);
   let items, first_repair =
     try
       match quarantine pager pool ~horizon:(Wal.durable_lsn wal) with
@@ -518,8 +529,15 @@ let public_catalog pool =
 
 let save_table t name rel =
   check_writable t;
-  Heap.replace_table t.pool (Heap.save_relation t.pool ~name rel);
-  try checkpoint_now t
+  let old_catalog = List.map fst (Heap.chain_lsns t.pool ~first:(Pager.catalog_root t.pager)) in
+  let root = Heap.replace_table t.pool (Heap.save_relation t.pool ~name rel) in
+  try
+    checkpoint_now t;
+    (* the root switch, after every page the new catalog reaches is
+       durable, and durable itself before the save is acknowledged *)
+    Pager.set_catalog_root t.pager root;
+    Pager.sync t.pager;
+    Pager.release t.pager old_catalog
   with Fault.Io_error site ->
     degrade t site;
     raise (Read_only (Printf.sprintf "wal unflushable at %s" site))
@@ -548,6 +566,10 @@ let database t =
     Relational.Database.empty (public_catalog t.pool)
 
 (* --- observability ---------------------------------------------------------- *)
+
+let free_pages t =
+  Option.bind (Heap.owned_pages (Buffer_pool.create ~capacity:8 t.pager)) (fun owned ->
+      Option.map List.length (Pager.unreached t.pager owned))
 
 let pool t = t.pool
 let pager t = t.pager

@@ -163,10 +163,15 @@ val item_count : t -> int
 (** Number of nonzero committed items. *)
 
 val save_table : t -> string -> Relational.Relation.t -> unit
-(** Persist a relation under a name (replacing any previous binding) and
-    checkpoint.  The new chain, its fence chain when it spans two or
-    more pages ({!Heap.save_relation}), and the catalog entry naming
-    both are published together by that checkpoint. *)
+(** Persist a relation under a name (replacing any previous binding),
+    copy-on-write.  The new chain, its fence chain when it spans two or
+    more pages ({!Heap.save_relation}), and a new catalog chain naming
+    both go into pages nothing the header reaches; a checkpoint makes
+    them durable, then one header write switches the catalog root
+    ({!Pager.set_catalog_root}) and a pager fsync makes it durable
+    before the call returns.  A crash anywhere inside leaves the old
+    table or the new one.  The replaced table's pages are reused only
+    after the next open; the old catalog chain is free at once. *)
 
 val load_table : t -> string -> Relational.Relation.t
 (** Raises {!Unknown_table}.  Unlike the enumeration APIs below this
@@ -199,6 +204,12 @@ val table_info : t -> (string * Relational.Schema.t * int) list
 val database : t -> Relational.Database.t
 (** Load every public table — a {!Relational.Database} instance served
     from disk through the buffer pool. *)
+
+val free_pages : t -> int option
+(** Pages below the page count that nothing the header reaches, counted
+    by a read-only walk ({!Heap.owned_pages}) of the file through a
+    private pool, so the engine's pool and the file are untouched.
+    [None] when the walk fails.  What [db status] prints. *)
 
 val pool : t -> Buffer_pool.t
 (** The engine's buffer pool (tests and benches poke at it directly). *)

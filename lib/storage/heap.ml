@@ -242,7 +242,8 @@ let decode_fence r =
    order, so every page's first tuple carries the smallest leading value
    on that page.  Appending a tuple that lands on a new page records that
    page's fence; a chain of two or more pages then gets a fence chain of
-   its own, written after the data pages (so with higher page ids). *)
+   its own.  Pages come from the pager's free set first, so neither
+   chain's ids need be ascending or above the other's. *)
 let save_relation pool ~name rel =
   let chain =
     Chain.make pool ~kind:kind_table ~first:0 ~on_first:(fun _ -> ())
@@ -272,15 +273,22 @@ let save_relation pool ~name rel =
   { name; schema = Relational.Relation.schema rel; first; fences }
 
 (* Fences are trusted only when the fence chain is exactly what the
-   catalog entry promises.  A crash inside the checkpoint that publishes
-   a replace can leave the catalog entry and the data chain durable while
-   a fence page is still blank or torn: flush_all writes in page-id order
-   and fence pages come last.  Such fences are refused (None), and the
-   caller walks the chain instead. *)
+   catalog entry promises.  A table replace publishes its catalog entry
+   only after its data and fence pages are durable, so under the crash
+   model a fence chain is always whole; a torn write or a bit flip the
+   disk did silently can still leave a fence page unreadable or blank.
+   Such fences are refused (None), and the caller walks the chain
+   instead. *)
+let whole_fences tb fences =
+  match tb.fences with
+  | Some { count; _ } ->
+      count > 0 && Array.length fences = count && fences.(0).page = tb.first
+  | None -> false
+
 let read_fences pool tb =
   match tb.fences with
   | None -> None
-  | Some { root; count } -> (
+  | Some { root; _ } -> (
       let out = ref [] in
       match
         iter_chain pool ~first:root (fun _ _ r -> out := decode_fence r :: !out)
@@ -288,9 +296,7 @@ let read_fences pool tb =
       | exception (Pager.Corrupt _ | Relational.Codec.Corrupt _) -> None
       | () ->
           let fences = Array.of_list (List.rev !out) in
-          if count > 0 && Array.length fences = count && fences.(0).page = tb.first
-          then Some fences
-          else None)
+          if whole_fences tb fences then Some fences else None)
 
 let iter_relation pool ~first f =
   let view = Relational.Codec.view () in
@@ -343,11 +349,6 @@ let decode_table r =
   in
   { name; schema; first; fences }
 
-let catalog_chain pool =
-  let pager = Buffer_pool.pager pool in
-  Chain.make pool ~kind:kind_catalog ~first:(Pager.catalog_root pager)
-    ~on_first:(fun id -> Pager.set_catalog_root pager id)
-
 let catalog pool =
   let first = Pager.catalog_root (Buffer_pool.pager pool) in
   let out = ref [] in
@@ -355,40 +356,56 @@ let catalog pool =
     iter_chain pool ~first (fun _ _ r -> out := decode_table r :: !out);
   List.rev !out
 
-let add_table pool table =
-  ignore (Chain.append (catalog_chain pool) (encode_table table))
-
-(* Replacing a table rewrites the whole catalog chain in place (the old
-   data and fence chains' pages are leaked — no free list yet, see
-   DESIGN.md). *)
+(* The whole catalog, with [table] in place of its namesake (or last),
+   goes into a fresh chain: nothing the header reaches is written, and
+   the engine publishes the returned root once the pages are durable. *)
 let replace_table pool table =
   let existing = catalog pool in
-  if not (List.exists (fun t -> t.name = table.name) existing) then
-    add_table pool table
-  else begin
-    let tables =
+  let tables =
+    if List.exists (fun t -> t.name = table.name) existing then
       List.map (fun t -> if t.name = table.name then table else t) existing
-    in
-    (* clear the existing catalog pages, keeping the chain links, then
-       refill them from the first page on *)
-    let pager = Buffer_pool.pager pool in
-    let first = Pager.catalog_root pager in
-    let id = ref first in
-    while !id <> 0 do
-      let next =
-        Buffer_pool.with_page pool !id (fun page ->
-            let n = Page.next page in
-            let blank = Page.init ~kind:kind_catalog in
-            Page.set_next blank n;
-            Bytes.blit blank 0 page 0 Page.size;
-            Buffer_pool.mark_dirty pool !id;
-            n)
-      in
-      id := next
-    done;
-    let chain =
-      { Chain.pool; kind = kind_catalog; first; tail = first;
-        on_first = Pager.set_catalog_root pager }
-    in
-    List.iter (fun t -> ignore (Chain.append chain (encode_table t))) tables
-  end
+    else existing @ [ table ]
+  in
+  let chain =
+    Chain.make pool ~kind:kind_catalog ~first:0 ~on_first:(fun _ -> ())
+  in
+  List.iter (fun t -> ignore (Chain.append chain (encode_table t))) tables;
+  Chain.force chain
+
+(* --- ownership --------------------------------------------------------------- *)
+
+(* Every page the header reaches, each once: the item chain, the catalog
+   chain, and per entry its fence chain and data pages.  Whole fences
+   name every data page, so a fenced table's data chain is not read. *)
+let owned_pages pool =
+  let exception Revisited in
+  let pager = Buffer_pool.pager pool in
+  let seen = Hashtbl.create 64 in
+  let own id =
+    if Hashtbl.mem seen id then raise Revisited;
+    Hashtbl.replace seen id ()
+  in
+  let rec walk id on_page =
+    if id <> 0 then begin
+      own id;
+      walk (Buffer_pool.with_page pool id (fun page -> on_page page; Page.next page)) on_page
+    end
+  in
+  let table tb =
+    let fences = ref [] in
+    Option.iter
+      (fun { root; _ } ->
+        walk root (fun page ->
+            List.iter (fun (_, r) -> fences := decode_fence r :: !fences) (Page.records page)))
+      tb.fences;
+    let fences = Array.of_list (List.rev !fences) in
+    if whole_fences tb fences then Array.iter (fun f -> own f.page) fences
+    else walk tb.first ignore
+  in
+  match
+    walk (Pager.items_root pager) ignore;
+    walk (Pager.catalog_root pager) ignore;
+    List.iter table (catalog pool)
+  with
+  | () -> Some (Hashtbl.fold (fun id () acc -> id :: acc) seen [])
+  | exception (Revisited | Pager.Corrupt _ | Relational.Codec.Corrupt _) -> None

@@ -96,18 +96,20 @@ val save_relation :
 (** Write the relation's tuples into a fresh chain, in
     {!Relational.Tuple.compare} order (so sorted on the leading column),
     and return the catalog entry describing it.  A chain of two or more
-    pages also gets a fence chain (page kind {!kind_fence}), written
-    after the data pages: one {!fence} per data page, in chain order.
-    Nothing is published until the entry reaches the catalog. *)
+    pages also gets a fence chain (page kind {!kind_fence}): one
+    {!fence} per data page, in chain order.  Pages come from the pager's
+    free set first, so no order of page ids is implied.  Nothing is
+    published until a catalog chain naming the entry is the header's
+    root. *)
 
 val read_fences : Buffer_pool.t -> table -> fence array option
 (** The table's fences in chain order, read from its fence chain —
     [Some] only when the fence chain is exactly what the entry promises:
     it holds [count] fences, the first names the chain's first page, and
     no fence page fails its CRC check (a failure is still counted in
-    [pager.crc_failures]).  [None] for an unfenced
-    table and for fences a crash left blank or torn; callers then walk
-    the data chain. *)
+    [pager.crc_failures]).  [None] for an unfenced table and for fences
+    a silent torn write or bit flip damaged (a crash cannot: a replace
+    publishes only durable fences); callers then walk the data chain. *)
 
 val iter_relation :
   Buffer_pool.t -> first:int -> (Relational.Tuple.t -> unit) -> int
@@ -125,10 +127,18 @@ val load_relation :
 val catalog : Buffer_pool.t -> table list
 (** All catalog entries, in catalog-chain order. *)
 
-val add_table : Buffer_pool.t -> table -> unit
-(** Append an entry to the catalog chain (no uniqueness check — see
-    {!replace_table}). *)
+val replace_table : Buffer_pool.t -> table -> int
+(** Write the whole catalog into a fresh chain, with [table] in place of
+    the entry of the same name (appended when there is none), and
+    return its first page.  Nothing the header reaches is written: the
+    caller publishes the root with {!Pager.set_catalog_root} once the
+    new pages are durable.  The replaced table's pages and the old
+    catalog chain are then reached by nothing. *)
 
-val replace_table : Buffer_pool.t -> table -> unit
-(** [replace_table] rewrites the catalog chain; the replaced table's data
-    and fence pages are leaked (no free list yet — see DESIGN.md). *)
+val owned_pages : Buffer_pool.t -> int list option
+(** Every page the header reaches, read through the pool: the item
+    chain, the catalog chain, and per catalog entry (reserved ones
+    included) its fence chain and its data pages — named by the fences
+    when they are whole, else by walking the data chain.  [None] when a
+    page fails its CRC, a record does not decode, or a page is reached
+    twice.  The pager derives its free set from it. *)

@@ -19,6 +19,8 @@
     An open file holds a descriptor until {!close} or {!abandon}. *)
 
 type t
+(** An open log file: its descriptor, durable length and pending
+    bytes. *)
 
 val frame : string -> string
 (** The on-disk frame of a payload. *)

@@ -19,6 +19,12 @@
        backoff; only an error that survives every retry escapes as
        [Fault.Io_error].
 
+   Free space is derived, not stored: at the first allocation the pager
+   asks its owner walk (wired by the engine: the heap lists every page
+   the header reaches) and hands out the ids nothing reaches, lowest
+   first, before it grows the file.  Nothing here learns the heap's
+   format, and the header carries no free list.
+
    header page (page 0):
      0  u32  crc32 of bytes 4..size-1
      4  8b   magic "DBMETA1\n"
@@ -40,6 +46,7 @@ type metrics = {
   m_crc_failures : Obs.Registry.Counter.t;
   m_retries : Obs.Registry.Counter.t;
   m_syncs : Obs.Registry.Counter.t;
+  m_reused : Obs.Registry.Counter.t;
 }
 
 let make_metrics registry =
@@ -54,6 +61,9 @@ let make_metrics registry =
       counter ~help:"transient-EIO retries that eventually succeeded"
         "pager.io_retries";
     m_syncs = counter ~help:"successful pager fsyncs" "pager.syncs";
+    m_reused =
+      counter ~unit:"pages" ~help:"pages allocated from the free set, not appended"
+        "pager.reused";
   }
 
 type t = {
@@ -68,6 +78,9 @@ type t = {
   mutable retried : int;  (* transient-EIO retries that eventually won *)
   mutable unsynced : (int * int) list;  (* (offset, length) since last fsync *)
   mutable corrupt_pages : int list;  (* CRC failures seen, newest first *)
+  mutable owned : unit -> int list option;  (* the owner walk; None: unknown *)
+  mutable free : int list option;
+      (* unreached ids, ascending; None until the first allocation *)
 }
 
 (* --- low-level exact-offset I/O --------------------------------------- *)
@@ -105,6 +118,8 @@ let write_header t =
   t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
+(* the root switch of a table replace: the caller has made every page
+   the new catalog chain reaches durable, and syncs after *)
 let set_catalog_root t n =
   Bytes.set_int32_le t.header 18 (Int32.of_int n);
   write_header t
@@ -134,6 +149,8 @@ let make path fd fault metrics header =
     retried = 0;
     unsynced = [];
     corrupt_pages = [];
+    owned = (fun () -> None);
+    free = None;
   }
 
 let create ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop) path =
@@ -242,17 +259,50 @@ let write_page t id page =
       pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
   write_image t ~at ~off:(id * Page.size) page
 
+let set_owner t walk = t.owned <- walk
+
+let unreached t ids =
+  let n = page_count t in
+  if List.exists (fun id -> id <= 0 || id >= n) ids then None
+  else begin
+    let reached = Bytes.make n '\000' in
+    List.iter (fun id -> Bytes.set reached id '\001') ids;
+    Some (List.filter (fun id -> Bytes.get reached id = '\000') (List.init (n - 1) succ))
+  end
+
+(* The free set, derived once, at the first allocation.  A walk that
+   fails or names an id outside the file leaves it empty, so allocation
+   appends as it does on a file with no free page. *)
+let free_set t =
+  match t.free with
+  | Some free -> free
+  | None ->
+      let free = Option.value ~default:[] (Option.bind (t.owned ()) (unreached t)) in
+      t.free <- Some free;
+      free
+
+let release t ids = t.free <- Some (List.sort_uniq Int.compare (ids @ free_set t))
+
 let allocate t ~kind =
-  let id = page_count t in
-  set_page_count t (id + 1);
+  let id, reused =
+    match free_set t with
+    | id :: rest ->
+        t.free <- Some rest;
+        (id, true)
+    | [] ->
+        let id = page_count t in
+        set_page_count t (id + 1);
+        (id, false)
+  in
   let page = Page.init ~kind in
   let at = Printf.sprintf "page %d allocate" id in
-  (* order matters: the page must exist before the header admits it *)
+  (* order matters: the blank page is on disk before any chain can link
+     to it, and an appended one before the header admits it *)
   Page.seal page;
   Fault.io t.fault ~at ~on_crash:(fun () ->
       pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
   write_image t ~at ~off:(id * Page.size) page;
-  write_header t;
+  if reused then Obs.Registry.Counter.incr t.metrics.m_reused else write_header t;
   id
 
 let sync t =

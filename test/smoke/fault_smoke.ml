@@ -3,7 +3,9 @@
    kind (crash budget, torn writes, bit flips, transient EIO, and all of
    them at once) and insist the reopened database always equals the
    Transactions.Recovery model's committed state, and that one more
-   open and close of the recovered file changes no byte.  A reduced
+   open and close of the recovered file changes no byte.  A table
+   replace on a file with free pages is swept at every crash point too:
+   the reopened table must be the old one or the new one.  A reduced
    version of the exhaustive sweeps in test/test_executor.ml — seconds,
    not minutes. *)
 
@@ -93,6 +95,49 @@ let run_case ~what ~spec ~seed =
     path;
   cleanup path
 
+(* A fenced table replaced by v2 under a crash at every I/O, until the
+   replace completes, on a file holding v1 with v0's pages free behind
+   it (v1 replaced v0 in an earlier open). *)
+let replace_sweep () =
+  let version salt =
+    Relational.Relation.of_list
+      (Relational.Schema.make [ ("k", Relational.Value.TInt); ("v", Relational.Value.TString) ])
+      (List.init 600 (fun i ->
+           [ Relational.Value.Int i; Relational.Value.String (Printf.sprintf "%d-%012d" salt i) ]))
+  in
+  let v0 = version 0 and v1 = version 1 and v2 = version 2 in
+  let k = ref 0 and finished = ref false in
+  while not !finished do
+    let path = fresh_path () in
+    List.iter
+      (fun v ->
+        let eng = E.open_db ~pool_size:4 path in
+        E.save_table eng "t" v;
+        E.close eng)
+      [ v0; v1 ];
+    let spec = Printf.sprintf "crash=%d" !k in
+    (match E.open_db ~pool_size:4 ~faults:(F.spec_of_string spec) path with
+    | eng -> (
+        match
+          E.save_table eng "t" v2;
+          E.close eng
+        with
+        | () -> finished := true
+        | exception F.Crash _ -> E.crash eng)
+    | exception F.Crash _ -> ());
+    let what = Printf.sprintf "replace (faults %S)" spec in
+    let eng = E.open_db path in
+    (match E.load_table eng "t" with
+    | t when Relational.Relation.equal t v1 || Relational.Relation.equal t v2 -> ()
+    | _ -> fail "%s: the table is neither the old one nor the new one" what
+    | exception e -> fail "%s: %s" what (Printexc.to_string e));
+    E.close eng;
+    check_clean_reopen ~what path;
+    cleanup path;
+    incr k
+  done;
+  say "replace sweep: ok (%d crash points)" !k
+
 let () =
   let seeds = [ 1; 2; 3 ] in
   (* crash budget: a reduced matrix over early and mid-run I/O points *)
@@ -104,6 +149,7 @@ let () =
         seeds)
     [ 0; 2; 5; 9; 14 ];
   say "crash sweep: ok";
+  replace_sweep ();
   (* each corruption kind alone, then everything at once *)
   List.iter
     (fun (what, spec) ->

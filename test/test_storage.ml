@@ -316,6 +316,38 @@ let test_pager_rejects_garbage () =
     | exception Storage.Pager.Corrupt _ -> true);
   cleanup path
 
+(* Allocation takes the lowest page the owner walk did not reach, with
+   no header write, and appends only when none is left; a released page
+   comes back; a walk that fails reuses nothing. *)
+let test_pager_reuses_unreached () =
+  let path = fresh_path () in
+  let pager = Storage.Pager.create path in
+  ignore (List.init 4 (fun _ -> Storage.Pager.allocate pager ~kind:3) : int list);
+  Storage.Pager.close pager;
+  let metrics = Obs.Registry.create () in
+  let pager = Storage.Pager.open_file ~metrics path in
+  Storage.Pager.set_owner pager (fun () -> Some [ 2; 4 ]);
+  let writes () = snd (Storage.Pager.io_counts pager) in
+  let a = Storage.Pager.allocate pager ~kind:3 in
+  let b = Storage.Pager.allocate pager ~kind:3 in
+  Alcotest.(check (list int)) "lowest unreached first" [ 1; 3 ] [ a; b ];
+  Alcotest.(check int) "one write each, no header write" 2 (writes ());
+  Alcotest.(check int) "page count unchanged" 5 (Storage.Pager.page_count pager);
+  Alcotest.(check int) "then appends" 5 (Storage.Pager.allocate pager ~kind:3);
+  Storage.Pager.release pager [ 3 ];
+  Alcotest.(check int) "a released page comes back" 3
+    (Storage.Pager.allocate pager ~kind:3);
+  Alcotest.(check (option int)) "pager.reused" (Some 3)
+    (Obs.Registry.counter_value metrics "pager.reused");
+  Alcotest.(check (option (list int))) "an id past the end" None
+    (Storage.Pager.unreached pager [ 99 ]);
+  Storage.Pager.close pager;
+  let pager = Storage.Pager.open_file path in
+  Storage.Pager.set_owner pager (fun () -> None);
+  Alcotest.(check int) "a failed walk appends" 6 (Storage.Pager.allocate pager ~kind:3);
+  Storage.Pager.close pager;
+  cleanup path
+
 (* --- buffer pool ---------------------------------------------------------- *)
 
 let test_pool_counters_and_lru () =
@@ -845,8 +877,9 @@ let test_heap_replace_table () =
   Storage.Engine.close eng;
   cleanup path
 
-(* Replacing a table in a multi-page catalog refills the catalog's own
-   pages: five replaces leave the chain as long as it was. *)
+(* Replacing a table in a multi-page catalog writes a new catalog chain
+   (into the old chain's pages once the header retiring them is
+   synced): five replaces leave the chain as long as it was. *)
 let test_heap_replace_keeps_catalog_pages () =
   let path = fresh_path () in
   let eng = Storage.Engine.open_db path in
@@ -2027,6 +2060,7 @@ let suite =
     Alcotest.test_case "pager roundtrip" `Quick test_pager_roundtrip;
     Alcotest.test_case "pager detects corruption" `Quick test_pager_detects_corruption;
     Alcotest.test_case "pager rejects garbage" `Quick test_pager_rejects_garbage;
+    Alcotest.test_case "pager reuses unreached pages" `Quick test_pager_reuses_unreached;
     Alcotest.test_case "pool counters and lru" `Quick test_pool_counters_and_lru;
     Alcotest.test_case "pool dirty flush and wal barrier" `Quick
       test_pool_dirty_flush_and_barrier;
