@@ -201,12 +201,26 @@ let with_db ?(create = false) ?crash_after ?faults ?metrics ?trace_file path
 
 (* --- inspecting a replication node ------------------------------------------ *)
 
-(* Would restart on this log write?  Not when the log is clean to its
-   end and idle (empty, or ending in a checkpoint with no loser open):
-   the open then writes nothing. *)
-let restart_idle (r : Storage.Wal.report) =
-  r.Storage.Wal.clean_bytes = r.Storage.Wal.total_bytes
-  && (Storage.Recovery.analyze r.Storage.Wal.records).Storage.Recovery.idle
+(* What an inspecting command learns of a database's log before the
+   open, from one header walk of the file: how many frames survive, its
+   clean and whole lengths, and whether restart on it would write.  It
+   would not when the log is clean to its end and idle (empty, or
+   ending in a checkpoint with no loser open) by the open's own rule,
+   Recovery.note over the same frames: the open then writes nothing. *)
+type log_facts = { frames : int; clean : int; total : int; restart_idle : bool }
+
+let log_facts path =
+  let tally = Storage.Recovery.tally () in
+  let frames, clean, total =
+    Storage.Wal.walk_file (Storage.Engine.wal_path path) ~init:0
+      ~f:(fun n lsn kind txn ->
+        Storage.Recovery.note tally lsn kind txn;
+        n + 1)
+  in
+  let restart_idle =
+    clean = total && (Storage.Recovery.analysis tally).Storage.Recovery.idle
+  in
+  { frames; clean; total; restart_idle }
 
 (* The group base and node id of a replication node's file: node 0 is
    the base itself, node K > 0 lives at BASE.rK. *)
@@ -226,20 +240,16 @@ let node_of path =
    log gained a byte of its own no longer matches its primary's.  A
    clean open writes nothing; a node whose open has work, such as a
    replica a crash left mid-stream or one whose item store the open
-   would rebuild, is refused before it is opened.  [report] is the
-   node's log scan when the caller already holds it. *)
-let inspect_db ?report ?metrics ?trace_file path f =
+   would rebuild, is refused before it is opened.  [facts] are the
+   node's [log_facts] when the caller already holds them. *)
+let inspect_db ?facts ?metrics ?trace_file path f =
   let module M = Replication.Repl_meta in
   (if Sys.file_exists (M.epoch_path path) then
      let base, k = node_of path in
      let primary =
        match M.load_group base with Some g -> g.M.primary | None -> 0
      in
-     let report =
-       match report with
-       | Some r -> r
-       | None -> Storage.Wal.report_file (Storage.Engine.wal_path path)
-     in
+     let facts = match facts with Some f -> f | None -> log_facts path in
      let refuse work =
        invalid_arg
          (Printf.sprintf
@@ -252,9 +262,7 @@ let inspect_db ?report ?metrics ?trace_file path f =
             base base)
      in
      if k <> primary then
-       if not (restart_idle report) then refuse "run restart recovery"
-       else if
-         Storage.Engine.repair_needed path
-           ~horizon:report.Storage.Wal.clean_bytes
-       then refuse "rebuild its item store");
+       if not facts.restart_idle then refuse "run restart recovery"
+       else if Storage.Engine.repair_needed path ~horizon:facts.clean then
+         refuse "rebuild its item store");
   with_db ?metrics ?trace_file path f

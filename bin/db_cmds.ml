@@ -31,9 +31,7 @@ let shard_wals path n =
 
 (* a replication node's durable log length, read without opening it *)
 let durable_bytes path k =
-  (Storage.Wal.report_file
-     (Storage.Engine.wal_path (Replication.Repl_meta.node_path path k)))
-    .Storage.Wal.clean_bytes
+  (log_facts (Replication.Repl_meta.node_path path k)).clean
 
 let positive flag n =
   if n <= 0 then
@@ -206,16 +204,15 @@ let db_get_run path items trace_file =
 let db_status_run path trace_file =
   input_error_to_exit @@ fun () ->
   (* the raw log, inspected before recovery rewrites it *)
-  let raw = Storage.Wal.report_file (Storage.Engine.wal_path path) in
-  inspect_db ~report:raw ?trace_file path (fun eng ->
+  let raw = log_facts path in
+  inspect_db ~facts:raw ?trace_file path (fun eng ->
       let pager = Storage.Engine.pager eng in
       Printf.printf "file: %s (format v1, %d pages of %d bytes)\n" path
         (Storage.Pager.page_count pager)
         Storage.Page.size;
       report_recovery eng;
-      Printf.printf "wal: %d surviving record(s) before open%s\n"
-        (List.length raw.Storage.Wal.records)
-        (let torn = raw.Storage.Wal.total_bytes - raw.Storage.Wal.clean_bytes in
+      Printf.printf "wal: %d surviving record(s) before open%s\n" raw.frames
+        (let torn = raw.total - raw.clean in
          if torn = 0 then ""
          else Printf.sprintf ", %d torn tail byte(s)" torn);
       Printf.printf "items: %d\n" (Storage.Engine.item_count eng);
@@ -465,7 +462,7 @@ let db_exec_run path shards replicas sync_mode txns ops items write_ratio skew
   | exception Storage.Fault.Crash at -> crashed (hint ()) at
   | t ->
       let module X = Storage.Executor in
-      let config = { X.default_config with seed; lock_timeout = timeout } in
+      let config = { X.seed; lock_timeout = timeout } in
       let stats = X.run ~config t.backend programs in
       let counters = t.counters stats in
       if stats.X.crashed = None then (

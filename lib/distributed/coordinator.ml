@@ -185,12 +185,14 @@ let max_txn_of_coord entries =
     0 entries
 
 (* whether shard [k]'s log holds a transaction that committed, or that
-   a coordinator decision may yet commit *)
+   a coordinator decision may yet commit: a Commit or Prepare frame *)
 let holds_commits base k =
-  List.exists
-    (fun { Wal.record; _ } ->
-      match record with Wal.Commit _ | Wal.Prepare _ -> true | _ -> false)
-    (Wal.read_entries (Engine.wal_path (shard_path base k)))
+  let found, _, _ =
+    Wal.walk_file (Engine.wal_path (shard_path base k)) ~init:false
+      ~f:(fun found _ kind _ ->
+        found || match kind with `Commit | `Prepare -> true | _ -> false)
+  in
+  found
 
 let open_dist ?shards ?faults ?crash_after
     ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) base =
@@ -307,7 +309,6 @@ let shard t k = t.shards.(k)
 let fault t = t.fault
 let net_ticks t = Net.ticks t.net
 let resolved t = (t.resolved_commit, t.resolved_abort)
-let coordinator_degraded t = t.degraded
 
 let degraded t =
   t.degraded || Array.exists Engine.read_only t.shards

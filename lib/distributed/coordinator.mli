@@ -131,9 +131,6 @@ val recoveries : t -> Storage.Recovery.outcome option list
 val degraded : t -> bool
 (** Has the coordinator log or any shard degraded to read-only? *)
 
-val coordinator_degraded : t -> bool
-(** Has the coordinator log itself degraded? *)
-
 val model_divergence : path:string -> ((string * int) list * (string * int) list) option
 (** The distributed atomicity check.  Expected state is
     {!Transactions.Recovery.committed_state} over the concatenation of

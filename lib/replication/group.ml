@@ -150,8 +150,11 @@ let ship_replica t ~reliable k ~durable =
             let chunk =
               Support.Io.read_span (primary_wal t) ~from ~len:(durable - from)
             in
-            let entries, _ = Wal.scan chunk in
-            if Wal.last_checkpoint entries <> None then
+            let checkpoint, _ =
+              Wal.walk chunk ~init:false ~f:(fun found _ kind _ ->
+                  found || kind = `Checkpoint)
+            in
+            if checkpoint then
               (* a Checkpoint may only travel with the page image its
                  redo-start contract assumes: take the snapshot path *)
               send_snapshot t ~reliable k r ~durable
@@ -302,8 +305,12 @@ let open_group ?replicas ?sync ?faults ?crash_after
 let close t =
   E.close t.engine;
   (* the shutdown checkpoint is on disk; ship the final tail (and the
-     page images it implies) so surviving replicas end byte-identical *)
-  let durable = (Wal.report_file (primary_wal t)).Wal.clean_bytes in
+     page images it implies) so surviving replicas end byte-identical.
+     Its length is the log file's clean length, not the WAL's durable
+     LSN: a silent torn flush leaves the file shorter than that *)
+  let (), durable, _ =
+    Wal.walk_file (primary_wal t) ~init:() ~f:(fun () _ _ _ -> ())
+  in
   Repl_meta.save_node ~fault:t.fault (primary_path t) ~epoch:t.epoch
     ~snapshot_lsn:durable;
   ship_all t ~reliable:true ~durable;
@@ -399,16 +406,17 @@ let backend t =
    and whether its snapshot watermark covers its last checkpoint (the
    redo-start contract; a node failing it would recover wrong state). *)
 let judge_candidate path =
-  let report = Wal.report_file (E.wal_path path) in
+  let last_checkpoint, clean, _ =
+    Wal.walk_file (E.wal_path path) ~init:None ~f:(fun last lsn kind _ ->
+        if kind = `Checkpoint then Some lsn else last)
+  in
   let snap =
     match Repl_meta.load_node path with Some (_, s) -> s | None -> 0
   in
   let eligible =
-    match Wal.last_checkpoint report.Wal.records with
-    | None -> true
-    | Some c -> snap >= c
+    match last_checkpoint with None -> true | Some c -> snap >= c
   in
-  (report.Wal.clean_bytes, eligible)
+  (clean, eligible)
 
 let failover t =
   Obs.Trace.with_span t.trace "repl.failover" (fun () ->

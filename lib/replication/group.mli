@@ -5,9 +5,9 @@
 
     Shipping is {e physical}: after every commit the primary sends the
     durable WAL bytes each replica is missing, stamped with the group
-    epoch; replicas append them verbatim and run continuous redo, so a
-    caught-up replica's log is byte-identical to a prefix of the
-    primary's.  The shipping channel draws [drop]/[delay]/[part] faults
+    epoch; replicas append them verbatim, so a caught-up replica's log
+    is byte-identical to a prefix of the primary's, and promoting a
+    node is opening an engine on its files.  The shipping channel draws [drop]/[delay]/[part] faults
     from the same shared {!Storage.Fault} injector as every disk in the
     group — one crash budget covers primary, replicas, metadata, and
     messages alike.

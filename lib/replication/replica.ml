@@ -1,9 +1,12 @@
-(* A replica is a byte-accurate WAL tail plus continuous redo.  The
-   file layout is exactly a single-node database's (db at [path], log
-   at [path.wal]) so that promotion is just Storage.Engine.open_db;
-   what this module adds is the streaming side: append shipped chunks
-   at their primary offsets, refuse stale epochs, and keep an
-   in-memory committed view current record by record. *)
+(* A replica is a byte-accurate WAL tail and nothing else.  The file
+   layout is exactly a single-node database's (db at [path], log at
+   [path.wal]) so that promotion is just Storage.Engine.open_db, whose
+   restart recovery is the replica's redo; what this module adds is the
+   streaming side: append shipped chunks at their primary offsets,
+   refuse stale epochs, and route a chunk that carries a Checkpoint to
+   the snapshot path.  Every question it asks of log bytes (their clean
+   length, a Checkpoint among them, how many Commits they hold) is
+   answered by one header walk; no record is decoded. *)
 
 module Wal = Storage.Wal
 module Fault = Storage.Fault
@@ -19,44 +22,23 @@ type t = {
   mutable epoch : int;
   mutable snapshot_lsn : int;
   mutable wal_len : int;  (* durable clean bytes — the replica's LSN *)
-  mutable commits : int;
-  pending : (int, (string * int) list) Hashtbl.t;  (* txn -> rev writes *)
-  state : (string, int) Hashtbl.t;
   m_commits : Obs.Registry.Counter.t;
   m_stale : Obs.Registry.Counter.t;
 }
 
 type receipt = Acked of int | Stale_epoch | Gap of int | Snapshot_needed
 
-(* One record through the redo loop: buffer writes per transaction,
-   publish them at Commit, discard at Abort — the same winners-only
-   discipline as restart recovery, applied continuously. *)
-let apply t record =
-  match record with
-  | Wal.Begin txn -> Hashtbl.replace t.pending txn []
-  | Wal.Write { txn; item; after; _ } ->
-      let writes =
-        match Hashtbl.find_opt t.pending txn with Some l -> l | None -> []
-      in
-      Hashtbl.replace t.pending txn ((item, after) :: writes)
-  | Wal.Commit txn ->
-      (match Hashtbl.find_opt t.pending txn with
-      | Some writes ->
-          List.iter
-            (fun (item, v) -> Hashtbl.replace t.state item v)
-            (List.rev writes)
-      | None -> ());
-      Hashtbl.remove t.pending txn;
-      t.commits <- t.commits + 1;
-      Obs.Registry.Counter.incr t.m_commits
-  | Wal.Abort txn -> Hashtbl.remove t.pending txn
-  | Wal.Checkpoint | Wal.Prepare _ -> ()
-
-let replay t entries =
-  Hashtbl.reset t.pending;
-  Hashtbl.reset t.state;
-  t.commits <- 0;
-  List.iter (fun { Wal.record; _ } -> apply t record) entries
+(* One header walk of log bytes: the Commit frames they hold, whether
+   one of them is a Checkpoint, and their clean length. *)
+let survey image =
+  let (commits, checkpoint), clean =
+    Wal.walk image ~init:(0, false) ~f:(fun (commits, checkpoint) _ kind _ ->
+        match kind with
+        | `Commit -> (commits + 1, checkpoint)
+        | `Checkpoint -> (commits, true)
+        | `Begin | `Write | `Abort | `Prepare -> (commits, checkpoint))
+  in
+  (commits, checkpoint, clean)
 
 let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
   let counter = Obs.Registry.counter metrics in
@@ -71,11 +53,11 @@ let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
       epoch;
       snapshot_lsn = 0;
       wal_len = 0;
-      commits = 0;
-      pending = Hashtbl.create 16;
-      state = Hashtbl.create 64;
       m_commits =
-        counter ~unit:"txns" ~help:"transactions applied by replica redo"
+        counter ~unit:"txns"
+          ~help:
+            "commit records a replica's log took in (attach, chunks, \
+             snapshots)"
           "repl.apply_commits";
       m_stale =
         counter ~unit:"msgs" ~help:"stale-epoch chunks refused (fencing)"
@@ -92,9 +74,10 @@ let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
   if Sys.file_exists wal_file then begin
     (* the open cuts a torn tail a crashed append left *)
     let log, image = Log_file.open_file ~fault ~valid:Wal.valid wal_file in
+    let commits, _, clean = survey image in
     t.log <- Some log;
-    t.wal_len <- String.length image;
-    replay t (Wal.entries_from image 0)
+    t.wal_len <- clean;
+    Obs.Registry.Counter.add t.m_commits commits
   end;
   t
 
@@ -139,15 +122,11 @@ let receive t ~epoch ~start ~chunk =
       if skip >= String.length chunk then Acked t.wal_len
       else begin
         let fresh = String.sub chunk skip (String.length chunk - skip) in
-        let entries, clean = Wal.scan fresh in
-        if
-          List.exists
-            (fun { Wal.record; _ } -> record = Wal.Checkpoint)
-            entries
-        then Snapshot_needed
+        let commits, checkpoint, clean = survey fresh in
+        if checkpoint then Snapshot_needed
         else begin
           append_bytes t fresh;
-          List.iter (fun { Wal.record; _ } -> apply t record) entries;
+          Obs.Registry.Counter.add t.m_commits commits;
           t.wal_len <- t.wal_len + clean;
           Acked t.wal_len
         end
@@ -187,21 +166,15 @@ let install_snapshot t ~epoch ~db_image ~wal_image ~snapshot_lsn =
   t.epoch <- max t.epoch epoch;
   t.snapshot_lsn <- snapshot_lsn;
   Repl_meta.save_node ~fault:t.fault t.path ~epoch:t.epoch ~snapshot_lsn;
-  let entries, clean = Wal.scan wal_image in
+  let commits, _, clean = survey wal_image in
   t.wal_len <- clean;
-  replay t entries
+  Obs.Registry.Counter.add t.m_commits commits
 
 let durable_lsn t = t.wal_len
 let epoch t = t.epoch
 let snapshot_lsn t = t.snapshot_lsn
 let node_id t = t.node_id
 let path t = t.path
-
-let state t =
-  Hashtbl.fold (fun k v acc -> if v = 0 then acc else (k, v) :: acc) t.state []
-  |> List.sort compare
-
-let applied_commits t = t.commits
 
 let close t =
   Option.iter Log_file.close t.log;

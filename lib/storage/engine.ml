@@ -456,9 +456,6 @@ let prepare t ~txn =
         raise (Read_only (Printf.sprintf "wal unflushable at %s" site))
   end
 
-let prepared_txns t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.prepared [] |> List.sort Int.compare
-
 let commit t ~txn =
   check_writable t;
   ignore (writes_of t txn);
@@ -512,7 +509,6 @@ let abort t ~txn =
 
 let items t = with_repair t (fun () -> Heap.Items.all (dir t))
 let item_count t = with_repair t (fun () -> Heap.Items.count (dir t))
-let active_txns t = Hashtbl.fold (fun k _ acc -> k :: acc) t.active [] |> List.sort Int.compare
 
 (* --- tables --------------------------------------------------------------- *)
 
@@ -528,6 +524,7 @@ let public_catalog pool =
   List.filter (fun tb -> not (reserved tb.Heap.name)) (Heap.catalog pool)
 
 let save_table t name rel =
+  if Hashtbl.length t.active > 0 then raise Active_transactions;
   check_writable t;
   let old_catalog = List.map fst (Heap.chain_lsns t.pool ~first:(Pager.catalog_root t.pager)) in
   let root = Heap.replace_table t.pool (Heap.save_relation t.pool ~name rel) in

@@ -38,7 +38,8 @@ exception No_such_transaction of int
 (** The transaction id is not active. *)
 
 exception Active_transactions
-(** Raised by {!checkpoint} while transactions are running. *)
+(** Raised by {!checkpoint} and {!save_table} while transactions are
+    running: every checkpoint the engine writes is quiescent. *)
 
 exception Unknown_table of string
 (** No catalog entry under that name. *)
@@ -132,9 +133,6 @@ val prepare : t -> txn:int -> unit
     when the vote cannot be made durable, in which case the shard must
     vote no. *)
 
-val prepared_txns : t -> int list
-(** Active transactions whose [Prepare] is durable, sorted. *)
-
 val commit : t -> txn:int -> unit
 (** Appends Commit and flushes the WAL — the commit point.  If the
     flush fails past its retries the engine degrades and raises
@@ -153,9 +151,6 @@ val checkpoint : t -> unit
 val lock_holder : t -> string -> int option
 (** Which transaction write-locks the item, if any. *)
 
-val active_txns : t -> int list
-(** Ids of the currently running transactions, sorted. *)
-
 val items : t -> (string * int) list
 (** The committed-visible KV state, sorted, zero values omitted. *)
 
@@ -171,7 +166,9 @@ val save_table : t -> string -> Relational.Relation.t -> unit
     ({!Pager.set_catalog_root}) and a pager fsync makes it durable
     before the call returns.  A crash anywhere inside leaves the old
     table or the new one.  The replaced table's pages are reused only
-    after the next open; the old catalog chain is free at once. *)
+    after the next open; the old catalog chain is free at once.  Like
+    {!checkpoint}, raises {!Active_transactions} while a transaction
+    is running, before it writes anything. *)
 
 val load_table : t -> string -> Relational.Relation.t
 (** Raises {!Unknown_table}.  Unlike the enumeration APIs below this

@@ -11,15 +11,12 @@
 
 module Schedule = Transactions.Schedule
 
-type config = {
-  max_steps : int;
-  max_backoff : int;
-  lock_timeout : int option;
-  seed : int;
-}
+type config = { lock_timeout : int option; seed : int }
 
-let default_config =
-  { max_steps = 200_000; max_backoff = 64; lock_timeout = None; seed = 0 }
+let default_config = { lock_timeout = None; seed = 0 }
+
+(* the livelock bound on operation attempts *)
+let max_steps = 200_000
 
 type outcome = Committed | Aborted
 
@@ -207,7 +204,7 @@ let run ?(config = default_config) b specs =
     Obs.Registry.Counter.add m_wasted slot.pc;
     slot.pc <- 0;
     slot.incarnation <- slot.incarnation + 1;
-    let window = min config.max_backoff (1 lsl min 6 slot.incarnation) in
+    let window = 1 lsl min 6 slot.incarnation in
     slot.delay <- 1 + Support.Rng.int rng window;
     Obs.Histogram.observe m_backoff slot.delay
   in
@@ -290,7 +287,7 @@ let run ?(config = default_config) b specs =
   in
   let all_done () = Array.for_all (fun s -> s.finished) slots in
   (try
-     while (not (all_done ())) && (not !stopped) && !steps < config.max_steps do
+     while (not (all_done ())) && (not !stopped) && !steps < max_steps do
        Array.iter
          (fun slot ->
            if (not slot.finished) && not !stopped then

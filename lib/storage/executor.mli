@@ -28,16 +28,16 @@
     repaired inside the engine without the executor noticing (see
     {!Engine.repairs}). *)
 
-(** Scheduler knobs; see {!default_config}. *)
+(** Scheduler knobs; see {!default_config}.  The backoff window doubles
+    per restart up to 64 rounds, and a run stops after 200,000
+    operation attempts (the livelock bound). *)
 type config = {
-  max_steps : int;  (** livelock bound on total operation attempts *)
-  max_backoff : int;  (** cap on the backoff window, in rounds *)
   lock_timeout : int option;  (** lock-wait timeout in rounds, if any *)
   seed : int;  (** jitter RNG seed *)
 }
 
 val default_config : config
-(** max_steps 200_000, max_backoff 64, lock_timeout None, seed 0. *)
+(** lock_timeout None, seed 0. *)
 
 (** What a backend's commit decided.  [Aborted] means the work is
     undone (or will be, by restart recovery); the scheduler retries the

@@ -113,15 +113,6 @@ let spec_to_string spec =
 
 (* --- the injector -------------------------------------------------------- *)
 
-type counts = {
-  torn : int;
-  flips : int;
-  eios : int;
-  drops : int;
-  delays : int;
-  parts : int;
-}
-
 type t = {
   mutable budget : int option;
   mutable crashed : crash_info option;
@@ -133,12 +124,6 @@ type t = {
   mutable drop_rules : rule list;
   mutable delay_rules : rule list;
   mutable part_rules : rule list;
-  mutable torn_count : int;
-  mutable flip_count : int;
-  mutable eio_count : int;
-  mutable drop_count : int;
-  mutable delay_count : int;
-  mutable part_count : int;
   mutable registry : Obs.Registry.t;
   fired : (string, Obs.Registry.Counter.t) Hashtbl.t;
 }
@@ -155,12 +140,6 @@ let create () =
     drop_rules = [];
     delay_rules = [];
     part_rules = [];
-    torn_count = 0;
-    flip_count = 0;
-    eio_count = 0;
-    drop_count = 0;
-    delay_count = 0;
-    part_count = 0;
     registry = Obs.Registry.noop;
     fired = Hashtbl.create 8;
   }
@@ -217,10 +196,7 @@ let arm t n =
   if n < 0 then invalid_arg "Fault.arm: negative budget";
   t.budget <- Some n
 
-let disarm t = t.budget <- None
-let armed t = t.budget <> None
 let crashed_at t = t.crashed
-let io_index t = t.ios
 
 let io t ~at ~on_crash =
   match t.budget with
@@ -259,15 +235,11 @@ let draw t rules ~at =
 
 let torn_write t ~at =
   let fires = draw t t.torn_rules ~at in
-  if fires then begin
-    t.torn_count <- t.torn_count + 1;
-    fired t "torn" ~at
-  end;
+  if fires then fired t "torn" ~at;
   fires
 
 let bit_flip t ~at ~len =
   if len > 0 && draw t t.flip_rules ~at then begin
-    t.flip_count <- t.flip_count + 1;
     fired t "flip" ~at;
     Some (Support.Rng.int t.rng (len * 8))
   end
@@ -275,10 +247,7 @@ let bit_flip t ~at ~len =
 
 let transient t ~at =
   let fires = draw t t.eio_rules ~at in
-  if fires then begin
-    t.eio_count <- t.eio_count + 1;
-    fired t "eio" ~at
-  end;
+  if fires then fired t "eio" ~at;
   fires
 
 let max_retries = 8
@@ -298,15 +267,11 @@ let with_retries t ~at ?(on_retry = ignore) f =
 
 let dropped t ~at =
   let fires = draw t t.drop_rules ~at in
-  if fires then begin
-    t.drop_count <- t.drop_count + 1;
-    fired t "drop" ~at
-  end;
+  if fires then fired t "drop" ~at;
   fires
 
 let delay_ticks t ~at ~max =
   if max > 0 && draw t t.delay_rules ~at then begin
-    t.delay_count <- t.delay_count + 1;
     fired t "delay" ~at;
     Some (1 + Support.Rng.int t.rng max)
   end
@@ -314,20 +279,8 @@ let delay_ticks t ~at ~max =
 
 let partitioned t ~at =
   let fires = draw t t.part_rules ~at in
-  if fires then begin
-    t.part_count <- t.part_count + 1;
-    fired t "part" ~at
-  end;
+  if fires then fired t "part" ~at;
   fires
 
 let flip_coin t = Support.Rng.int t.rng 2 = 0
 
-let counts t =
-  {
-    torn = t.torn_count;
-    flips = t.flip_count;
-    eios = t.eio_count;
-    drops = t.drop_count;
-    delays = t.delay_count;
-    parts = t.part_count;
-  }

@@ -78,8 +78,8 @@ val spec_to_string : spec -> string
 (* --- the injector -------------------------------------------------------- *)
 
 type t
-(** The injector: crash budget, per-kind rules, seeded RNG, and firing
-    counts. *)
+(** The injector: crash budget, per-kind rules, seeded RNG, and the
+    per-site firing counters of {!set_metrics}. *)
 
 val create : unit -> t
 (** Unarmed: all I/O proceeds normally. *)
@@ -100,12 +100,6 @@ val arm : t -> int -> unit
     Equivalent to configuring [{no_faults with crash_after = Some n}]
     without touching the probabilistic rules. *)
 
-val disarm : t -> unit
-(** Cancel the crash budget (probabilistic rules stay installed). *)
-
-val armed : t -> bool
-(** Is a crash budget currently installed? *)
-
 val crashed_at : t -> crash_info option
 (** Where the injected crash fired, once it has. *)
 
@@ -115,9 +109,6 @@ val io : t -> at:string -> on_crash:(unit -> unit) -> unit
     [on_crash] (the site's partial-effect simulation), and raises
     {!Crash}.  Otherwise returns unit and the caller performs the real
     I/O. *)
-
-val io_index : t -> int
-(** Durable I/Os accounted so far. *)
 
 val torn_write : t -> at:string -> bool
 (** Should this write lose its tail?  (Counted when it fires.) *)
@@ -154,16 +145,3 @@ val flip_coin : t -> bool
 (** A fair draw from the injector's seeded RNG, for tie-breaks such as
     the direction of a partition loss. *)
 
-type counts = {
-  torn : int;
-  flips : int;
-  eios : int;
-  drops : int;
-  delays : int;
-  parts : int;
-}
-(** Aggregate firing totals (the per-site split lives in the metric
-    registry; see {!set_metrics}). *)
-
-val counts : t -> counts
-(** How many probabilistic faults actually fired. *)

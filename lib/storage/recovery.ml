@@ -20,11 +20,14 @@
    decoded only from the restart point, the first LSN that redo or undo
    needs: the last checkpoint, moved back to the first record naming a
    loser when such a record precedes it.  A checkpoint flushes every
-   page before its record is logged, so redo can start there, but it
-   need not be quiescent: [Engine.save_table] checkpoints while
-   transactions are active, so a loser can have writes before the last
-   checkpoint, and undo must reach them.  A second header-only walk of
-   the log finds the first one; it runs only when there are losers.
+   page before its record is logged, so redo can start there.  Every
+   checkpoint this engine writes is quiescent ([Engine.checkpoint] and
+   [Engine.save_table] refuse to run under a live transaction), but a
+   log written by an earlier binary, whose [save_table] checkpointed
+   while transactions were active, can hold a loser with writes before
+   its last checkpoint, and undo must reach them.  A second header-only
+   walk of the log finds the first one; it runs only when there are
+   losers.
    [run] over a decoded entry list is the same analysis and the same
    redo/undo, from LSN 0.
 

@@ -9,9 +9,9 @@
     id; ids that arrive in ascending order need no sort.  {!restart}
     then decodes from the restart point: the last
     checkpoint, or LSN 0 without one, moved back to the first record
-    naming a loser when that record precedes the checkpoint (a
-    checkpoint taken by [Engine.save_table] may have active
-    transactions).  {!run} over a decoded entry list is the same
+    naming a loser when that record precedes the checkpoint (the
+    engine's checkpoints are quiescent, but a log written by an earlier
+    binary may hold one taken under active transactions).  {!run} over a decoded entry list is the same
     analysis and the same redo/undo.
 
     The algorithm is store-agnostic: the engine supplies [read]/[write]

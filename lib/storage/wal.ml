@@ -121,6 +121,11 @@ let walk image ~init ~f =
   Log_file.fold ~valid image ~from:0 ~init
     ~f:(fun acc lsn _ -> f acc lsn (kind_at image lsn) (txn_at image lsn))
 
+let walk_file path ~init ~f =
+  let image = Support.Io.read_span path ~from:0 ~len:max_int in
+  let acc, clean = walk image ~init ~f in
+  (acc, clean, String.length image)
+
 (* Decode the frames from [from] to the first damaged one. *)
 let decode image ~from =
   let entries, clean =
@@ -211,8 +216,6 @@ type t = {
   fault : Fault.t;
   metrics : metrics;
   trace : Obs.Trace.t;
-  mutable appends : int;
-  mutable flushes : int;
   mutable retried : int;  (* transient-EIO retries that eventually won *)
 }
 
@@ -227,15 +230,12 @@ let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
       fault;
       metrics = make_metrics metrics;
       trace;
-      appends = 0;
-      flushes = 0;
       retried = 0;
     },
     image )
 
 let append t record =
   let frame = frame_of_record record in
-  t.appends <- t.appends + 1;
   Obs.Registry.Counter.incr t.metrics.m_appends;
   Obs.Registry.Counter.add t.metrics.m_append_bytes (String.length frame);
   Log_file.append t.file frame
@@ -275,7 +275,6 @@ let flush t =
               ~on_retry:(fun () ->
                 t.retried <- t.retried + 1;
                 Obs.Registry.Counter.incr t.metrics.m_retries);
-            t.flushes <- t.flushes + 1;
             Obs.Registry.Counter.incr t.metrics.m_flushes;
             Obs.Registry.Counter.add t.metrics.m_flush_bytes len))
 
@@ -287,7 +286,6 @@ let close t =
 
 let abandon t = Log_file.abandon t.file
 
-let stats t = (t.appends, t.flushes, durable_lsn t)
 let retries t = t.retried
 let truncated_at_open t = Log_file.torn_at_open t.file
 let path t = Log_file.path t.file

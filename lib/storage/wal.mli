@@ -93,9 +93,6 @@ val abandon : t -> unit
 (** Close the descriptor without flushing — pending records are lost,
     as in a crash. *)
 
-val stats : t -> int * int * int
-(** (appends, flushes, durable bytes). *)
-
 val retries : t -> int
 (** Transient-EIO retries that eventually succeeded. *)
 
@@ -106,7 +103,9 @@ val last_checkpoint : entry list -> int option
 (** The LSN of the last checkpoint among the entries. *)
 
 val read_entries : string -> entry list
-(** Read-only tolerant scan of a log file (for [db status]). *)
+(** Read-only tolerant scan of a log file, every record decoded: for
+    the callers that use record values (repair, the model checks,
+    [lint commit]).  {!walk_file} answers the rest. *)
 
 val scan : string -> entry list * int
 (** Tolerant scan of an in-memory log image; returns the entries and the
@@ -120,6 +119,15 @@ val walk :
     that is incomplete, fails its CRC, or has a payload the decoder
     would reject, and decodes nothing: it reads only the kind byte and
     the transaction id ([-1] for a checkpoint). *)
+
+val walk_file :
+  string -> init:'a -> f:('a -> int -> kind -> int -> 'a) -> 'a * int * int
+(** {!walk} over the log file at a path, read without opening it for
+    writing: the fold's result, the clean length, and the file's whole
+    length (longer than the clean one by a torn or damaged tail).  A
+    missing file walks as an empty log.  What the callers that need a
+    log's length, its kinds or its idleness read instead of decoding
+    it. *)
 
 val entries_from : string -> int -> entry list
 (** [entries_from image lsn] decodes the frames of [image] from the

@@ -8,3 +8,5 @@
     Never blocks; pays with restarts under contention. *)
 
 val create : unit -> Protocol.t
+(** A fresh instance, with no committed transaction to validate
+    against. *)

@@ -6,6 +6,7 @@
     record writes at install time, so the recorded history is the real
     execution order). *)
 
+(** What a protocol answers to one request. *)
 type verdict =
   | Granted  (** the operation executed *)
   | Blocked  (** retry later (lock conflict) *)

@@ -14,6 +14,7 @@
     order. *)
 
 type value = int
+(** An item's value; an item never written reads 0. *)
 
 type record =
   | Begin of Schedule.txn

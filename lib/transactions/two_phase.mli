@@ -7,6 +7,8 @@
     possible; the simulation driver resolves them by victim abort. *)
 
 val create : unit -> Protocol.t
+(** A fresh instance with an empty lock table; it detects no deadlock
+    itself ({!Simulation.run} aborts a victim). *)
 
 val create_wait_die : unit -> Protocol.t
 (** Strict 2PL with wait–die deadlock {e prevention}: on a lock conflict

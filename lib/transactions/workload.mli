@@ -11,8 +11,13 @@ type params = {
 }
 
 val default : params
+(** 8 transactions of 6 operations over 32 items, uniform access, 30%
+    writes. *)
 
 val generate : Support.Rng.t -> params -> Simulation.spec array
+(** One program per transaction, each of [ops_per_txn] operations on
+    items drawn from the Zipf distribution, a write with probability
+    [write_ratio]; the same RNG state gives the same workload. *)
 
 val contention_level : params -> float
 (** A rough scalar: ops per transaction × transactions / items, scaled by

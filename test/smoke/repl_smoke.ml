@@ -1,9 +1,12 @@
 (* Fast replication fault-matrix smoke for @check: a reduced sweep of
    {sync modes} x {message loss, crashes, crash+loss} over a
    WAL-shipping group, each cell healed by a faultless reopen and then
-   checked three ways — every acked commit present on the primary,
-   every node's WAL through the offline verifier, and the survivor
-   files through the replication lint.  A quorum cell's heal also
+   checked four ways — every acked commit present on the primary, every
+   replica level with the primary after the heal's close, holding a
+   byte-identical log and a promoted copy (an engine opened on a copy
+   of its files) serving the primary's items, every node's WAL through
+   the offline verifier, and the survivor files through the
+   replication lint.  A quorum cell's heal also
    commits one more transaction, which the ack journal must then hold;
    one cell's crash lands on an ack append, so that check reads past a
    torn ack.  A reduced version of the QCheck sweep in
@@ -47,6 +50,24 @@ let cleanup base =
   done
 
 let errors diags = List.filter (fun d -> d.D.severity = D.Error) diags
+
+let read_file path =
+  if Sys.file_exists path then Support.Io.read_file path else ""
+
+(* The items promoting a node would serve: an engine opened on a copy
+   of its db image and log, so the node keeps its bytes. *)
+let promoted_items node =
+  let copy = fresh_base () in
+  let cp src dst =
+    if Sys.file_exists src then Support.Io.write_file dst (read_file src)
+  in
+  cp node copy;
+  cp (E.wal_path node) (E.wal_path copy);
+  let eng = E.open_db copy in
+  let items = E.items eng in
+  E.close eng;
+  cleanup copy;
+  items
 
 (* A faulted run over 2 replicas: the commits it promised, and where
    its crash fired, if one did. *)
@@ -105,8 +126,18 @@ let run_cell ~what ~sync ~spec ~failover =
           if not (List.mem txn committed) then
             fail "%s: acked txn %d lost" what txn)
         acked;
+      let primary = G.primary_id g and items = G.items g in
       G.close g;
       let d = match M.load_group base with Some d -> d.M.nodes | None -> 0 in
+      let primary_log = read_file (E.wal_path (M.node_path base primary)) in
+      for k = 0 to d - 1 do
+        let node = M.node_path base k in
+        if k <> primary then
+          if read_file (E.wal_path node) <> primary_log then
+            fail "%s: node %d's log is not level with the primary's" what k
+          else if promoted_items node <> items then
+            fail "%s: node %d's promoted copy differs from the primary" what k
+      done;
       for k = 0 to d - 1 do
         let wal = E.wal_path (M.node_path base k) in
         match errors (Analysis.Wal_lint.lint_file wal) with

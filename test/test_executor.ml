@@ -294,7 +294,7 @@ let test_executor_lock_timeout () =
   in
   let stats =
     X.run
-      ~config:{ X.default_config with seed = 3; lock_timeout = Some 1 }
+      ~config:{ X.seed = 3; lock_timeout = Some 1 }
       (X.engine eng) specs
   in
   E.close eng;

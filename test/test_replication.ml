@@ -1,6 +1,7 @@
 (* Tests for the WAL-shipping replication stack: metadata codecs, the
-   replica's receive/redo discipline (idempotent overlap, gaps, epoch
-   fencing, the checkpoint-needs-snapshot rule), group streaming and
+   replica's receive discipline (idempotent overlap, gaps, epoch
+   fencing, the checkpoint-needs-snapshot rule), judged on the node's
+   files through a promoted copy, group streaming and
    quorum accounting, catch-up after lag, deterministic failover with
    the deposed primary rejoining, the RP lint codes on synthetic
    files, and the QCheck sweeps: under seeded crash + message-loss
@@ -53,6 +54,19 @@ let read_file path =
   s
 
 let frames records = String.concat "" (List.map W.frame_of_record records)
+
+(* What promoting a node would serve: the items of an engine opened on
+   a copy of the node's db image and log, so the node keeps its bytes. *)
+let promoted_items node =
+  let copy = fresh_base () in
+  let cp src dst = if Sys.file_exists src then write_file dst (read_file src) in
+  cp node copy;
+  cp (E.wal_path node) (E.wal_path copy);
+  let eng = E.open_db copy in
+  let items = E.items eng in
+  E.close eng;
+  cleanup copy;
+  items
 
 let errors diags =
   List.filter (fun d -> d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error) diags
@@ -143,17 +157,25 @@ let test_replica_receive_and_redo () =
   | R.Acked n -> Alcotest.(check int) "acked full chunk" (String.length chunk) n
   | _ -> Alcotest.fail "expected Acked");
   Alcotest.(check bool) "only committed writes visible" true
-    (R.state r = [ ("x", 5) ]);
+    (promoted_items (R.path r) = [ ("x", 5) ]);
   (* idempotent resend of the same bytes *)
   (match R.receive r ~epoch:1 ~start:0 ~chunk with
   | R.Acked n -> Alcotest.(check int) "same watermark" (String.length chunk) n
   | _ -> Alcotest.fail "resend should ack");
-  (* the uncommitted transaction aborts; its write never shows *)
-  let tail = frames [ W.Abort 2 ] in
+  (* the uncommitted transaction aborts, logging the compensation
+     write Engine.abort logs before its Abort; its write never shows *)
+  let tail =
+    frames
+      [
+        W.Write { txn = 2; item = "y"; before = 9; after = 0; compensation = true };
+        W.Abort 2;
+      ]
+  in
   (match R.receive r ~epoch:1 ~start:(String.length chunk) ~chunk:tail with
   | R.Acked _ -> ()
   | _ -> Alcotest.fail "tail should ack");
-  Alcotest.(check bool) "abort discards pending" true (R.state r = [ ("x", 5) ]);
+  Alcotest.(check bool) "abort discards pending" true
+    (promoted_items (R.path r) = [ ("x", 5) ]);
   (* a chunk starting past the tail reports the gap *)
   (match R.receive r ~epoch:1 ~start:10_000 ~chunk:tail with
   | R.Gap want ->
@@ -176,9 +198,10 @@ let test_replica_receive_and_redo () =
    with
   | R.Snapshot_needed -> ()
   | _ -> Alcotest.fail "expected Snapshot_needed");
-  (* a re-attach rebuilds the same state from the files *)
+  (* a re-attach finds the same files, and so the same state *)
   let r2 = R.attach ~fault:f ~node_id:1 ~epoch:1 (M.node_path base 1) in
-  Alcotest.(check bool) "reattach replays" true (R.state r2 = [ ("x", 5) ]);
+  Alcotest.(check bool) "reattach replays" true
+    (promoted_items (R.path r2) = [ ("x", 5) ]);
   Alcotest.(check int) "reattach keeps epoch" 5 (R.epoch r2);
   cleanup base
 
@@ -197,6 +220,9 @@ let run_txns g lo hi =
 let check_converged g =
   let primary_items = G.items g in
   let d = Storage.Wal.durable_lsn (E.wal (G.primary g)) in
+  let primary_log =
+    read_file (E.wal_path (M.node_path (G.base g) (G.primary_id g)))
+  in
   List.iter
     (fun k ->
       match G.replica g k with
@@ -205,10 +231,14 @@ let check_converged g =
           Alcotest.(check bool)
             (Printf.sprintf "node %d state matches primary" k)
             true
-            (R.state r = primary_items);
+            (promoted_items (R.path r) = primary_items);
           Alcotest.(check int)
             (Printf.sprintf "node %d durable matches primary" k)
-            d (R.durable_lsn r))
+            d (R.durable_lsn r);
+          Alcotest.(check bool)
+            (Printf.sprintf "node %d log is a prefix of the primary's" k)
+            true
+            (read_file (E.wal_path (R.path r)) = String.sub primary_log 0 d))
     (G.replica_ids g)
 
 let test_group_streams_and_acks () =
@@ -468,7 +498,23 @@ let prop_sweep_converges_and_lints_clean =
                failwith (Printf.sprintf "acked txn %d lost" txn))
            !acked;
          check_converged g;
+         let primary = G.primary_id g in
          G.close g;
+         (* each replica's promoted copy serves what its own log commits *)
+         for k = 0 to G.node_count g - 1 do
+           if k <> primary then begin
+             let node = M.node_path base k in
+             let expected =
+               X.committed_items
+                 (List.map
+                    (fun e -> e.W.record)
+                    (W.read_entries (E.wal_path node)))
+             in
+             if promoted_items node <> expected then
+               failwith
+                 (Printf.sprintf "node %d: promoted copy differs from its log" k)
+           end
+         done;
          (* phase 3: the survivor files lint clean *)
          let rl = errors (RL.lint_base base) in
          if rl <> [] then
@@ -619,7 +665,7 @@ let prop_same_decisions_on_every_backend =
              }
          in
          let (local, ok_l), (sharded, ok_s), (replicated, ok_r) =
-           on_backends { X.default_config with seed; lock_timeout } programs
+           on_backends { X.seed; lock_timeout } programs
          in
          let show (c, r, d, t, s, w) =
            Printf.sprintf

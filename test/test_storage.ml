@@ -2017,9 +2017,11 @@ let test_wal_structure_limits () =
 
 (* --- a loser spanning a checkpoint ------------------------------------------ *)
 
-(* [save_table] checkpoints while a transaction is active, so the loser's
-   first write precedes the last checkpoint: restart must decode from
-   that write, not from the checkpoint, to undo it. *)
+(* A checkpoint taken while a transaction is active, as [save_table]
+   took one in earlier binaries (taken here by hand, in that order:
+   flush the log, write and sync every page, log the Checkpoint), puts
+   the loser's first write before the last checkpoint: restart must
+   decode from that write, not from the checkpoint, to undo it. *)
 let test_loser_spanning_checkpoint () =
   let path = fresh_path () in
   let eng = Storage.Engine.open_db path in
@@ -2028,7 +2030,12 @@ let test_loser_spanning_checkpoint () =
   Storage.Engine.commit eng ~txn:t1;
   let t2 = Storage.Engine.begin_txn eng in
   Storage.Engine.write eng ~txn:t2 "x" 5;
-  Storage.Engine.save_table eng "t" (students ());
+  let wal = Storage.Engine.wal eng in
+  Storage.Wal.flush wal;
+  Storage.Buffer_pool.flush_all (Storage.Engine.pool eng);
+  Storage.Pager.sync (Storage.Engine.pager eng);
+  ignore (Storage.Wal.append wal Storage.Wal.Checkpoint : int);
+  Storage.Wal.flush wal;
   Storage.Engine.write eng ~txn:t2 "y" 6;
   Storage.Wal.flush (Storage.Engine.wal eng);
   Storage.Engine.crash eng;
@@ -2042,6 +2049,34 @@ let test_loser_spanning_checkpoint () =
       Alcotest.(check (list int)) "t2 is the loser" [ t2 ] o.Storage.Recovery.losers;
       Alcotest.(check int) "both of its writes undone" 2 o.Storage.Recovery.undone
   | None -> Alcotest.fail "expected a recovery outcome");
+  Storage.Engine.close eng;
+  cleanup path
+
+(* [save_table] under a live transaction raises before it writes: every
+   checkpoint the engine takes is quiescent, so neither file changes. *)
+let test_save_table_refuses_live_txn () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  Storage.Engine.save_table eng "s" (students ());
+  let t1 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t1 "x" 1;
+  Storage.Engine.commit eng ~txn:t1;
+  let t2 = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn:t2 "x" 5;
+  let bytes () =
+    (Support.Io.read_file path, Support.Io.read_file (Storage.Engine.wal_path path))
+  in
+  let before = bytes () in
+  (match Storage.Engine.save_table eng "t" (students ()) with
+  | () -> Alcotest.fail "save_table ran under a live transaction"
+  | exception Storage.Engine.Active_transactions -> ());
+  Alcotest.(check bool) "no byte of either file changed" true (bytes () = before);
+  Alcotest.(check (list string)) "the catalog is unchanged" [ "s" ]
+    (Storage.Engine.table_names eng);
+  Storage.Engine.commit eng ~txn:t2;
+  Storage.Engine.save_table eng "t" (students ());
+  Alcotest.(check (list string)) "saved once quiescent" [ "s"; "t" ]
+    (Storage.Engine.table_names eng);
   Storage.Engine.close eng;
   cleanup path
 
@@ -2089,6 +2124,8 @@ let suite =
     Alcotest.test_case "wal structure limits" `Quick test_wal_structure_limits;
     Alcotest.test_case "loser spanning a checkpoint" `Quick
       test_loser_spanning_checkpoint;
+    Alcotest.test_case "save_table refuses a live transaction" `Quick
+      test_save_table_refuses_live_txn;
     Alcotest.test_case "crash matrix" `Slow test_crash_matrix;
     Alcotest.test_case "crash matrix, deep restart" `Slow
       test_crash_matrix_deep_restart;
