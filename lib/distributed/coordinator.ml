@@ -100,14 +100,15 @@ let discover base =
 (* --- the termination protocol -------------------------------------------- *)
 
 (* Complete decided-commit transactions on a shard whose engine is not
-   open: open its WAL (which cuts the torn tail once: appending after
-   damage would read as mid-log corruption), append a Commit frame per
-   transaction and flush them together.  The engine's own restart
-   recovery then sees ordinary winners.  Idempotent: a crash mid-append
+   open: open its WAL from [from], the shard's anchor (which cuts the
+   torn tail once: appending after damage would read as mid-log
+   corruption), append a Commit frame per transaction and flush them
+   together.  The engine's own restart recovery, walking from the same
+   anchor, then sees ordinary winners.  Idempotent: a crash mid-append
    leaves a prefix of whole frames (the torn one is the new tail,
    re-resolved next time). *)
-let append_commits_offline fault wal_file txns ~site =
-  let log, _ = Log_file.open_file ~fault ~valid:Wal.valid wal_file in
+let append_commits_offline fault wal_file ~from txns ~site =
+  let log, _ = Log_file.open_file ~fault ~valid:Wal.valid ~from wal_file in
   let commit txn = Wal.frame_of_record (Wal.Commit txn) in
   match
     List.iter (fun txn -> ignore (Log_file.append log (commit txn) : int)) txns;
@@ -136,8 +137,10 @@ let in_doubt_txns image =
   Hashtbl.fold (fun t () acc -> t :: acc) prepared [] |> List.sort Int.compare
 
 (* Resolve every shard's in-doubt prepared transactions against the
-   coordinator log, before any engine opens.  Returns (commits, aborts)
-   resolved. *)
+   coordinator log, before any engine opens.  Each shard log is read
+   from the anchor its engine's open will walk from: the anchor is a
+   quiescent checkpoint, so no in-doubt transaction begins before it.
+   Returns (commits, aborts) resolved. *)
 let resolve_in_doubt fault base n coord_entries =
   let decision = Hashtbl.create 8 in
   List.iter
@@ -150,9 +153,12 @@ let resolve_in_doubt fault base n coord_entries =
   let commits = ref 0 and aborts = ref 0 in
   for k = 0 to n - 1 do
     let wal_file = Engine.wal_path (shard_path base k) in
-    let image =
-      if Sys.file_exists wal_file then Support.Io.read_file wal_file else ""
+    let from =
+      match Engine.log_anchor (shard_path base k) with
+      | Some (lsn, _) -> lsn
+      | None -> 0
     in
+    let image = Support.Io.read_span wal_file ~from ~len:max_int in
     let to_complete =
       List.filter
         (fun txn ->
@@ -165,7 +171,7 @@ let resolve_in_doubt fault base n coord_entries =
         (in_doubt_txns image)
     in
     if to_complete <> [] then begin
-      append_commits_offline fault wal_file to_complete
+      append_commits_offline fault wal_file ~from to_complete
         ~site:(Printf.sprintf "shard %d resolve" k);
       commits := !commits + List.length to_complete
     end

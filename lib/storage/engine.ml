@@ -12,6 +12,14 @@
    Opening a database always runs restart recovery over the surviving
    log; a database file abandoned mid-flight (or killed by Fault
    injection) is repaired to exactly the committed transactions' writes.
+   The open walks the log from the pager header's anchor: the last
+   checkpoint whose whole log prefix was read back clean (see
+   [checkpoint_now]), and the next transaction id there.  [log_anchor]
+   is the one rule for when the anchor may be used; without it the
+   walk starts at LSN 0, as for a fresh file or one written by a binary
+   that kept no anchor.  Every checkpoint is quiescent, so nothing
+   restart needs lies before the anchor, and nothing before it is read
+   except by an open-time repair.
 
    A clean open and close write nothing.  Checkpoints run:
      after restart, unless restart was idle — the log ends in a
@@ -32,8 +40,11 @@
        replaying every surviving WAL write record (the log is never
        truncated, so the full history is available).  A page whose LSN
        is newer than the surviving log's end betrays a lost log suffix
-       (a corrupted WAL frame truncates the opening scan) and is
-       quarantined the same way.
+       (a corrupted WAL frame after the anchor truncates the opening
+       scan) and is quarantined the same way.  Damage before the anchor
+       happened at rest, as those bytes were read back clean after they
+       were written, and the open does not see it, unless it must
+       rebuild: then it walks from LSN 0 and cuts there.
      read-only degradation — a WAL flush whose fsync fails past its
        retry budget means durability can no longer be promised: the
        engine flips to read-only and refuses begin/write/commit with
@@ -100,6 +111,10 @@ type t = {
   mutable checkpoint_end : int;
       (* Wal.next_lsn when the last checkpoint ended: no record has been
          logged since while the two are equal *)
+  mutable verified : int;
+      (* every log byte before this offset was walked clean after it was
+         written: by the open's walk, or by a checkpoint's read-back *)
+  walked_from : int;  (* the LSN the open's walk started at *)
 }
 
 exception Locked of string * int
@@ -128,11 +143,19 @@ let checkpoint_now t =
          pages — redo may really start at it, and an open whose log ends
          in it has nothing to write *)
       Wal.flush t.wal;
+      (* the log written since the last verified point, read back: a
+         silent write fault in it (a flipped bit, a torn write) keeps
+         the anchor before it, so the next open walks over the damage
+         and cuts there *)
+      let clean = Wal.reads_back_clean t.wal ~from:t.verified in
       Buffer_pool.flush_all t.pool;
       Pager.sync t.pager;
-      ignore (Wal.append t.wal Wal.Checkpoint : int);
+      let lsn = Wal.append t.wal Wal.Checkpoint in
       Wal.flush t.wal;
-      Pager.set_flushed_lsn t.pager (Wal.durable_lsn t.wal);
+      if clean then begin
+        t.verified <- lsn;
+        Pager.set_anchor t.pager (Some (lsn, t.next_txn))
+      end;
       t.checkpoint_end <- Wal.next_lsn t.wal)
 
 let checkpoint t =
@@ -161,6 +184,22 @@ let replay_items pool entries =
       | _ -> ())
     entries;
   (items, !replayed)
+
+exception Damaged_prefix
+
+(* The log as the open read it, for an open-time rebuild: the prefix
+   before the walked image's base, read from disk now, then the image's
+   own records.  A prefix that took damage at rest raises
+   [Damaged_prefix]: a rebuild from the records around the damage would
+   hold a later transaction's writes without an earlier one's. *)
+let entries_at_open wal (image : Wal.image) =
+  if image.base = 0 then Wal.entries_from image 0
+  else
+    let prefix, clean =
+      Wal.scan (Support.Io.read_span (Wal.path wal) ~from:0 ~len:image.base)
+    in
+    if clean < image.base then raise Damaged_prefix;
+    prefix @ Wal.entries_from image image.base
 
 let dir t =
   match t.items with
@@ -217,6 +256,23 @@ let quarantine pager pool ~horizon =
       | future -> Some future)
   | exception Pager.Corrupt _ -> Some (Pager.corrupt_pages pager)
 
+(* The one rule for where a restart walks a database's log from: the
+   header's anchor, when the log holds a whole, CRC-valid Checkpoint
+   frame at its LSN.  Otherwise none, and the walk starts at LSN 0: an
+   anchor past the log's end, inside a frame or at another kind of
+   frame cuts no byte. *)
+let usable_anchor ~wal_file = function
+  | Some (lsn, _) as anchor when Wal.checkpoint_at wal_file lsn -> anchor
+  | _ -> None
+
+let log_anchor path =
+  match Pager.open_file path with
+  | exception (Unix.Unix_error _ | Pager.Corrupt _) -> None
+  | pager ->
+      Fun.protect
+        ~finally:(fun () -> Pager.abandon pager)
+        (fun () -> usable_anchor ~wal_file:(wal_path path) (Pager.anchor pager))
+
 let repair_needed ~horizon path =
   (Sys.file_exists path && (Unix.stat path).Unix.st_size > 0)
   &&
@@ -225,21 +281,7 @@ let repair_needed ~horizon path =
     ~finally:(fun () -> Pager.abandon pager)
     (fun () -> quarantine pager (Buffer_pool.create pager) ~horizon <> None)
 
-let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
-    ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) path =
-  (* [?fault] shares one injector (and so one crash budget / RNG stream)
-     across several engines — how the distributed layer makes "crash at
-     the N-th I/O anywhere in the system" a single budget *)
-  let fault =
-    match fault with
-    | Some f -> f
-    | None ->
-        let f = Fault.create () in
-        Fault.set_metrics f metrics;
-        f
-  in
-  (match faults with Some spec -> Fault.configure fault spec | None -> ());
-  (match crash_after with Some n -> Fault.arm fault n | None -> ());
+let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
   (* a zero-length file is a creation that crashed before its header
      write — treat it as fresh so such a database is still recoverable *)
   let fresh =
@@ -253,11 +295,18 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
      log walk, so it also covers the item-chain LSN check and any open-time
      repair below *)
   let walk_start = Obs.Trace.now trace in
-  let tally = Recovery.tally () in
+  let anchor =
+    if anchored then usable_anchor ~wal_file:(wal_path path) (Pager.anchor pager)
+    else None
+  in
+  (* an anchor this open cannot use goes at the next header write, so a
+     log that grows again past its LSN never meets it *)
+  if anchor = None then Pager.set_anchor pager None;
+  let tally = Recovery.tally ?next_txn:(Option.map snd anchor) () in
   let wal, image =
     try
       Wal.open_log ~fault ~metrics ~trace ~on_frame:(Recovery.note tally)
-        (wal_path path)
+        ?from:(Option.map fst anchor) (wal_path path)
     with e ->
       Pager.abandon pager;
       raise e
@@ -271,10 +320,9 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       match quarantine pager pool ~horizon:(Wal.durable_lsn wal) with
       | None -> (None, None)
       | Some quarantined ->
+          let entries = entries_at_open wal image in
           Pager.set_items_root pager 0;
-          let items, replayed =
-            replay_items pool (Wal.entries_from image 0)
-          in
+          let items, replayed = replay_items pool entries in
           (Some items, Some { quarantined; replayed })
     with e ->
       Wal.abandon wal;
@@ -301,6 +349,8 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
       repairs = 0;
       last_repair = None;
       checkpoint_end = Wal.next_lsn wal;
+      verified = Wal.durable_lsn wal;
+      walked_from = image.base;
     }
   in
   Option.iter
@@ -308,7 +358,7 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
     first_repair;
   t.next_txn <- analysis.Recovery.next_txn;
   (try
-     if image <> "" then begin
+     if image.bytes <> "" then begin
        let rec run_recovery tries =
          try
            Recovery.restart ~image analysis
@@ -321,10 +371,9 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
               The rebuild replays the log as it was read at open, not as
               it is on disk now: recovery may have flushed CLRs into it. *)
            let quarantined = Pager.corrupt_pages t.pager in
+           let entries = entries_at_open wal image in
            Pager.set_items_root t.pager 0;
-           let items, replayed =
-             replay_items t.pool (Wal.entries_from image 0)
-           in
+           let items, replayed = replay_items t.pool entries in
            t.items <- Some items;
            note_repair t ~quarantined ~replayed;
            run_recovery (tries + 1)
@@ -353,6 +402,28 @@ let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
      Pager.abandon pager;
      raise e);
   t
+
+let open_db ?(pool_size = 64) ?crash_after ?faults ?fault
+    ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop) path =
+  (* [?fault] shares one injector (and so one crash budget / RNG stream)
+     across several engines — how the distributed layer makes "crash at
+     the N-th I/O anywhere in the system" a single budget *)
+  let fault =
+    match fault with
+    | Some f -> f
+    | None ->
+        let f = Fault.create () in
+        Fault.set_metrics f metrics;
+        f
+  in
+  (match faults with Some spec -> Fault.configure fault spec | None -> ());
+  (match crash_after with Some n -> Fault.arm fault n | None -> ());
+  (* a rebuild needs the whole log: when the prefix before the anchor
+     took damage at rest, walk from LSN 0 instead, which cuts the log
+     there, as every open did before anchors *)
+  try open_engine ~pool_size ~fault ~metrics ~trace ~anchored:true path
+  with Damaged_prefix ->
+    open_engine ~pool_size ~fault ~metrics ~trace ~anchored:false path
 
 let crash t =
   Wal.abandon t.wal;
@@ -581,3 +652,4 @@ let repairs t = t.repairs
 let last_repair t = t.last_repair
 let io_retries t = Pager.retries t.pager + Wal.retries t.wal
 let next_txn t = t.next_txn
+let walked_from t = t.walked_from

@@ -16,6 +16,11 @@
     ({!open_db}), at {!save_table} and {!checkpoint}, and at {!close}
     when something changed since the last one.
 
+    The open walks the log from the pager header's {e anchor}, the last
+    checkpoint whose whole log prefix a checkpoint read back clean
+    ({!log_anchor}), so its cost follows the log written since, not the
+    whole history.
+
     Fault tolerance (see {!Fault} for the taxonomy): CRC-corrupt
     item-store pages are {e quarantined and repaired} by replaying the
     full WAL (which is never truncated), transient I/O errors are
@@ -65,18 +70,27 @@ val open_db :
     whole process" at its N-th durable I/O regardless of which shard
     (or the coordinator log) issues it.
 
-    The open reads the log once: {!Wal.open_log} walks every frame
-    (CRC and structure, no record built), truncates a torn tail, and
-    feeds the walk to the recovery analysis, which also yields the next
-    transaction id.  Restart recovery ({!Recovery.restart}) then
-    decodes records only from the restart point: the last checkpoint,
-    or the first record of a transaction still open at the end of the
-    log when that comes earlier.
+    The open reads the log once, from the anchor {!log_anchor}
+    accepts, or from LSN 0 when it accepts none: {!Wal.open_log} walks
+    every frame from there (CRC and structure, no record built),
+    truncates a torn tail, and feeds the walk to the recovery analysis,
+    which also yields the next transaction id, counting on from the
+    anchor's.  So a corrupted WAL frame truncates the opening scan only
+    when it lies after the anchor; damage before it, which a
+    checkpoint's read-back proved happened at rest, is not seen by the
+    open ([lint wal] still reports it).  Restart recovery
+    ({!Recovery.restart}) then decodes records only from the restart
+    point: the last checkpoint, or the first record of a transaction
+    still open at the end of the log when that comes earlier.
     A corrupt item-store page found during the open is quarantined and
     the item plane rebuilt, before recovery runs, by replaying the
-    whole surviving log as the walk read it; a page corrupted by
+    whole surviving log as the open read it: the walked image, after
+    the prefix before the anchor, read from disk; a page corrupted by
     recovery's own writes is rebuilt the same way, from that image and
-    not from the file, which recovery may have extended.  The open
+    not from the file, which recovery may have extended.  When that
+    prefix took damage at rest, the open starts again from LSN 0, which
+    cuts the log at the damage, so the rebuilt store is the committed
+    state of the history before it.  The open
     checks the item pages by reading their header LSNs through the
     pool; the item directory is built on the first item access
     ({!read}, {!write}, {!abort}, {!items}, {!item_count}, or a restart
@@ -146,7 +160,11 @@ val abort : t -> txn:int -> unit
 val checkpoint : t -> unit
 (** Quiescent checkpoint: write and sync all dirty pages, then log and
     flush Checkpoint.  Raises {!Active_transactions} when transactions
-    are running. *)
+    are running.  Every checkpoint (also those of {!open_db},
+    {!save_table} and {!close}) first reads back the log written since
+    the last verified point; only when it walks clean does the new
+    Checkpoint become the header's anchor ({!Pager.set_anchor}), which
+    goes out with the next header write. *)
 
 val lock_holder : t -> string -> int option
 (** Which transaction write-locks the item, if any. *)
@@ -250,6 +268,21 @@ val io_retries : t -> int
 val next_txn : t -> int
 (** The id {!begin_txn} assigns next: after the open, one past the
     largest transaction id the log names (1 for an empty log). *)
+
+val walked_from : t -> int
+(** The LSN the open's log walk started at: the anchor it used, or 0.
+    {!last_recovery}'s winners are the commits from there on. *)
+
+val log_anchor : string -> (int * int) option
+(** The one rule for where a restart walks the log of the database at
+    this path from: its header's anchor (checkpoint LSN, next
+    transaction id) when the log file holds a whole, CRC-valid
+    Checkpoint frame at that LSN; [None] otherwise — no anchor, a
+    missing or damaged database file, or an anchor past the log's end,
+    inside a frame or at another kind of frame — and the walk starts at
+    LSN 0, cutting nothing for the bad anchor.  {!open_db} applies the
+    same rule to its own header; the 2PC termination protocol calls
+    this before any engine opens.  Reads the header and one frame. *)
 
 val repair_needed : horizon:int -> string -> bool
 (** Would {!open_db} quarantine and rebuild the item store of the

@@ -66,18 +66,18 @@ let truncate t n =
   ignore (Unix.lseek t.fd n Unix.SEEK_SET : int);
   t.durable <- n
 
-let open_file ?(fault = Fault.create ()) ~valid ?(on_frame = fun _ _ -> ())
-    path =
+let open_file ?(fault = Fault.create ()) ~valid ?(from = 0)
+    ?(on_frame = fun _ _ -> ()) path =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
-  let image = Support.Io.read_file path in
+  let image = Support.Io.read_span path ~from ~len:max_int in
   let (), clean =
     fold ~valid image ~from:0 ~init:() ~f:(fun () pos _ -> on_frame image pos)
   in
   (* the torn-tail cut; a clean file is not touched, not even its mtime *)
-  let torn = String.length image - clean in
-  if torn > 0 then Unix.ftruncate fd clean;
-  ignore (Unix.lseek fd clean Unix.SEEK_SET : int);
-  ( { path; fd; fault; pending = Buffer.create 1024; durable = clean; torn },
+  let torn = String.length image - clean and durable = from + clean in
+  if torn > 0 then Unix.ftruncate fd durable;
+  ignore (Unix.lseek fd durable Unix.SEEK_SET : int);
+  ( { path; fd; fault; pending = Buffer.create 1024; durable; torn },
     if torn > 0 then String.sub image 0 clean else image )
 
 let append t bytes =

@@ -45,13 +45,18 @@ val read_payloads :
 (** {!payloads} over a file, read-only; a missing file has none. *)
 
 val open_file :
-  ?fault:Fault.t -> valid:(string -> int -> int -> bool) ->
+  ?fault:Fault.t -> valid:(string -> int -> int -> bool) -> ?from:int ->
   ?on_frame:(string -> int -> unit) -> string -> t * string
-(** Open the file at a path (creating it if needed), scan it once with
-    [valid], calling [on_frame image offset] for every frame kept, cut
-    the torn tail, and return the clean image: the file's bytes up to
-    the end of the last frame kept.  [fault] is the injector {!flush}
-    consults; it defaults to an unarmed one. *)
+(** Open the file at a path (creating it if needed), read it from file
+    offset [from] (default 0, which must be a frame boundary), scan
+    those bytes once with [valid], calling [on_frame image pos] for
+    every frame kept, cut the torn tail, and return the clean image:
+    the file's bytes from [from] up to the end of the last frame kept.
+    Positions in the image are relative to it: its byte [pos] is the
+    file's byte [from + pos], while {!durable}, {!next} and the offsets
+    {!append} returns are file offsets.  Nothing before [from] is read
+    or cut.  [fault] is the injector {!flush} consults; it defaults to
+    an unarmed one. *)
 
 val append : t -> string -> int
 (** Buffer bytes (frames, or a verbatim chunk of another log) and

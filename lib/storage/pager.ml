@@ -32,7 +32,14 @@
      14 u32  page count (including the header page)
      18 u32  catalog root page id (0 = none)
      22 u32  items root page id (0 = none)
-     26 i64  wal lsn at the last clean close/checkpoint (informational) *)
+     26 i64  unused: older binaries wrote the log's end at each
+             checkpoint here, and files they wrote still hold it
+     34 i64  anchor: the LSN of the last checkpoint whose whole log
+             prefix was read back clean (0 = none)
+     42 u32  the next transaction id at the anchor
+   Bytes this code does not know are carried through unchanged, as the
+   header is written back whole; so a file opens under binaries on
+   either side of a field's introduction with no version bump. *)
 
 exception Corrupt of string
 
@@ -72,7 +79,7 @@ type t = {
   fault : Fault.t;
   header : Bytes.t;
   metrics : metrics;
-  mutable header_dirty : bool;  (* flushed LSN moved since the last write *)
+  mutable header_dirty : bool;  (* the anchor moved since the last write *)
   mutable writes : int;
   mutable reads : int;
   mutable retried : int;  (* transient-EIO retries that eventually won *)
@@ -106,7 +113,11 @@ let page_count t = Int32.to_int (Bytes.get_int32_le t.header 14)
 let set_page_count t n = Bytes.set_int32_le t.header 14 (Int32.of_int n)
 let catalog_root t = Int32.to_int (Bytes.get_int32_le t.header 18)
 let items_root t = Int32.to_int (Bytes.get_int32_le t.header 22)
-let flushed_lsn t = Int64.to_int (Bytes.get_int64_le t.header 26)
+
+let anchor t =
+  match Int64.to_int (Bytes.get_int64_le t.header 34) with
+  | 0 -> None
+  | lsn -> Some (lsn, Int32.to_int (Bytes.get_int32_le t.header 42) land 0xFFFFFFFF)
 
 let write_header t =
   (* the header write is modelled as atomic (old header on a crash):
@@ -128,9 +139,11 @@ let set_items_root t n =
   Bytes.set_int32_le t.header 22 (Int32.of_int n);
   write_header t
 
-let set_flushed_lsn t l =
-  if l <> flushed_lsn t then begin
-    Bytes.set_int64_le t.header 26 (Int64.of_int l);
+let set_anchor t a =
+  if a <> anchor t then begin
+    let lsn, next_txn = Option.value a ~default:(0, 0) in
+    Bytes.set_int64_le t.header 34 (Int64.of_int lsn);
+    Bytes.set_int32_le t.header 42 (Int32.of_int next_txn);
     t.header_dirty <- true
   end
 
@@ -189,7 +202,7 @@ let open_file ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop) path =
     raise e
 
 (* a clean open and close writes nothing: the header goes back only when
-   a checkpoint moved its flushed LSN since it was last written *)
+   a checkpoint moved its anchor since it was last written *)
 let close t =
   if t.header_dirty then write_header t;
   Unix.close t.fd

@@ -30,7 +30,7 @@ val open_file : ?fault:Fault.t -> ?metrics:Obs.Registry.t -> string -> t
 
 val close : t -> unit
 (** Writes the header back when it changed since it was last written
-    (a checkpoint moved {!flushed_lsn}), then closes the descriptor. *)
+    (a checkpoint moved the {!anchor}), then closes the descriptor. *)
 
 val abandon : t -> unit
 (** Close the descriptor without writing anything — the file is left
@@ -104,10 +104,17 @@ val items_root : t -> int
 val set_items_root : t -> int -> unit
 (** Record the item-store root and write the header through. *)
 
-val flushed_lsn : t -> int
-val set_flushed_lsn : t -> int -> unit
-(** WAL position recorded at the last checkpoint (informational; the
-    in-memory value is persisted by the next header write). *)
+val anchor : t -> (int * int) option
+(** The header's log anchor: the LSN of the last checkpoint whose whole
+    log prefix was read back clean, and the next transaction id at that
+    point; [None] when the header holds none (a fresh file, or one
+    written by a binary that kept no anchor).  The open walks the log
+    from it when {!Engine.log_anchor}'s rule accepts it. *)
+
+val set_anchor : t -> (int * int) option -> unit
+(** Move the anchor in memory.  A change marks the header dirty; the
+    next header write ({!close}, a root switch, an appending
+    {!allocate}) carries it, and none is added for it. *)
 
 val fault : t -> Fault.t
 (** The injector consulted on every read/write/fsync. *)

@@ -10,9 +10,14 @@
        compensation record for every undone write and an Abort when a
        loser is fully undone.
 
-   Analysis covers the whole log, but builds no record: at open it is
-   fed frame by frame from the Wal's one validating walk, reading only
-   each frame's kind and transaction id into int lists.  The engine
+   Analysis covers the log the open walked, from the pager header's
+   anchor (a checkpoint whose whole log prefix was read back clean) when
+   the engine could use it, else from LSN 0.  It builds no record: at
+   open it is fed frame by frame from the Wal's one validating walk,
+   reading only each frame's kind and transaction id into int lists,
+   starting from the anchor's next transaction id.  The anchor is always
+   a quiescent checkpoint, so no loser or undecided transaction begins
+   before it, and the walked tail says everything restart needs.  The engine
    allocates ids in ascending order, so those newest-first lists are
    usually strictly descending and reverse into sorted ones; only a
    list that is not (concurrent commits, ids given to [begin_txn ~id])
@@ -27,7 +32,7 @@
    while transactions were active, can hold a loser with writes before
    its last checkpoint, and undo must reach them.  A second header-only
    walk of the log finds the first one; it runs only when there are
-   losers.
+   losers; with an anchor, it covers only the walked tail.
    [run] over a decoded entry list is the same analysis and the same
    redo/undo, from LSN 0.
 
@@ -70,14 +75,14 @@ type tally = {
   mutable max_txn : int;
 }
 
-let tally () =
+let tally ?(next_txn = 1) () =
   {
     last_checkpoint = -1;
     last_frame = -1;
     begun = [];
     commits = [];
     aborts = [];
-    max_txn = 0;
+    max_txn = next_txn - 1;
   }
 
 let note t lsn (kind : Wal.kind) txn =
@@ -185,13 +190,14 @@ let replay (a : analysis) entries ~read ~write ~log =
 
 let run ~entries ~read ~write ~log = replay (analyze entries) entries ~read ~write ~log
 
-let restart_point image (a : analysis) =
+let restart_point (image : Wal.image) (a : analysis) =
   match a.checkpoint_lsn with
-  | None -> 0
+  | None -> image.base
   | Some ckpt when a.losers = [] -> ckpt
   | Some ckpt ->
       fst
-        (Wal.walk image ~init:ckpt ~f:(fun first lsn _ txn ->
+        (Wal.walk ~base:image.base image.bytes ~init:ckpt
+           ~f:(fun first lsn _ txn ->
              if lsn < first && List.mem txn a.losers then lsn else first))
 
 let restart ~image a ~read ~write ~log =

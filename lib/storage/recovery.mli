@@ -2,17 +2,21 @@
     repeating history, then undo of losers in reverse-LSN order with
     compensation logging.
 
-    Analysis covers the whole log; records are built only from the
-    restart point.  At open, analysis is fed frame by frame from the
-    log's one validating walk ({!Wal.open_log}'s [on_frame], via
-    {!tally}/{!note}) and reads only each frame's kind and transaction
-    id; ids that arrive in ascending order need no sort.  {!restart}
-    then decodes from the restart point: the last
-    checkpoint, or LSN 0 without one, moved back to the first record
-    naming a loser when that record precedes the checkpoint (the
-    engine's checkpoints are quiescent, but a log written by an earlier
-    binary may hold one taken under active transactions).  {!run} over a decoded entry list is the same
-    analysis and the same redo/undo.
+    Analysis covers the log the open walked: from the pager header's
+    anchor, a quiescent checkpoint whose whole log prefix was read back
+    clean, when the engine can use it ({!Engine.log_anchor}), and from
+    LSN 0 otherwise.  Records are built only from the restart point.
+    At open, analysis is fed frame by frame from the log's one
+    validating walk ({!Wal.open_log}'s [on_frame], via {!tally}/{!note})
+    and reads only each frame's kind and transaction id; ids that
+    arrive in ascending order need no sort.  {!restart} then decodes
+    from the restart point: the last checkpoint, or the walk's start
+    without one, moved back to the first record naming a loser when
+    that record precedes the checkpoint (the engine's checkpoints are
+    quiescent, but a log written by an earlier binary may hold one
+    taken under active transactions; such a log has no anchor).  {!run}
+    over a decoded entry list is the same analysis and the same
+    redo/undo.
 
     The algorithm is store-agnostic: the engine supplies [read]/[write]
     over its item pages and [log] appending to its WAL, so the same pass
@@ -25,14 +29,16 @@
     {!Engine.last_recovery}. *)
 type outcome = {
   checkpoint_lsn : int option;
-  winners : int list;  (** committed in the surviving log *)
+  winners : int list;
+      (** committed in the part of the surviving log the open walked:
+          from its anchor, or the whole log without one *)
   losers : int list;  (** begun, neither committed nor aborted *)
   redo_applied : int;
   redo_skipped : int;  (** writes the page-LSN test proved already present *)
   undone : int;
 }
 
-(** The analysis pass's result over a whole log. *)
+(** The analysis pass's result over the walked log. *)
 type analysis = {
   checkpoint_lsn : int option;  (** the last checkpoint's LSN *)
   winners : int list;  (** committed, sorted *)
@@ -48,8 +54,10 @@ type analysis = {
 type tally
 (** Analysis in progress: int lists, one cons per record. *)
 
-val tally : unit -> tally
-(** An empty tally. *)
+val tally : ?next_txn:int -> unit -> tally
+(** An empty tally.  [next_txn] (default 1) is the next transaction id
+    before the first frame noted: an anchored walk passes the anchor's,
+    so ids keep climbing past every transaction before it. *)
 
 val note : tally -> int -> Wal.kind -> int -> unit
 (** [note t lsn kind txn] counts one frame, in log order — the shape of
@@ -77,7 +85,7 @@ val run :
     the page LSN.  [log] appends a WAL record and returns its LSN. *)
 
 val restart :
-  image:string ->
+  image:Wal.image ->
   analysis ->
   read:(string -> int) ->
   write:(lsn:int -> string -> int -> bool) ->
@@ -86,9 +94,11 @@ val restart :
 (** {!run}'s outcome, identical field by field, for the verified image
     {!Wal.open_log} returned and its {!analysis}, decoding records only
     from the restart point: the first LSN redo or undo needs.  That is
-    the last checkpoint (0 without one), or the first record naming a
-    loser when it comes earlier, found by a second header-only walk of
-    the log that runs only when there are losers. *)
+    the last checkpoint (the image's base without one), or the first
+    record naming a loser when it comes earlier, found by a second
+    header-only walk of the image that runs only when there are
+    losers.  For an image from LSN 0, {!run} over the whole log is the
+    same. *)
 
 val outcome_to_string : outcome -> string
 (** The one-line rendering [db status] and [db recover] print.  Each id

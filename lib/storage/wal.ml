@@ -25,6 +25,7 @@ type record =
   | Prepare of int
 
 type entry = { lsn : int; record : record }
+type image = { base : int; bytes : string }
 
 (* --- codec -------------------------------------------------------------- *)
 
@@ -117,25 +118,39 @@ let txn_of = function
   | Begin t | Commit t | Abort t | Prepare t | Write { txn = t; _ } -> t
   | Checkpoint -> -1
 
-let walk image ~init ~f =
-  Log_file.fold ~valid image ~from:0 ~init
-    ~f:(fun acc lsn _ -> f acc lsn (kind_at image lsn) (txn_at image lsn))
+let walk ?(base = 0) bytes ~init ~f =
+  let acc, clean =
+    Log_file.fold ~valid bytes ~from:0 ~init ~f:(fun acc pos _ ->
+        f acc (base + pos) (kind_at bytes pos) (txn_at bytes pos))
+  in
+  (acc, base + clean)
 
 let walk_file path ~init ~f =
   let image = Support.Io.read_span path ~from:0 ~len:max_int in
   let acc, clean = walk image ~init ~f in
   (acc, clean, String.length image)
 
-(* Decode the frames from [from] to the first damaged one. *)
-let decode image ~from =
+(* Decode the frames of [bytes], which start at file offset [base], from
+   the one at LSN [from] to the first damaged one. *)
+let decode ?(base = 0) bytes ~from =
   let entries, clean =
-    Log_file.fold ~valid image ~from ~init:[]
-      ~f:(fun acc lsn _ -> { lsn; record = record_at image lsn } :: acc)
+    Log_file.fold ~valid bytes ~from:(from - base) ~init:[]
+      ~f:(fun acc pos _ -> { lsn = base + pos; record = record_at bytes pos } :: acc)
   in
-  (List.rev entries, clean)
+  (List.rev entries, base + clean)
 
 let scan image = decode image ~from:0
-let entries_from image lsn = fst (decode image ~from:lsn)
+let entries_from { base; bytes } lsn = fst (decode ~base bytes ~from:lsn)
+
+(* The frame every checkpoint is logged as. *)
+let checkpoint_frame = frame_of_record Checkpoint
+
+let checkpoint_at path lsn =
+  lsn > 0
+  &&
+  match Support.Io.read_span path ~from:lsn ~len:(String.length checkpoint_frame) with
+  | frame -> frame = checkpoint_frame
+  | exception Sys_error _ -> false
 
 (* --- read-only scanning: the offline verifier's view --------------------- *)
 
@@ -179,6 +194,7 @@ let report_file path =
 (* --- the log file ------------------------------------------------------- *)
 
 type metrics = {
+  m_open_bytes : Obs.Registry.Counter.t;
   m_appends : Obs.Registry.Counter.t;
   m_append_bytes : Obs.Registry.Counter.t;
   m_flushes : Obs.Registry.Counter.t;
@@ -191,6 +207,9 @@ type metrics = {
 let make_metrics registry =
   let counter = Obs.Registry.counter registry in
   {
+    m_open_bytes =
+      counter ~unit:"bytes" ~help:"log bytes the open read and walked"
+        "wal.open_bytes";
     m_appends = counter ~unit:"records" ~help:"records appended" "wal.appends";
     m_append_bytes =
       counter ~unit:"bytes" ~help:"framed bytes appended" "wal.append_bytes";
@@ -220,19 +239,15 @@ type t = {
 }
 
 let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
-    ?(trace = Obs.Trace.noop) ?(on_frame = fun _ _ _ -> ()) path =
-  let file, image =
-    Log_file.open_file ~fault ~valid path ~on_frame:(fun image lsn ->
-        on_frame lsn (kind_at image lsn) (txn_at image lsn))
+    ?(trace = Obs.Trace.noop) ?(on_frame = fun _ _ _ -> ()) ?(from = 0) path =
+  let metrics = make_metrics metrics in
+  let file, bytes =
+    Log_file.open_file ~fault ~valid ~from path ~on_frame:(fun bytes pos ->
+        on_frame (from + pos) (kind_at bytes pos) (txn_at bytes pos))
   in
-  ( {
-      file;
-      fault;
-      metrics = make_metrics metrics;
-      trace;
-      retried = 0;
-    },
-    image )
+  Obs.Registry.Counter.add metrics.m_open_bytes
+    (String.length bytes + Log_file.torn_at_open file);
+  ({ file; fault; metrics; trace; retried = 0 }, { base = from; bytes })
 
 let append t record =
   let frame = frame_of_record record in
@@ -246,9 +261,10 @@ let durable_lsn t = Log_file.durable t.file
 (* The WAL's own silent faults, drawn after the crash point: a bit of
    the flushed image flipped in flight, or its tail half never reaching
    the platter.  Either way the frame fails its CRC (or reads back as
-   zeros) at the next open, which truncates the log there; stolen pages
-   carrying lost-suffix LSNs are then quarantined and rebuilt by the
-   engine. *)
+   zeros) at the next checkpoint's read-back, which keeps the anchor
+   before it, and at the next open, which truncates the log there;
+   stolen pages carrying lost-suffix LSNs are then quarantined and
+   rebuilt by the engine. *)
 let damage fault data =
   let len = String.length data in
   let data =
@@ -279,6 +295,11 @@ let flush t =
             Obs.Registry.Counter.add t.metrics.m_flush_bytes len))
 
 let flush_to t lsn = if lsn >= durable_lsn t then flush t
+
+let reads_back_clean t ~from =
+  let durable = durable_lsn t in
+  let bytes = Support.Io.read_span (Log_file.path t.file) ~from ~len:(durable - from) in
+  snd (walk ~base:from bytes ~init:() ~f:(fun () _ _ _ -> ())) = durable
 
 let close t =
   flush t;

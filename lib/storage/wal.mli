@@ -33,6 +33,11 @@ type record =
 type entry = { lsn : int; record : record }
 (** A scanned record with its LSN (byte offset in the file). *)
 
+type image = { base : int; bytes : string }
+(** Log bytes read from file offset [base] on: the frame at LSN [l] is
+    at [bytes.[l - base]], so LSNs stay file offsets whatever the start.
+    {!open_log} returns one. *)
+
 type kind = [ `Begin | `Write | `Commit | `Abort | `Checkpoint | `Prepare ]
 (** A frame's record kind, read from its header byte without decoding
     the payload; compensation writes are [`Write]s. *)
@@ -43,23 +48,34 @@ type t
 
 val open_log :
   ?fault:Fault.t -> ?metrics:Obs.Registry.t -> ?trace:Obs.Trace.t ->
-  ?on_frame:(int -> kind -> int -> unit) -> string -> t * string
-(** Open (creating if needed), walk the whole log once, physically
-    truncate any torn tail, and return the surviving image: the file's
-    bytes up to the end of the last valid frame.  The walk is
+  ?on_frame:(int -> kind -> int -> unit) -> ?from:int -> string -> t * image
+(** Open (creating if needed), walk the log once from LSN [from]
+    (default 0; a frame boundary, such as an anchor {!checkpoint_at}
+    accepts), physically truncate any torn tail after it, and return
+    the surviving image: the file's bytes from [from] up to the end of
+    the last valid frame, with [from] as its base.  Nothing before
+    [from] is read, checked or cut.  The walk is
     {!Log_file.open_file}'s one scan with {!valid}, the same walk as
     {!walk}: it checks every frame's CRC in place and its payload's
-    structure, stops at the same frame as {!scan}, and builds no
-    record; it calls
+    structure, stops at the same frame as {!scan} would from [from],
+    and builds no record; it calls
     [on_frame lsn kind txn] for each surviving frame, oldest first
     ([txn] is [-1] for a checkpoint).  {!entries_from} decodes the
     image from any of those LSNs.  The count of truncated tail bytes is
     reported by {!truncated_at_open} rather than silently dropped.
 
-    [metrics] receives the [wal.*] instruments (append/flush counters
-    and byte totals, [wal.fsync_ns]/[wal.flush_ns] latency histograms);
-    [trace] records a [wal.flush] span per durable flush.  Both default
-    to the shared no-ops. *)
+    [metrics] receives the [wal.*] instruments (the bytes the open
+    read in [wal.open_bytes], append/flush counters and byte totals,
+    [wal.fsync_ns]/[wal.flush_ns] latency histograms); [trace] records
+    a [wal.flush] span per durable flush.  Both default to the shared
+    no-ops. *)
+
+val checkpoint_at : string -> int -> bool
+(** [checkpoint_at path lsn]: does the log file at [path] hold, whole
+    and CRC-valid, the 9-byte Checkpoint frame this module writes at
+    the positive LSN [lsn]?  Reads those bytes and nothing else; a
+    missing file, or an [lsn] past its end, inside another frame or at
+    another kind of frame, holds none. *)
 
 val truncated_at_open : t -> int
 (** Torn-tail bytes the opening scan found after the last valid frame
@@ -79,6 +95,13 @@ val flush : t -> unit
 val flush_to : t -> int -> unit
 (** Ensure durability up to (and including) the given LSN — the
     write-ahead barrier the buffer pool calls before a steal. *)
+
+val reads_back_clean : t -> from:int -> bool
+(** [reads_back_clean t ~from] reads the durable bytes from the frame
+    boundary [from] back from the file and walks them: [true] when they
+    are whole, CRC-valid frames up to {!durable_lsn}.  A silent write
+    fault of an earlier {!flush} (a flipped bit, a torn write) makes it
+    [false].  Not a fault site. *)
 
 val next_lsn : t -> int
 (** The LSN the next {!append} will get. *)
@@ -112,13 +135,16 @@ val scan : string -> entry list * int
     clean byte length (exposed for tests). *)
 
 val walk :
-  string -> init:'a -> f:('a -> int -> kind -> int -> 'a) -> 'a * int
-(** [walk image ~init ~f] folds [f acc lsn kind txn] over the frames of
-    [image], oldest first, and returns the result with the clean
+  ?base:int -> string -> init:'a -> f:('a -> int -> kind -> int -> 'a) ->
+  'a * int
+(** [walk bytes ~init ~f] folds [f acc lsn kind txn] over the frames of
+    [bytes], oldest first, and returns the result with the clean
     length.  It stops, exactly where {!scan} does, at the first frame
     that is incomplete, fails its CRC, or has a payload the decoder
     would reject, and decodes nothing: it reads only the kind byte and
-    the transaction id ([-1] for a checkpoint). *)
+    the transaction id ([-1] for a checkpoint).  With [base] the bytes
+    start at that file offset: LSNs and the clean length are offsets
+    in the file, not in [bytes]. *)
 
 val walk_file :
   string -> init:'a -> f:('a -> int -> kind -> int -> 'a) -> 'a * int * int
@@ -129,10 +155,10 @@ val walk_file :
     log's length, its kinds or its idleness read instead of decoding
     it. *)
 
-val entries_from : string -> int -> entry list
+val entries_from : image -> int -> entry list
 (** [entries_from image lsn] decodes the frames of [image] from the
-    frame at [lsn] up to the first damaged one — for the image
-    {!open_log} returned, to its end. *)
+    frame at [lsn] (at or after its base) up to the first damaged one —
+    for the image {!open_log} returned, to its end. *)
 
 val kind_of : record -> kind
 (** A record's {!kind}. *)

@@ -2,8 +2,10 @@
    committed history, run a small interleaved workload under each fault
    kind (crash budget, torn writes, bit flips, transient EIO, and all of
    them at once) and insist the reopened database always equals the
-   Transactions.Recovery model's committed state, and that one more
-   open and close of the recovered file changes no byte.  A table
+   Transactions.Recovery model's committed state, that it recovers the
+   same whether its open walks the log from the header's anchor or,
+   with the anchor zeroed, from LSN 0, and that one more open and close
+   of the recovered file changes no byte.  A table
    replace on a file with free pages is swept at every crash point too:
    the reopened table must be the old one or the new one.  A reduced
    version of the exhaustive sweeps in test/test_executor.ml — seconds,
@@ -45,6 +47,43 @@ let check_clean_reopen ~what path =
   E.close (E.open_db path);
   if files () <> before then fail "%s: a clean reopen changed the files" what
 
+(* The survivor opened twice, each time from a copy: once as it is, and
+   once with its header anchor zeroed, so that open walks the log from
+   LSN 0.  Both must recover the same items, next txn, checkpoint,
+   losers and redo/skip/undo counts; only the winners differ, as they
+   list the commits of the walked log. *)
+let check_anchor_agrees ~what path =
+  let recover ~zero =
+    let copy = fresh_path () in
+    List.iter
+      (fun (a, b) ->
+        if Sys.file_exists a then Support.Io.write_file b (Support.Io.read_file a))
+      [ (path, copy); (E.wal_path path, E.wal_path copy) ];
+    (* a file whose creation crashed before its header has no anchor *)
+    if zero && Sys.file_exists copy && (Unix.stat copy).Unix.st_size > 0 then begin
+      let pager = Storage.Pager.open_file copy in
+      Storage.Pager.set_anchor pager None;
+      Storage.Pager.close pager
+    end;
+    let eng = E.open_db copy in
+    let outcome =
+      Option.map
+        (fun (o : Storage.Recovery.outcome) ->
+          (o.checkpoint_lsn, o.losers, o.redo_applied, o.redo_skipped, o.undone))
+        (E.last_recovery eng)
+    in
+    let report = (E.items eng, E.next_txn eng, outcome) in
+    let from = E.walked_from eng in
+    E.close eng;
+    cleanup copy;
+    (report, from)
+  in
+  let anchored, from = recover ~zero:false in
+  let full, _ = recover ~zero:true in
+  if anchored <> full then
+    fail "%s: the open from LSN %d and the walk from LSN 0 recovered differently"
+      what from
+
 let workload ~seed =
   let rng = Support.Rng.create seed in
   Transactions.Workload.generate rng
@@ -83,6 +122,9 @@ let run_case ~what ~spec ~seed =
       if stats.X.crashed = None then (
         try E.close eng with F.Crash _ -> E.crash eng)
   | exception F.Crash _ -> ());
+  check_anchor_agrees
+    ~what:(Printf.sprintf "%s (faults %S seed %d)" what spec seed)
+    path;
   (match X.model_divergence ~path with
   | None -> ()
   | Some (expected, actual) ->
@@ -126,6 +168,7 @@ let replace_sweep () =
         | exception F.Crash _ -> E.crash eng)
     | exception F.Crash _ -> ());
     let what = Printf.sprintf "replace (faults %S)" spec in
+    check_anchor_agrees ~what path;
     let eng = E.open_db path in
     (match E.load_table eng "t" with
     | t when Relational.Relation.equal t v1 || Relational.Relation.equal t v2 -> ()

@@ -1079,7 +1079,9 @@ let run_workload ?crash_after ~seed ~pool_size path =
     `Crashed
 
 (* The invariant: the reopened database holds exactly the committed state
-   of the surviving log, as computed by the in-memory model. *)
+   of the surviving log, as computed by the in-memory model.  The open's
+   winners are the model's among the records its walk covered: from its
+   anchor on, or the whole log without one. *)
 let check_committed_state ~what path =
   let entries = Storage.Wal.read_entries (Storage.Engine.wal_path path) in
   let model_log = Storage.Wal.to_model (wal_records entries) in
@@ -1092,9 +1094,15 @@ let check_committed_state ~what path =
   let actual = Storage.Engine.items eng in
   (match Storage.Engine.last_recovery eng with
   | Some o ->
+      let walked =
+        List.filter
+          (fun e -> e.Storage.Wal.lsn >= Storage.Engine.walked_from eng)
+          entries
+      in
       Alcotest.(check (list int))
         (what ^ ": winners agree with model")
-        (R.winners model_log) o.Storage.Recovery.winners
+        (R.winners (Storage.Wal.to_model (wal_records walked)))
+        o.Storage.Recovery.winners
   | None -> ());
   Storage.Engine.close eng;
   Alcotest.(check (list (pair string int))) (what ^ ": committed state") expected actual
@@ -1945,9 +1953,10 @@ let prop_restart_matches_reference =
          let file = Storage.Engine.wal_path path in
          Support.Io.write_file file raw;
          let tally = Storage.Recovery.tally () in
-         let wal, image =
+         let wal, walked =
            Storage.Wal.open_log ~on_frame:(Storage.Recovery.note tally) file
          in
+         let image = walked.Storage.Wal.bytes in
          let truncated = Storage.Wal.truncated_at_open wal in
          Storage.Wal.close wal;
          let on_disk = (Unix.stat file).Unix.st_size in
@@ -1955,7 +1964,9 @@ let prop_restart_matches_reference =
          let analysis = Storage.Recovery.analysis tally in
          let read, write, store = hashtbl_store init in
          let log, logged = recording_log ~from:(String.length image) in
-         let outcome = Storage.Recovery.restart ~image analysis ~read ~write ~log in
+         let outcome =
+           Storage.Recovery.restart ~image:walked analysis ~read ~write ~log
+         in
          let check what ok =
            if not ok then QCheck2.Test.fail_reportf "seed %d: %s differs" seed what
          in
@@ -2080,6 +2091,379 @@ let test_save_table_refuses_live_txn () =
   Storage.Engine.close eng;
   cleanup path
 
+(* --- the anchored open ------------------------------------------------------
+
+   The open walks the log from the header's anchor, the last checkpoint
+   whose whole log prefix a checkpoint read back clean.  Its oracle is
+   the walk from LSN 0 that a header without an anchor gets: on any
+   surviving file the two must recover the same store, and the anchored
+   one must never cut where the full walk would not. *)
+
+(* Edit a database's header page in place and reseal its CRC, as a hand
+   edit, or a binary that keeps no anchor, would leave it. *)
+let edit_header path f =
+  let header =
+    Bytes.of_string (Support.Io.read_span path ~from:0 ~len:Storage.Page.size)
+  in
+  f header;
+  Storage.Page.seal header;
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  ignore (Unix.write fd header 0 Storage.Page.size : int);
+  Unix.close fd
+
+(* the anchor fields: i64 checkpoint LSN at 34, u32 next txn at 42 *)
+let write_anchor path ~lsn ~next_txn =
+  edit_header path (fun h ->
+      Bytes.set_int64_le h 34 (Int64.of_int lsn);
+      Bytes.set_int32_le h 42 (Int32.of_int next_txn))
+
+let header_anchor path =
+  let pager = Storage.Pager.open_file path in
+  let anchor = Storage.Pager.anchor pager in
+  Storage.Pager.abandon pager;
+  anchor
+
+let copy_db src dst =
+  List.iter
+    (fun (a, b) ->
+      if Sys.file_exists a then Support.Io.write_file b (Support.Io.read_file a))
+    [ (src, dst); (Storage.Engine.wal_path src, Storage.Engine.wal_path dst) ]
+
+let wal_bytes path = Support.Io.read_file (Storage.Engine.wal_path path)
+
+let committed_items path =
+  Storage.Executor.committed_items
+    (wal_records (Storage.Wal.read_entries (Storage.Engine.wal_path path)))
+
+(* What one open recovers, with the LSN its walk started at: the items,
+   next txn, and the recovery outcome but its winners, which cover only
+   the walked log. *)
+let open_report path =
+  let eng = Storage.Engine.open_db path in
+  let outcome =
+    Option.map
+      (fun (o : Storage.Recovery.outcome) ->
+        (o.checkpoint_lsn, o.losers, o.redo_applied, o.redo_skipped, o.undone))
+      (Storage.Engine.last_recovery eng)
+  in
+  let report =
+    (Storage.Engine.items eng, Storage.Engine.next_txn eng, outcome)
+  in
+  let from = Storage.Engine.walked_from eng in
+  Storage.Engine.close eng;
+  (report, from)
+
+let commit_writes eng writes =
+  let txn = Storage.Engine.begin_txn eng in
+  List.iter (fun (item, v) -> Storage.Engine.write eng ~txn item v) writes;
+  Storage.Engine.commit eng ~txn
+
+(* Random sessions of commits, aborts, checkpoints and table saves, each
+   under a crash budget, silent WAL-flush bit flips or torn writes, or
+   none, and ended by a close or a crash.  After every session: the
+   reopened store is the surviving log's committed state, and a copy
+   whose header anchor is zeroed (so its open walks from LSN 0) recovers
+   the same items, next txn, checkpoint, losers and redo/skip/undo
+   counts. *)
+let prop_anchored_open_matches_full_walk =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name:"anchored open = walk from LSN 0"
+       (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let rng = Support.Rng.create seed in
+         let path = fresh_path () in
+         let problem = ref None in
+         let sessions = 2 + Support.Rng.int rng 4 in
+         let session = ref 0 in
+         while !problem = None && !session < sessions do
+           incr session;
+           let session = !session in
+           let spec =
+             match Support.Rng.int rng 5 with
+             | 0 -> ""
+             | 1 -> Printf.sprintf "crash=%d" (Support.Rng.int rng 14)
+             | 2 -> Printf.sprintf "flip@wal=0.3,seed=%d" (seed + session)
+             | 3 -> Printf.sprintf "torn@wal=0.3,seed=%d" (seed + session)
+             | _ ->
+                 Printf.sprintf "crash=%d,flip@wal=0.2,torn@wal=0.2,seed=%d"
+                   (Support.Rng.int rng 14) (seed + session)
+           in
+           let faults = Storage.Fault.spec_of_string spec in
+           (match Storage.Engine.open_db ~pool_size:3 ~faults path with
+           | exception Storage.Fault.Crash _ -> ()
+           | eng -> (
+               let item () = Printf.sprintf "k%d" (Support.Rng.int rng 6) in
+               match
+                 for _ = 1 to 1 + Support.Rng.int rng 6 do
+                   match Support.Rng.int rng 7 with
+                   | 0 | 1 | 2 ->
+                       commit_writes eng
+                         (List.init (1 + Support.Rng.int rng 3) (fun _ ->
+                              (item (), Support.Rng.int rng 100)))
+                   | 3 ->
+                       let txn = Storage.Engine.begin_txn eng in
+                       Storage.Engine.write eng ~txn (item ()) 7;
+                       Storage.Engine.abort eng ~txn
+                   | 4 -> Storage.Engine.checkpoint eng
+                   | 5 -> Storage.Engine.save_table eng "t" (students ())
+                   | _ ->
+                       (* a transaction still open at the session's end *)
+                       let txn = Storage.Engine.begin_txn eng in
+                       Storage.Engine.write eng ~txn (item ()) 9;
+                       Storage.Wal.flush (Storage.Engine.wal eng);
+                       Storage.Engine.crash eng;
+                       raise Exit
+                 done;
+                 if Support.Rng.bool rng then Storage.Engine.close eng
+                 else Storage.Engine.crash eng
+               with
+               | () -> ()
+               | exception Exit -> ()
+               | exception (Storage.Fault.Crash _ | Storage.Engine.Read_only _) ->
+                   Storage.Engine.crash eng));
+           let zeroed = fresh_path () in
+           copy_db path zeroed;
+           (* a file whose creation crashed before its header write
+              opens as fresh and has no anchor to zero *)
+           if
+             Sys.file_exists zeroed
+             && (Unix.stat zeroed).Unix.st_size >= Storage.Page.size
+           then edit_header zeroed (fun h -> Bytes.fill h 34 12 '\000');
+           let expected = committed_items path in
+           let ((items, _, _) as report), from = open_report path in
+           let full, full_from = open_report zeroed in
+           cleanup zeroed;
+           if items <> expected then
+             problem :=
+               Some
+                 (Printf.sprintf
+                    "session %d (%S): the store is not the log's committed state"
+                    session spec)
+           else if report <> full || full_from <> 0 then
+             problem :=
+               Some
+                 (Printf.sprintf
+                    "session %d (%S): the open from LSN %d and the walk from \
+                     LSN 0 recovered differently"
+                    session spec from)
+         done;
+         cleanup path;
+         match !problem with
+         | Some what -> QCheck2.Test.fail_reportf "seed %d, %s" seed what
+         | None -> true))
+
+(* An anchor past the log's end, inside a frame, or at a frame that is
+   not a checkpoint is not used: the open walks from LSN 0, takes
+   neither its LSN nor its next txn, and cuts no byte of the log. *)
+let test_unusable_anchors () =
+  (* history before and after the real anchor: txn 1 closed cleanly,
+     then txn 2 committed and the process died *)
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  commit_writes eng [ ("x", 1) ];
+  Storage.Engine.close eng;
+  let eng = Storage.Engine.open_db path in
+  commit_writes eng [ ("y", 2) ];
+  Storage.Engine.crash eng;
+  let log = wal_bytes path in
+  let lsn_of pred =
+    match
+      List.find_opt
+        (fun e -> pred e.Storage.Wal.record)
+        (Storage.Wal.read_entries (Storage.Engine.wal_path path))
+    with
+    | Some e -> e.Storage.Wal.lsn
+    | None -> Alcotest.fail "no such record"
+  in
+  let write_x =
+    lsn_of (function Storage.Wal.Write { item = "x"; _ } -> true | _ -> false)
+  in
+  List.iter
+    (fun (what, lsn) ->
+      let copy = fresh_path () in
+      copy_db path copy;
+      write_anchor copy ~lsn ~next_txn:1000;
+      let eng = Storage.Engine.open_db copy in
+      Alcotest.(check int) (what ^ ": walked from LSN 0") 0
+        (Storage.Engine.walked_from eng);
+      Alcotest.(check int) (what ^ ": nothing cut") 0
+        (Storage.Wal.truncated_at_open (Storage.Engine.wal eng));
+      Alcotest.(check (list (pair string int))) (what ^ ": items")
+        [ ("x", 1); ("y", 2) ] (Storage.Engine.items eng);
+      Alcotest.(check int) (what ^ ": next txn from the log") 3
+        (Storage.Engine.next_txn eng);
+      Storage.Engine.close eng;
+      let after = wal_bytes copy in
+      Alcotest.(check bool) (what ^ ": every byte of the log in place") true
+        (String.length after >= String.length log
+        && String.sub after 0 (String.length log) = log);
+      (match header_anchor copy with
+      | Some (anchor, _) ->
+          Alcotest.(check bool) (what ^ ": the close set a real anchor") true
+            (Storage.Wal.checkpoint_at (Storage.Engine.wal_path copy) anchor)
+      | None -> Alcotest.fail (what ^ ": no anchor after the close"));
+      cleanup copy)
+    [
+      ("past the log's end", String.length log + 9);
+      ("inside a frame", write_x + 3);
+      ("at a write frame", write_x);
+      ("at a commit frame", lsn_of (( = ) (Storage.Wal.Commit 1)));
+    ];
+  cleanup path
+
+(* A bit flipped silently in a commit's WAL flush, then a clean close:
+   the close's checkpoint reads the flushed bytes back, finds the
+   damage and leaves the anchor where it was, so the next open walks
+   over the damage and cuts exactly where a walk from LSN 0 stops. *)
+let test_silent_flip_keeps_anchor () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  commit_writes eng [ ("x", 1) ];
+  Storage.Engine.close eng;
+  let anchor = header_anchor path in
+  Alcotest.(check bool) "a clean close anchors the log" true (anchor <> None);
+  let eng =
+    Storage.Engine.open_db
+      ~faults:(Storage.Fault.spec_of_string "flip@wal=1.0,seed=5")
+      path
+  in
+  commit_writes eng [ ("y", 2); ("z", 3) ];
+  (* the close's own checkpoint frame reaches the disk intact *)
+  Storage.Fault.configure (Storage.Engine.fault eng) Storage.Fault.no_faults;
+  Storage.Engine.close eng;
+  Alcotest.(check bool) "the anchor did not move" true (header_anchor path = anchor);
+  let report = Storage.Wal.report_file (Storage.Engine.wal_path path) in
+  let full_walk_cut = report.Storage.Wal.total_bytes - report.Storage.Wal.clean_bytes in
+  Alcotest.(check bool) "the flip damaged the log" true (full_walk_cut > 0);
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "walked from the anchor"
+    (fst (Option.get anchor)) (Storage.Engine.walked_from eng);
+  Alcotest.(check int) "cut where a walk from LSN 0 stops" full_walk_cut
+    (Storage.Wal.truncated_at_open (Storage.Engine.wal eng));
+  Alcotest.(check (list (pair string int))) "the damaged commit is gone"
+    [ ("x", 1) ] (Storage.Engine.items eng);
+  Storage.Engine.close eng;
+  cleanup path
+
+(* Transaction ids keep climbing across an anchored open whose walked
+   tail (the anchor's checkpoint alone) names no transaction, even past
+   an id given by hand before the anchor. *)
+let test_txn_ids_continue_after_anchor () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  let txn = Storage.Engine.begin_txn ~id:70_000 eng in
+  Storage.Engine.write eng ~txn "x" 1;
+  Storage.Engine.commit eng ~txn;
+  commit_writes eng [ ("y", 2) ];
+  Storage.Engine.close eng;
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check bool) "the open used the anchor" true
+    (Storage.Engine.walked_from eng > 0);
+  Alcotest.(check int) "one past every id before the anchor" 70_002
+    (Storage.Engine.next_txn eng);
+  let txn = Storage.Engine.begin_txn eng in
+  Alcotest.(check int) "the next id" 70_002 txn;
+  Storage.Engine.abort eng ~txn;
+  Storage.Engine.close eng;
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "after the tail's abort" 70_003 (Storage.Engine.next_txn eng);
+  Storage.Engine.close eng;
+  cleanup path
+
+(* Flip one byte of a file in place. *)
+let smash file pos =
+  let fd = Unix.openfile file [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
+  ignore (Unix.read fd b 0 1 : int);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
+  ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
+  ignore (Unix.write fd b 0 1 : int);
+  Unix.close fd
+
+(* An open-time rebuild needs the whole log.  When the prefix before the
+   anchor took damage at rest, the open walks from LSN 0 instead and
+   cuts the log at the damage, so the rebuilt store is the committed
+   state of the history before it, as a walk from LSN 0 leaves it, and
+   not the intact records around the damage plus the tail's. *)
+let test_rebuild_over_damaged_prefix () =
+  let path = fresh_path () in
+  List.iter
+    (fun writes ->
+      let eng = Storage.Engine.open_db path in
+      commit_writes eng writes;
+      Storage.Engine.close eng)
+    [ [ ("x", 1); ("y", 1) ]; [ ("y", 2) ]; [ ("x", 3) ] ];
+  let eng = Storage.Engine.open_db path in
+  commit_writes eng [ ("z", 4) ];
+  Storage.Engine.crash eng;
+  let y2 =
+    List.find
+      (fun e ->
+        match e.Storage.Wal.record with
+        | Storage.Wal.Write { item = "y"; after = 2; _ } -> true
+        | _ -> false)
+      (Storage.Wal.read_entries (Storage.Engine.wal_path path))
+  in
+  Alcotest.(check bool) "the damage lies before the anchor" true
+    (match header_anchor path with Some (a, _) -> y2.Storage.Wal.lsn < a | None -> false);
+  smash (Storage.Engine.wal_path path) (y2.Storage.Wal.lsn + 10);
+  let root =
+    let pager = Storage.Pager.open_file path in
+    let root = Storage.Pager.items_root pager in
+    Storage.Pager.abandon pager;
+    root
+  in
+  smash path ((root * Storage.Page.size) + 100);
+  let expected = committed_items path in
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "walked from LSN 0" 0 (Storage.Engine.walked_from eng);
+  Alcotest.(check int) "the item page was rebuilt" 1 (Storage.Engine.repairs eng);
+  Alcotest.(check (list (pair string int))) "the history before the damage"
+    expected (Storage.Engine.items eng);
+  Alcotest.(check (list (pair string int))) "which is txn 1's" [ ("x", 1); ("y", 1) ]
+    expected;
+  Storage.Engine.close eng;
+  cleanup path
+
+(* A header as a binary without anchors leaves it (the log's end at byte
+   26, nothing at 34): the open walks from LSN 0, the first checkpoint
+   gains an anchor, and byte 26 is carried through untouched. *)
+let test_header_without_anchor () =
+  let path = fresh_path () in
+  let eng = Storage.Engine.open_db path in
+  commit_writes eng [ ("x", 1) ];
+  Storage.Engine.close eng;
+  let end_lsn = String.length (wal_bytes path) in
+  edit_header path (fun h ->
+      Bytes.set_int64_le h 26 (Int64.of_int end_lsn);
+      Bytes.fill h 34 12 '\000');
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "walked from LSN 0" 0 (Storage.Engine.walked_from eng);
+  (match Storage.Engine.last_recovery eng with
+  | Some o ->
+      Alcotest.(check (list int)) "every winner in the log" [ 1 ]
+        o.Storage.Recovery.winners
+  | None -> Alcotest.fail "expected a recovery outcome");
+  commit_writes eng [ ("y", 2) ];
+  Storage.Engine.close eng;
+  let last_checkpoint =
+    Option.get
+      (Storage.Wal.last_checkpoint
+         (Storage.Wal.read_entries (Storage.Engine.wal_path path)))
+  in
+  Alcotest.(check (option (pair int int))) "anchored at the first checkpoint"
+    (Some (last_checkpoint, 3)) (header_anchor path);
+  Alcotest.(check int) "byte 26 carried through" end_lsn
+    (Int64.to_int
+       (String.get_int64_le (Support.Io.read_span path ~from:26 ~len:8) 0));
+  let eng = Storage.Engine.open_db path in
+  Alcotest.(check int) "the next open walks from it" last_checkpoint
+    (Storage.Engine.walked_from eng);
+  Alcotest.(check (list (pair string int))) "items" [ ("x", 1); ("y", 2) ]
+    (Storage.Engine.items eng);
+  Storage.Engine.close eng;
+  cleanup path
+
 let suite =
   [
     Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
@@ -2130,6 +2514,16 @@ let suite =
     Alcotest.test_case "crash matrix, deep restart" `Slow
       test_crash_matrix_deep_restart;
     Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
+    prop_anchored_open_matches_full_walk;
+    Alcotest.test_case "unusable anchors walk from LSN 0" `Quick test_unusable_anchors;
+    Alcotest.test_case "a silent wal flip keeps the anchor" `Quick
+      test_silent_flip_keeps_anchor;
+    Alcotest.test_case "txn ids continue after an anchored open" `Quick
+      test_txn_ids_continue_after_anchor;
+    Alcotest.test_case "a header without an anchor gains one" `Quick
+      test_header_without_anchor;
+    Alcotest.test_case "a rebuild over a damaged prefix walks from LSN 0" `Quick
+      test_rebuild_over_damaged_prefix;
     prop_engine_matches_model_no_crash;
     Alcotest.test_case "wal truncated_at_open" `Quick test_wal_truncated_at_open;
     prop_log_file_crash_reopen;
