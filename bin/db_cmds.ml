@@ -211,10 +211,18 @@ let db_status_run path trace_file =
         (Storage.Pager.page_count pager)
         Storage.Page.size;
       report_recovery eng;
-      Printf.printf "wal: %d surviving record(s) before open%s\n" raw.frames
-        (let torn = raw.total - raw.clean in
-         if torn = 0 then ""
-         else Printf.sprintf ", %d torn tail byte(s)" torn);
+      (* the walk from LSN 0 stops at the first invalid frame; one before
+         the open's anchor is damage at rest the open walked over *)
+      let from = Storage.Engine.walked_from eng and torn = raw.total - raw.clean in
+      if torn > 0 && raw.clean < from then
+        Printf.printf
+          "wal: %d record(s) before an invalid frame at offset %d, which lies \
+           before the anchor at %d: the open walks from the anchor and keeps \
+           the log\n"
+          raw.frames raw.clean from
+      else
+        Printf.printf "wal: %d surviving record(s) before open%s\n" raw.frames
+          (if torn = 0 then "" else Printf.sprintf ", %d torn tail byte(s)" torn);
       Printf.printf "items: %d\n" (Storage.Engine.item_count eng);
       let tables = Storage.Engine.tables eng in
       Printf.printf "tables: %d\n" (List.length tables);

@@ -11,19 +11,24 @@ module Coord_log = Distributed.Coord_log
 
 type input = {
   coord : Coord_log.entry list;
-  shards : (int * Wal.entry list) list;
+  shards : (int * (Wal.kind * int) list) list;
 }
 
 let of_base base =
   let n = Distributed.Coordinator.discover base in
+  (* a shard log's frames from their headers, no record decoded *)
+  let frames k =
+    let frames, _, _ =
+      Wal.walk_file
+        (Storage.Engine.wal_path (Distributed.Coordinator.shard_path base k))
+        ~init:[]
+        ~f:(fun acc _ kind txn -> (kind, txn) :: acc)
+    in
+    (k, List.rev frames)
+  in
   {
     coord = Coord_log.read_file (Distributed.Coordinator.coord_path base);
-    shards =
-      List.init n (fun k ->
-          ( k,
-            Wal.read_entries
-              (Storage.Engine.wal_path (Distributed.Coordinator.shard_path base k))
-          ));
+    shards = List.init n frames;
   }
 
 (* --- shared projections --------------------------------------------------- *)
@@ -40,44 +45,16 @@ let participants_of input =
     input.coord;
   tbl
 
-(* first Decide per transaction (later conflicting ones are 2C005's job) *)
-let decisions_of input =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun { Coord_log.record; _ } ->
-      match record with
-      | Coord_log.Decide { txn; decision } ->
-          if not (Hashtbl.mem tbl txn) then Hashtbl.replace tbl txn decision
-      | _ -> ())
-    input.coord;
-  tbl
-
-(* per shard: transactions left prepared-and-live when the log ends *)
-let prepared_at_end entries =
-  let live = Hashtbl.create 8 in
-  let prepared = Hashtbl.create 8 in
-  List.iter
-    (fun { Wal.record; _ } ->
-      match record with
-      | Wal.Begin t -> Hashtbl.replace live t ()
-      | Wal.Prepare t -> if Hashtbl.mem live t then Hashtbl.replace prepared t ()
-      | Wal.Commit t | Wal.Abort t ->
-          Hashtbl.remove live t;
-          Hashtbl.remove prepared t
-      | Wal.Write _ | Wal.Checkpoint -> ())
-    entries;
-  Hashtbl.fold (fun t () acc -> t :: acc) prepared [] |> List.sort Int.compare
-
 (* per shard: the first terminal record (Commit/Abort) per transaction *)
-let outcomes_of entries =
+let outcomes_of frames =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun { Wal.record; _ } ->
-      match record with
-      | Wal.Commit t -> if not (Hashtbl.mem tbl t) then Hashtbl.replace tbl t `Commit
-      | Wal.Abort t -> if not (Hashtbl.mem tbl t) then Hashtbl.replace tbl t `Abort
-      | _ -> ())
-    entries;
+    (fun (kind, t) ->
+      match kind with
+      | (`Commit | `Abort) as o ->
+          if not (Hashtbl.mem tbl t) then Hashtbl.replace tbl t o
+      | `Begin | `Write | `Prepare | `Checkpoint -> ())
+    frames;
   tbl
 
 let sorted_txns tbl =
@@ -151,9 +128,9 @@ let decide_pass input =
 (* --- 2C002 — prepared-forever shards -------------------------------------- *)
 
 let prepared_pass input =
-  let decisions = decisions_of input in
+  let decisions = Coord_log.decisions input.coord in
   List.concat_map
-    (fun (k, entries) ->
+    (fun (k, frames) ->
       List.map
         (fun txn ->
           let tail =
@@ -172,7 +149,7 @@ let prepared_pass input =
             (Printf.sprintf
                "shard %d leaves transaction %d prepared (in doubt) — %s" k txn
                tail))
-        (prepared_at_end entries))
+        (Distributed.Coordinator.in_doubt_txns frames))
     input.shards
 
 (* --- 2C003 — a commit with no surviving prepare ---------------------------- *)
@@ -180,14 +157,14 @@ let prepared_pass input =
 let provenance_pass input =
   let participants = participants_of input in
   List.concat_map
-    (fun (k, entries) ->
+    (fun (k, frames) ->
       let prepared = Hashtbl.create 8 in
       let diags = ref [] in
       List.iteri
-        (fun i { Wal.record; _ } ->
-          match record with
-          | Wal.Prepare t -> Hashtbl.replace prepared t ()
-          | Wal.Commit t ->
+        (fun i (kind, t) ->
+          match kind with
+          | `Prepare -> Hashtbl.replace prepared t ()
+          | `Commit ->
               if Hashtbl.mem participants t && not (Hashtbl.mem prepared t)
               then
                 diags :=
@@ -201,7 +178,7 @@ let provenance_pass input =
                        k t)
                   :: !diags
           | _ -> ())
-        entries;
+        frames;
       List.rev !diags)
     input.shards
 
@@ -210,8 +187,8 @@ let provenance_pass input =
 let agreement_pass input =
   let per_txn = Hashtbl.create 8 in
   List.iter
-    (fun (k, entries) ->
-      let outcomes = outcomes_of entries in
+    (fun (k, frames) ->
+      let outcomes = outcomes_of frames in
       Hashtbl.iter
         (fun txn o ->
           let prev =
@@ -245,11 +222,13 @@ let agreement_pass input =
 (* --- 2C006 — forgetting too early ------------------------------------------ *)
 
 let forget_pass input =
-  let decisions = decisions_of input in
+  let decisions = Coord_log.decisions input.coord in
   let prepared =
     List.concat_map
-      (fun (k, entries) ->
-        List.map (fun t -> (t, k)) (prepared_at_end entries))
+      (fun (k, frames) ->
+        List.map
+          (fun t -> (t, k))
+          (Distributed.Coordinator.in_doubt_txns frames))
       input.shards
   in
   let diags = ref [] in

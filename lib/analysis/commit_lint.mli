@@ -25,14 +25,18 @@
 
 type input = {
   coord : Distributed.Coord_log.entry list;
-  shards : (int * Storage.Wal.entry list) list;
+  shards : (int * (Storage.Wal.kind * int) list) list;
 }
-(** The coordinator's surviving records plus each shard's, by shard
-    id. *)
+(** The coordinator's surviving records plus, by shard id, each shard
+    log's surviving frames as [(kind, txn)], oldest first; a frame's
+    position is the [loc] of a shard diagnostic.  The in-doubt rule
+    (2C002, 2C006) is {!Distributed.Coordinator.in_doubt_txns}, the one
+    restart resolution uses. *)
 
 val of_base : string -> input
 (** Scan [base.2pc] and every discovered [base.shardK.wal]
-    read-only. *)
+    read-only; the shard logs are walked by frame header
+    ({!Storage.Wal.walk_file}), no record decoded. *)
 
 val passes : input Pass.t list
 (** The 2C pass suite, for {!Pass.run_all} / {!Pass.drive}. *)

@@ -1,144 +1,99 @@
 (* The metric-catalogue lint: the single source of truth for metric
-   names is docs/OBSERVABILITY.md, and this pass keeps it honest in both
-   directions — every runtime-registered name must appear there (OB001),
-   and every catalogued name in a family the runtime knows must still be
-   registered (OB002, catching stale docs after a rename).
+   names is docs/OBSERVABILITY.md, and this pass keeps it honest against
+   the declarations ({!Obs.Registry.declared}) in both directions —
+   every declared instrument must have a catalogue row (OB001), every
+   row must name a declared instrument (OB002, catching stale docs after
+   a rename), and a row's kind and unit must be the declared ones
+   (OB003).
 
-   The catalogue side is parsed structurally: any backtick-quoted token
-   that looks like a dotted metric name counts as documented, and a
-   token whose last segment is [*] documents a whole family (the
-   fault-injection counters are per-site, so the catalogue lists
-   [fault.torn.*] rather than an open-ended site enumeration). *)
+   The catalogue side is parsed structurally: a documented instrument is
+   a table row whose first cell is a backtick-quoted name, read as
+   [| name | kind | unit | ...].  A family such as [fault.torn.*] is
+   declared and documented under that very name, so matching is exact
+   and prose documents nothing. *)
 
-let is_name_char c =
-  (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_'
-
-(* A documented metric token: dotted, >= 2 segments, each segment of
-   name characters — except the last, which may be the glob [*]. *)
-let is_metric_token s =
-  match String.split_on_char '.' s with
-  | [] | [ _ ] -> false
-  | segments ->
-      let rec check = function
-        | [] -> true
-        | [ "*" ] -> true
-        | seg :: rest -> seg <> "" && String.for_all is_name_char seg && check rest
-      in
-      check segments
-
-(* Every `...` span in the text (markdown inline code). *)
-let backtick_tokens text =
-  let n = String.length text in
-  let tokens = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if text.[!i] = '`' then begin
-      match String.index_from_opt text (!i + 1) '`' with
-      | Some j ->
-          tokens := String.sub text (!i + 1) (j - !i - 1) :: !tokens;
-          i := j + 1
-      | None -> i := n
-    end
-    else incr i
-  done;
-  List.rev !tokens
-
-(* The catalogue file also documents span names in the same backtick
-   style; those are not metrics and must not trip OB002.  When the text
-   has a "Metric catalogue" level-2 heading, scanning is scoped to that
-   section (up to the next level-2 heading); otherwise the whole text is
-   the catalogue. *)
-let catalogue_section text =
-  let lines = String.split_on_char '\n' text in
-  let is_h2 line =
-    String.length line > 3
-    && String.sub line 0 3 = "## "
-  in
+(* The catalogue file also documents span names in a table of the same
+   shape; those are not metrics and must not trip OB002.  When the text
+   has a "Metric catalogue" level-2 heading, only that section (up to
+   the next level-2 heading) is read; otherwise the whole text is the
+   catalogue. *)
+let catalogue_section lines =
+  let is_h2 line = String.length line > 3 && String.sub line 0 3 = "## " in
   let is_catalogue_h2 line =
-    is_h2 line
-    && String.lowercase_ascii line = "## metric catalogue"
+    is_h2 line && String.lowercase_ascii line = "## metric catalogue"
   in
-  if not (List.exists is_catalogue_h2 lines) then text
+  if not (List.exists is_catalogue_h2 lines) then lines
   else
-    let buf = Buffer.create (String.length text) in
     let in_section = ref false in
-    List.iter
+    List.filter
       (fun line ->
         if is_catalogue_h2 line then in_section := true
-        else if is_h2 line then in_section := false
-        else if !in_section then begin
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n'
-        end)
-      lines;
-    Buffer.contents buf
+        else if is_h2 line then in_section := false;
+        !in_section)
+      lines
 
-let documented_names text =
-  List.filter is_metric_token (backtick_tokens (catalogue_section text))
-  |> List.sort_uniq String.compare
+(* [| `name` | kind | unit | ...], cells trimmed; any other line, the
+   header and separator rows among them, is not a row. *)
+let row_of_line line =
+  match List.map String.trim (String.split_on_char '|' line) with
+  | "" :: name :: rest
+    when String.length name > 2 && name.[0] = '`'
+         && name.[String.length name - 1] = '`' ->
+      let cell i = Option.value ~default:"" (List.nth_opt rest i) in
+      Some
+        {
+          Obs.Registry.name = String.sub name 1 (String.length name - 2);
+          kind = cell 0;
+          unit = cell 1;
+        }
+  | _ -> None
 
-let family name =
-  match String.index_opt name '.' with
-  | Some i -> Some (String.sub name 0 i)
-  | None -> None
+let catalogue_rows text =
+  List.filter_map row_of_line
+    (catalogue_section (String.split_on_char '\n' text))
 
-type input = { registered : string list; catalogue_text : string }
+type input = { declared : Obs.Registry.row list; catalogue_text : string }
 
-let run_lint { registered; catalogue_text } =
-  let registered = List.sort_uniq String.compare registered in
-  let documented = documented_names catalogue_text in
-  let globs, exact =
-    List.partition
-      (fun d -> String.length d >= 2 && Filename.check_suffix d ".*")
-      documented
+let run_lint { declared; catalogue_text } =
+  let rows = catalogue_rows catalogue_text in
+  let row_of name =
+    List.find_opt (fun (r : Obs.Registry.row) -> r.name = name) rows
   in
-  (* keep the trailing dot so [pool.*] covers [pool.hits], not [poolx] *)
-  let prefixes = List.map (fun g -> String.sub g 0 (String.length g - 1)) globs in
-  let covers name =
-    List.mem name exact
-    || List.exists
-         (fun p ->
-           String.length name > String.length p
-           && String.sub name 0 (String.length p) = p)
-         prefixes
-  in
-  let families =
-    List.sort_uniq String.compare (List.filter_map family registered)
-  in
-  let undocumented =
+  let against_rows =
     List.filter_map
-      (fun name ->
-        if covers name then None
-        else
-          Some
-            (Diagnostic.error ~subject:name "OB001"
-               (Printf.sprintf
-                  "metric %S is registered at runtime but missing from the \
-                   catalogue"
-                  name)))
-      registered
+      (fun (d : Obs.Registry.row) ->
+        match row_of d.name with
+        | None ->
+            Some
+              (Diagnostic.error ~subject:d.name "OB001"
+                 (Printf.sprintf
+                    "metric %S is declared but has no catalogue row" d.name))
+        | Some r when r.kind <> d.kind || r.unit <> d.unit ->
+            Some
+              (Diagnostic.error ~subject:d.name "OB003"
+                 (Printf.sprintf
+                    "metric %S is declared as a %s in %S but its catalogue row \
+                     says a %s in %S"
+                    d.name d.kind d.unit r.kind r.unit))
+        | Some _ -> None)
+      declared
   in
   let stale =
     List.filter_map
-      (fun name ->
-        if
-          (not (List.mem name registered))
-          && (match family name with
-             | Some f -> List.mem f families
-             | None -> false)
-        then
+      (fun (r : Obs.Registry.row) ->
+        if List.exists (fun (d : Obs.Registry.row) -> d.name = r.name) declared
+        then None
+        else
           Some
-            (Diagnostic.warning ~subject:name "OB002"
+            (Diagnostic.warning ~subject:r.name "OB002"
                (Printf.sprintf
-                  "catalogue documents %S but the runtime never registers it \
-                   (stale name?)"
-                  name))
-        else None)
-      exact
+                  "catalogue row %S names no declared metric (stale name?)"
+                  r.name)))
+      rows
   in
-  Diagnostic.sort (undocumented @ stale)
+  Diagnostic.sort (against_rows @ stale)
 
 let passes = [ Pass.make "metric-catalogue" run_lint ]
 
-let lint ~registered ~catalogue_text =
-  Pass.run_all passes { registered; catalogue_text }
+let lint ~declared ~catalogue_text =
+  Pass.run_all passes { declared; catalogue_text }

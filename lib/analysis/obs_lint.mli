@@ -1,33 +1,32 @@
 (** The metric-catalogue lint behind [dbmeta lint metrics]: checks the
-    runtime's registered metric names against the documented catalogue
-    (docs/OBSERVABILITY.md) in both directions.
+    declared instruments ({!Obs.Registry.declared}) against the rows of
+    the documented catalogue (docs/OBSERVABILITY.md) in both directions.
 
     Codes:
-    - {b OB001} (error) — a metric name registered at runtime does not
-      appear in the catalogue; the docs are incomplete.
-    - {b OB002} (warning) — the catalogue documents an exact name in a
-      metric family the runtime knows (same first dotted segment), but
-      the runtime never registers it; the docs are stale.
+    - {b OB001} (error) — a declared instrument has no catalogue row;
+      the docs are incomplete.
+    - {b OB002} (warning) — a catalogue row names no declared
+      instrument; the docs are stale.
+    - {b OB003} (error) — a catalogue row's kind or unit disagrees with
+      the declaration.
 
-    A catalogue entry is any backtick-quoted dotted token, e.g.
-    [`pool.hits`].  A trailing [*] segment documents a whole family —
-    [`fault.torn.*`] covers every per-site torn-write counter — since
-    per-site names are data-dependent and cannot be enumerated.  When
-    the text has a [## Metric catalogue] heading, only that section (up
-    to the next level-2 heading) is scanned, so span names documented
-    elsewhere in the file are not mistaken for metrics. *)
+    A catalogue row is a markdown table row whose first cell is a
+    backtick-quoted name, read as [| `name` | kind | unit | ... |].
+    A trailing [*] segment names a family — [`fault.torn.*`] — which is
+    declared under that same name, so names match exactly; prose
+    documents nothing.  When the text has a [## Metric catalogue]
+    heading, only that section (up to the next level-2 heading) is read,
+    so the span table elsewhere in the file is not mistaken for
+    metrics. *)
 
-val documented_names : string -> string list
-(** The metric names (and [family.*] globs) a catalogue text documents,
-    sorted and deduplicated — exposed for tests. *)
-
-type input = { registered : string list; catalogue_text : string }
-(** [registered] is the name set from a fully-instrumented synthetic run
-    ({!Obs.Registry.names}); [catalogue_text] is the markdown catalogue. *)
+type input = { declared : Obs.Registry.row list; catalogue_text : string }
+(** [declared] is normally [Obs.Registry.rows Obs.Registry.declared];
+    [catalogue_text] is the markdown catalogue. *)
 
 val passes : input Pass.t list
 (** The suite [dbmeta lint metrics] drives through {!Pass.drive} — the
     same pipeline as every other lint subcommand. *)
 
-val lint : registered:string list -> catalogue_text:string -> Diagnostic.t list
+val lint :
+  declared:Obs.Registry.row list -> catalogue_text:string -> Diagnostic.t list
 (** Runs {!passes}; returns sorted diagnostics (errors first). *)

@@ -1,25 +1,36 @@
 module Tuple_set = Relational.Relation.Tuple_set
 
+type metrics = {
+  m_iterations : Obs.Registry.Counter.t;
+  m_derivations : Obs.Registry.Counter.t;
+  m_strata : Obs.Registry.Counter.t;
+  m_delta : Obs.Histogram.t;
+}
+
+let make_metrics registry =
+  let counter = Obs.Registry.counter registry in
+  {
+    m_iterations =
+      counter ~unit:"rounds" ~help:"semi-naive evaluation rounds"
+        "datalog.iterations";
+    m_derivations =
+      counter ~unit:"tuples" ~help:"tuples derived (before dedup)"
+        "datalog.derivations";
+    m_strata = counter ~unit:"strata" ~help:"strata evaluated" "datalog.strata";
+    m_delta =
+      Obs.Registry.histogram registry ~unit:"tuples"
+        ~help:"delta size per semi-naive round" "datalog.delta_size";
+  }
+
+let () = ignore (make_metrics Obs.Registry.declared)
+
 let eval_with_stats ?(metrics = Obs.Registry.noop) prog edb =
   Checks.check_safety prog;
   let strata = Checks.stratify prog in
   let edb = Facts.union edb (Facts.of_program_facts prog) in
   let iterations = ref 0 and derivations = ref 0 in
-  let counter = Obs.Registry.counter metrics in
-  let m_iterations =
-    counter ~unit:"rounds" ~help:"semi-naive evaluation rounds"
-      "datalog.iterations"
-  in
-  let m_derivations =
-    counter ~unit:"tuples" ~help:"tuples derived (before dedup)"
-      "datalog.derivations"
-  in
-  let m_strata =
-    counter ~unit:"strata" ~help:"strata evaluated" "datalog.strata"
-  in
-  let m_delta =
-    Obs.Registry.histogram metrics ~unit:"tuples"
-      ~help:"delta size per semi-naive round" "datalog.delta_size"
+  let { m_iterations; m_derivations; m_strata; m_delta } =
+    make_metrics metrics
   in
   let eval_stratum all rules =
     Obs.Registry.Counter.incr m_strata;

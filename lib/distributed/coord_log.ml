@@ -110,3 +110,14 @@ let read_file path =
   List.map
     (fun (off, payload) -> { off; record = record_of_payload payload })
     (Storage.Log_file.read_payloads ~valid path)
+
+let decisions entries =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun { record; _ } ->
+      match record with
+      | Decide { txn; decision } ->
+          if not (Hashtbl.mem tbl txn) then Hashtbl.replace tbl txn decision
+      | Begin _ | Vote _ | Forget _ -> ())
+    entries;
+  tbl

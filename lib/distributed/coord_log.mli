@@ -38,6 +38,11 @@ val read_file : string -> entry list
 (** Read-only tolerant scan (the termination protocol's and the
     commit lint's view).  A missing file yields []. *)
 
+val decisions : entry list -> (int, decision) Hashtbl.t
+(** Each transaction's first Decide: what the termination protocol
+    completes, and what [lint commit] checks the shards against (a
+    later, conflicting Decide is 2C005). *)
+
 val decision_to_string : decision -> string
 (** ["commit"] / ["abort"]. *)
 

@@ -70,6 +70,8 @@ let make_metrics registry =
         "2pc.resolved";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   base : string;
   shards : Engine.t array;
@@ -119,21 +121,21 @@ let append_commits_offline fault wal_file ~from txns ~site =
       Log_file.abandon log;
       raise e
 
-(* In-doubt transactions on one shard log: prepared and still live.
-   Read from the frames' kinds and ids; no record is decoded. *)
-let in_doubt_txns image =
+(* In-doubt transactions among one shard log's frames, (kind, txn)
+   oldest first: prepared and still live at the end. *)
+let in_doubt_txns frames =
   let live = Hashtbl.create 8 in
   let prepared = Hashtbl.create 8 in
-  ignore
-    (Wal.walk image ~init:() ~f:(fun () _ kind t ->
-         match kind with
-         | `Begin -> Hashtbl.replace live t ()
-         | `Prepare -> if Hashtbl.mem live t then Hashtbl.replace prepared t ()
-         | `Commit | `Abort ->
-             Hashtbl.remove live t;
-             Hashtbl.remove prepared t
-         | `Write | `Checkpoint -> ())
-      : unit * int);
+  List.iter
+    (fun (kind, t) ->
+      match kind with
+      | `Begin -> Hashtbl.replace live t ()
+      | `Prepare -> if Hashtbl.mem live t then Hashtbl.replace prepared t ()
+      | `Commit | `Abort ->
+          Hashtbl.remove live t;
+          Hashtbl.remove prepared t
+      | `Write | `Checkpoint -> ())
+    frames;
   Hashtbl.fold (fun t () acc -> t :: acc) prepared [] |> List.sort Int.compare
 
 (* Resolve every shard's in-doubt prepared transactions against the
@@ -142,14 +144,7 @@ let in_doubt_txns image =
    quiescent checkpoint, so no in-doubt transaction begins before it.
    Returns (commits, aborts) resolved. *)
 let resolve_in_doubt fault base n coord_entries =
-  let decision = Hashtbl.create 8 in
-  List.iter
-    (fun { Coord_log.record; _ } ->
-      match record with
-      | Coord_log.Decide { txn; decision = d } ->
-          if not (Hashtbl.mem decision txn) then Hashtbl.replace decision txn d
-      | _ -> ())
-    coord_entries;
+  let decision = Coord_log.decisions coord_entries in
   let commits = ref 0 and aborts = ref 0 in
   for k = 0 to n - 1 do
     let wal_file = Engine.wal_path (shard_path base k) in
@@ -158,7 +153,10 @@ let resolve_in_doubt fault base n coord_entries =
       | Some (lsn, _) -> lsn
       | None -> 0
     in
-    let image = Support.Io.read_span wal_file ~from ~len:max_int in
+    let frames, _ =
+      Wal.walk (Support.Io.read_span wal_file ~from ~len:max_int) ~init:[]
+        ~f:(fun acc _ kind t -> (kind, t) :: acc)
+    in
     let to_complete =
       List.filter
         (fun txn ->
@@ -168,7 +166,7 @@ let resolve_in_doubt fault base n coord_entries =
               (* presumed abort: restart recovery undoes the loser *)
               incr aborts;
               false)
-        (in_doubt_txns image)
+        (in_doubt_txns (List.rev frames))
     in
     if to_complete <> [] then begin
       append_commits_offline fault wal_file ~from to_complete

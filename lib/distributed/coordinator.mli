@@ -58,6 +58,13 @@ val coord_path : string -> string
 val discover : string -> int
 (** How many consecutive [base.shardK] files exist, from [k = 0]. *)
 
+val in_doubt_txns : (Storage.Wal.kind * int) list -> int list
+(** The transactions a shard log's frames, given as [(kind, txn)]
+    oldest first, leave in doubt: prepared and still live at the end,
+    sorted.  The open's termination protocol resolves exactly these
+    against the coordinator log; [lint commit] reports them (2C002,
+    2C006). *)
+
 val begin_txn : t -> int
 (** Start a distributed transaction (a globally fresh id); shards
     learn of it lazily, at the first write routed to them.  Raises

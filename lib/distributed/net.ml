@@ -28,27 +28,17 @@ type config = {
 
 let default_config = { msg_timeout = 8; max_attempts = 6; max_backoff = 64 }
 
-type t = {
-  fault : Fault.t;
-  config : config;
-  rng : Support.Rng.t;
-  mutable ticks : int;
+type metrics = {
   m_msgs : Obs.Registry.Counter.t;
   m_retries : Obs.Registry.Counter.t;
   m_lost : Obs.Registry.Counter.t;
   h_backoff : Obs.Histogram.t;
 }
 
-type 'a reply = Reply of 'a | Lost of { processed : bool }
-
-let create ?(metrics = Obs.Registry.noop) ?(prefix = "2pc") ~fault ~seed config =
-  let counter = Obs.Registry.counter metrics in
+let make_metrics registry prefix =
+  let counter = Obs.Registry.counter registry in
   let name suffix = prefix ^ "." ^ suffix in
   {
-    fault;
-    config;
-    rng = Support.Rng.create seed;
-    ticks = 0;
     m_msgs =
       counter ~unit:"msgs" ~help:"message exchanges attempted" (name "msgs");
     m_retries =
@@ -59,8 +49,33 @@ let create ?(metrics = Obs.Registry.noop) ?(prefix = "2pc") ~fault ~seed config 
         ~help:"exchanges lost (dropped, partitioned, or over-delayed)"
         (name "msg_lost");
     h_backoff =
-      Obs.Registry.histogram metrics ~unit:"ticks"
+      Obs.Registry.histogram registry ~unit:"ticks"
         ~help:"backoff drawn per message retry" (name "backoff_ticks");
+  }
+
+(* The coordinator's channel and a replication group's shipping one. *)
+let () =
+  List.iter
+    (fun prefix -> ignore (make_metrics Obs.Registry.declared prefix))
+    [ "2pc"; "repl" ]
+
+type t = {
+  fault : Fault.t;
+  config : config;
+  rng : Support.Rng.t;
+  mutable ticks : int;
+  metrics : metrics;
+}
+
+type 'a reply = Reply of 'a | Lost of { processed : bool }
+
+let create ?(metrics = Obs.Registry.noop) ?(prefix = "2pc") ~fault ~seed config =
+  {
+    fault;
+    config;
+    rng = Support.Rng.create seed;
+    ticks = 0;
+    metrics = make_metrics metrics prefix;
   }
 
 let ticks t = t.ticks
@@ -68,12 +83,12 @@ let ticks t = t.ticks
 let lost t ~processed =
   (* the sender waited its timeout out before giving up on the reply *)
   t.ticks <- t.ticks + t.config.msg_timeout;
-  Obs.Registry.Counter.incr t.m_lost;
+  Obs.Registry.Counter.incr t.metrics.m_lost;
   Lost { processed }
 
 (* One attempt: draw the link's behaviour, maybe run the handler. *)
 let once t ~site handler =
-  Obs.Registry.Counter.incr t.m_msgs;
+  Obs.Registry.Counter.incr t.metrics.m_msgs;
   if Fault.partitioned t.fault ~at:site then
     if Fault.flip_coin t.fault then lost t ~processed:false
     else begin
@@ -106,10 +121,10 @@ let call t ~site handler =
         let processed_any = processed_any || processed in
         if attempt >= t.config.max_attempts then Error processed_any
         else begin
-          Obs.Registry.Counter.incr t.m_retries;
+          Obs.Registry.Counter.incr t.metrics.m_retries;
           let window = min t.config.max_backoff (1 lsl min 6 attempt) in
           let delay = 1 + Support.Rng.int t.rng window in
-          Obs.Histogram.observe t.h_backoff delay;
+          Obs.Histogram.observe t.metrics.h_backoff delay;
           t.ticks <- t.ticks + delay;
           go (attempt + 1) processed_any
         end

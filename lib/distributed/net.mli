@@ -37,7 +37,8 @@ val create :
     from a fresh RNG seeded with [seed].  [prefix] names the channel's
     instruments ([<prefix>.msgs] etc.); it defaults to ["2pc"], and the
     replication layer passes ["repl"] so the two message planes stay
-    separately observable. *)
+    separately observable.  These two are the declared prefixes: any
+    other raises [Invalid_argument] (see {!Obs.Registry.declared}). *)
 
 val once : t -> site:string -> (unit -> 'a) -> 'a reply
 (** One send attempt, no retries — the coordinator's cheap re-delivery

@@ -3,7 +3,11 @@
    once at component-construction time, so the hot path is a field
    increment with no lookup; the shared [noop] registry makes an
    uninstrumented run pay only those increments (and no clock reads —
-   histograms created on a disabled registry are inactive). *)
+   histograms created on a disabled registry are inactive).
+
+   Each instrumented module runs its constructor once at initialisation
+   on [declared]; every other registry takes a name only as the kind
+   declared there, so the declarations are the whole name set. *)
 
 module Counter = struct
   type t = { mutable n : int }
@@ -38,9 +42,18 @@ type t = {
 
 let create () = { enabled = true; by_name = Hashtbl.create 64 }
 let noop = { enabled = false; by_name = Hashtbl.create 64 }
+let declared = { enabled = false; by_name = Hashtbl.create 128 }
 let enabled t = t.enabled
 
 let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+
+(* The declaration of [name]: the name itself, or its family, the name
+   with its last segment replaced by [*]. *)
+let declaration name =
+  match (Hashtbl.find_opt declared.by_name name, String.rindex_opt name '.') with
+  | (Some _ as d), _ | (None as d), None -> d
+  | None, Some i ->
+      Hashtbl.find_opt declared.by_name (String.sub name 0 (i + 1) ^ "*")
 
 let register t ~name ~unit_ ~help fresh reuse =
   match Hashtbl.find_opt t.by_name name with
@@ -53,6 +66,15 @@ let register t ~name ~unit_ ~help fresh reuse =
                (kind_name entry.inst)))
   | None ->
       let inst, v = fresh () in
+      (if t != declared then
+         match declaration name with
+         | Some d when kind_name d.inst = kind_name inst -> ()
+         | d ->
+             invalid_arg
+               (Printf.sprintf "Obs.Registry: %s is not declared%s" name
+                  (match d with
+                  | None -> ""
+                  | Some _ -> " as a " ^ kind_name inst)));
       Hashtbl.replace t.by_name name { name; unit_; help; inst };
       v
 
@@ -82,6 +104,14 @@ let entries t =
   |> List.sort (fun a b -> String.compare a.name b.name)
 
 let names t = List.map (fun e -> e.name) (entries t)
+
+type row = { name : string; kind : string; unit : string }
+
+let rows t =
+  List.map
+    (fun (e : entry) ->
+      { name = e.name; kind = kind_name e.inst; unit = e.unit_ })
+    (entries t)
 
 let find t name =
   Option.map (fun e -> e.inst) (Hashtbl.find_opt t.by_name name)

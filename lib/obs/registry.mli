@@ -11,9 +11,16 @@
     code instrumented against the default registry pays only integer
     increments.
 
+    Every instrumented module runs its own constructor once, at module
+    initialisation, on {!declared}.  Any other registry takes a name
+    only as the kind declared there, for the name itself or for its
+    family, the name with its last segment replaced by [*]
+    ([fault.torn.*] declares [fault.torn.wal_flush]).  The check runs at
+    a name's first registration on a registry, never on an increment.
+
     Registering the same name twice returns the same instrument;
-    re-registering a name as a different kind raises
-    [Invalid_argument]. *)
+    re-registering a name as a different kind, or registering a name or
+    kind that is not declared, raises [Invalid_argument]. *)
 
 (** Monotonic counters.  [incr]/[add] are single field updates. *)
 module Counter : sig
@@ -52,6 +59,11 @@ val noop : t
     registered on it work but are never rendered, and its histograms
     skip clock reads. *)
 
+val declared : t
+(** The process-wide declarations: what each instrumented module's
+    constructor registered here at initialisation.  Disabled, like
+    {!noop}, and exempt from the declaration check. *)
+
 val enabled : t -> bool
 
 val counter : t -> ?unit:string -> ?help:string -> string -> Counter.t
@@ -64,8 +76,15 @@ val histogram : t -> ?unit:string -> ?help:string -> string -> Histogram.t
     The histogram is active iff the registry is enabled. *)
 
 val names : t -> string list
-(** Every registered metric name, sorted — what [dbmeta lint metrics]
-    checks against the catalogue. *)
+(** Every registered metric name, sorted. *)
+
+type row = { name : string; kind : string; unit : string }
+(** An instrument as a catalogue row describes it: its name, its kind
+    (["counter"], ["gauge"] or ["histogram"]) and its unit. *)
+
+val rows : t -> row list
+(** Every registered instrument, sorted by name; on {!declared}, what
+    [dbmeta lint metrics] checks against the catalogue. *)
 
 val counter_value : t -> string -> int option
 (** Look a counter up by name ([None] if absent or not a counter) —

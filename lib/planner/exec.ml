@@ -254,15 +254,20 @@ let fused_scan ctx table ~on_page keep =
   in
   { next; close = ignore }
 
+(* The per-operator counter plan.rows.<op>; the operator "*" names the
+   family, which is how it is declared. *)
+let plan_rows registry op =
+  Obs.Registry.counter registry ~unit:"tuples"
+    ~help:"rows emitted by this operator kind" ("plan.rows." ^ op)
+
+let () = ignore (plan_rows Obs.Registry.declared "*")
+
 (* Reset [p]'s actual_rows and return the function that adds to it and
-   to the per-operator plan.rows.<op> counter. *)
+   to its operator's plan.rows.<op> counter. *)
 let row_counter ctx (p : P.t) =
   p.P.meta.P.actual_rows <- 0;
   let rows =
-    Obs.Registry.counter
-      (Storage.Engine.metrics (Plan.engine ctx))
-      ~unit:"tuples" ~help:"rows emitted by this operator kind"
-      ("plan.rows." ^ P.operator_name p)
+    plan_rows (Storage.Engine.metrics (Plan.engine ctx)) (P.operator_name p)
   in
   fun n ->
     p.P.meta.P.actual_rows <- p.P.meta.P.actual_rows + n;

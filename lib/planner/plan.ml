@@ -81,6 +81,8 @@ let make_instruments registry =
         "certify.failures";
   }
 
+let () = ignore (make_instruments Obs.Registry.declared)
+
 let make ?(config = default_config) eng =
   let indexes = Indexes.load eng in
   {

@@ -103,6 +103,8 @@ let make_instruments registry =
         ~help:"worst replica lag after the last ship" "repl.lag_bytes";
   }
 
+let () = ignore (make_instruments Obs.Registry.declared)
+
 (* --- shipping ------------------------------------------------------- *)
 
 let exchange t ~reliable ~site handler =

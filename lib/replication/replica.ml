@@ -13,6 +13,19 @@ module Fault = Storage.Fault
 module Engine = Storage.Engine
 module Log_file = Storage.Log_file
 
+(* The pair (repl.apply_commits, repl.stale_rejects). *)
+let make_metrics registry =
+  let counter = Obs.Registry.counter registry in
+  ( counter ~unit:"txns"
+      ~help:
+        "commit records a replica's log took in (attach, chunks, \
+         snapshots)"
+      "repl.apply_commits",
+    counter ~unit:"msgs" ~help:"stale-epoch chunks refused (fencing)"
+      "repl.stale_rejects" )
+
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   path : string;
   wal_file : string;
@@ -41,8 +54,8 @@ let survey image =
   (commits, checkpoint, clean)
 
 let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
-  let counter = Obs.Registry.counter metrics in
   let wal_file = Engine.wal_path path in
+  let m_commits, m_stale = make_metrics metrics in
   let t =
     {
       path;
@@ -53,15 +66,8 @@ let attach ?(metrics = Obs.Registry.noop) ~fault ~node_id ~epoch path =
       epoch;
       snapshot_lsn = 0;
       wal_len = 0;
-      m_commits =
-        counter ~unit:"txns"
-          ~help:
-            "commit records a replica's log took in (attach, chunks, \
-             snapshots)"
-          "repl.apply_commits";
-      m_stale =
-        counter ~unit:"msgs" ~help:"stale-epoch chunks refused (fencing)"
-          "repl.stale_rejects";
+      m_commits;
+      m_stale;
     }
   in
   (match Repl_meta.load_node path with

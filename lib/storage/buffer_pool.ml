@@ -45,6 +45,8 @@ let make_metrics registry =
         "pool.resident";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   pager : Pager.t;
   capacity : int;

@@ -88,6 +88,8 @@ let make_metrics registry =
         ~help:"1 once the engine degraded to read-only" "engine.degraded";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   pager : Pager.t;
   pool : Buffer_pool.t;

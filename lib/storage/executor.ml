@@ -90,34 +90,45 @@ type slot = {
   mutable started_ns : int;  (* incarnation start, for the txn trace event *)
 }
 
+type metrics = {
+  m_steps : Obs.Registry.Counter.t;
+  m_restarts : Obs.Registry.Counter.t;
+  m_deadlocks : Obs.Registry.Counter.t;
+  m_timeouts : Obs.Registry.Counter.t;
+  m_wasted : Obs.Registry.Counter.t;
+  m_backoff : Obs.Histogram.t;
+}
+
+let make_metrics registry =
+  let counter = Obs.Registry.counter registry in
+  {
+    m_steps =
+      counter ~unit:"attempts" ~help:"operation attempts (scheduler steps)"
+        "exec.steps";
+    m_restarts =
+      counter ~unit:"restarts"
+        ~help:"victim aborts (deadlock + timeout) and decided commit aborts"
+        "exec.restarts";
+    m_deadlocks =
+      counter ~unit:"restarts" ~help:"restarts caused by waits-for cycles"
+        "exec.deadlocks";
+    m_timeouts =
+      counter ~unit:"restarts" ~help:"restarts caused by lock-wait timeout"
+        "exec.timeouts";
+    m_wasted =
+      counter ~unit:"ops" ~help:"operations re-executed after restarts"
+        "exec.wasted_ops";
+    m_backoff =
+      Obs.Registry.histogram registry ~unit:"rounds"
+        ~help:"backoff drawn per restart" "exec.backoff_rounds";
+  }
+
+let () = ignore (make_metrics Obs.Registry.declared)
+
 let run ?(config = default_config) b specs =
   let rng = Support.Rng.create config.seed in
-  let metrics = b.metrics in
-  let counter = Obs.Registry.counter metrics in
-  let m_steps =
-    counter ~unit:"attempts" ~help:"operation attempts (scheduler steps)"
-      "exec.steps"
-  in
-  let m_restarts =
-    counter ~unit:"restarts"
-      ~help:"victim aborts (deadlock + timeout) and decided commit aborts"
-      "exec.restarts"
-  in
-  let m_deadlocks =
-    counter ~unit:"restarts" ~help:"restarts caused by waits-for cycles"
-      "exec.deadlocks"
-  in
-  let m_timeouts =
-    counter ~unit:"restarts" ~help:"restarts caused by lock-wait timeout"
-      "exec.timeouts"
-  in
-  let m_wasted =
-    counter ~unit:"ops" ~help:"operations re-executed after restarts"
-      "exec.wasted_ops"
-  in
-  let m_backoff =
-    Obs.Registry.histogram metrics ~unit:"rounds"
-      ~help:"backoff drawn per restart" "exec.backoff_rounds"
+  let { m_steps; m_restarts; m_deadlocks; m_timeouts; m_wasted; m_backoff } =
+    make_metrics b.metrics
   in
   let emit_txn slot id ~outcome =
     let now = Obs.Trace.now b.trace in
@@ -154,7 +165,7 @@ let run ?(config = default_config) b specs =
   in
   let lm =
     Lock_manager.create ?timeout:config.lock_timeout
-      ~victim_pref:(victim_pref ~age) ~metrics ()
+      ~victim_pref:(victim_pref ~age) ~metrics:b.metrics ()
   in
   let steps = ref 0 in
   let restarts = ref 0 in

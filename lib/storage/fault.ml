@@ -118,14 +118,8 @@ type t = {
   mutable crashed : crash_info option;
   mutable ios : int;
   mutable rng : Support.Rng.t;
-  mutable torn_rules : rule list;
-  mutable flip_rules : rule list;
-  mutable eio_rules : rule list;
-  mutable drop_rules : rule list;
-  mutable delay_rules : rule list;
-  mutable part_rules : rule list;
+  mutable spec : spec;
   mutable registry : Obs.Registry.t;
-  fired : (string, Obs.Registry.Counter.t) Hashtbl.t;
 }
 
 let create () =
@@ -134,23 +128,15 @@ let create () =
     crashed = None;
     ios = 0;
     rng = Support.Rng.create 0;
-    torn_rules = [];
-    flip_rules = [];
-    eio_rules = [];
-    drop_rules = [];
-    delay_rules = [];
-    part_rules = [];
+    spec = no_faults;
     registry = Obs.Registry.noop;
-    fired = Hashtbl.create 8;
   }
 
-let set_metrics t registry =
-  t.registry <- registry;
-  Hashtbl.reset t.fired
+let set_metrics t registry = t.registry <- registry
 
 (* Site names carry page ids ("page 12 write"); metric names must form a
-   closed set, so digit runs normalize to "N" and spaces to "_" — the
-   catalogue documents the per-kind families as [fault.<kind>.*]. *)
+   closed set, so digit runs normalize to "N", and spaces and dots (which
+   would split the family) to "_". *)
 let normalize_site at =
   let buf = Buffer.create (String.length at) in
   let in_digits = ref false in
@@ -162,34 +148,28 @@ let normalize_site at =
           in_digits := true
       | c ->
           in_digits := false;
-          Buffer.add_char buf (if c = ' ' then '_' else c))
+          Buffer.add_char buf (if c = ' ' || c = '.' then '_' else c))
     at;
   Buffer.contents buf
 
+(* The counter [fault.<kind>.<site>]; the site "*" names the kind's
+   family, which is how each kind is declared. *)
+let site_counter registry kind site =
+  Obs.Registry.counter registry ~unit:"events"
+    ~help:(Printf.sprintf "injected %s faults fired at this site" kind)
+    (Printf.sprintf "fault.%s.%s" kind site)
+
+let () =
+  List.iter
+    (fun kind -> ignore (site_counter Obs.Registry.declared kind "*"))
+    [ "crash"; "torn"; "flip"; "eio"; "drop"; "delay"; "part" ]
+
 let fired t kind ~at =
-  let name = Printf.sprintf "fault.%s.%s" kind (normalize_site at) in
-  let counter =
-    match Hashtbl.find_opt t.fired name with
-    | Some c -> c
-    | None ->
-        let c =
-          Obs.Registry.counter t.registry ~unit:"events"
-            ~help:(Printf.sprintf "injected %s faults fired at this site" kind)
-            name
-        in
-        Hashtbl.add t.fired name c;
-        c
-  in
-  Obs.Registry.Counter.incr counter
+  Obs.Registry.Counter.incr (site_counter t.registry kind (normalize_site at))
 
 let configure t spec =
   t.budget <- spec.crash_after;
-  t.torn_rules <- spec.torn;
-  t.flip_rules <- spec.flip;
-  t.eio_rules <- spec.eio;
-  t.drop_rules <- spec.drop;
-  t.delay_rules <- spec.delay;
-  t.part_rules <- spec.part;
+  t.spec <- spec;
   t.rng <- Support.Rng.create (match spec.seed with Some s -> s | None -> 0)
 
 let arm t n =
@@ -234,19 +214,19 @@ let draw t rules ~at =
   p > 0. && Support.Rng.float t.rng 1.0 < p
 
 let torn_write t ~at =
-  let fires = draw t t.torn_rules ~at in
+  let fires = draw t t.spec.torn ~at in
   if fires then fired t "torn" ~at;
   fires
 
 let bit_flip t ~at ~len =
-  if len > 0 && draw t t.flip_rules ~at then begin
+  if len > 0 && draw t t.spec.flip ~at then begin
     fired t "flip" ~at;
     Some (Support.Rng.int t.rng (len * 8))
   end
   else None
 
 let transient t ~at =
-  let fires = draw t t.eio_rules ~at in
+  let fires = draw t t.spec.eio ~at in
   if fires then fired t "eio" ~at;
   fires
 
@@ -266,19 +246,19 @@ let with_retries t ~at ?(on_retry = ignore) f =
 (* --- the message-fault family (distributed commit) ----------------------- *)
 
 let dropped t ~at =
-  let fires = draw t t.drop_rules ~at in
+  let fires = draw t t.spec.drop ~at in
   if fires then fired t "drop" ~at;
   fires
 
 let delay_ticks t ~at ~max =
-  if max > 0 && draw t t.delay_rules ~at then begin
+  if max > 0 && draw t t.spec.delay ~at then begin
     fired t "delay" ~at;
     Some (1 + Support.Rng.int t.rng max)
   end
   else None
 
 let partitioned t ~at =
-  let fires = draw t t.part_rules ~at in
+  let fires = draw t t.spec.part ~at in
   if fires then fired t "part" ~at;
   fires
 

@@ -78,8 +78,8 @@ val spec_to_string : spec -> string
 (* --- the injector -------------------------------------------------------- *)
 
 type t
-(** The injector: crash budget, per-kind rules, seeded RNG, and the
-    per-site firing counters of {!set_metrics}. *)
+(** The injector: crash budget, the spec it was configured with, seeded
+    RNG, and the registry of {!set_metrics}. *)
 
 val create : unit -> t
 (** Unarmed: all I/O proceeds normally. *)
@@ -87,9 +87,10 @@ val create : unit -> t
 val set_metrics : t -> Obs.Registry.t -> unit
 (** Route per-site firing counters into [registry].  Each fault that
     fires bumps a lazily registered counter named
-    [fault.<kind>.<site>], where [<kind>] is [crash]/[torn]/[flip]/[eio]
-    and [<site>] is the I/O site normalized to a closed name set
-    (spaces become [_], digit runs become [N]: ["page 12 write"] yields
+    [fault.<kind>.<site>], where [<kind>] is one of the seven kinds
+    above (each declared as the family [fault.<kind>.*]) and [<site>]
+    is the I/O site normalized to a closed name set (spaces and dots
+    become [_], digit runs become [N]: ["page 12 write"] yields
     [fault.torn.page_N_write]).  Defaults to {!Obs.Registry.noop}. *)
 
 val configure : t -> spec -> unit

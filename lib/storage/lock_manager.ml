@@ -53,6 +53,8 @@ let make_metrics registry =
         ~help:"requests currently queued" "lock.waiting";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   table : (string, item_state) Hashtbl.t;
   timeout : int option;

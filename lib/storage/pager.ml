@@ -73,6 +73,8 @@ let make_metrics registry =
         "pager.reused";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   path : string;
   fd : Unix.file_descr;

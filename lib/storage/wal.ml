@@ -230,6 +230,8 @@ let make_metrics registry =
         ~help:"whole-flush latency (write + fsync)" "wal.flush_ns";
   }
 
+let () = ignore (make_metrics Obs.Registry.declared)
+
 type t = {
   file : Log_file.t;
   fault : Fault.t;

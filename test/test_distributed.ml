@@ -535,7 +535,7 @@ let prop_crash_sweep_lints_clean =
 (* --- commit lint: each 2C code on synthetic logs --------------------------- *)
 
 let centry record = { CL.off = 0; record }
-let wentry record = { W.lsn = 0; record }
+let wentry record = (W.kind_of record, W.txn_of record)
 
 let codes ?(severity = Analysis.Diagnostic.Error) input =
   List.filter_map

@@ -92,7 +92,15 @@ let percentile_bounds_quantile =
 
 (* --- registry ------------------------------------------------------------ *)
 
+(* Every registry but [R.declared] takes only declared names, so each
+   test declares its instruments first, as a module's constructor would. *)
+let declare_counters =
+  List.iter (fun n -> ignore (R.counter R.declared n : R.Counter.t))
+
 let test_registry_instruments () =
+  declare_counters [ "a.count" ];
+  ignore (R.gauge R.declared "a.gauge" : R.Gauge.t);
+  ignore (R.histogram R.declared "a.hist" : H.t);
   let r = R.create () in
   check bool "enabled" true (R.enabled r);
   let c = R.counter r ~unit:"ops" ~help:"h" "a.count" in
@@ -115,6 +123,9 @@ let test_registry_instruments () =
     (fun () -> ignore (R.gauge r "a.count" : R.Gauge.t))
 
 let test_registry_renderers () =
+  declare_counters [ "e.commits" ];
+  ignore (R.gauge R.declared "e.flag" : R.Gauge.t);
+  ignore (R.histogram R.declared "e.lat" : H.t);
   let r = R.create () in
   R.Counter.add (R.counter r ~unit:"txns" ~help:"commits" "e.commits") 8;
   R.Gauge.set (R.gauge r "e.flag") 1;
@@ -134,6 +145,8 @@ let test_registry_renderers () =
   check bool "text mentions unit" true (Str_contains.contains text "txns")
 
 let test_registry_noop () =
+  declare_counters [ "x.y" ];
+  ignore (R.histogram R.declared "x.h" : H.t);
   check bool "noop disabled" false (R.enabled R.noop);
   let c = R.counter R.noop "x.y" in
   R.Counter.incr c;
@@ -141,6 +154,38 @@ let test_registry_noop () =
   let h = R.histogram R.noop "x.h" in
   check bool "noop histograms are inactive" true (H.time h (fun () -> true));
   check int "noop histogram observed nothing" 0 (H.count h)
+
+(* A name reaches a registry only as declared: exactly, or as a member
+   of a declared family, and as the declared kind. *)
+let test_registry_declared () =
+  let r = R.create () in
+  check_raises "undeclared name"
+    (Invalid_argument "Obs.Registry: nowhere.declared is not declared")
+    (fun () -> ignore (R.counter r "nowhere.declared" : R.Counter.t));
+  check_raises "undeclared on noop too"
+    (Invalid_argument "Obs.Registry: nowhere.declared is not declared")
+    (fun () -> ignore (R.counter R.noop "nowhere.declared" : R.Counter.t));
+  declare_counters [ "d.count"; "d.site.*" ];
+  R.Counter.incr (R.counter r "d.site.page_N_write");
+  check (option int) "family member" (Some 1)
+    (R.counter_value r "d.site.page_N_write");
+  check_raises "declared kind"
+    (Invalid_argument "Obs.Registry: d.count is not declared as a gauge")
+    (fun () -> ignore (R.gauge r "d.count" : R.Gauge.t));
+  check_raises "a family is not its bare prefix"
+    (Invalid_argument "Obs.Registry: d.sitex is not declared")
+    (fun () -> ignore (R.counter r "d.sitex" : R.Counter.t));
+  check bool "the declarations stay off other registries" false
+    (List.mem "d.count" (R.names r));
+  (* an instrumented module declared its own instruments when it was
+     linked: the pager's constructor, the per-kind fault families *)
+  let declared = R.rows R.declared in
+  check bool "pager.reused declared by the pager" true
+    (List.mem { R.name = "pager.reused"; kind = "counter"; unit = "pages" }
+       declared);
+  check bool "fault.torn.* declared by the injector" true
+    (List.mem { R.name = "fault.torn.*"; kind = "counter"; unit = "events" }
+       declared)
 
 (* --- span tracing -------------------------------------------------------- *)
 
@@ -224,40 +269,58 @@ let test_chrome_dump () =
 
 let codes ds = List.map (fun d -> d.Analysis.Diagnostic.code) ds
 
+let counter name = { R.name; kind = "counter"; unit = "events" }
+
+let lint declared catalogue_text =
+  codes
+    (Analysis.Obs_lint.lint ~declared:(List.map counter declared)
+       ~catalogue_text)
+
 let test_obs_lint () =
   let catalogue =
     "## Metric catalogue\n\
-     `pool.hits` counter; `fault.torn.*` per-site family.\n\
+     | name | kind | unit | meaning |\n\
+     |---|---|---|---|\n\
+     | `pool.hits` | counter | events | hits |\n\
+     | `fault.torn.*` | counter | events | torn writes, by site |\n\
      ## Span tracing\n\
-     `engine.commit` is a span, not a metric.\n"
+     | `engine.commit` | 0 | `txn` | a span, not a metric |\n"
   in
-  (* fully covered: exact name, glob member *)
+  (* fully covered: an exact name, a family *)
   check (list string) "covered" []
-    (codes
-       (Analysis.Obs_lint.lint
-          ~registered:[ "pool.hits"; "fault.torn.page_N_write" ]
-          ~catalogue_text:catalogue));
-  (* an unregistered metric trips OB001 *)
+    (lint [ "pool.hits"; "fault.torn.*" ] catalogue);
+  (* an undocumented metric trips OB001 *)
   check (list string) "undocumented" [ "OB001" ]
-    (codes
-       (Analysis.Obs_lint.lint
-          ~registered:[ "pool.hits"; "pool.misses" ]
-          ~catalogue_text:catalogue));
-  (* a documented-but-gone name in a known family trips OB002 *)
+    (lint [ "pool.hits"; "pool.misses"; "fault.torn.*" ] catalogue);
+  (* a documented-but-gone name trips OB002 *)
   check (list string) "stale" [ "OB002" ]
-    (codes
-       (Analysis.Obs_lint.lint ~registered:[ "pool.misses" ]
-          ~catalogue_text:"## Metric catalogue\n`pool.hits` `pool.misses`\n"));
-  (* the glob must not cover by raw prefix: pool.* covers pool.hits only *)
+    (lint [ "pool.misses" ]
+       "## Metric catalogue\n\
+        | `pool.hits` | counter | events |\n\
+        | `pool.misses` | counter | events |\n");
+  (* a family row covers no name by prefix: pool.* is not poolx.hits *)
   check (list string) "glob needs the dot" [ "OB001" ]
-    (codes
-       (Analysis.Obs_lint.lint ~registered:[ "poolx.hits" ]
-          ~catalogue_text:"## Metric catalogue\n`pool.*`\n"));
+    (lint [ "poolx.hits"; "pool.*" ]
+       "## Metric catalogue\n| `pool.*` | counter | events |\n");
   (* span names outside the catalogue section are invisible to the lint *)
   check (list string) "section scoping" []
-    (codes
-       (Analysis.Obs_lint.lint ~registered:[ "pool.hits" ]
-          ~catalogue_text:catalogue))
+    (lint [ "pool.hits"; "fault.torn.*" ] catalogue)
+
+let test_obs_lint_prose () =
+  (* prose documents nothing: a backticked family outside any row leaves
+     its members undocumented *)
+  check (list string) "prose is not a row" [ "OB001" ]
+    (lint [ "pool.misses" ]
+       "## Metric catalogue\nEvery `pool.*` counter counts fetches.\n")
+
+let test_obs_lint_row_agreement () =
+  (* a row must agree with the declaration's kind and unit *)
+  check (list string) "unit disagrees" [ "OB003" ]
+    (lint [ "pool.hits" ]
+       "## Metric catalogue\n| `pool.hits` | counter | fetches |\n");
+  check (list string) "kind disagrees" [ "OB003" ]
+    (lint [ "pool.hits" ]
+       "## Metric catalogue\n| `pool.hits` | gauge | events |\n")
 
 let suite =
   [
@@ -270,10 +333,16 @@ let suite =
     test_case "registry instruments" `Quick test_registry_instruments;
     test_case "registry renderers" `Quick test_registry_renderers;
     test_case "noop registry" `Quick test_registry_noop;
+    test_case "registries take declared names only" `Quick
+      test_registry_declared;
     test_case "span nesting" `Quick test_span_nesting;
     test_case "span errors and noop recorder" `Quick
       test_span_errors_and_noop;
     test_case "ring eviction" `Quick test_ring_eviction;
     test_case "chrome trace dump" `Quick test_chrome_dump;
     test_case "metric-catalogue lint" `Quick test_obs_lint;
+    test_case "metric-catalogue prose documents nothing" `Quick
+      test_obs_lint_prose;
+    test_case "metric-catalogue row kind and unit" `Quick
+      test_obs_lint_row_agreement;
   ]
