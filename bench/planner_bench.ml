@@ -167,6 +167,76 @@ let run () =
         (if t_hash <= t_merge then "hash" else "merge"))
     [ 500; 2_000; 8_000 ];
 
+  (* --- the answer path of a warm join -------------------------------------- *)
+  (* A 2,000-row answer: an index range over 20,000 rows hash-joined to a
+     500-row table and projected, on one warm planning context.  Its cost
+     splits into executing the cursor tree to its rows, making those rows
+     the answer set, and projecting that set onto the query's columns and
+     rendering it, as [db query] does. *)
+  Bench_util.note "";
+  let path = fresh_path () in
+  let eng = E.open_db path in
+  E.save_table eng "r"
+    (Relational.Relation.of_list
+       (Relational.Schema.make [ ("k", TInt); ("g", TInt); ("payload", TString) ])
+       (List.init 20_000 (fun i -> [ Int i; Int (i mod 500); String (Printf.sprintf "p%06d" i) ])));
+  E.save_table eng "s"
+    (Relational.Relation.of_list
+       (Relational.Schema.make [ ("g", TInt); ("name", TString) ])
+       (List.init 500 (fun g -> [ Int g; String (Printf.sprintf "n%03d" g) ])));
+  ignore (Planner.Stats.analyze eng [ "r"; "s" ] : Planner.Stats.t);
+  let ctx = Planner.Plan.make eng in
+  let q =
+    A.Project
+      ( [ "k"; "name" ],
+        A.Select
+          ( A.And
+              ( A.Cmp (A.Ge, A.Attr "k", A.Const (Int 7_000)),
+                A.Cmp (A.Lt, A.Attr "k", A.Const (Int 9_000)) ),
+            A.Join (A.Rel "r", A.Rel "s") ) )
+  in
+  let plan = Planner.Plan.plan ctx q in
+  let execute () =
+    let c = Planner.Exec.open_cursor ctx plan in
+    let rec drain acc =
+      match c.Planner.Exec.next () with Some t -> drain (t :: acc) | None -> List.rev acc
+    in
+    let rows = drain [] in
+    c.Planner.Exec.close ();
+    rows
+  in
+  let rows = execute () in
+  let answer_set () = Relational.Relation.of_tuples plan.P.schema rows in
+  let answer = answer_set () in
+  let columns =
+    Relational.Schema.attributes
+      (Relational.Algebra.schema_of (Planner.Plan.catalog ctx) q)
+  in
+  let render () = Relational.Relation.to_string (Relational.Relation.project answer columns) in
+  let reps = 50 in
+  let per f =
+    Bench_util.timed (fun () ->
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+    /. float_of_int reps
+  in
+  let t_execute = per execute in
+  let t_set = per answer_set in
+  let t_render = per render in
+  let t_run = per (fun () -> Planner.Exec.run ctx plan) in
+  E.close eng;
+  cleanup path;
+  Bench_util.record ~metric:"answer_join_execute_ms" t_execute;
+  Bench_util.record ~metric:"answer_join_set_ms" t_set;
+  Bench_util.record ~metric:"answer_join_render_ms" t_render;
+  Bench_util.record ~metric:"answer_join_run_ms" t_run;
+  Bench_util.note
+    "Warm %d-row hash join, ms per query: execute %s, answer set %s, project and \
+     render %s (Exec.run %s)"
+    (List.length rows) (Bench_util.f3 t_execute) (Bench_util.f3 t_set)
+    (Bench_util.f3 t_render) (Bench_util.f3 t_run);
+
   (* --- planning overhead ------------------------------------------------- *)
   Bench_util.note "";
   let path = fresh_path () in

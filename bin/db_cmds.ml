@@ -10,8 +10,10 @@ open Cli
 let wal_audit wals code =
   List.fold_left
     (fun code (label, path) ->
-      let report = Storage.Wal.report_file (Storage.Engine.wal_path path) in
-      let diags = Analysis.Wal_lint.lint report in
+      let { Analysis.Wal_lint.report; anchor } =
+        Analysis.Wal_lint.input_of_file (Storage.Engine.wal_path path)
+      in
+      let diags = Analysis.Wal_lint.lint ?anchor report in
       if diags = [] then begin
         Printf.printf "%s: clean (%d record(s), %d byte(s))\n" label
           (List.length report.Storage.Wal.records)

@@ -237,7 +237,7 @@ let lint_metrics_cmd =
 
 let lint_wal_run file format =
   input_error_to_exit @@ fun () ->
-  drive format Analysis.Wal_lint.passes (Storage.Wal.report_file file)
+  drive format Analysis.Wal_lint.passes (Analysis.Wal_lint.input_of_file file)
 
 let lint_wal_cmd =
   let file =

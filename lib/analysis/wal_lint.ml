@@ -10,7 +10,8 @@
 
 module Wal = Storage.Wal
 
-type input = Wal.report
+type anchor = { at : int; clean_to : int }
+type input = { report : Wal.report; anchor : anchor option }
 
 let subject_of entry =
   Printf.sprintf "lsn %d: %s" entry.Wal.lsn (Wal.record_to_string entry.Wal.record)
@@ -20,7 +21,7 @@ let frame_length entry = String.length (Wal.frame_of_record entry.Wal.record)
 (* WL001/WL002 — LSNs must advance, and by at least the previous frame's
    length: a record's LSN is its byte offset, so anything else means the
    entry list does not describe a physically possible file. *)
-let framing_pass (r : input) =
+let framing_pass (r : Wal.report) =
   let diags = ref [] in
   let prev = ref None in
   List.iteri
@@ -50,8 +51,15 @@ let framing_pass (r : input) =
 (* WL007/WL008 — bytes after the last valid frame.  Without a resync
    point this is the torn tail every crash leaves (tolerated: the next
    open truncates it); with one, intact history follows the damage, and
-   the tolerant open would silently discard it — data loss. *)
-let damage_pass (r : input) =
+   the tolerant open would silently discard it — data loss.  Damage
+   before the anchor of the database beside the log is damage at rest
+   that the open walks over: only a walk from LSN 0 would cut there.
+   The open keeps every byte only when the frames from the anchor walk
+   clean to the log's end.  Damage after the anchor too (a later crash's
+   torn tail, a second bad frame) is cut there, and a repair that cut
+   may force starts again from LSN 0, so that log keeps the plain
+   wording. *)
+let damage_pass { report = r; anchor } =
   if r.Wal.clean_bytes >= r.Wal.total_bytes then []
   else
     let tail = r.Wal.total_bytes - r.Wal.clean_bytes in
@@ -66,6 +74,17 @@ let damage_pass (r : input) =
                tail r.Wal.clean_bytes);
         ]
     | Some { Wal.resync_at; resync_records } ->
+        let fate =
+          match anchor with
+          | Some { at; clean_to }
+            when at > r.Wal.clean_bytes && clean_to >= r.Wal.total_bytes ->
+              Printf.sprintf
+                "the damage lies before the anchor at %d: the open walks from \
+                 the anchor and keeps every byte; only a walk from LSN 0 would \
+                 cut the %d-byte suffix"
+                at tail
+          | _ -> Printf.sprintf "a tolerant open would silently lose the %d-byte suffix" tail
+        in
         [
           Diagnostic.error ~loc:(List.length r.Wal.records)
             ~subject:
@@ -74,10 +93,8 @@ let damage_pass (r : input) =
             "WL008"
             (Printf.sprintf
                "mid-log corruption: the frame at offset %d is invalid but \
-                intact frames resume at offset %d — a tolerant open would \
-                silently lose the %d-byte suffix"
-               r.Wal.clean_bytes resync_at
-               (r.Wal.total_bytes - r.Wal.clean_bytes));
+                intact frames resume at offset %d — %s"
+               r.Wal.clean_bytes resync_at fate);
         ]
 
 type fate = Live | Committed | Aborted
@@ -86,7 +103,7 @@ type fate = Live | Committed | Aborted
    needs a live Begin, no id begins or terminates twice, and whoever is
    still live when the log ends is a loser for recovery to resolve
    (informational: that is the normal after-crash state). *)
-let bracket_pass (r : input) =
+let bracket_pass (r : Wal.report) =
   let state : (int, fate) Hashtbl.t = Hashtbl.create 8 in
   let diags = ref [] in
   let emit d = diags := d :: !diags in
@@ -153,7 +170,7 @@ let bracket_pass (r : input) =
 (* WL005 — compensation records belong to abort/recovery episodes: a CLR
    must undo a write this transaction actually logged, and the
    transaction must end in Abort (or the log's end), never Commit. *)
-let compensation_pass (r : input) =
+let compensation_pass (r : Wal.report) =
   let commits =
     List.filter_map
       (fun e -> match e.Wal.record with Wal.Commit t -> Some t | _ -> None)
@@ -190,7 +207,7 @@ let compensation_pass (r : input) =
 (* WL006 — checkpoints are quiescent in this engine: one taken while
    transactions are live contradicts the live-transaction set and would
    let redo start too late. *)
-let checkpoint_pass (r : input) =
+let checkpoint_pass (r : Wal.report) =
   let live : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let diags = ref [] in
   List.iteri
@@ -221,7 +238,7 @@ let checkpoint_pass (r : input) =
    before-image equals the item's last logged after-image (0 for a fresh
    item), compensation writes included.  A broken chain is a write that
    was logged against state the log cannot account for. *)
-let chain_pass (r : input) =
+let chain_pass (r : Wal.report) =
   let last : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let diags = ref [] in
   List.iteri
@@ -245,18 +262,41 @@ let chain_pass (r : input) =
   List.rev !diags
 
 let passes : input Pass.t list =
+  let of_report name pass = Pass.adapt (fun i -> i.report) (Pass.make name pass) in
   [
-    Pass.make "framing" framing_pass;
+    of_report "framing" framing_pass;
     Pass.make "damage" damage_pass;
-    Pass.make "transaction-bracketing" bracket_pass;
-    Pass.make "compensation-episodes" compensation_pass;
-    Pass.make "quiescent-checkpoints" checkpoint_pass;
-    Pass.make "before-image-chain" chain_pass;
+    of_report "transaction-bracketing" bracket_pass;
+    of_report "compensation-episodes" compensation_pass;
+    of_report "quiescent-checkpoints" checkpoint_pass;
+    of_report "before-image-chain" chain_pass;
   ]
 
-let lint report = Pass.run_all passes report
+let lint ?anchor report = Pass.run_all passes { report; anchor }
 
-let lint_file path = lint (Wal.report_file path)
+(* The database a log at DB.wal belongs to, and its usable anchor; the
+   header is read, nothing is written. *)
+let anchor_beside path =
+  if Filename.check_suffix path ".wal" then
+    Option.map fst (Storage.Engine.log_anchor (Filename.chop_suffix path ".wal"))
+  else None
+
+(* The log is read once: the report scans it from LSN 0, and the open's
+   walk from the anchor finds where that walk would stop. *)
+let input_of_file path =
+  let image = if Sys.file_exists path then Support.Io.read_file path else "" in
+  let n = String.length image in
+  let anchor =
+    match anchor_beside path with
+    | Some at when at <= n ->
+        let (), clean_to =
+          Wal.walk ~base:at (String.sub image at (n - at)) ~init:() ~f:(fun () _ _ _ -> ())
+        in
+        Some { at; clean_to }
+    | _ -> None
+  in
+  { report = Wal.scan_report image; anchor }
+let lint_file path = Pass.run_all passes (input_of_file path)
 
 let lint_entries records =
   let total =

@@ -390,9 +390,9 @@ let hash_join_cursor left_c right_c left_schema right_schema on build_left =
   let lkey, rkey, combine = join_assembly left_schema right_schema on in
   let build_c, probe_c = if build_left then (left_c, right_c) else (right_c, left_c) in
   let build_key, probe_key = if build_left then (lkey, rkey) else (rkey, lkey) in
-  let table = Hashtbl.create 256 in
+  let table = R.Tuple.Table.create 256 in
   List.iter
-    (fun t -> Hashtbl.add table (R.Tuple.project t build_key) t)
+    (fun t -> R.Tuple.Table.add table (R.Tuple.project t build_key) t)
     (drain build_c);
   build_c.close ();
   let pending = ref [] in
@@ -406,7 +406,7 @@ let hash_join_cursor left_c right_c left_schema right_schema on build_left =
         | None -> None
         | Some probe ->
             let matches =
-              Hashtbl.find_all table (R.Tuple.project probe probe_key)
+              R.Tuple.Table.find_all table (R.Tuple.project probe probe_key)
             in
             pending :=
               List.rev_map
@@ -494,7 +494,7 @@ let rec open_plain ctx (p : P.t) : cursor =
       let rec next () =
         match c.next () with
         | None -> None
-        | Some t -> if keep t then Some t else next ()
+        | Some t as row -> if keep t then row else next ()
       in
       { next; close = c.close }
   | P.Project (attrs, child) ->
@@ -568,9 +568,9 @@ and open_cursor ctx (p : P.t) : cursor =
         next =
           (fun () ->
             match inner.next () with
-            | Some t ->
+            | Some _ as row ->
                 count 1;
-                Some t
+                row
             | None -> None);
         close = inner.close;
       }

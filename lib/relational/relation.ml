@@ -12,23 +12,25 @@ let err fmt = Printf.ksprintf (fun s -> raise (Arity_error s)) fmt
 
 let create schema = { schema; tuples = Tuple_set.empty }
 
-let check_tuple schema tup =
-  if Array.length tup <> Schema.arity schema then
-    err "tuple %s has arity %d, schema %s has arity %d" (Tuple.to_string tup)
-      (Array.length tup)
-      (Schema.to_string schema)
-      (Schema.arity schema);
-  List.iteri
-    (fun i ty ->
-      if Value.type_of tup.(i) <> ty then
+(* The checker for [schema]'s tuples, its column types read once. *)
+let tuple_checker schema =
+  let types = Array.of_list (Schema.types schema) in
+  fun tup ->
+    if Array.length tup <> Array.length types then
+      err "tuple %s has arity %d, schema %s has arity %d" (Tuple.to_string tup)
+        (Array.length tup)
+        (Schema.to_string schema)
+        (Array.length types);
+    for i = 0 to Array.length types - 1 do
+      if Value.type_of tup.(i) <> types.(i) then
         err "tuple %s: component %d has type %s, schema %s expects %s"
           (Tuple.to_string tup) i
           (Value.ty_to_string (Value.type_of tup.(i)))
-          (Schema.to_string schema) (Value.ty_to_string ty))
-    (Schema.types schema)
+          (Schema.to_string schema) (Value.ty_to_string types.(i))
+    done
 
 let of_tuples schema tups =
-  List.iter (check_tuple schema) tups;
+  List.iter (tuple_checker schema) tups;
   { schema; tuples = Tuple_set.of_list tups }
 
 let of_list schema rows = of_tuples schema (List.map Tuple.make rows)
@@ -41,7 +43,7 @@ let is_empty t = Tuple_set.is_empty t.tuples
 let mem t tup = Tuple_set.mem tup t.tuples
 
 let add t tup =
-  check_tuple t.schema tup;
+  tuple_checker t.schema tup;
   { t with tuples = Tuple_set.add tup t.tuples }
 
 let iter f t = Tuple_set.iter f t.tuples
@@ -68,13 +70,18 @@ let subset a b =
   Schema.union_compatible a.schema b.schema
   && Tuple_set.subset a.tuples (aligned a b)
 
+(* The identity projection, the usual one onto a query's own columns,
+   is the relation itself. *)
 let project t attrs =
-  let sub = Schema.project t.schema attrs in
-  let positions = Array.of_list (List.map (Schema.index_of t.schema) attrs) in
-  {
-    schema = sub;
-    tuples = Tuple_set.map (fun tup -> Tuple.project tup positions) t.tuples;
-  }
+  if List.equal String.equal attrs (Schema.attributes t.schema) then t
+  else begin
+    let sub = Schema.project t.schema attrs in
+    let positions = Array.of_list (List.map (Schema.index_of t.schema) attrs) in
+    {
+      schema = sub;
+      tuples = Tuple_set.map (fun tup -> Tuple.project tup positions) t.tuples;
+    }
+  end
 
 let select p t = filter p t
 
@@ -95,11 +102,11 @@ let product a b =
 
 (* Hash table keyed by the projection of tuples onto the shared columns. *)
 let build_hash positions rel =
-  let table = Hashtbl.create (max 16 (cardinality rel)) in
+  let table = Tuple.Table.create (max 16 (cardinality rel)) in
   iter
     (fun tup ->
       let key = Tuple.project tup positions in
-      Hashtbl.add table key tup)
+      Tuple.Table.add table key tup)
     rel;
   table
 
@@ -124,7 +131,7 @@ let join a b =
           List.fold_left
             (fun acc tb ->
               Tuple_set.add (Tuple.concat ta (Tuple.project tb rest_pos_b)) acc)
-            acc (Hashtbl.find_all table key))
+            acc (Tuple.Table.find_all table key))
         a Tuple_set.empty
     in
     { schema; tuples }
@@ -137,7 +144,7 @@ let semijoin a b =
     let pos_a = Array.of_list (List.map (Schema.index_of a.schema) shared) in
     let pos_b = Array.of_list (List.map (Schema.index_of b.schema) shared) in
     let table = build_hash pos_b b in
-    filter (fun ta -> Hashtbl.mem table (Tuple.project ta pos_a)) a
+    filter (fun ta -> Tuple.Table.mem table (Tuple.project ta pos_a)) a
   end
 
 let antijoin a b =
@@ -147,7 +154,7 @@ let antijoin a b =
     let pos_a = Array.of_list (List.map (Schema.index_of a.schema) shared) in
     let pos_b = Array.of_list (List.map (Schema.index_of b.schema) shared) in
     let table = build_hash pos_b b in
-    filter (fun ta -> not (Hashtbl.mem table (Tuple.project ta pos_a))) a
+    filter (fun ta -> not (Tuple.Table.mem table (Tuple.project ta pos_a))) a
   end
 
 let divide r s =
@@ -189,13 +196,14 @@ let active_domain t =
   in
   Vs.elements vs
 
+(* Each row's cells are made once, straight into the renderer's rows. *)
 let to_string t =
-  let header = Schema.attributes t.schema in
-  let rows =
-    List.map
-      (fun tup -> Array.to_list (Array.map Value.to_string tup))
-      (to_list t)
-  in
-  Support.Table.render ~header rows
+  let rows = Array.make (cardinality t) [||] and i = ref 0 in
+  iter
+    (fun tup ->
+      rows.(!i) <- Array.map Value.to_string tup;
+      incr i)
+    t;
+  Support.Table.render_rows ~header:(Array.of_list (Schema.attributes t.schema)) rows
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

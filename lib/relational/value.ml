@@ -23,8 +23,25 @@ let ty_of_string = function
   | "bool" -> Some TBool
   | _ -> None
 
+(* string_of_int interprets a format string on every call; this writes
+   the digits straight into a string of the right length.  They are
+   taken from the non-positive side, where min_int has a magnitude. *)
+let int_to_string n =
+  let m = if n < 0 then n else -n in
+  let rec count m k = if m > -10 then k else count (m / 10) (k + 1) in
+  let digits = count m 1 in
+  let len = if n < 0 then digits + 1 else digits in
+  let b = Bytes.create len in
+  if n < 0 then Bytes.set b 0 '-';
+  let m = ref m in
+  for i = len - 1 downto len - digits do
+    Bytes.set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  Bytes.unsafe_to_string b
+
 let to_string = function
-  | Int i -> string_of_int i
+  | Int i -> int_to_string i
   | String s -> s
   | Float f -> Printf.sprintf "%g" f
   | Bool b -> string_of_bool b

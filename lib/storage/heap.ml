@@ -32,7 +32,7 @@ let iter_chain pool ~first f =
 
 let scan_page pool id view f =
   Buffer_pool.with_page pool id (fun page ->
-      Page.iter_live page (fun ~off ~len ->
+      Page.iter_live page (fun _ ~off ~len ->
           Relational.Codec.walk view page ~off ~len;
           f view);
       Page.next page)
@@ -67,15 +67,9 @@ module Chain = struct
     on_first : int -> unit;
   }
 
-  let make pool ~kind ~first ~on_first =
-    let tail = ref first in
-    (* find the real tail of an existing chain *)
-    let id = ref first in
-    while !id <> 0 do
-      tail := !id;
-      id := Buffer_pool.with_page pool !id Page.next
-    done;
-    { pool; kind; first; tail = !tail; on_first }
+  (* [tail] is the chain's last page: 0 with [first] for a new chain, and
+     for an existing one whatever walk the caller already made found. *)
+  let make pool ~kind ~first ~tail ~on_first = { pool; kind; first; tail; on_first }
 
   let fresh_page c =
     let pager = Buffer_pool.pager c.pool in
@@ -158,16 +152,36 @@ module Items = struct
     let value = Int64.to_int (String.get_int64_le r (2 + len)) in
     (item, value)
 
+  (* The directory, read from the chain's pages in place.  The walk that
+     finds the chain's tail also counts its slots, which sizes the
+     table: a Hashtbl grows only past two entries a bucket, so half the
+     slot count holds every item without a resize.  Then each live
+     record's key is copied out once, in chain and slot order, so an
+     item's last record wins.  A record too short for its key and value
+     raises, as decoding it would. *)
   let load pool =
     let pager = Buffer_pool.pager pool in
     let first = Pager.items_root pager in
-    let dir = Hashtbl.create 64 in
-    if first <> 0 then
-      iter_chain pool ~first (fun page slot r ->
-          let item, _ = decode r in
-          Hashtbl.replace dir item { page; slot });
+    let pages = ref [] and slots = ref 0 and id = ref first in
+    while !id <> 0 do
+      pages := !id :: !pages;
+      id :=
+        Buffer_pool.with_page pool !id (fun p ->
+            slots := !slots + Page.nslots p;
+            Page.next p)
+    done;
+    let dir = Hashtbl.create (max 64 (!slots / 2)) in
+    List.iter
+      (fun page ->
+        Buffer_pool.with_page pool page (fun p ->
+            Page.iter_live p (fun slot ~off ~len ->
+                let klen = if len < 2 then len else Bytes.get_uint16_le p off in
+                if 2 + klen + 8 > len then invalid_arg "Items.load: malformed item record";
+                Hashtbl.replace dir (Bytes.sub_string p (off + 2) klen) { page; slot })))
+      (List.rev !pages);
+    let tail = match !pages with last :: _ -> last | [] -> first in
     let chain =
-      Chain.make pool ~kind:kind_items ~first ~on_first:(fun id ->
+      Chain.make pool ~kind:kind_items ~first ~tail ~on_first:(fun id ->
           Pager.set_items_root pager id)
     in
     { pool; dir; chain }
@@ -246,7 +260,7 @@ let decode_fence r =
    chain's ids need be ascending or above the other's. *)
 let save_relation pool ~name rel =
   let chain =
-    Chain.make pool ~kind:kind_table ~first:0 ~on_first:(fun _ -> ())
+    Chain.make pool ~kind:kind_table ~first:0 ~tail:0 ~on_first:(fun _ -> ())
   in
   let fences = ref [] and last = ref 0 in
   Relational.Relation.iter
@@ -265,7 +279,7 @@ let save_relation pool ~name rel =
     | [] | [ _ ] -> None
     | all ->
         let fc =
-          Chain.make pool ~kind:kind_fence ~first:0 ~on_first:(fun _ -> ())
+          Chain.make pool ~kind:kind_fence ~first:0 ~tail:0 ~on_first:(fun _ -> ())
         in
         List.iter (fun f -> ignore (Chain.append fc (encode_fence f))) all;
         Some { root = Chain.force fc; count = List.length all }
@@ -367,7 +381,7 @@ let replace_table pool table =
     else existing @ [ table ]
   in
   let chain =
-    Chain.make pool ~kind:kind_catalog ~first:0 ~on_first:(fun _ -> ())
+    Chain.make pool ~kind:kind_catalog ~first:0 ~tail:0 ~on_first:(fun _ -> ())
   in
   List.iter (fun t -> ignore (Chain.append chain (encode_table t))) tables;
   Chain.force chain

@@ -91,8 +91,8 @@ let records p =
   done;
   !out
 
-(* Live records in slot order, in place: [f] gets each record's offset
-   and length within [p]. *)
+(* Live records in slot order, in place: [f] gets each record's slot,
+   and its offset and length within [p]. *)
 let iter_live p f =
   for i = 0 to nslots p - 1 do
     let pos = slot_pos i in
@@ -100,7 +100,7 @@ let iter_live p f =
     if len <> dead then begin
       let off = Bytes.get_uint16_le p pos in
       if off + len > size then invalid_arg "Page.iter_live: record out of bounds";
-      f ~off ~len
+      f i ~off ~len
     end
   done
 

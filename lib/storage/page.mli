@@ -54,10 +54,10 @@ val delete_slot : t -> int -> unit
 val records : t -> (int * string) list
 (** Live records with their slot ids, in slot order. *)
 
-val iter_live : t -> (off:int -> len:int -> unit) -> unit
-(** [iter_live p f] calls [f ~off ~len] on each live record of [p], in
-    slot order, with the record's place in [p] — no copy.  Raises
-    [Invalid_argument] on a slot that points past the page. *)
+val iter_live : t -> (int -> off:int -> len:int -> unit) -> unit
+(** [iter_live p f] calls [f slot ~off ~len] on each live record of
+    [p], in slot order, with the record's place in [p] — no copy.
+    Raises [Invalid_argument] on a slot that points past the page. *)
 
 val seal : t -> unit
 (** Compute and store the CRC (call just before writing to disk). *)

@@ -1,37 +1,44 @@
-(* Column widths first, then every line written straight into one
-   buffer sized for the whole table: cells padded with a shared run of
-   spaces, two spaces between columns, short rows padded with empty
-   cells. *)
-let render ~header rows =
-  let all = header :: rows in
-  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
+(* Column widths first; then every line has the same length (cells
+   padded to their column's width, two spaces between columns, short
+   rows padded with empty cells, a newline), so the table is one string
+   of known size: filled with spaces, the cells, the separator's dashes
+   and the newlines are written into it at their offsets. *)
+let render_rows ~header rows =
+  let ncols = ref (Array.length header) in
+  Array.iter (fun r -> if Array.length r > !ncols then ncols := Array.length r) rows;
+  let ncols = !ncols in
   let widths = Array.make ncols 0 in
-  List.iter
-    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
-    all;
-  let widest = Array.fold_left max 0 widths in
-  let line = Array.fold_left ( + ) (2 * max 0 (ncols - 1) + 1) widths in
-  let buf = Buffer.create (line * (List.length all + 1)) in
-  let spaces = String.make widest ' ' and dashes = String.make widest '-' in
-  let cell i fill len s =
-    if i > 0 then Buffer.add_string buf "  ";
-    Buffer.add_string buf s;
-    Buffer.add_substring buf fill 0 (widths.(i) - len)
+  let measure r =
+    for i = 0 to Array.length r - 1 do
+      let len = String.length r.(i) in
+      if len > widths.(i) then widths.(i) <- len
+    done
   in
-  let add_row r =
-    let n = List.fold_left (fun i s -> cell i spaces (String.length s) s; i + 1) 0 r in
-    for i = n to ncols - 1 do
-      cell i spaces 0 ""
-    done;
-    Buffer.add_char buf '\n'
-  in
-  add_row header;
-  for i = 0 to ncols - 1 do
-    cell i dashes 0 ""
+  measure header;
+  Array.iter measure rows;
+  let starts = Array.make ncols 0 in
+  for i = 1 to ncols - 1 do
+    starts.(i) <- starts.(i - 1) + widths.(i - 1) + 2
   done;
-  Buffer.add_char buf '\n';
-  List.iter add_row rows;
-  Buffer.contents buf
+  let line = Array.fold_left ( + ) (2 * max 0 (ncols - 1) + 1) widths in
+  let out = Bytes.make (line * (Array.length rows + 2)) ' ' in
+  let add_row at r =
+    for i = 0 to Array.length r - 1 do
+      let s = r.(i) in
+      Bytes.blit_string s 0 out (at + starts.(i)) (String.length s)
+    done;
+    Bytes.set out (at + line - 1) '\n'
+  in
+  add_row 0 header;
+  for i = 0 to ncols - 1 do
+    Bytes.fill out (line + starts.(i)) widths.(i) '-'
+  done;
+  Bytes.set out ((2 * line) - 1) '\n';
+  Array.iteri (fun j r -> add_row ((j + 2) * line) r) rows;
+  Bytes.unsafe_to_string out
+
+let render ~header rows =
+  render_rows ~header:(Array.of_list header) (Array.of_list (List.map Array.of_list rows))
 
 let print ~header rows = print_string (render ~header rows)
 

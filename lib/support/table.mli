@@ -7,6 +7,10 @@ val render : header:string list -> string list list -> string
 (** [render ~header rows] lays the rows out in aligned columns with a
     separator line under the header. *)
 
+val render_rows : header:string array -> string array array -> string
+(** {!render} over rows of cells already in arrays, which {!render}
+    builds and calls this with. *)
+
 val print : header:string list -> string list list -> unit
 (** [render] followed by [print_string]. *)
 

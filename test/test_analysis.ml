@@ -347,6 +347,101 @@ let test_wl008_midlog_corruption () =
   check_no_code "not a torn tail" "WL007" diags;
   Alcotest.(check int) "mid-log corruption is an error" 1 (D.exit_code diags)
 
+(* Damage before the anchor of the database beside the log keeps its
+   code and severity, and says that the open walks over it; reading the
+   anchor writes nothing. *)
+let test_wl008_before_anchor () =
+  let img = image (committed_txn ~txn:1 () @ committed_txn ~txn:2 ~before:7 ()) in
+  let corrupt = Bytes.of_string img in
+  Bytes.set corrupt 9 '\xff';
+  let report = W.scan_report (Bytes.to_string corrupt) in
+  let wl008 diags = List.find (fun d -> d.D.code = "WL008") diags in
+  let past = String.length img in
+  let before = wl008 (A.Wal_lint.lint ~anchor:{ at = past; clean_to = past } report) in
+  Alcotest.(check bool) "an error still" true (before.D.severity = D.Error);
+  Alcotest.(check bool) "the open keeps the log" true
+    (Str_contains.contains before.D.message "the open walks from the anchor and keeps every byte");
+  List.iter
+    (fun (what, diags) ->
+      Alcotest.(check bool) what true
+        (Str_contains.contains (wl008 diags).D.message "a tolerant open would silently lose"))
+    [
+      ("no anchor", A.Wal_lint.lint report);
+      ("anchor at the damage", A.Wal_lint.lint ~anchor:{ at = 0; clean_to = 0 } report);
+    ];
+  let path = Filename.temp_file "dbmeta_wl008" ".db" in
+  Sys.remove path;
+  let eng = Storage.Engine.open_db path in
+  let txn = Storage.Engine.begin_txn eng in
+  Storage.Engine.write eng ~txn "x" 1;
+  Storage.Engine.commit eng ~txn;
+  Storage.Engine.close eng;
+  let wal = Storage.Engine.wal_path path in
+  let log = Bytes.of_string (Support.Io.read_file wal) in
+  Bytes.set log 20 '\xff';
+  Support.Io.write_file wal (Bytes.to_string log);
+  let files () = (Support.Io.read_file path, Support.Io.read_file wal) in
+  let at_rest = files () in
+  let diags = A.Wal_lint.lint_file wal in
+  Alcotest.(check bool) "the anchor beside the log is read" true
+    (Str_contains.contains (wl008 diags).D.message "lies before the anchor");
+  Alcotest.(check bool) "nothing written" true (files () = at_rest);
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; wal ]
+
+(* Damage on both sides of the anchor, the state a later crash leaves:
+   the open walks from the anchor and cuts at the later damage, so
+   WL008 keeps the plain wording instead of saying every byte is kept. *)
+let test_wl008_damage_both_sides_of_anchor () =
+  let path = Filename.temp_file "dbmeta_wl008" ".db" in
+  Sys.remove path;
+  let run eng items =
+    List.iter
+      (fun (item, v) ->
+        let txn = Storage.Engine.begin_txn eng in
+        Storage.Engine.write eng ~txn item v;
+        Storage.Engine.commit eng ~txn)
+      items
+  in
+  let eng = Storage.Engine.open_db path in
+  run eng [ ("x", 1) ];
+  Storage.Engine.close eng;
+  let at =
+    match Storage.Engine.log_anchor path with
+    | Some (at, _) -> at
+    | None -> Alcotest.fail "close leaves an anchor"
+  in
+  let eng = Storage.Engine.open_db path in
+  run eng [ ("y", 2); ("z", 3) ];
+  Storage.Engine.crash eng;
+  let wal = Storage.Engine.wal_path path in
+  let clean = Support.Io.read_file wal in
+  let message log =
+    Support.Io.write_file wal log;
+    (List.find (fun d -> d.D.code = "WL008") (A.Wal_lint.lint_file wal)).D.message
+  in
+  let smash log offs =
+    let b = Bytes.of_string log in
+    List.iter (fun o -> Bytes.set b o '\xff') offs;
+    Bytes.to_string b
+  in
+  let check_cut what log =
+    let m = message log in
+    Alcotest.(check bool) (what ^ ": not every byte kept") false
+      (Str_contains.contains m "keeps every byte");
+    Alcotest.(check bool) (what ^ ": the suffix may be lost") true
+      (Str_contains.contains m
+         (Printf.sprintf "a tolerant open would silently lose the %d-byte suffix"
+            (String.length log - (W.scan_report log).W.clean_bytes)))
+  in
+  (* the first frame after the anchor's checkpoint is the next Begin *)
+  let after = at + String.length (W.frame_of_record W.Checkpoint) in
+  Alcotest.(check bool) "frames follow the anchor" true (String.length clean > after + 20);
+  Alcotest.(check bool) "damage before the anchor alone keeps every byte" true
+    (Str_contains.contains (message (smash clean [ 20 ])) "keeps every byte");
+  check_cut "a bad frame after the anchor" (smash clean [ 20; after + 5 ]);
+  check_cut "a torn tail after the anchor" (smash clean [ 20 ] ^ "\x01\x02\x03");
+  List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ path; wal ]
+
 let test_wl009_live_at_end () =
   let diags = wal_lint [ wbegin 1; wwrite 1 "x" 0 7 ] in
   check_code "loser-to-be is reported" "WL009" diags;
@@ -674,6 +769,9 @@ let suite =
       test_wl006_checkpoint_not_quiescent;
     Alcotest.test_case "WL007 torn tail" `Quick test_wl007_torn_tail;
     Alcotest.test_case "WL008 mid-log corruption" `Quick test_wl008_midlog_corruption;
+    Alcotest.test_case "WL008 before the anchor" `Quick test_wl008_before_anchor;
+    Alcotest.test_case "WL008 damage both sides of the anchor" `Quick
+      test_wl008_damage_both_sides_of_anchor;
     Alcotest.test_case "WL009 live at end" `Quick test_wl009_live_at_end;
     Alcotest.test_case "WL010 before-image chain" `Quick test_wl010_before_image_chain;
     Alcotest.test_case "WAL empty log clean" `Quick test_wal_empty_log_is_clean;

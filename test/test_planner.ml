@@ -614,6 +614,71 @@ let prop_forced_merge_matches_eval =
           R.Relation.equal (R.Eval.eval db q)
             (Planner.Exec.run ctx (Planner.Plan.plan ctx q))))
 
+(* Join keys of every type, -0.0 beside 0.0 and NaNs of several bit
+   patterns included: the hash join's key table must pair exactly the
+   keys Value equality pairs.  The reference is a nested loop under
+   Value.compare_poly; both join orders run, hashed and by the
+   planner's own choice, against it and against Eval.eval. *)
+let prop_join_keys_every_type =
+  let pools =
+    [
+      (TInt, [ Int min_int; Int (-1); Int 0; Int 1; Int max_int ]);
+      (TString, [ String ""; String "a"; String "ab" ]);
+      ( TFloat,
+        [ Float 0.0; Float (-0.0); Float nan; Float (-.nan);
+          Float (Int64.float_of_bits 0x7FF0000000000123L); Float 1.5; Float infinity ] );
+      (TBool, [ Bool true; Bool false ]);
+    ]
+  in
+  property 60 "hash join = nested loop (keys of every type, -0.0 and NaN)" seed_gen
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let ty, pool = List.nth pools (seed mod List.length pools) in
+      let key () = List.nth pool (Random.State.int rng (List.length pool)) in
+      let rows n f = List.init (Random.State.int rng n) f in
+      let r =
+        R.Relation.of_list (R.Schema.make [ ("k", ty); ("a", TInt) ])
+          (rows 12 (fun i -> [ key (); Int i ]))
+      and s =
+        R.Relation.of_list (R.Schema.make [ ("k", ty); ("b", TString) ])
+          (rows 12 (fun i -> [ key (); String (Printf.sprintf "b%d" i) ]))
+      in
+      let db = R.Database.of_list [ ("r", r); ("s", s) ] in
+      let nested l rt =
+        R.Relation.of_tuples
+          (R.Schema.join (R.Relation.schema l) (R.Relation.schema rt))
+          (List.concat_map
+             (fun tl ->
+               List.filter_map
+                 (fun tr ->
+                   if R.Value.compare_poly tl.(0) tr.(0) = 0 then Some [| tl.(0); tl.(1); tr.(1) |]
+                   else None)
+                 (R.Relation.to_list rt))
+             (R.Relation.to_list l))
+      in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "r" r;
+          Storage.Engine.save_table eng "s" s;
+          List.for_all
+            (fun (q, expected) ->
+              R.Relation.equal expected (R.Eval.eval db q)
+              && List.for_all
+                   (fun force_join ->
+                     let config = { Planner.Plan.default_config with Planner.Plan.force_join } in
+                     let ctx = Planner.Plan.make ~config eng in
+                     R.Relation.equal expected (Planner.Exec.run ctx (Planner.Plan.plan ctx q)))
+                   [ Planner.Plan.Force_hash; Planner.Plan.Auto ])
+            [
+              (A.Join (A.Rel "r", A.Rel "s"), nested r s);
+              (A.Join (A.Rel "s", A.Rel "r"), nested s r);
+            ]))
+
 (* --- chase-based join elimination and the certifier ----------------------- *)
 
 let scan_count plan =
@@ -1538,7 +1603,7 @@ let test_malformed_record_raises () =
           (* the first record of the second page, then its damage *)
           let victim = ref None in
           Storage.Buffer_pool.with_page pool second (fun page ->
-              Storage.Page.iter_live page (fun ~off ~len:_ ->
+              Storage.Page.iter_live page (fun _ ~off ~len:_ ->
                   if !victim = None then begin
                     victim := Some (Int64.to_int (Bytes.get_int64_le page (off + 3)));
                     damage page off
@@ -1628,6 +1693,7 @@ let suite =
     prop_chain_sorted_and_fenced;
     prop_cow_ownership;
     prop_forced_merge_matches_eval;
+    prop_join_keys_every_type;
     prop_certify_never_refutes;
     prop_semantic_rewrite_preserves_results;
   ]

@@ -420,6 +420,167 @@ let prop_divide_product_inverse =
       R.Relation.is_empty r2
       || R.Relation.equal r1 (R.Relation.divide (R.Relation.product r1 r2) r2))
 
+(* --- the answer path's kernels against the versions they replaced ----------- *)
+
+(* The rank-then-value order Tuple.compare had before it compared ints
+   and strings directly. *)
+let reference_tuple_compare a b =
+  let la = Array.length a and lb = Array.length b in
+  let rec loop i =
+    if i = la && i = lb then 0
+    else if i = la then -1
+    else if i = lb then 1
+    else
+      let c = R.Value.compare_poly a.(i) b.(i) in
+      if c <> 0 then c else loop (i + 1)
+  in
+  loop 0
+
+(* Values from small pools of every tag, edge values included, so that
+   random tuples share prefixes and tie often. *)
+let edge_value_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map (fun i -> Int i) (oneofl [ min_int; -1; 0; 1; 7; max_int ]);
+      map (fun i -> Int i) int;
+      map (fun s -> String s) (oneofl [ ""; "a"; "ab"; "b"; "\xff" ]);
+      map (fun f -> Float f) (oneofl [ 0.0; -0.0; nan; -.nan; 1.5; -1.5; infinity; neg_infinity ]);
+      map (fun b -> Bool b) bool;
+    ]
+
+let mixed_tuple_gen = QCheck2.Gen.(map Array.of_list (list_size (int_range 0 4) edge_value_gen))
+
+let prop_tuple_compare_reference =
+  property 2000 "Tuple.compare = rank-then-value reference (mixed tags)"
+    QCheck2.Gen.(pair mixed_tuple_gen mixed_tuple_gen)
+    (fun (a, b) ->
+      (* a shared prefix makes the tail decide *)
+      let b' = Array.append (Array.sub a 0 (Array.length a / 2)) b in
+      List.for_all
+        (fun (x, y) ->
+          R.Tuple.compare x y = reference_tuple_compare x y
+          && ((not (R.Tuple.equal x y)) || R.Tuple.hash x = R.Tuple.hash y))
+        [ (a, b); (b, a); (a, b'); (b', a); (a, a); (a, Array.copy a) ])
+
+let test_tuple_hash_float_classes () =
+  let h v = R.Tuple.hash [| Float v |] in
+  Alcotest.(check int) "-0.0 with 0.0" (h 0.0) (h (-0.0));
+  Alcotest.(check int) "every NaN together" (h nan)
+    (h (Int64.float_of_bits 0x7FF0000000000123L));
+  Alcotest.(check int) "negative NaN too" (h nan) (h (-.nan));
+  let t = R.Tuple.Table.create 4 in
+  R.Tuple.Table.add t [| Float nan; Float (-0.0) |] "x";
+  Alcotest.(check (list string)) "a key finds its equals" [ "x" ]
+    (R.Tuple.Table.find_all t [| Float (-.nan); Float 0.0 |])
+
+let test_int_to_string_edges () =
+  List.iter
+    (fun n -> Alcotest.(check string) (string_of_int n) (string_of_int n) (R.Value.to_string (Int n)))
+    [ 0; 1; -1; 9; 10; -9; -10; 99; 100; -100; 123456789; max_int; min_int; max_int - 1; min_int + 1 ]
+
+let prop_int_to_string =
+  property 2000 "Value.to_string (Int n) = string_of_int n" QCheck2.Gen.int (fun n ->
+      R.Value.to_string (Int n) = string_of_int n
+      && R.Value.to_string (Int (n asr 40)) = string_of_int (n asr 40))
+
+(* The renderer as it was: lists of cells laid into a growing buffer,
+   every value through string_of_int / %g / string_of_bool. *)
+let reference_render ~header rows =
+  let all = header :: rows in
+  let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in
+  let widths = Array.make ncols 0 in
+  List.iter
+    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (String.length cell)))
+    all;
+  let widest = Array.fold_left max 0 widths in
+  let line = Array.fold_left ( + ) (2 * max 0 (ncols - 1) + 1) widths in
+  let buf = Buffer.create (line * (List.length all + 1)) in
+  let spaces = String.make widest ' ' and dashes = String.make widest '-' in
+  let cell i fill len s =
+    if i > 0 then Buffer.add_string buf "  ";
+    Buffer.add_string buf s;
+    Buffer.add_substring buf fill 0 (widths.(i) - len)
+  in
+  let add_row r =
+    let n = List.fold_left (fun i s -> cell i spaces (String.length s) s; i + 1) 0 r in
+    for i = n to ncols - 1 do
+      cell i spaces 0 ""
+    done;
+    Buffer.add_char buf '\n'
+  in
+  add_row header;
+  for i = 0 to ncols - 1 do
+    cell i dashes 0 ""
+  done;
+  Buffer.add_char buf '\n';
+  List.iter add_row rows;
+  Buffer.contents buf
+
+let reference_value_to_string = function
+  | Int i -> string_of_int i
+  | String s -> s
+  | Float f -> Printf.sprintf "%g" f
+  | Bool b -> string_of_bool b
+
+let reference_to_string rel =
+  reference_render
+    ~header:(R.Schema.attributes (R.Relation.schema rel))
+    (List.map
+       (fun tup -> Array.to_list (Array.map reference_value_to_string tup))
+       (R.Relation.to_list rel))
+
+(* 0-3 columns of any type, 0-300 rows, negative ints and wide cells. *)
+let random_relation_gen =
+  let open QCheck2.Gen in
+  let* tys = list_size (int_range 0 3) (oneofl [ TInt; TString; TFloat; TBool ]) in
+  let value = function
+    | TInt -> map (fun i -> Int i) (oneof [ int_range (-1000) 1000; int ])
+    | TString ->
+        map (fun s -> String s)
+          (oneof [ string_size ~gen:printable (int_range 0 3); string_size ~gen:printable (int_range 20 40) ])
+    | TFloat -> map (fun f -> Float f) (oneof [ float; oneofl [ 0.0; -0.0; nan; 1e300 ] ])
+    | TBool -> map (fun b -> Bool b) bool
+  in
+  let+ rows = list_size (int_range 0 300) (flatten_l (List.map value tys)) in
+  let schema = R.Schema.make (List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) tys) in
+  R.Relation.of_list schema rows
+
+let prop_render_reference =
+  property 200 "Relation.to_string = the list-based rendering" random_relation_gen (fun rel ->
+      String.equal (R.Relation.to_string rel) (reference_to_string rel))
+
+let test_render_ragged_rows () =
+  let header = [ "a"; "bb" ] and rows = [ [ "x" ]; [ "yyy"; "z"; "extra" ]; [] ] in
+  Alcotest.(check string) "short and long rows" (reference_render ~header rows)
+    (Support.Table.render ~header rows);
+  Alcotest.(check string) "no columns" (reference_render ~header:[] [ []; [] ])
+    (Support.Table.render ~header:[] [ []; [] ])
+
+(* Relation.project as it was: always a new schema and a mapped set. *)
+let reference_project rel attrs =
+  let schema = R.Relation.schema rel in
+  let positions = Array.of_list (List.map (R.Schema.index_of schema) attrs) in
+  R.Relation.of_tuples (R.Schema.project schema attrs)
+    (List.map (fun tup -> Array.map (fun i -> tup.(i)) positions) (R.Relation.to_list rel))
+
+let prop_project_reference =
+  property 200 "Relation.project = the mapped projection (identity, permuted, prefix)"
+    QCheck2.Gen.(pair random_relation_gen (int_range 0 1_000_000))
+    (fun (rel, seed) ->
+      let attrs = R.Schema.attributes (R.Relation.schema rel) in
+      let rng = Random.State.make [| seed |] in
+      let permuted =
+        List.map snd (List.sort Stdlib.compare (List.map (fun a -> (Random.State.bits rng, a)) attrs))
+      in
+      let prefix = List.filteri (fun i _ -> i < Random.State.int rng (List.length attrs + 1)) attrs in
+      List.for_all
+        (fun attrs ->
+          let got = R.Relation.project rel attrs and want = reference_project rel attrs in
+          R.Schema.equal (R.Relation.schema got) (R.Relation.schema want)
+          && R.Relation.Tuple_set.equal (R.Relation.tuples got) (R.Relation.tuples want))
+        [ attrs; permuted; prefix ])
+
 let suite =
   [
     Alcotest.test_case "value compare within type" `Quick test_value_compare_within_type;
@@ -475,4 +636,11 @@ let suite =
     prop_join_commutes;
     prop_union_idempotent;
     prop_divide_product_inverse;
+    prop_tuple_compare_reference;
+    Alcotest.test_case "tuple hash float classes" `Quick test_tuple_hash_float_classes;
+    Alcotest.test_case "int rendering edges" `Quick test_int_to_string_edges;
+    prop_int_to_string;
+    prop_render_reference;
+    Alcotest.test_case "render ragged rows" `Quick test_render_ragged_rows;
+    prop_project_reference;
   ]

@@ -646,6 +646,105 @@ let prop_pool_matches_model =
          cleanup path_b;
          agree && on_disk))
 
+(* --- the item directory ------------------------------------------------------ *)
+
+(* The directory as it was built: every record copied out of its page
+   (Page.records), decoded, and the last record of an item kept — here
+   with the value that record holds. *)
+let reference_items pool =
+  let dir = Hashtbl.create 64 in
+  let id = ref (Storage.Pager.items_root (Storage.Buffer_pool.pager pool)) in
+  while !id <> 0 do
+    id :=
+      Storage.Buffer_pool.with_page pool !id (fun page ->
+          List.iter
+            (fun (_, r) ->
+              let len = String.get_uint16_le r 0 in
+              Hashtbl.replace dir (String.sub r 2 len)
+                (Int64.to_int (String.get_int64_le r (2 + len))))
+            (Storage.Page.records page);
+          Storage.Page.next page)
+  done;
+  dir
+
+let item_record item value =
+  let b = Buffer.create 16 in
+  Buffer.add_uint16_le b (String.length item);
+  Buffer.add_string b item;
+  Buffer.add_int64_le b (Int64.of_int value);
+  Buffer.contents b
+
+(* Append a raw record to the item chain's last page, as a second copy
+   of an item would lie there; false when the page is full. *)
+let append_item_record pool record =
+  let rec last id =
+    match Storage.Buffer_pool.with_page pool id Storage.Page.next with 0 -> id | next -> last next
+  in
+  let id = last (Storage.Pager.items_root (Storage.Buffer_pool.pager pool)) in
+  Storage.Buffer_pool.with_page pool id (fun page ->
+      match Storage.Page.insert page record with
+      | _ ->
+          Storage.Buffer_pool.mark_dirty pool id;
+          true
+      | exception Storage.Page.Page_full -> false)
+
+(* Random item stores — enough items to spill onto several pages, values
+   overwritten in place, and second records of some items appended to
+   the chain — loaded in place agree with the record-copying reference
+   on every item's value and on the count, through a pool smaller than
+   the chain. *)
+let prop_items_load_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"in-place item directory = record-copying reference"
+       QCheck2.Gen.(
+         triple (int_range 0 700)
+           (list_size (int_range 0 300) (pair (int_range 0 700) (int_range (-5) 1_000_000)))
+           (list_size (int_range 0 20) (pair (int_range 0 700) int)))
+       (fun (fresh, overwrites, duplicates) ->
+         let path = fresh_path () in
+         let pager = Storage.Pager.create path in
+         let pool = Storage.Buffer_pool.create ~capacity:2 pager in
+         let items = Storage.Heap.Items.load pool in
+         let name k = Printf.sprintf "item-%d%s" k (String.make (k mod 7) 'x') in
+         let lsn = ref 0 in
+         let set k v =
+           incr lsn;
+           ignore (Storage.Heap.Items.set items ~lsn:!lsn (name k) v : bool)
+         in
+         for k = 0 to fresh - 1 do set k (k + 1) done;
+         List.iter (fun (k, v) -> set k v) overwrites;
+         if Storage.Pager.items_root pager <> 0 then
+           List.iter
+             (fun (k, v) -> ignore (append_item_record pool (item_record (name k) v) : bool))
+             duplicates;
+         let want = reference_items pool in
+         let got = Storage.Heap.Items.load pool in
+         let agree =
+           Storage.Heap.Items.count got = Hashtbl.length want
+           && Hashtbl.fold (fun item v ok -> ok && Storage.Heap.Items.get got item = v) want true
+           && Storage.Heap.Items.all got
+              = List.sort compare
+                  (Hashtbl.fold (fun item v acc -> if v = 0 then acc else (item, v) :: acc) want [])
+         in
+         Storage.Pager.close pager;
+         cleanup path;
+         agree))
+
+let test_items_load_malformed () =
+  let path = fresh_path () in
+  let pager = Storage.Pager.create path in
+  let pool = Storage.Buffer_pool.create pager in
+  let items = Storage.Heap.Items.load pool in
+  ignore (Storage.Heap.Items.set items ~lsn:1 "x" 1 : bool);
+  Alcotest.(check bool) "room for the record" true
+    (append_item_record pool "\005\000ab");
+  Alcotest.(check bool) "a key longer than its record raises" true
+    (match Storage.Heap.Items.load pool with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Storage.Pager.close pager;
+  cleanup path
+
 (* A failed read into a reused buffer: a CRC mismatch, a torn page and
    an exhausted EIO retry budget each leave the page non-resident and
    its buffer with the pool; once the disk is right again the next
@@ -2486,6 +2585,8 @@ let suite =
     Alcotest.test_case "pool exhausted" `Quick test_pool_exhausted;
     prop_pool_matches_model;
     Alcotest.test_case "pool failed reads" `Quick test_pool_failed_reads;
+    prop_items_load_reference;
+    Alcotest.test_case "items load malformed record" `Quick test_items_load_malformed;
     Alcotest.test_case "wal roundtrip" `Quick test_wal_roundtrip;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
     prop_wal_model_roundtrip;
