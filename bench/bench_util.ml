@@ -52,6 +52,20 @@ let fresh_registry () =
   registry := Obs.Registry.create ();
   !registry
 
+(* A count over a span of a run: [let moved = since registry in ...;
+   moved "pool.hits"] is what the span added to that counter of
+   [registry] (a counter registered inside the span started at 0).
+   Components keep no counts of their own, and a registry may be shared
+   ([noop] is, process-wide), so a span's count is always this delta. *)
+let since registry =
+  let count name =
+    Option.value ~default:0 (Obs.Registry.counter_value registry name)
+  in
+  let at_start =
+    List.map (fun name -> (name, count name)) (Obs.Registry.names registry)
+  in
+  fun name -> count name - Option.value ~default:0 (List.assoc_opt name at_start)
+
 (* JSON numbers: [%g] would happily print [nan]/[inf], which are not
    JSON; a metric that isn't a finite number serializes as null. *)
 let json_number x = if Float.is_finite x then Printf.sprintf "%g" x else "null"

@@ -40,13 +40,15 @@ let run_once ?(metrics = Obs.Registry.noop) ~params ~spec ~seed () =
   let path = fresh_path () in
   let rng = Support.Rng.create seed in
   let specs = W.generate rng params in
+  let moved = Bench_util.since metrics in
   let stats =
     match E.open_db ~faults:(F.spec_of_string spec) ~metrics path with
     | eng ->
         let stats =
           X.run ~config:{ X.default_config with seed } (X.engine eng) specs
         in
-        let repairs = E.repairs eng and retries = E.io_retries eng in
+        let repairs = moved "engine.repairs" in
+        let retries = moved "pager.io_retries" + moved "wal.io_retries" in
         if stats.X.crashed = None then
           (try E.close eng with F.Crash _ -> E.crash eng);
         Some (stats, repairs, retries)
@@ -185,9 +187,10 @@ let repair_latency () =
   ignore (Unix.lseek fd (Storage.Page.size + (Storage.Page.size / 2)) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.make 1 '\xff') 0 1);
   Unix.close fd;
+  let moved = Bench_util.since Obs.Registry.noop in
   let eng, elapsed = Bench_util.time_ms (fun () -> E.open_db path) in
   let intact = E.items eng = before in
-  let repairs = E.repairs eng in
+  let repairs = moved "engine.repairs" in
   E.close eng;
   cleanup path;
   Bench_util.record ~metric:"repair_reopen_ms" elapsed;

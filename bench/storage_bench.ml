@@ -86,6 +86,7 @@ let run () =
   let rows =
     List.map
       (fun pool_size ->
+        let moved = Bench_util.since metrics in
         let eng = E.open_db ~pool_size ~metrics path in
         (* drop the pages the open itself touched, then read cold; the
            zipf sequence is drawn outside the timer *)
@@ -100,11 +101,9 @@ let run () =
             (Bench_util.time_ms (fun () ->
                  Array.iter (fun item -> ignore (E.read eng item : int)) seq))
         in
-        let s = Storage.Buffer_pool.stats (E.pool eng) in
-        let hit_rate =
-          float_of_int s.Storage.Buffer_pool.hits
-          /. float_of_int (max 1 (s.Storage.Buffer_pool.hits + s.Storage.Buffer_pool.misses))
-        in
+        let hits = moved "pool.hits" and misses = moved "pool.misses" in
+        let evictions = moved "pool.evictions" in
+        let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
         E.close eng;
         Bench_util.record
           ~metric:(Printf.sprintf "point_reads_pool_%d" pool_size)
@@ -114,9 +113,9 @@ let run () =
           ~unit:"ratio" hit_rate;
         [
           Bench_util.i pool_size;
-          Bench_util.i s.Storage.Buffer_pool.hits;
-          Bench_util.i s.Storage.Buffer_pool.misses;
-          Bench_util.i s.Storage.Buffer_pool.evictions;
+          Bench_util.i hits;
+          Bench_util.i misses;
+          Bench_util.i evictions;
           Printf.sprintf "%.1f%%" (100. *. hit_rate);
           Bench_util.ms ms;
         ])

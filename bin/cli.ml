@@ -104,13 +104,12 @@ let trace_arg =
                as Chrome trace_event JSON to $(docv) — open it in \
                about:tracing or ui.perfetto.dev.")
 
-(* Run [f registry trace] with a live registry under [--metrics] and a
-   live recorder under [--trace] (no-ops otherwise), then report on
-   stderr: the trace line first, then the metrics block. *)
+(* Run [f registry trace] with a live registry, whose counters are the
+   only counts the command can print, and a live recorder under
+   [--trace] (a no-op otherwise), then report on stderr: the trace line
+   first, then, under [--metrics], the registry. *)
 let observed ?metrics ?trace_file f =
-  let registry =
-    if metrics = None then Obs.Registry.noop else Obs.Registry.create ()
-  in
+  let registry = Obs.Registry.create () in
   let trace =
     if trace_file = None then Obs.Trace.noop else Obs.Trace.create ()
   in
@@ -132,6 +131,11 @@ let observed ?metrics ?trace_file f =
         | `Json -> Obs.Registry.to_json registry))
     metrics;
   code
+
+(* A counter of the registry [observed] built, by name; 0 before its
+   component registered it. *)
+let count registry name =
+  Option.value ~default:0 (Obs.Registry.counter_value registry name)
 
 (* --- crashed and degraded backends ---------------------------------------- *)
 

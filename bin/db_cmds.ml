@@ -242,14 +242,11 @@ let db_status_run path trace_file =
                 Printf.sprintf ", %d pages fenced @ page %d" count root
             | None -> ""))
         tables;
-      let hits, misses =
-        let s = Storage.Buffer_pool.stats (Storage.Engine.pool eng) in
-        (s.Storage.Buffer_pool.hits, s.Storage.Buffer_pool.misses)
-      in
+      let count = count (Storage.Engine.metrics eng) in
       Printf.printf "buffer pool: %d/%d resident, %d hits, %d misses\n"
         (Storage.Buffer_pool.resident (Storage.Engine.pool eng))
         (Storage.Buffer_pool.capacity (Storage.Engine.pool eng))
-        hits misses;
+        (count "pool.hits") (count "pool.misses");
       Printf.printf "free pages: %s\n"
         (match Storage.Engine.free_pages eng with
         | Some n -> string_of_int n
@@ -348,9 +345,9 @@ let local_target path ?faults ?crash_after ~metrics ~trace () =
     close = (fun () -> Storage.Engine.close eng);
     counters =
       (fun _ ->
-        Printf.sprintf "  repairs %d  io-retries %d"
-          (Storage.Engine.repairs eng)
-          (Storage.Engine.io_retries eng));
+        let count = count metrics in
+        Printf.sprintf "  repairs %d  io-retries %d" (count "engine.repairs")
+          (count "pager.io_retries" + count "wal.io_retries"));
     ticks = (fun () -> "");
     notes = (fun () -> []);
     degraded = (fun () -> engine_degraded eng);

@@ -15,8 +15,9 @@ type node = {
   path : string;
   node_epoch : int option;
   node_snapshot : int option;
-  wal : Wal.report;
   wal_prefix : string;
+  commits : int list;
+  last_checkpoint : int option;
 }
 
 type input = {
@@ -25,14 +26,26 @@ type input = {
   acks : Repl_meta.ack list;
 }
 
+(* Each node's log is read once and walked by its frame headers: the
+   checks need its clean prefix, the transactions it commits and its
+   last checkpoint, and no record is decoded. *)
 let of_base base =
   let group = Repl_meta.load_group base in
   let count = Repl_meta.discover base in
   let nodes =
     List.init count (fun id ->
         let path = Repl_meta.node_path base id in
-        let wal_file = Engine.wal_path path in
-        let wal = Wal.report_file wal_file in
+        let image =
+          Support.Io.read_span (Engine.wal_path path) ~from:0 ~len:max_int
+        in
+        let (commits, last_checkpoint), clean =
+          Wal.walk image ~init:([], None)
+            ~f:(fun (commits, checkpoint) lsn kind txn ->
+              match kind with
+              | `Commit -> (txn :: commits, checkpoint)
+              | `Checkpoint -> (commits, Some lsn)
+              | _ -> (commits, checkpoint))
+        in
         let node_epoch, node_snapshot =
           match Repl_meta.load_node path with
           | Some (e, s) -> (Some e, Some s)
@@ -43,9 +56,9 @@ let of_base base =
           path;
           node_epoch;
           node_snapshot;
-          wal;
-          wal_prefix =
-            Support.Io.read_span wal_file ~from:0 ~len:wal.Wal.clean_bytes;
+          wal_prefix = String.sub image 0 clean;
+          commits;
+          last_checkpoint;
         })
   in
   { group; nodes; acks = Repl_meta.load_acks base }
@@ -147,25 +160,20 @@ let check_acked_lost input =
       match find_node input g.Repl_meta.primary with
       | None -> []
       | Some primary ->
-          let committed =
-            List.filter_map
-              (fun { Wal.record; _ } ->
-                match record with Wal.Commit t -> Some t | _ -> None)
-              primary.wal.Wal.records
-          in
+          let clean = String.length primary.wal_prefix in
           List.concat
             (List.mapi
                (fun i (a : Repl_meta.ack) ->
-                 if a.lsn > primary.wal.Wal.clean_bytes then
+                 if a.lsn > clean then
                    [
                      D.error ~loc:i "RP003"
                        (Printf.sprintf
                           "acked commit lost: txn %d was quorum-acked to \
                            watermark %d but the primary's clean log ends \
                            at %d"
-                          a.txn a.lsn primary.wal.Wal.clean_bytes);
+                          a.txn a.lsn clean);
                    ]
-                 else if not (List.mem a.txn committed) then
+                 else if not (List.mem a.txn primary.commits) then
                    [
                      D.error ~loc:i "RP003"
                        (Printf.sprintf
@@ -188,22 +196,23 @@ let check_snapshot_gap input =
   List.concat_map
     (fun n ->
       let snap = match n.node_snapshot with Some s -> s | None -> 0 in
+      let clean = String.length n.wal_prefix in
       let ahead =
-        if snap > n.wal.Wal.clean_bytes then
+        if snap > clean then
           [
             D.error ~loc:n.id "RP004"
               (Printf.sprintf
                  "node %d: snapshot watermark %d runs ahead of its clean \
                   log (%d bytes) — pages without the log that explains \
                   them"
-                 n.id snap n.wal.Wal.clean_bytes);
+                 n.id snap clean);
           ]
         else []
       in
       let behind =
         if primary_id = Some n.id then []
         else
-          match Wal.last_checkpoint n.wal.Wal.records with
+          match n.last_checkpoint with
           | Some c when snap < c ->
               [
                 D.error ~loc:n.id "RP004"

@@ -30,11 +30,17 @@ type node = {
   path : string;  (** the node's database path *)
   node_epoch : int option;  (** its durable epoch stamp, when present *)
   node_snapshot : int option;  (** its snapshot watermark, when present *)
-  wal : Storage.Wal.report;  (** the tolerant scan of its WAL *)
-  wal_prefix : string;  (** the clean prefix's raw bytes (for the
-                            byte-identity check behind RP001) *)
+  wal_prefix : string;
+      (** its WAL's clean prefix, whole frames up to the first damaged
+          one: the bytes RP001 compares, whose length is the clean
+          length RP003 and RP004 compare against *)
+  commits : int list;
+      (** the transactions of the prefix's Commit frames, newest first *)
+  last_checkpoint : int option;  (** the LSN of its last Checkpoint frame *)
 }
-(** Everything the lint knows about one node, from its files alone. *)
+(** Everything the lint knows about one node, from its files alone:
+    each WAL is read once and walked by its frame headers
+    ({!Storage.Wal.walk}), decoding no record. *)
 
 type input = {
   group : Replication.Repl_meta.group option;  (** the descriptor, when readable *)

@@ -9,13 +9,6 @@
    failed read, [drop_clean] — wait in [spare] for the next frame;
    resident frames plus spares never exceed [capacity]. *)
 
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable flushes : int;
-}
-
 type frame = {
   page : Page.t;
   mutable dirty : bool;
@@ -51,7 +44,6 @@ type t = {
   pager : Pager.t;
   capacity : int;
   frames : (int, frame) Hashtbl.t;
-  stats : stats;
   metrics : metrics;
   mutable clock : int;
   mutable spare : Page.t list;
@@ -66,7 +58,6 @@ let create ?(capacity = 64) ?(metrics = Obs.Registry.noop) pager =
     pager;
     capacity;
     frames = Hashtbl.create (2 * capacity);
-    stats = { hits = 0; misses = 0; evictions = 0; flushes = 0 };
     metrics = make_metrics metrics;
     clock = 0;
     spare = [];
@@ -74,7 +65,6 @@ let create ?(capacity = 64) ?(metrics = Obs.Registry.noop) pager =
   }
 
 let pager t = t.pager
-let stats t = t.stats
 let capacity t = t.capacity
 let set_wal_barrier t f = t.wal_barrier <- f
 
@@ -87,7 +77,6 @@ let flush_frame t id frame =
     t.wal_barrier (Page.lsn frame.page);
     Pager.write_page t.pager id frame.page;
     frame.dirty <- false;
-    t.stats.flushes <- t.stats.flushes + 1;
     Obs.Registry.Counter.incr t.metrics.m_flushes
   end
 
@@ -107,7 +96,6 @@ let evict_one t =
   | Some (id, frame) ->
       flush_frame t id frame;
       Hashtbl.remove t.frames id;
-      t.stats.evictions <- t.stats.evictions + 1;
       Obs.Registry.Counter.incr t.metrics.m_evictions;
       Obs.Registry.Gauge.set t.metrics.m_resident (Hashtbl.length t.frames);
       frame.page
@@ -132,13 +120,11 @@ let install t id page ~pins =
 let fetch t id =
   match Hashtbl.find_opt t.frames id with
   | Some frame ->
-      t.stats.hits <- t.stats.hits + 1;
       Obs.Registry.Counter.incr t.metrics.m_hits;
       frame.pins <- frame.pins + 1;
       touch t frame;
       frame.page
   | None ->
-      t.stats.misses <- t.stats.misses + 1;
       Obs.Registry.Counter.incr t.metrics.m_misses;
       let page = take_buffer t in
       (try Pager.read_into t.pager id page

@@ -15,15 +15,6 @@
     is evicted, its buffer holds another page.  {!with_page} keeps this
     discipline for you. *)
 
-(** Legacy in-process counters (predates [lib/obs]); kept because tests
-    and the storage bench read them without wiring a registry. *)
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable flushes : int;
-}
-
 type t
 (** A pool: a bounded frame table over a {!Pager.t}. *)
 
@@ -32,9 +23,11 @@ exception Pool_exhausted
 
 val create : ?capacity:int -> ?metrics:Obs.Registry.t -> Pager.t -> t
 (** [capacity] frames (default 64).  [metrics] receives the [pool.*]
-    instruments (hit/miss/eviction/flush counters and the
-    [pool.resident] gauge), mirroring the legacy {!stats} record;
-    defaults to {!Obs.Registry.noop}. *)
+    instruments, the pool's only counts: the [pool.hits],
+    [pool.misses], [pool.evictions] and [pool.flushes] counters and the
+    [pool.resident] gauge.  Defaults to {!Obs.Registry.noop}, whose
+    instruments every pool left on it shares, so a caller that reads
+    one pool's counts passes a registry of its own. *)
 
 val fetch : t -> int -> Page.t
 (** Pin and return the page, reading (and possibly evicting) on miss.
@@ -76,9 +69,6 @@ val drop_clean : t -> unit
 val set_wal_barrier : t -> (int -> unit) -> unit
 (** [f lsn] is called before any dirty page with page-LSN [lsn] is
     written back; the engine points it at WAL flush. *)
-
-val stats : t -> stats
-(** The live legacy counters (mutated in place). *)
 
 val capacity : t -> int
 (** Frame budget this pool was created with. *)

@@ -108,7 +108,6 @@ type t = {
   mutable last_recovery : Recovery.outcome option;
   mutable read_only : bool;
   mutable degraded_reason : string option;
-  mutable repairs : int;
   mutable last_repair : repair option;
   mutable checkpoint_end : int;
       (* Wal.next_lsn when the last checkpoint ended: no record has been
@@ -213,7 +212,6 @@ let dir t =
 
 let note_repair t ~quarantined ~replayed =
   Pager.forget_corrupt t.pager;
-  t.repairs <- t.repairs + 1;
   Obs.Registry.Counter.incr t.emetrics.m_repairs;
   t.last_repair <- Some { quarantined; replayed }
 
@@ -348,7 +346,6 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
       last_recovery = None;
       read_only = false;
       degraded_reason = None;
-      repairs = 0;
       last_repair = None;
       checkpoint_end = Wal.next_lsn wal;
       verified = Wal.durable_lsn wal;
@@ -394,7 +391,7 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
           stay pending for the next flush, and a WAL that keeps failing
           degrades the engine to read-only at the first commit instead
           of making the database unopenable *)
-       if not (analysis.Recovery.idle && t.repairs = 0) then
+       if not (analysis.Recovery.idle && t.last_repair = None) then
          try checkpoint_now t with Fault.Io_error _ -> ()
      end
    with e ->
@@ -650,8 +647,6 @@ let trace t = t.trace
 let last_recovery t = t.last_recovery
 let read_only t = t.read_only
 let degraded_reason t = t.degraded_reason
-let repairs t = t.repairs
 let last_repair t = t.last_repair
-let io_retries t = Pager.retries t.pager + Wal.retries t.wal
 let next_txn t = t.next_txn
 let walked_from t = t.walked_from

@@ -103,7 +103,8 @@ val open_db :
     idle open writes nothing (the torn-tail truncation aside).
 
     [metrics] is threaded into every layer (pager, pool, WAL, fault
-    injector) and receives the engine's own [engine.*] instruments;
+    injector) and receives the engine's own [engine.*] instruments:
+    the only counts any of them keeps, read by name from it;
     [trace] records [engine.recovery] (when the log holds a record,
     from the walk through the last undo, so it also covers the
     item-chain LSN check and any open-time quarantine repair between the
@@ -240,7 +241,12 @@ val fault : t -> Fault.t
 
 val metrics : t -> Obs.Registry.t
 (** The registry passed to {!open_db} ({!Obs.Registry.noop} when none
-    was) — layers above the engine register their instruments here. *)
+    was) — layers above the engine register their instruments here,
+    and the engine's counts are read from it: [pool.hits],
+    [engine.repairs], [pager.io_retries] + [wal.io_retries] (the
+    transient-EIO retries that eventually succeeded), and the rest of
+    the catalogue.  On {!Obs.Registry.noop} those instruments are
+    shared with every component left on it, so read a delta there. *)
 
 val trace : t -> Obs.Trace.t
 (** The span recorder passed to {!open_db}. *)
@@ -255,15 +261,10 @@ val read_only : t -> bool
 val degraded_reason : t -> string option
 (** Why the engine degraded to read-only (the failing I/O site). *)
 
-val repairs : t -> int
-(** Quarantine-and-repair events since open (including one performed by
-    the open itself, if the on-disk item plane was corrupt). *)
-
 val last_repair : t -> repair option
-(** Details of the most recent repair event. *)
-
-val io_retries : t -> int
-(** Transient-EIO retries (pager + WAL) that eventually succeeded. *)
+(** Details of the most recent repair event since open (including one
+    performed by the open itself, if the on-disk item plane was
+    corrupt).  The [engine.repairs] counter of {!metrics} counts them. *)
 
 val next_txn : t -> int
 (** The id {!begin_txn} assigns next: after the open, one past the

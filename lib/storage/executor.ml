@@ -130,6 +130,15 @@ let run ?(config = default_config) b specs =
   let { m_steps; m_restarts; m_deadlocks; m_timeouts; m_wasted; m_backoff } =
     make_metrics b.metrics
   in
+  (* a count of this run: what it added to the instrument, which other
+     runs on the same registry add to as well *)
+  let this_run c =
+    let at_entry = Obs.Registry.Counter.value c in
+    fun () -> Obs.Registry.Counter.value c - at_entry
+  in
+  let steps = this_run m_steps and restarts = this_run m_restarts in
+  let deadlocks = this_run m_deadlocks and timeouts = this_run m_timeouts in
+  let wasted = this_run m_wasted in
   let emit_txn slot id ~outcome =
     let now = Obs.Trace.now b.trace in
     Obs.Trace.emit b.trace ~tid:(slot.base + 1)
@@ -167,12 +176,7 @@ let run ?(config = default_config) b specs =
     Lock_manager.create ?timeout:config.lock_timeout
       ~victim_pref:(victim_pref ~age) ~metrics:b.metrics ()
   in
-  let steps = ref 0 in
-  let restarts = ref 0 in
-  let deadlocks = ref 0 in
-  let timeouts = ref 0 in
   let commit_aborts = ref 0 in
-  let wasted = ref 0 in
   let committed = ref 0 in
   let stopped = ref false in
   (* unique written values make the log's committed projection sharp *)
@@ -209,9 +213,7 @@ let run ?(config = default_config) b specs =
   (* count the restart, then sit out a bounded exponential backoff with
      seeded jitter, as Simulation does *)
   let backoff slot =
-    incr restarts;
     Obs.Registry.Counter.incr m_restarts;
-    wasted := !wasted + slot.pc;
     Obs.Registry.Counter.add m_wasted slot.pc;
     slot.pc <- 0;
     slot.incarnation <- slot.incarnation + 1;
@@ -227,13 +229,8 @@ let run ?(config = default_config) b specs =
         b.abort ~txn:id;
         retire slot id
     | None -> ());
-    (match why with
-    | `Deadlock ->
-        incr deadlocks;
-        Obs.Registry.Counter.incr m_deadlocks
-    | `Timeout ->
-        incr timeouts;
-        Obs.Registry.Counter.incr m_timeouts);
+    Obs.Registry.Counter.incr
+      (match why with `Deadlock -> m_deadlocks | `Timeout -> m_timeouts);
     backoff slot
   in
   let restart_txn victim why =
@@ -261,7 +258,6 @@ let run ?(config = default_config) b specs =
         stopped := true
   in
   let attempt slot =
-    incr steps;
     Obs.Registry.Counter.incr m_steps;
     let id = ensure_started slot in
     if slot.pc >= Array.length slot.program then commit_slot slot id
@@ -298,7 +294,7 @@ let run ?(config = default_config) b specs =
   in
   let all_done () = Array.for_all (fun s -> s.finished) slots in
   (try
-     while (not (all_done ())) && (not !stopped) && !steps < max_steps do
+     while (not (all_done ())) && (not !stopped) && steps () < max_steps do
        Array.iter
          (fun slot ->
            if (not slot.finished) && not !stopped then
@@ -321,12 +317,12 @@ let run ?(config = default_config) b specs =
    with Fault.Crash _ -> b.crash ());
   {
     committed = !committed;
-    restarts = !restarts;
-    deadlocks = !deadlocks;
-    timeouts = !timeouts;
+    restarts = restarts ();
+    deadlocks = deadlocks ();
+    timeouts = timeouts ();
     commit_aborts = !commit_aborts;
-    steps = !steps;
-    wasted_ops = !wasted;
+    steps = steps ();
+    wasted_ops = wasted ();
     degraded = b.degraded ();
     crashed = Fault.crashed_at b.fault;
   }

@@ -26,7 +26,7 @@
     log, a fenced primary) stops the run, and unresolved transactions
     are left in doubt for restart recovery; CRC-corrupt pages are
     repaired inside the engine without the executor noticing (see
-    {!Engine.repairs}). *)
+    {!Engine.last_repair}). *)
 
 (** Scheduler knobs; see {!default_config}.  The backoff window doubles
     per restart up to 64 rounds, and a run stops after 200,000
@@ -71,6 +71,9 @@ val engine : Engine.t -> backend
 (** One engine: commits always succeed (or raise), [settle] does
     nothing and nothing is ever unsettled. *)
 
+(** What one {!run} did.  [restarts], [deadlocks], [timeouts], [steps]
+    and [wasted_ops] are what the run added to its [exec.*] counters,
+    so two runs on one registry each report their own. *)
 type stats = {
   committed : int;
   restarts : int;  (** victim aborts (deadlock + timeout) + commit aborts *)

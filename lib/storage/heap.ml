@@ -19,16 +19,26 @@ let kind_table = 3
 let kind_catalog = 4
 let kind_fence = 5
 
-let iter_chain pool ~first f =
-  let id = ref first in
-  while !id <> 0 do
-    let next =
-      Buffer_pool.with_page pool !id (fun page ->
-          List.iter (fun (slot, r) -> f !id slot r) (Page.records page);
-          Page.next page)
-    in
-    id := next
-  done
+(* The one walk down [Page.next]: [f] sees each page id and page while
+   it is pinned. *)
+let fold_chain pool ~first ~init f =
+  let rec walk acc id =
+    if id = 0 then acc
+    else
+      let acc, next =
+        Buffer_pool.with_page pool id (fun page -> (f acc id page, Page.next page))
+      in
+      walk acc next
+  in
+  walk init first
+
+(* A page's live records, decoded, onto [acc] (last slot first), and a
+   whole chain's in chain and slot order. *)
+let push_records decode acc page =
+  List.fold_left (fun acc (_, r) -> decode r :: acc) acc (Page.records page)
+
+let chain_records pool ~first decode =
+  List.rev (fold_chain pool ~first ~init:[] (fun acc _ page -> push_records decode acc page))
 
 let scan_page pool id view f =
   Buffer_pool.with_page pool id (fun page ->
@@ -37,23 +47,10 @@ let scan_page pool id view f =
           f view);
       Page.next page)
 
-let chain_pages pool ~first =
-  let n = ref 0 and id = ref first in
-  while !id <> 0 do
-    incr n;
-    id := Buffer_pool.with_page pool !id Page.next
-  done;
-  !n
+let chain_pages pool ~first = fold_chain pool ~first ~init:0 (fun n _ _ -> n + 1)
 
 let chain_lsns pool ~first =
-  let out = ref [] and id = ref first in
-  while !id <> 0 do
-    id :=
-      Buffer_pool.with_page pool !id (fun page ->
-          out := (!id, Page.lsn page) :: !out;
-          Page.next page)
-  done;
-  List.rev !out
+  List.rev (fold_chain pool ~first ~init:[] (fun acc id page -> (id, Page.lsn page) :: acc))
 
 (* A page chain with a remembered tail, so appends are O(1) in chain
    length.  [on_first] persists the root of a chain created lazily (e.g.
@@ -162,15 +159,11 @@ module Items = struct
   let load pool =
     let pager = Buffer_pool.pager pool in
     let first = Pager.items_root pager in
-    let pages = ref [] and slots = ref 0 and id = ref first in
-    while !id <> 0 do
-      pages := !id :: !pages;
-      id :=
-        Buffer_pool.with_page pool !id (fun p ->
-            slots := !slots + Page.nslots p;
-            Page.next p)
-    done;
-    let dir = Hashtbl.create (max 64 (!slots / 2)) in
+    let pages, slots =
+      fold_chain pool ~first ~init:([], 0) (fun (pages, slots) id p ->
+          (id :: pages, slots + Page.nslots p))
+    in
+    let dir = Hashtbl.create (max 64 (slots / 2)) in
     List.iter
       (fun page ->
         Buffer_pool.with_page pool page (fun p ->
@@ -178,8 +171,8 @@ module Items = struct
                 let klen = if len < 2 then len else Bytes.get_uint16_le p off in
                 if 2 + klen + 8 > len then invalid_arg "Items.load: malformed item record";
                 Hashtbl.replace dir (Bytes.sub_string p (off + 2) klen) { page; slot })))
-      (List.rev !pages);
-    let tail = match !pages with last :: _ -> last | [] -> first in
+      (List.rev pages);
+    let tail = match pages with last :: _ -> last | [] -> first in
     let chain =
       Chain.make pool ~kind:kind_items ~first ~tail ~on_first:(fun id ->
           Pager.set_items_root pager id)
@@ -303,13 +296,10 @@ let read_fences pool tb =
   match tb.fences with
   | None -> None
   | Some { root; _ } -> (
-      let out = ref [] in
-      match
-        iter_chain pool ~first:root (fun _ _ r -> out := decode_fence r :: !out)
-      with
+      match chain_records pool ~first:root decode_fence with
       | exception (Pager.Corrupt _ | Relational.Codec.Corrupt _) -> None
-      | () ->
-          let fences = Array.of_list (List.rev !out) in
+      | fences ->
+          let fences = Array.of_list fences in
           if whole_fences tb fences then Some fences else None)
 
 let iter_relation pool ~first f =
@@ -364,11 +354,7 @@ let decode_table r =
   { name; schema; first; fences }
 
 let catalog pool =
-  let first = Pager.catalog_root (Buffer_pool.pager pool) in
-  let out = ref [] in
-  if first <> 0 then
-    iter_chain pool ~first (fun _ _ r -> out := decode_table r :: !out);
-  List.rev !out
+  chain_records pool ~first:(Pager.catalog_root (Buffer_pool.pager pool)) decode_table
 
 (* The whole catalog, with [table] in place of its namesake (or last),
    goes into a fresh chain: nothing the header reaches is written, and
@@ -399,26 +385,26 @@ let owned_pages pool =
     if Hashtbl.mem seen id then raise Revisited;
     Hashtbl.replace seen id ()
   in
-  let rec walk id on_page =
-    if id <> 0 then begin
-      own id;
-      walk (Buffer_pool.with_page pool id (fun page -> on_page page; Page.next page)) on_page
-    end
+  (* own every page of a chain, folding [on_page] over them *)
+  let walk first ~init on_page =
+    fold_chain pool ~first ~init (fun acc id page ->
+        own id;
+        on_page acc page)
   in
+  let own_chain first = walk first ~init:() (fun () _ -> ()) in
   let table tb =
-    let fences = ref [] in
-    Option.iter
-      (fun { root; _ } ->
-        walk root (fun page ->
-            List.iter (fun (_, r) -> fences := decode_fence r :: !fences) (Page.records page)))
-      tb.fences;
-    let fences = Array.of_list (List.rev !fences) in
+    let fences =
+      match tb.fences with
+      | Some { root; _ } -> List.rev (walk root ~init:[] (push_records decode_fence))
+      | None -> []
+    in
+    let fences = Array.of_list fences in
     if whole_fences tb fences then Array.iter (fun f -> own f.page) fences
-    else walk tb.first ignore
+    else own_chain tb.first
   in
   match
-    walk (Pager.items_root pager) ignore;
-    walk (Pager.catalog_root pager) ignore;
+    own_chain (Pager.items_root pager);
+    own_chain (Pager.catalog_root pager);
     List.iter table (catalog pool)
   with
   | () -> Some (Hashtbl.fold (fun id () acc -> id :: acc) seen [])

@@ -17,10 +17,14 @@ val kind_catalog : int
 val kind_fence : int
 (** Page kind tag of fence-chain pages. *)
 
-val iter_chain :
-  Buffer_pool.t -> first:int -> (int -> int -> string -> unit) -> unit
-(** [iter_chain pool ~first f] calls [f page slot record] for every live
-    record of the chain. *)
+val fold_chain :
+  Buffer_pool.t -> first:int -> init:'a -> ('a -> int -> Page.t -> 'a) -> 'a
+(** [fold_chain pool ~first ~init f] folds [f acc id page] down the
+    chain rooted at [first] (nothing when it is 0), in chain order: it
+    fetches each page through the pool, calls [f] while the page is
+    pinned, and follows its {!Page.next}.  Every walk of a whole chain
+    goes through it except {!iter_relation}'s, which reads page by page
+    with {!scan_page}. *)
 
 val scan_page :
   Buffer_pool.t -> int -> Relational.Codec.view ->

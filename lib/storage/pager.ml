@@ -82,9 +82,6 @@ type t = {
   header : Bytes.t;
   metrics : metrics;
   mutable header_dirty : bool;  (* the anchor moved since the last write *)
-  mutable writes : int;
-  mutable reads : int;
-  mutable retried : int;  (* transient-EIO retries that eventually won *)
   mutable unsynced : (int * int) list;  (* (offset, length) since last fsync *)
   mutable corrupt_pages : int list;  (* CRC failures seen, newest first *)
   mutable owned : unit -> int list option;  (* the owner walk; None: unknown *)
@@ -128,7 +125,6 @@ let write_header t =
   Page.seal t.header;
   pwrite t.fd ~off:0 t.header Page.size;
   t.header_dirty <- false;
-  t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
 (* the root switch of a table replace: the caller has made every page
@@ -159,9 +155,6 @@ let make path fd fault metrics header =
     header;
     metrics;
     header_dirty = false;
-    writes = 0;
-    reads = 0;
-    retried = 0;
     unsynced = [];
     corrupt_pages = [];
     owned = (fun () -> None);
@@ -219,7 +212,6 @@ let check_id t id =
 (* Reads and fsyncs share the fault injector's transient-retry loop. *)
 let with_transient_retries t ~at f =
   Fault.with_retries t.fault ~at f ~on_retry:(fun () ->
-      t.retried <- t.retried + 1;
       Obs.Registry.Counter.incr t.metrics.m_retries)
 
 let read_into t id buf =
@@ -236,7 +228,6 @@ let read_into t id buf =
     Obs.Registry.Counter.incr t.metrics.m_crc_failures;
     corrupt "%s: page %d CRC mismatch" t.path id
   end;
-  t.reads <- t.reads + 1;
   Obs.Registry.Counter.incr t.metrics.m_reads
 
 let read_page t id =
@@ -262,7 +253,6 @@ let write_image t ~at ~off page =
     pwrite t.fd ~off image (Page.size / 2)
   else pwrite t.fd ~off image Page.size;
   t.unsynced <- (off, Page.size) :: t.unsynced;
-  t.writes <- t.writes + 1;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
 let write_page t id page =
@@ -338,7 +328,5 @@ let sync t =
 
 let fault t = t.fault
 let path t = t.path
-let io_counts t = (t.reads, t.writes)
-let retries t = t.retried
 let corrupt_pages t = List.sort_uniq Int.compare t.corrupt_pages
 let forget_corrupt t = t.corrupt_pages <- []

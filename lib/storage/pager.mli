@@ -20,9 +20,9 @@ type t
 
 val create : ?fault:Fault.t -> ?metrics:Obs.Registry.t -> string -> t
 (** Create (truncating any existing file) with an empty header.
-    [metrics] receives the [pager.*] counters (reads, writes,
-    crc_failures, io_retries, syncs, reused); defaults to
-    {!Obs.Registry.noop}. *)
+    [metrics] receives the [pager.*] counters, the pager's only counts
+    (reads, writes, crc_failures, io_retries, syncs, reused); defaults
+    to {!Obs.Registry.noop}. *)
 
 val open_file : ?fault:Fault.t -> ?metrics:Obs.Registry.t -> string -> t
 (** Open and validate an existing database file; raises {!Corrupt}.
@@ -121,13 +121,6 @@ val fault : t -> Fault.t
 
 val path : t -> string
 (** The database file path this pager was opened on. *)
-
-val io_counts : t -> int * int
-(** (page reads, page writes) since open — observability for [db status]
-    and the storage bench. *)
-
-val retries : t -> int
-(** Transient-EIO retries that eventually succeeded. *)
 
 val corrupt_pages : t -> int list
 (** Page ids that failed their CRC since open (or since

@@ -187,10 +187,6 @@ let scan_report image =
   in
   { records; clean_bytes; total_bytes; resync }
 
-let report_file path =
-  if Sys.file_exists path then scan_report (Support.Io.read_file path)
-  else { records = []; clean_bytes = 0; total_bytes = 0; resync = None }
-
 (* --- the log file ------------------------------------------------------- *)
 
 type metrics = {
@@ -237,7 +233,6 @@ type t = {
   fault : Fault.t;
   metrics : metrics;
   trace : Obs.Trace.t;
-  mutable retried : int;  (* transient-EIO retries that eventually won *)
 }
 
 let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
@@ -249,7 +244,7 @@ let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
   in
   Obs.Registry.Counter.add metrics.m_open_bytes
     (String.length bytes + Log_file.torn_at_open file);
-  ({ file; fault; metrics; trace; retried = 0 }, { base = from; bytes })
+  ({ file; fault; metrics; trace }, { base = from; bytes })
 
 let append t record =
   let frame = frame_of_record record in
@@ -290,9 +285,7 @@ let flush t =
         Obs.Histogram.time t.metrics.m_flush_ns (fun () ->
             Log_file.flush t.file ~at:"wal flush" ~fsync_at:"wal fsync"
               ~damage:(damage t.fault) ~fsync_ns:t.metrics.m_fsync_ns
-              ~on_retry:(fun () ->
-                t.retried <- t.retried + 1;
-                Obs.Registry.Counter.incr t.metrics.m_retries);
+              ~on_retry:(fun () -> Obs.Registry.Counter.incr t.metrics.m_retries);
             Obs.Registry.Counter.incr t.metrics.m_flushes;
             Obs.Registry.Counter.add t.metrics.m_flush_bytes len))
 
@@ -309,14 +302,8 @@ let close t =
 
 let abandon t = Log_file.abandon t.file
 
-let retries t = t.retried
 let truncated_at_open t = Log_file.torn_at_open t.file
 let path t = Log_file.path t.file
-
-let last_checkpoint entries =
-  List.fold_left
-    (fun acc { lsn; record } -> if record = Checkpoint then Some lsn else acc)
-    None entries
 
 let read_entries path =
   if Sys.file_exists path then fst (scan (Support.Io.read_file path)) else []

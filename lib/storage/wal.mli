@@ -116,14 +116,8 @@ val abandon : t -> unit
 (** Close the descriptor without flushing — pending records are lost,
     as in a crash. *)
 
-val retries : t -> int
-(** Transient-EIO retries that eventually succeeded. *)
-
 val path : t -> string
 (** The log file path. *)
-
-val last_checkpoint : entry list -> int option
-(** The LSN of the last checkpoint among the entries. *)
 
 val read_entries : string -> entry list
 (** Read-only tolerant scan of a log file, every record decoded: for
@@ -187,11 +181,6 @@ type report = {
 val scan_report : string -> report
 (** Full tolerant scan of an in-memory log image, with damage
     classification (byte-by-byte resync search after the valid prefix). *)
-
-val report_file : string -> report
-(** {!scan_report} over a file, opened read-only — safe to run against a
-    log owned by a crashed (or even live) process.  A missing file
-    yields the empty report. *)
 
 val frame_of_record : record -> string
 (** The exact on-disk frame (exposed for tests and the offline

@@ -87,7 +87,7 @@ let run_cell ~what ~shards ~spec ~seed =
       | None -> ( try C.close coord with F.Crash _ -> C.crash coord)));
   for k = 0 to shards - 1 do
     let diags =
-      Analysis.Wal_lint.lint (W.report_file (E.wal_path (C.shard_path base k)))
+      Analysis.Wal_lint.lint_file (E.wal_path (C.shard_path base k))
     in
     if errors diags <> [] then
       fail "%s (shards %d spec %S seed %d): shard %d wal lint errors" what

@@ -454,8 +454,7 @@ let survivors_clean base =
   let wal_errors k =
     List.filter
       (fun d -> d.Analysis.Diagnostic.severity = Analysis.Diagnostic.Error)
-      (Analysis.Wal_lint.lint
-         (W.report_file (E.wal_path (C.shard_path base k))))
+      (Analysis.Wal_lint.lint_file (E.wal_path (C.shard_path base k)))
   in
   let commit_errors =
     List.filter

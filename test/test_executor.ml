@@ -32,6 +32,11 @@ let cleanup path =
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; E.wal_path path ]
 
+(* A counter of the registry a test gave the engine, by name; 0 before
+   it was registered. *)
+let count metrics name =
+  Option.value ~default:0 (Obs.Registry.counter_value metrics name)
+
 let outcome_str = function
   | LM.Granted -> "granted"
   | LM.Blocked -> "blocked"
@@ -302,6 +307,39 @@ let test_executor_lock_timeout () =
   Alcotest.(check bool) "no divergence" true (X.model_divergence ~path = None);
   cleanup path
 
+(* Two runs on one engine and one live registry: each run's stats are
+   what that run added to the [exec.*] counters, not the registry's
+   totals, so the second run does not report the first's work. *)
+let test_executor_stats_per_run () =
+  let path = fresh_path () and metrics = Obs.Registry.create () in
+  let eng = E.open_db ~pool_size:4 ~metrics path in
+  let count = count metrics in
+  let exec_counts () =
+    List.map count
+      [ "exec.steps"; "exec.restarts"; "exec.deadlocks"; "exec.timeouts"; "exec.wasted_ops" ]
+  in
+  let run seed =
+    let specs =
+      Transactions.Workload.generate (Support.Rng.create seed)
+        { Transactions.Workload.default with txns = 4; ops_per_txn = 4; items = 3 }
+    in
+    let before = exec_counts () in
+    let s = X.run ~config:{ X.seed; lock_timeout = Some 1 } (X.engine eng) specs in
+    Alcotest.(check int) "all commit" 4 s.X.committed;
+    Alcotest.(check (list int)) "stats = what the run added"
+      (List.map2 ( - ) (exec_counts ()) before)
+      X.[ s.steps; s.restarts; s.deadlocks; s.timeouts; s.wasted_ops ];
+    s
+  in
+  let first = run 3 in
+  let second = run 4 in
+  Alcotest.(check bool) "the first run stepped and restarted" true
+    (first.X.steps > 0 && first.X.restarts > 0);
+  Alcotest.(check int) "the registry holds both runs' steps"
+    (first.X.steps + second.X.steps) (count "exec.steps");
+  E.close eng;
+  cleanup path
+
 (* --- degradation: an unflushable WAL goes read-only --------------------- *)
 
 let test_read_only_degradation () =
@@ -363,8 +401,9 @@ let test_quarantine_and_repair () =
     (Unix.lseek fd (Storage.Page.size + (Storage.Page.size / 2)) Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.make 1 '\xff') 0 1);
   Unix.close fd;
-  let eng = E.open_db path in
-  Alcotest.(check bool) "at least one repair" true (E.repairs eng >= 1);
+  let metrics = Obs.Registry.create () in
+  let eng = E.open_db ~metrics path in
+  Alcotest.(check bool) "at least one repair" true (count metrics "engine.repairs" >= 1);
   (match E.last_repair eng with
   | Some r ->
       Alcotest.(check bool) "quarantined a page" true (r.E.quarantined <> []);
@@ -389,6 +428,7 @@ let suite =
     prop_fault_sweep;
     Alcotest.test_case "executor/deadlock retry" `Quick test_executor_deadlock_retry;
     Alcotest.test_case "executor/lock timeout" `Quick test_executor_lock_timeout;
+    Alcotest.test_case "executor/stats per run" `Quick test_executor_stats_per_run;
     Alcotest.test_case "engine/read-only degradation" `Quick test_read_only_degradation;
     Alcotest.test_case "engine/quarantine and repair" `Quick test_quarantine_and_repair;
   ]

@@ -29,6 +29,12 @@ let cleanup path =
     (fun p -> if Sys.file_exists p then Sys.remove p)
     [ path; Storage.Engine.wal_path path ]
 
+(* A counter of the registry a test gave a pager, pool or engine, by
+   name: the only place a component keeps a count.  0 before the
+   component registered it. *)
+let count metrics name =
+  Option.value ~default:0 (Obs.Registry.counter_value metrics name)
+
 (* --- crc32 ------------------------------------------------------------- *)
 
 let test_crc32_vectors () =
@@ -327,7 +333,7 @@ let test_pager_reuses_unreached () =
   let metrics = Obs.Registry.create () in
   let pager = Storage.Pager.open_file ~metrics path in
   Storage.Pager.set_owner pager (fun () -> Some [ 2; 4 ]);
-  let writes () = snd (Storage.Pager.io_counts pager) in
+  let writes () = count metrics "pager.writes" in
   let a = Storage.Pager.allocate pager ~kind:3 in
   let b = Storage.Pager.allocate pager ~kind:3 in
   Alcotest.(check (list int)) "lowest unreached first" [ 1; 3 ] [ a; b ];
@@ -354,22 +360,23 @@ let test_pool_counters_and_lru () =
   let path = fresh_path () in
   let pager = Storage.Pager.create path in
   let ids = List.init 6 (fun _ -> Storage.Pager.allocate pager ~kind:3) in
-  let pool = Storage.Buffer_pool.create ~capacity:4 pager in
+  let metrics = Obs.Registry.create () in
+  let pool = Storage.Buffer_pool.create ~capacity:4 ~metrics pager in
+  let count = count metrics in
   (* touch 4 pages: all misses *)
   List.iteri
     (fun i id -> if i < 4 then Storage.Buffer_pool.with_page pool id ignore)
     ids;
-  let s = Storage.Buffer_pool.stats pool in
-  Alcotest.(check int) "misses" 4 s.Storage.Buffer_pool.misses;
-  Alcotest.(check int) "hits" 0 s.Storage.Buffer_pool.hits;
+  Alcotest.(check int) "misses" 4 (count "pool.misses");
+  Alcotest.(check int) "hits" 0 (count "pool.hits");
   (* hit one of them *)
   Storage.Buffer_pool.with_page pool (List.nth ids 3) ignore;
-  Alcotest.(check int) "one hit" 1 s.Storage.Buffer_pool.hits;
+  Alcotest.(check int) "one hit" 1 (count "pool.hits");
   (* a 5th page evicts the LRU (the first touched) *)
   Storage.Buffer_pool.with_page pool (List.nth ids 4) ignore;
-  Alcotest.(check int) "eviction" 1 s.Storage.Buffer_pool.evictions;
+  Alcotest.(check int) "eviction" 1 (count "pool.evictions");
   Storage.Buffer_pool.with_page pool (List.nth ids 0) ignore;
-  Alcotest.(check int) "reload miss" 6 s.Storage.Buffer_pool.misses;
+  Alcotest.(check int) "reload miss" 6 (count "pool.misses");
   Storage.Pager.close pager;
   cleanup path
 
@@ -378,7 +385,8 @@ let test_pool_dirty_flush_and_barrier () =
   let pager = Storage.Pager.create path in
   let a = Storage.Pager.allocate pager ~kind:3 in
   let b = Storage.Pager.allocate pager ~kind:3 in
-  let pool = Storage.Buffer_pool.create ~capacity:1 pager in
+  let metrics = Obs.Registry.create () in
+  let pool = Storage.Buffer_pool.create ~capacity:1 ~metrics pager in
   let barrier_calls = ref [] in
   Storage.Buffer_pool.set_wal_barrier pool (fun lsn -> barrier_calls := lsn :: !barrier_calls);
   Storage.Buffer_pool.with_page pool a (fun page ->
@@ -388,8 +396,7 @@ let test_pool_dirty_flush_and_barrier () =
   (* fetching b evicts a, which must flush through the barrier *)
   Storage.Buffer_pool.with_page pool b ignore;
   Alcotest.(check (list int)) "barrier saw page lsn" [ 77 ] !barrier_calls;
-  let s = Storage.Buffer_pool.stats pool in
-  Alcotest.(check int) "flushes" 1 s.Storage.Buffer_pool.flushes;
+  Alcotest.(check int) "flushes" 1 (count metrics "pool.flushes");
   (* the flushed page is durable *)
   let page = Storage.Pager.read_page pager a in
   Alcotest.(check (option string)) "stolen write on disk" (Some "dirty")
@@ -531,18 +538,20 @@ let prop_pool_matches_model =
        QCheck2.Gen.(pair (int_range 1 4) (list_size (int_range 1 80) (pool_op_gen pages)))
        (fun (capacity, ops) ->
          let open_copy () =
-           let path = fresh_path () in
-           let pager = Storage.Pager.create path in
+           let path = fresh_path () and metrics = Obs.Registry.create () in
+           let pager = Storage.Pager.create ~metrics path in
            for i = 1 to pages do
              let id = Storage.Pager.allocate pager ~kind:3 in
              let page = Storage.Pager.read_page pager id in
              ignore (Storage.Page.insert page (Printf.sprintf "page %d" i) : int);
              Storage.Pager.write_page pager id page
            done;
-           (path, pager)
+           (path, pager, metrics)
          in
-         let path_a, pager_a = open_copy () and path_b, pager_b = open_copy () in
-         let pool = Storage.Buffer_pool.create ~capacity pager_a in
+         let path_a, pager_a, metrics_a = open_copy ()
+         and path_b, pager_b, metrics_b = open_copy () in
+         let pool = Storage.Buffer_pool.create ~capacity ~metrics:metrics_a pager_a in
+         let io metrics = (count metrics "pager.reads", count metrics "pager.writes") in
          let model = Model_pool.create ~capacity pager_b in
          let buffers = ref [] and adopted = ref [] and pins = Queue.create () in
          let seen page =
@@ -613,14 +622,14 @@ let prop_pool_matches_model =
                  Model_pool.drop_clean model;
                  true
            in
-           let st = Storage.Buffer_pool.stats pool in
+           let count = count metrics_a in
            ok
-           && st.Storage.Buffer_pool.hits = model.Model_pool.hits
-           && st.Storage.Buffer_pool.misses = model.Model_pool.misses
-           && st.Storage.Buffer_pool.evictions = model.Model_pool.evictions
-           && st.Storage.Buffer_pool.flushes = model.Model_pool.flushes
+           && count "pool.hits" = model.Model_pool.hits
+           && count "pool.misses" = model.Model_pool.misses
+           && count "pool.evictions" = model.Model_pool.evictions
+           && count "pool.flushes" = model.Model_pool.flushes
            && Storage.Buffer_pool.resident pool = Hashtbl.length model.Model_pool.frames
-           && Storage.Pager.io_counts pager_a = Storage.Pager.io_counts pager_b
+           && io metrics_a = io metrics_b
            && List.length !buffers <= capacity
          in
          let agree = List.for_all Fun.id (List.mapi step ops) in
@@ -758,8 +767,8 @@ let test_pool_failed_reads () =
   ignore (Storage.Page.insert image "bravo" : int);
   Storage.Pager.write_page pager b image;
   let good = Bytes.copy image in
-  let pool = Storage.Buffer_pool.create ~capacity:1 pager in
-  let s = Storage.Buffer_pool.stats pool in
+  let metrics = Obs.Registry.create () in
+  let pool = Storage.Buffer_pool.create ~capacity:1 ~metrics pager in
   let buf_a = Storage.Buffer_pool.fetch pool a in
   Storage.Buffer_pool.unpin pool a;
   let damage f =
@@ -802,8 +811,8 @@ let test_pool_failed_reads () =
       Alcotest.(check bool) "eio: next fetch reads correct bytes" true
         (Bytes.equal page good && page == buf_a));
   (* every fetch of b missed, and every one that found a resident evicted it *)
-  Alcotest.(check int) "misses counted as before" 9 s.Storage.Buffer_pool.misses;
-  Alcotest.(check int) "evictions counted as before" 5 s.Storage.Buffer_pool.evictions;
+  Alcotest.(check int) "misses counted as before" 9 (count metrics "pool.misses");
+  Alcotest.(check int) "evictions counted as before" 5 (count metrics "pool.evictions");
   Storage.Pager.close pager;
   cleanup path
 
@@ -1073,8 +1082,8 @@ let test_engine_strict_locks () =
   cleanup path
 
 let test_engine_crash_loses_uncommitted () =
-  let path = fresh_path () in
-  let eng = Storage.Engine.open_db ~pool_size:2 path in
+  let path = fresh_path () and metrics = Obs.Registry.create () in
+  let eng = Storage.Engine.open_db ~pool_size:2 ~metrics path in
   let t1 = Storage.Engine.begin_txn eng in
   Storage.Engine.write eng ~txn:t1 "a" 1;
   Storage.Engine.commit eng ~txn:t1;
@@ -1086,9 +1095,8 @@ let test_engine_crash_loses_uncommitted () =
       (Printf.sprintf "b%03d_%s" i (String.make 150 'x'))
       (i * 10)
   done;
-  let s = Storage.Buffer_pool.stats (Storage.Engine.pool eng) in
   Alcotest.(check bool) "dirty pages were stolen" true
-    (s.Storage.Buffer_pool.evictions > 0);
+    (count metrics "pool.evictions" > 0);
   (* uncommitted data must be undone even though some of it was stolen *)
   Storage.Engine.crash eng;
   let eng = Storage.Engine.open_db path in
@@ -1488,7 +1496,7 @@ let test_wal_truncated_at_open () =
   let oc = open_out_gen [ Open_append; Open_binary ] 0o644 wal in
   output_string oc "\x01\x02\x03\x04\x05";
   close_out oc;
-  let before = Storage.Wal.report_file wal in
+  let before = Storage.Wal.scan_report (Support.Io.read_file wal) in
   Alcotest.(check int) "scan sees the torn bytes" 5
     (before.Storage.Wal.total_bytes - before.Storage.Wal.clean_bytes);
   Alcotest.(check bool) "a torn tail never resyncs" true
@@ -1497,7 +1505,7 @@ let test_wal_truncated_at_open () =
   Alcotest.(check int) "open reports the truncated tail" 5
     (Storage.Wal.truncated_at_open log);
   Storage.Wal.close log;
-  let after = Storage.Wal.report_file wal in
+  let after = Storage.Wal.scan_report (Support.Io.read_file wal) in
   Alcotest.(check int) "open physically truncated the tail" 0
     (after.Storage.Wal.total_bytes - after.Storage.Wal.clean_bytes);
   let log2, _ = Storage.Wal.open_log wal in
@@ -2430,8 +2438,10 @@ let test_silent_flip_keeps_anchor () =
   Storage.Fault.configure (Storage.Engine.fault eng) Storage.Fault.no_faults;
   Storage.Engine.close eng;
   Alcotest.(check bool) "the anchor did not move" true (header_anchor path = anchor);
-  let report = Storage.Wal.report_file (Storage.Engine.wal_path path) in
-  let full_walk_cut = report.Storage.Wal.total_bytes - report.Storage.Wal.clean_bytes in
+  let (), clean, total =
+    Storage.Wal.walk_file (Storage.Engine.wal_path path) ~init:() ~f:(fun () _ _ _ -> ())
+  in
+  let full_walk_cut = total - clean in
   Alcotest.(check bool) "the flip damaged the log" true (full_walk_cut > 0);
   let eng = Storage.Engine.open_db path in
   Alcotest.(check int) "walked from the anchor"
@@ -2513,10 +2523,10 @@ let test_rebuild_over_damaged_prefix () =
     root
   in
   smash path ((root * Storage.Page.size) + 100);
-  let expected = committed_items path in
-  let eng = Storage.Engine.open_db path in
+  let expected = committed_items path and metrics = Obs.Registry.create () in
+  let eng = Storage.Engine.open_db ~metrics path in
   Alcotest.(check int) "walked from LSN 0" 0 (Storage.Engine.walked_from eng);
-  Alcotest.(check int) "the item page was rebuilt" 1 (Storage.Engine.repairs eng);
+  Alcotest.(check int) "the item page was rebuilt" 1 (count metrics "engine.repairs");
   Alcotest.(check (list (pair string int))) "the history before the damage"
     expected (Storage.Engine.items eng);
   Alcotest.(check (list (pair string int))) "which is txn 1's" [ ("x", 1); ("y", 1) ]
@@ -2545,10 +2555,9 @@ let test_header_without_anchor () =
   | None -> Alcotest.fail "expected a recovery outcome");
   commit_writes eng [ ("y", 2) ];
   Storage.Engine.close eng;
-  let last_checkpoint =
-    Option.get
-      (Storage.Wal.last_checkpoint
-         (Storage.Wal.read_entries (Storage.Engine.wal_path path)))
+  let last_checkpoint, _, _ =
+    Storage.Wal.walk_file (Storage.Engine.wal_path path) ~init:(-1)
+      ~f:(fun last lsn kind _ -> if kind = `Checkpoint then lsn else last)
   in
   Alcotest.(check (option (pair int int))) "anchored at the first checkpoint"
     (Some (last_checkpoint, 3)) (header_anchor path);
