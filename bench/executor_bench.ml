@@ -205,35 +205,43 @@ let repair_latency () =
    the default noop registry versus a live one.  Instruments resolve at
    construction and disabled histograms skip the clock, so the gate is
    tight: an enabled registry should cost low single-digit percent, and
-   noop must be indistinguishable from the pre-instrumentation seed. *)
+   noop must be indistinguishable from the pre-instrumentation seed.
+   Each seed runs a noop and a live pass back to back, in an order that
+   alternates by seed and round, so neither side always runs second on
+   a warmer heap; the figure is the median of the per-pair ratios. *)
 let obs_overhead () =
   let params = List.assoc "medium (16 items, 50% writes)" workloads in
-  let time_with metrics =
-    let ms = ref 0. in
-    List.iter
-      (fun seed ->
-        let make () = match metrics with
-          | None -> Obs.Registry.noop
-          | Some () -> Obs.Registry.create ()
-        in
-        let (_, _), elapsed =
-          Bench_util.time_ms (fun () ->
-              run_once ~metrics:(make ()) ~params ~spec:"" ~seed ())
-        in
-        ms := !ms +. elapsed)
-      (seeds ());
-    !ms /. float_of_int (List.length (seeds ()))
+  let time metrics seed =
+    snd (Bench_util.time_ms (fun () -> run_once ~metrics ~params ~spec:"" ~seed ()))
   in
-  ignore (time_with None : float) (* warmup *);
-  let disabled = time_with None in
-  let enabled = time_with (Some ()) in
-  let pct = 100. *. ((enabled /. Float.max 1e-9 disabled) -. 1.) in
+  let rounds = 5 in
+  List.iter (fun seed -> ignore (time Obs.Registry.noop seed : float)) (seeds ()) (* warmup *);
+  let pairs =
+    List.concat_map
+      (fun round ->
+        List.mapi
+          (fun i seed ->
+            let noop () = time Obs.Registry.noop seed
+            and live () = time (Obs.Registry.create ()) seed in
+            if (round + i) mod 2 = 0 then
+              let d = noop () in
+              (d, live ())
+            else
+              let e = live () in
+              (noop (), e))
+          (seeds ()))
+      (List.init rounds Fun.id)
+  in
+  let median f = Support.Stats.median (Array.of_list (List.map f pairs)) in
+  let disabled = median fst and enabled = median snd in
+  let pct = 100. *. (median (fun (d, e) -> e /. Float.max 1e-9 d) -. 1.) in
   Bench_util.record ~metric:"obs_disabled_ms" disabled;
   Bench_util.record ~metric:"obs_enabled_ms" enabled;
   Bench_util.record ~metric:"obs_overhead_pct" ~unit:"percent" pct;
   Bench_util.note
-    "Observability overhead (medium contention): noop %s ms, live registry %s ms (%+.1f%%)"
-    (Bench_util.ms disabled) (Bench_util.ms enabled) pct;
+    "Observability overhead (medium contention, median of %d interleaved pairs): noop %s ms, \
+     live registry %s ms (%+.1f%%)"
+    (List.length pairs) (Bench_util.ms disabled) (Bench_util.ms enabled) pct;
   print_newline ()
 
 let run () =

@@ -69,7 +69,6 @@ let run () =
           [ ("k", TInt); ("g", TInt); ("payload", TString) ])
        (List.init n (fun i ->
             [ Int i; Int (i * 7919 mod n); String (Printf.sprintf "p%06d" i) ])));
-  ignore (Planner.Stats.analyze eng [ "r" ] : Planner.Stats.t);
   let idx = Planner.Indexes.load eng in
   Planner.Indexes.create eng idx
     { Planner.Indexes.table = "r"; attr = "g"; kind = Btree };
@@ -139,7 +138,6 @@ let run () =
       let eng = E.open_db path in
       E.save_table eng "a" (table ~prefix:"a" size);
       E.save_table eng "b" (table ~prefix:"b" size);
-      ignore (Planner.Stats.analyze eng [ "a"; "b" ] : Planner.Stats.t);
       let idx = Planner.Indexes.load eng in
       List.iter
         (fun t ->
@@ -186,7 +184,6 @@ let run () =
     (Relational.Relation.of_list
        (Relational.Schema.make [ ("g", TInt); ("name", TString) ])
        (List.init 500 (fun g -> [ Int g; String (Printf.sprintf "n%03d" g) ])));
-  ignore (Planner.Stats.analyze eng [ "r"; "s" ] : Planner.Stats.t);
   let ctx = Planner.Plan.make eng in
   let q =
     A.Project
@@ -246,7 +243,6 @@ let run () =
   List.iter
     (fun t -> E.save_table eng t (table ~prefix:t 64))
     [ "a"; "b"; "c" ];
-  ignore (Planner.Stats.analyze eng [ "a"; "b"; "c" ] : Planner.Stats.t);
   let ctx = Planner.Plan.make eng in
   let q =
     A.Project
@@ -282,7 +278,6 @@ let run () =
   let path = fresh_path () in
   let eng = E.open_db path in
   E.save_table eng "a" (table ~prefix:"a" n);
-  ignore (Planner.Stats.analyze eng [ "a" ] : Planner.Stats.t);
   let chain k =
     let copy i =
       A.Rename ([ ("apayload", Printf.sprintf "p%d" i) ], A.Rel "a")

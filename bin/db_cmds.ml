@@ -71,18 +71,12 @@ let db_load_run path tables crash_after faults metrics trace_file =
   let db = load_tables tables in
   with_db ~create:true ?crash_after ?faults ?metrics ?trace_file path
     (fun eng ->
-      let names =
-        Relational.Database.fold
-          (fun name rel acc ->
-            Storage.Engine.save_table eng name rel;
-            Printf.printf "loaded %s: %d tuples\n" name
-              (Relational.Relation.cardinality rel);
-            name :: acc)
-          db []
-      in
-      (* refresh the planner's statistics for what was just loaded *)
-      if names <> [] then
-        ignore (Planner.Stats.analyze eng names : Planner.Stats.t);
+      Relational.Database.fold
+        (fun name rel () ->
+          Storage.Engine.save_table eng name rel;
+          Printf.printf "loaded %s: %d tuples\n" name
+            (Relational.Relation.cardinality rel))
+        db ();
       0)
 
 (* The default query path goes through the cost-based planner and the
@@ -229,14 +223,16 @@ let db_status_run path trace_file =
       let tables = Storage.Engine.tables eng in
       Printf.printf "tables: %d\n" (List.length tables);
       List.iter
-        (fun { Storage.Heap.name; schema; first; fences } ->
+        (fun { Storage.Heap.name; schema; first; fences; stats } ->
           Printf.printf "  %s(%s) @ page %d: %d tuples%s\n" name
             (String.concat ", "
                (List.map
                   (fun (a, ty) -> a ^ ":" ^ Relational.Value.ty_to_string ty)
                   (Relational.Schema.pairs schema)))
             first
-            (Relational.Relation.cardinality (Storage.Engine.load_table eng name))
+            (match stats with
+            | Some { Storage.Heap.rows; _ } -> rows
+            | None -> Relational.Relation.cardinality (Storage.Engine.load_table eng name))
             (match fences with
             | Some { Storage.Heap.root; count } ->
                 Printf.sprintf ", %d pages fenced @ page %d" count root
@@ -644,14 +640,11 @@ let db_index_cmd =
   in
   let create =
     change "create" "created"
-      ~doc:"Register a secondary index and refresh the table's statistics"
+      ~doc:"Register a secondary index (and count the statistics of a \
+            table an older binary wrote)"
       (fun eng idx def ->
         Planner.Indexes.create eng idx def;
-        (* fresh statistics, so the cost model prices the new access path
-           off current cardinalities *)
-        ignore
-          (Planner.Stats.analyze eng [ def.Planner.Indexes.table ]
-            : Planner.Stats.t))
+        ignore (Planner.Stats.analyze eng [ def.Planner.Indexes.table ] : Planner.Stats.t))
   in
   let drop =
     change "drop" "dropped" ~doc:"Remove a secondary index"

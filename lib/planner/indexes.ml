@@ -62,6 +62,8 @@ let defs t = t.defs
 let on t ~table ~attr =
   List.filter (fun d -> d.table = table && d.attr = attr) t.defs
 
+let tables t = t.tables
+
 let table t name =
   match List.find_opt (fun tb -> tb.Storage.Heap.name = name) t.tables with
   | Some tb -> tb
@@ -92,15 +94,21 @@ let of_relation rel =
       | None -> acc)
     rel []
 
+(* One read of the catalog yields both the definitions' chain and the
+   public entries the context snapshots. *)
 let load eng =
+  let pool = Storage.Engine.pool eng in
+  let entries = Storage.Heap.catalog pool in
   let defs =
-    match Storage.Engine.load_table eng catalog_table with
-    | rel -> of_relation rel
-    | exception Storage.Engine.Unknown_table _ -> []
+    match List.find_opt (fun tb -> tb.Storage.Heap.name = catalog_table) entries with
+    | Some { Storage.Heap.schema; first; _ } ->
+        of_relation (Storage.Heap.load_relation pool ~schema ~first)
+    | None -> []
   in
   {
     defs = List.sort_uniq compare_def defs;
-    tables = Storage.Engine.tables eng;
+    tables =
+      List.filter (fun tb -> not (Storage.Engine.reserved tb.Storage.Heap.name)) entries;
     cache = Hashtbl.create 8;
     fences = Hashtbl.create 8;
     pages = Hashtbl.create 64;

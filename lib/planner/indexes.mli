@@ -38,7 +38,12 @@ val kind_of_string : string -> kind option
 
 val load : Storage.Engine.t -> t
 (** The persisted definitions (empty when none were ever created) and a
-    snapshot of the public catalog entries ({!Storage.Engine.tables}). *)
+    snapshot of the public catalog entries ({!Storage.Engine.tables}),
+    both from one read of the catalog. *)
+
+val tables : t -> Storage.Heap.table list
+(** The catalog snapshot taken by {!load}, in catalog order: every
+    public entry, with its fences and statistics. *)
 
 val table : t -> string -> Storage.Heap.table
 (** One entry of the catalog snapshot taken by {!load}; raises

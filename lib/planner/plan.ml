@@ -3,8 +3,9 @@
    the index catalog) and join algorithms (hash vs merge) by cost.
 
    A context snapshots the engine's public catalog (chain and fence
-   roots), persisted statistics and index definitions at creation time —
-   one context per CLI invocation / test scenario.  Leading-column
+   roots, statistics) and index definitions at creation time, from one
+   read of the catalog — one context per CLI invocation / test
+   scenario.  Leading-column
    predicates on a table whose chain carries fences are served by a
    fence scan instead of a B+tree or hash lookup on that column: the
    same rows, from the few pages that can hold them, with nothing to
@@ -87,7 +88,7 @@ let make ?(config = default_config) eng =
   let indexes = Indexes.load eng in
   {
     eng;
-    stats = Stats.load eng;
+    stats = Stats.of_catalog (Indexes.tables indexes);
     indexes;
     params =
       Cost.default
@@ -115,9 +116,9 @@ let annotate ctx plan = Cost.annotate ctx.params ctx.stats plan
 let cheaper a b =
   if b.P.meta.P.est_cost < a.P.meta.P.est_cost then b else a
 
-(* A scan pays the heap pages [__stats] recorded when the table was
-   analyzed, so planning an analyzed table reads no page; a table with
-   no statistics has its chain walked. *)
+(* A scan pays the heap pages the table's catalog entry records, so
+   planning reads no page; a table an older binary wrote, whose entry
+   has no statistics, has its chain walked. *)
 let scan ctx name access =
   let { Storage.Heap.first; schema; _ } = Indexes.table ctx.indexes name in
   let pages =

@@ -3,9 +3,10 @@
     conjuncts matched against the index catalog) and join algorithms
     (hash vs merge) by {!Cost}.
 
-    A {!ctx} snapshots the engine's public catalog, persisted statistics
-    and index definitions at creation time — make one per CLI invocation
-    or test scenario, after the tables it should see are saved.  The
+    A {!ctx} snapshots the engine's public catalog, with each entry's
+    statistics, and the index definitions at creation time, from one
+    read of the catalog chain — make one per CLI invocation or test
+    scenario, after the tables it should see are saved.  The
     catalog snapshot is {!Indexes.load}'s: planning, heap scans, fence
     scans and index builds all read the chains it names, so a table
     replaced while the context lives is seen at one version. *)
@@ -94,7 +95,7 @@ val plan : ctx -> Relational.Algebra.t -> Physical.t
     instead of a B+tree or hash lookup on that column, whether or not
     such an index is defined; the snapshot says which tables have
     fences.  Scans are priced with the page counts of the statistics
-    snapshot, so planning reads no page of an analyzed table; a table
-    with no statistics has its heap chain walked.
+    snapshot, so planning reads no page; only a table an older binary
+    wrote, whose entry has no statistics, has its heap chain walked.
     Raises {!Relational.Algebra.Type_error} /
     {!Relational.Database.Unknown_relation} on ill-typed input. *)

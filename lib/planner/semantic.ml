@@ -1,10 +1,11 @@
 (* Chase-based join elimination: the semantic rewrite that pays for the
-   metatheory.  Keys observed by ANALYZE (a column whose distinct count
-   equals the row count) become functional dependencies; the query's
-   conjunctive core under those dependencies — chase, then minimize — can
-   have strictly fewer relation atoms than the query joins, and when the
-   smaller body is realizable as algebra with the same schema, the join
-   is provably redundant and dropped before physical compilation. *)
+   metatheory.  Keys the catalog statistics show (a column whose
+   distinct count equals the row count) become functional dependencies;
+   the query's conjunctive core under those dependencies — chase, then
+   minimize — can have strictly fewer relation atoms than the query
+   joins, and when the smaller body is realizable as algebra with the
+   same schema, the join is provably redundant and dropped before
+   physical compilation. *)
 
 module R = Relational
 module A = R.Algebra

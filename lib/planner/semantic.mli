@@ -1,8 +1,8 @@
 (** Chase-based join elimination — the semantic rewrite the metatheory
     pays for.
 
-    Keys observed by [ANALYZE] (a column whose distinct count equals the
-    table's row count) become functional dependencies; chasing the
+    Keys the catalog statistics show (a column whose distinct count
+    equals the table's row count) become functional dependencies; chasing the
     query's conjunctive core under them and minimizing (Chandra–Merlin)
     can drop relation atoms that plain minimization cannot — a
     key-joined self-join whose second copy only re-reads columns the
@@ -13,12 +13,12 @@
 
 val fds_of_stats :
   Relational.Algebra.catalog -> Stats.t -> Datalog.Containment.fd list
-(** The dependencies recorded by the [__stats] catalog: for every table
-    column with [distinct = rows] (and at least one row), a positional
-    key dependency from that column to every other column.  Sound for
-    planning because statistics are refreshed whenever the table is
-    (re)loaded, and every adopted rewrite is certified equivalent under
-    exactly these dependencies. *)
+(** The dependencies the statistics record: for every table column
+    with [distinct = rows] (and at least one row), a positional key
+    dependency from that column to every other column.  Sound for
+    planning because a table's statistics are counted as it is written
+    and published with it, and every adopted rewrite is certified
+    equivalent under exactly these dependencies. *)
 
 val eliminate_joins :
   Relational.Algebra.catalog ->

@@ -1,14 +1,16 @@
 (** Per-table statistics for the cost-based planner, in the System R
     tradition: row count, heap page count, and a per-column
-    distinct-value count, collected by one scan ([ANALYZE]) and persisted
-    in the reserved catalog table ["__stats"] so later sessions plan
-    without touching the data.  [db load] and [db index create] refresh
-    them; a table loaded by an older binary simply has no entry and
-    falls back to page-based defaults in {!Cost}. *)
+    distinct-value count.  They are kept in the catalog:
+    {!Storage.Engine.save_table} counts them while it writes a table and
+    publishes them in the table's catalog entry, with the same root
+    switch, so they are exact whenever they are present.  This module is
+    a view of a catalog snapshot.  Only a table an older binary wrote
+    has none; it is priced by pages in {!Cost} until it is replaced or
+    {!analyze}d. *)
 
 type column = { attr : string; distinct : int }
 (** One column's statistics: its name and the number of distinct values
-    observed (the denominator of the equality-selectivity estimate
+    it holds (the denominator of the equality-selectivity estimate
     [rows / distinct]). *)
 
 type table = { rows : int; pages : int; columns : column list }
@@ -18,32 +20,28 @@ type table = { rows : int; pages : int; columns : column list }
 type t = (string * table) list
 (** Statistics for a set of tables, sorted by table name. *)
 
-val stats_table : string
-(** The reserved catalog table the statistics persist in (["__stats"]);
-    hidden from enumeration by {!Storage.Engine.reserved}. *)
-
 val find : t -> string -> table option
-(** Statistics for one table, if collected. *)
+(** Statistics for one table, if its entry has them. *)
 
 val distinct : table -> string -> int option
 (** Distinct-value count of one column, if known. *)
 
-val collect : Storage.Engine.t -> string -> table
-(** Scan one table and compute its statistics (does not persist).
-    Raises {!Storage.Engine.Unknown_table}. *)
-
-val analyze : Storage.Engine.t -> string list -> t
-(** [analyze eng names] collects fresh statistics for [names], merges
-    them with whatever was persisted for other tables, saves the result
-    into {!stats_table}, and returns it.  Recorded as a [plan.analyze]
-    span on the engine's trace. *)
+val of_catalog : Storage.Heap.table list -> t
+(** The statistics the given catalog entries carry; entries without
+    any are left out. *)
 
 val load : Storage.Engine.t -> t
-(** The persisted statistics ([[]] when none were ever collected). *)
+(** The statistics of the engine's public catalog entries
+    ({!Storage.Engine.tables}); reads the catalog only. *)
 
-val save : Storage.Engine.t -> t -> unit
-(** Persist statistics into {!stats_table}, replacing the previous
-    snapshot. *)
+val analyze : Storage.Engine.t -> string list -> t
+(** [analyze eng names] makes sure each named table's catalog entry has
+    statistics ({!Storage.Engine.add_stats}) and returns {!load}'s view.
+    For a table whose entry has them, which is every table this binary
+    wrote, it reads no data page and writes nothing; a table an older
+    binary wrote is counted from its chain and published with one
+    catalog-only root switch.  Recorded as a [plan.analyze] span on the
+    engine's trace. *)
 
 val row_stats : t -> Relational.Optimizer.stats
 (** Adapt to the logical optimizer's cardinality interface: a table's

@@ -26,7 +26,7 @@
        Checkpoint, no loser is open, and the open repaired nothing.  A
        checkpoint flushes and syncs every page before its record is
        logged, so such a log already says everything redo needs;
-     at [save_table] and [checkpoint];
+     at [save_table], [add_stats] when it writes, and [checkpoint];
      at [close], when no transaction is active and something changed
        since the last checkpoint: a record was logged or a pool frame
        is dirty.  The pager then writes its header back only when that
@@ -53,7 +53,8 @@
        hard [Pager.Corrupt] (documented limitation).
 
    Tables are shadow-paged.  [save_table] writes the new data, fence and
-   catalog pages where nothing the header reaches lives (the pager's
+   catalog pages, the entry carrying the statistics counted as the rows
+   were written, where nothing the header reaches lives (the pager's
    free set, derived by [Heap.owned_pages] at the first allocation),
    makes them durable with a checkpoint, and only then switches the
    catalog root with one header write, synced before it returns.  A
@@ -583,7 +584,7 @@ let item_count t = with_repair t (fun () -> Heap.Items.count (dir t))
 (* --- tables --------------------------------------------------------------- *)
 
 (* Tables whose names start with "__" are reserved for engine-internal
-   state (planner statistics, index definitions).  They live in the same
+   state (the planner's index definitions).  They live in the same
    catalog but are hidden from the public enumeration APIs so [db status]
    and [database] keep showing only user data; [save_table]/[load_table]
    still address them by exact name. *)
@@ -593,15 +594,16 @@ let reserved name =
 let public_catalog pool =
   List.filter (fun tb -> not (reserved tb.Heap.name)) (Heap.catalog pool)
 
-let save_table t name rel =
+(* Publish a catalog with [entries] in place of their namesakes: once
+   every page the new catalog reaches is durable, the root switch, made
+   durable itself before the write is acknowledged. *)
+let publish t entries =
   if Hashtbl.length t.active > 0 then raise Active_transactions;
   check_writable t;
   let old_catalog = List.map fst (Heap.chain_lsns t.pool ~first:(Pager.catalog_root t.pager)) in
-  let root = Heap.replace_table t.pool (Heap.save_relation t.pool ~name rel) in
+  let root = Heap.replace_tables t.pool (entries ()) in
   try
     checkpoint_now t;
-    (* the root switch, after every page the new catalog reaches is
-       durable, and durable itself before the save is acknowledged *)
     Pager.set_catalog_root t.pager root;
     Pager.sync t.pager;
     Pager.release t.pager old_catalog
@@ -609,15 +611,34 @@ let save_table t name rel =
     degrade t site;
     raise (Read_only (Printf.sprintf "wal unflushable at %s" site))
 
+let save_table t name rel =
+  publish t (fun () -> [ Heap.save_relation t.pool ~name rel ])
+
+let entry catalog name =
+  match List.find_opt (fun tb -> tb.Heap.name = name) catalog with
+  | Some tb -> tb
+  | None -> raise (Unknown_table name)
+
+(* Only an entry an older binary wrote lacks statistics: count its
+   chain, and publish the counted entries with one catalog write. *)
+let add_stats t names =
+  let catalog = Heap.catalog t.pool in
+  match List.filter (fun tb -> tb.Heap.stats = None) (List.map (entry catalog) names) with
+  | [] -> ()
+  | bare ->
+      publish t (fun () ->
+          List.map
+            (fun tb -> { tb with Heap.stats = Some (Heap.count_relation t.pool tb) })
+            bare)
+
 let tables t = public_catalog t.pool
 
 let table_info t =
   List.map (fun { Heap.name; schema; first; _ } -> (name, schema, first)) (tables t)
 
 let find_table t name =
-  match List.find_opt (fun tb -> tb.Heap.name = name) (Heap.catalog t.pool) with
-  | Some { Heap.schema; first; _ } -> (schema, first)
-  | None -> raise (Unknown_table name)
+  let { Heap.schema; first; _ } = entry (Heap.catalog t.pool) name in
+  (schema, first)
 
 let load_table t name =
   let schema, first = find_table t name in

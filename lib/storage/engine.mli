@@ -183,16 +183,30 @@ val save_table : t -> string -> Relational.Relation.t -> unit
     both go into pages nothing the header reaches; a checkpoint makes
     them durable, then one header write switches the catalog root
     ({!Pager.set_catalog_root}) and a pager fsync makes it durable
-    before the call returns.  A crash anywhere inside leaves the old
-    table or the new one.  The replaced table's pages are reused only
-    after the next open; the old catalog chain is free at once.  Like
-    {!checkpoint}, raises {!Active_transactions} while a transaction
-    is running, before it writes anything. *)
+    before the call returns.  The entry carries the table's statistics
+    ({!Heap.stats}), counted while its rows were written, so the same
+    root switch publishes both and they are exact for as long as the
+    table stands.  A crash anywhere inside leaves the old table or the
+    new one.  The replaced table's pages are reused only after the next
+    open; the old catalog chain is free at once.  Like {!checkpoint},
+    raises {!Active_transactions} while a transaction is running,
+    before it writes anything. *)
+
+val add_stats : t -> string list -> unit
+(** [add_stats t names] gives each named table whose catalog entry has
+    no statistics, which only an older binary writes, the statistics
+    {!save_table} would have recorded: it counts them from the table's
+    chain ({!Heap.count_relation}) and publishes the counted entries
+    with one catalog-only replace, made durable as {!save_table}'s is.
+    When every named entry already has statistics it reads the catalog
+    and nothing else, and writes nothing.  Raises {!Unknown_table} for
+    a name the catalog does not hold, and, only when it has something
+    to write, {!Active_transactions} or {!Read_only} as {!save_table}
+    does. *)
 
 val load_table : t -> string -> Relational.Relation.t
 (** Raises {!Unknown_table}.  Unlike the enumeration APIs below this
-    also resolves {!reserved} names, which is how the planner reaches
-    its bookkeeping tables. *)
+    also resolves {!reserved} names. *)
 
 val find_table : t -> string -> Relational.Schema.t * int
 (** A table's schema and the first page of its chain, for streaming it
@@ -201,7 +215,7 @@ val find_table : t -> string -> Relational.Schema.t * int
 
 val reserved : string -> bool
 (** Whether a table name is reserved for engine-internal state (a
-    ["__"] prefix — planner statistics, index definitions).  Reserved
+    ["__"] prefix — the planner's index definitions).  Reserved
     tables are stored in the ordinary catalog but hidden from
     {!table_names}, {!table_info}, and {!database}. *)
 
@@ -211,7 +225,7 @@ val table_names : t -> string list
 
 val tables : t -> Heap.table list
 (** The catalog entries, {!reserved} names omitted, with their fence
-    roots — what a planning context snapshots. *)
+    roots and statistics. *)
 
 val table_info : t -> (string * Relational.Schema.t * int) list
 (** (name, schema, first page id) per catalog entry, {!reserved} names

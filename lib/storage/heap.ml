@@ -8,8 +8,8 @@
        Tuple.compare order and so sorted on the leading column;
      - fence chains: one (leading value, page id) record per page of a
        table chain of two or more pages — a one-level sparse index;
-     - the catalog: one chain of (name, schema, first-page, fences)
-       records describing the tables.
+     - the catalog: one chain of (name, schema, first-page, fences,
+       statistics) records describing the tables.
 
    All access goes through the buffer pool, so scans and point reads are
    counted in its hit/miss statistics. *)
@@ -225,13 +225,113 @@ end
 
 type fences = { root : int; count : int }
 type fence = { key : Relational.Value.t; page : int }
+type stats = { rows : int; pages : int; distinct : int list }
 
 type table = {
   name : string;
   schema : Relational.Schema.t;
   first : int;
   fences : fences option;
+  stats : stats option;
 }
+
+(* One column's distinct values: an open-addressed set in flat arrays,
+   made for the expected row count and grown only past it, so an insert
+   allocates nothing.  Values are equal as [Value.equal] has them (every
+   nan is one value, and -0.0 is 0.0), and are hashed by tag so that
+   equal values hash alike. *)
+module Distinct = struct
+  type t = {
+    mutable used : Bytes.t;
+    mutable keys : Relational.Value.t array;
+    mutable count : int;
+  }
+
+  (* at most two slots in three taken *)
+  let make rows =
+    let size = ref 16 in
+    while 2 * !size < 3 * rows do
+      size := 2 * !size
+    done;
+    { used = Bytes.make !size '\000'; keys = Array.make !size (Relational.Value.Int 0); count = 0 }
+
+  let slot t v =
+    let h =
+      match v with
+      | Relational.Value.Int n -> n
+      | String s -> Hashtbl.hash s
+      | Float f -> Hashtbl.hash f
+      | Bool b -> Bool.to_int b
+    in
+    let h = h * 0x9E3779B97F4A7C1 in
+    (h lxor (h lsr 32)) land (Bytes.length t.used - 1)
+
+  (* [Value.equal], with two ints or two strings compared directly *)
+  let same a b =
+    match (a, b) with
+    | Relational.Value.Int x, Relational.Value.Int y -> x = y
+    | String x, String y -> String.equal x y
+    | a, b -> Relational.Value.equal a b
+
+  let rec add t v =
+    if 3 * (t.count + 1) > 2 * Bytes.length t.used then begin
+      let bigger = make (Bytes.length t.used) in
+      Bytes.iteri (fun i u -> if u <> '\000' then add bigger t.keys.(i)) t.used;
+      t.used <- bigger.used;
+      t.keys <- bigger.keys
+    end;
+    let mask = Bytes.length t.used - 1 in
+    let rec probe i =
+      if Bytes.get t.used i = '\000' then begin
+        Bytes.set t.used i '\001';
+        t.keys.(i) <- v;
+        t.count <- t.count + 1
+      end
+      else if not (same t.keys.(i) v) then probe ((i + 1) land mask)
+    in
+    probe (slot t v)
+end
+
+(* The one count of a table's statistics, fed its tuples in chain order
+   by [save_relation] as it writes them and by [count_relation] as it
+   reads an older entry's chain.  The chain is in Tuple.compare order,
+   so equal leading values are adjacent and the leading column's count
+   is its number of runs; every other column fills a [Distinct] set. *)
+module Tally = struct
+  type t = {
+    mutable rows : int;
+    mutable lead : Relational.Value.t;  (* the current run's value *)
+    mutable runs : int;
+    rest : Distinct.t array;  (* columns 1 .. arity-1 *)
+    arity : int;
+  }
+
+  let create ~arity ~rows =
+    {
+      rows = 0;
+      lead = Relational.Value.Int 0;
+      runs = 0;
+      rest = Array.init (max 0 (arity - 1)) (fun _ -> Distinct.make rows);
+      arity;
+    }
+
+  let add t tuple =
+    t.rows <- t.rows + 1;
+    if t.arity > 0 then begin
+      let v = tuple.(0) in
+      if t.rows = 1 || not (Distinct.same t.lead v) then begin
+        t.runs <- t.runs + 1;
+        t.lead <- v
+      end;
+      for i = 1 to t.arity - 1 do
+        Distinct.add t.rest.(i - 1) tuple.(i)
+      done
+    end
+
+  let stats t ~pages : stats =
+    let rest = Array.to_list (Array.map (fun d -> d.Distinct.count) t.rest) in
+    { rows = t.rows; pages; distinct = (if t.arity = 0 then [] else t.runs :: rest) }
+end
 
 let encode_fence { key; page } =
   let buf = Buffer.create 16 in
@@ -252,17 +352,26 @@ let decode_fence r =
    its own.  Pages come from the pager's free set first, so neither
    chain's ids need be ascending or above the other's. *)
 let save_relation pool ~name rel =
+  let schema = Relational.Relation.schema rel in
   let chain =
     Chain.make pool ~kind:kind_table ~first:0 ~tail:0 ~on_first:(fun _ -> ())
   in
-  let fences = ref [] and last = ref 0 in
+  let tally =
+    Tally.create ~arity:(Relational.Schema.arity schema)
+      ~rows:(Relational.Relation.cardinality rel)
+  in
+  let fences = ref [] and last = ref 0 and pages = ref 0 in
   Relational.Relation.iter
     (fun tuple ->
       let page, _ =
         Chain.append chain (Relational.Codec.tuple_to_string tuple)
       in
-      if page <> !last && Array.length tuple > 0 then
-        fences := { key = tuple.(0); page } :: !fences;
+      Tally.add tally tuple;
+      if page <> !last then begin
+        incr pages;
+        if Array.length tuple > 0 then
+          fences := { key = tuple.(0); page } :: !fences
+      end;
       last := page)
     rel;
   (* an empty relation still needs a chain for the catalog to point at *)
@@ -277,7 +386,8 @@ let save_relation pool ~name rel =
         List.iter (fun f -> ignore (Chain.append fc (encode_fence f))) all;
         Some { root = Chain.force fc; count = List.length all }
   in
-  { name; schema = Relational.Relation.schema rel; first; fences }
+  let stats = Tally.stats tally ~pages:(max 1 !pages) in
+  { name; schema; first; fences; stats = Some stats }
 
 (* Fences are trusted only when the fence chain is exactly what the
    catalog entry promises.  A table replace publishes its catalog entry
@@ -315,23 +425,33 @@ let load_relation pool ~schema ~first =
   ignore (iter_relation pool ~first (fun tup -> tuples := tup :: !tuples) : int);
   Relational.Relation.of_tuples schema (List.rev !tuples)
 
+let count_relation pool tb =
+  let tally = Tally.create ~arity:(Relational.Schema.arity tb.schema) ~rows:64 in
+  let pages = iter_relation pool ~first:tb.first (Tally.add tally) in
+  Tally.stats tally ~pages
+
 (* --- the catalog ---------------------------------------------------------- *)
 
-(* An unfenced entry keeps the original encoding, so files written before
-   fences existed decode unchanged (as unfenced) and an unfenced entry is
-   byte-identical to theirs; a fenced one appends the fence root and the
-   fence count. *)
+(* Three encodings decode.  The original is name, schema and first
+   page; a fenced entry appended its fence root and count.  An entry
+   with statistics appends, after the first page, the fence root and
+   count (0 and 0 when unfenced), its rows, its data pages and one
+   distinct count per column.  Every entry [save_relation] writes has
+   statistics; one an older binary wrote decodes with none, and is
+   written back in its own encoding when the catalog is rewritten. *)
 let encode_table t =
   let buf = Buffer.create 64 in
+  let add n = Buffer.add_int32_le buf (Int32.of_int n) in
   Buffer.add_uint16_le buf (String.length t.name);
   Buffer.add_string buf t.name;
   Relational.Codec.add_schema buf t.schema;
-  Buffer.add_int32_le buf (Int32.of_int t.first);
-  (match t.fences with
-  | None -> ()
-  | Some { root; count } ->
-      Buffer.add_int32_le buf (Int32.of_int root);
-      Buffer.add_int32_le buf (Int32.of_int count));
+  add t.first;
+  (match (t.fences, t.stats) with
+  | None, None -> ()
+  | Some { root; count }, None -> add root; add count
+  | fences, Some { rows; pages; distinct } ->
+      let root, count = match fences with Some f -> (f.root, f.count) | None -> (0, 0) in
+      List.iter add (root :: count :: rows :: pages :: distinct));
   Buffer.contents buf
 
 let decode_table r =
@@ -341,35 +461,37 @@ let decode_table r =
   let name = String.sub r !pos len in
   pos := !pos + len;
   let schema = Relational.Codec.read_schema r pos in
-  let first = Int32.to_int (String.get_int32_le r !pos) in
-  let fences =
-    if String.length r >= !pos + 12 then
-      Some
-        {
-          root = Int32.to_int (String.get_int32_le r (!pos + 4));
-          count = Int32.to_int (String.get_int32_le r (!pos + 8));
-        }
-    else None
+  let int i = Int32.to_int (String.get_int32_le r (!pos + (4 * i))) in
+  let fences () = if int 1 = 0 then None else Some { root = int 1; count = int 2 } in
+  let arity = Relational.Schema.arity schema in
+  let fences, stats =
+    match String.length r - !pos with
+    | 4 -> (None, None)
+    | 12 -> (fences (), None)
+    | n when n = 4 * (5 + arity) ->
+        (fences (), Some { rows = int 3; pages = int 4; distinct = List.init arity (fun i -> int (5 + i)) })
+    | _ -> raise (Relational.Codec.Corrupt (Printf.sprintf "catalog entry %S: bad length" name))
   in
-  { name; schema; first; fences }
+  { name; schema; first = int 0; fences; stats }
 
 let catalog pool =
   chain_records pool ~first:(Pager.catalog_root (Buffer_pool.pager pool)) decode_table
 
-(* The whole catalog, with [table] in place of its namesake (or last),
-   goes into a fresh chain: nothing the header reaches is written, and
-   the engine publishes the returned root once the pages are durable. *)
-let replace_table pool table =
+(* The whole catalog, with [tables] in place of their namesakes (the
+   new ones last), goes into a fresh chain: nothing the header reaches
+   is written, and the engine publishes the returned root once the
+   pages are durable. *)
+let replace_tables pool tables =
   let existing = catalog pool in
-  let tables =
-    if List.exists (fun t -> t.name = table.name) existing then
-      List.map (fun t -> if t.name = table.name then table else t) existing
-    else existing @ [ table ]
+  let named name = List.find_opt (fun t -> t.name = name) tables in
+  let entries =
+    List.map (fun t -> Option.value (named t.name) ~default:t) existing
+    @ List.filter (fun t -> not (List.exists (fun e -> e.name = t.name) existing)) tables
   in
   let chain =
     Chain.make pool ~kind:kind_catalog ~first:0 ~tail:0 ~on_first:(fun _ -> ())
   in
-  List.iter (fun t -> ignore (Chain.append chain (encode_table t))) tables;
+  List.iter (fun t -> ignore (Chain.append chain (encode_table t))) entries;
   Chain.force chain
 
 (* --- ownership --------------------------------------------------------------- *)

@@ -84,22 +84,33 @@ type fence = { key : Relational.Value.t; page : int }
 (** One fence: a data page's first leading-column value and its page
     id. *)
 
+type stats = { rows : int; pages : int; distinct : int list }
+(** A table's statistics, counted as {!save_relation} writes it: its
+    tuples, its data pages (the chain {!iter_relation} walks, fence
+    chain excluded), and one distinct-value count per column in schema
+    order.  Values are distinct as a polymorphic [Hashtbl] has them:
+    every nan is one value, and -0.0 is 0.0. *)
+
 type table = {
   name : string;
   schema : Relational.Schema.t;
   first : int;
   fences : fences option;
+  stats : stats option;
 }
-(** One catalog entry: table name, schema, its chain's first page, and
-    its fence chain ([None] for a one-page chain, and for every entry
+(** One catalog entry: table name, schema, its chain's first page, its
+    fence chain ([None] for a one-page chain, and for every entry
     written before fence chains existed — their encoding has no fence
-    fields). *)
+    fields), and its statistics ([None] only for an entry an older
+    binary wrote, whose encoding has none; it is rewritten in that
+    encoding until its table is replaced or counted). *)
 
 val save_relation :
   Buffer_pool.t -> name:string -> Relational.Relation.t -> table
 (** Write the relation's tuples into a fresh chain, in
     {!Relational.Tuple.compare} order (so sorted on the leading column),
-    and return the catalog entry describing it.  A chain of two or more
+    and return the catalog entry describing it, with the statistics
+    counted while the tuples were written.  A chain of two or more
     pages also gets a fence chain (page kind {!kind_fence}): one
     {!fence} per data page, in chain order.  Pages come from the pager's
     free set first, so no order of page ids is implied.  Nothing is
@@ -122,22 +133,28 @@ val iter_relation :
     page in chain order, without building a relation, and returns the
     number of pages walked (the {!chain_pages} count).  [f] runs while
     the record's page is pinned.  {!load_relation}, the planner's index
-    builds and its statistics scan all read tables through it. *)
+    builds and {!count_relation} all read tables through it. *)
 
 val load_relation :
   Buffer_pool.t -> schema:Relational.Schema.t -> first:int -> Relational.Relation.t
 (** The whole chain as a relation, read with {!iter_relation}. *)
 
+val count_relation : Buffer_pool.t -> table -> stats
+(** The statistics {!save_relation} would record for the entry's
+    chain, counted by one walk of it — for an entry an older binary
+    wrote without them.  The fence chain is not read. *)
+
 val catalog : Buffer_pool.t -> table list
 (** All catalog entries, in catalog-chain order. *)
 
-val replace_table : Buffer_pool.t -> table -> int
-(** Write the whole catalog into a fresh chain, with [table] in place of
-    the entry of the same name (appended when there is none), and
-    return its first page.  Nothing the header reaches is written: the
-    caller publishes the root with {!Pager.set_catalog_root} once the
-    new pages are durable.  The replaced table's pages and the old
-    catalog chain are then reached by nothing. *)
+val replace_tables : Buffer_pool.t -> table list -> int
+(** Write the whole catalog into a fresh chain, with each of [tables]
+    in place of the entry of the same name (appended, in list order,
+    when there is none), and return its first page.  Nothing the
+    header reaches is written: the caller publishes the root with
+    {!Pager.set_catalog_root} once the new pages are durable.  A
+    replaced table's pages and the old catalog chain are then reached
+    by nothing. *)
 
 val owned_pages : Buffer_pool.t -> int list option
 (** Every page the header reaches, read through the pool: the item

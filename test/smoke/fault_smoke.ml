@@ -7,7 +7,8 @@
    with the anchor zeroed, from LSN 0, and that one more open and close
    of the recovered file changes no byte.  A table
    replace on a file with free pages is swept at every crash point too:
-   the reopened table must be the old one or the new one.  A reduced
+   the reopened table must be the old one or the new one, and its
+   catalog entry's statistics must describe that version.  A reduced
    version of the exhaustive sweeps in test/test_executor.ml — seconds,
    not minutes. *)
 
@@ -137,14 +138,31 @@ let run_case ~what ~spec ~seed =
     path;
   cleanup path
 
+(* The statistics of the table the catalog names, counted afresh from
+   its rows and its chain. *)
+let fresh_stats eng name =
+  let rel = E.load_table eng name in
+  let schema, first = E.find_table eng name in
+  let distinct i =
+    let seen = Hashtbl.create 64 in
+    Relational.Relation.iter (fun tup -> Hashtbl.replace seen tup.(i) ()) rel;
+    Hashtbl.length seen
+  in
+  {
+    Storage.Heap.rows = Relational.Relation.cardinality rel;
+    pages = Storage.Heap.chain_pages (E.pool eng) ~first;
+    distinct = List.init (Relational.Schema.arity schema) distinct;
+  }
+
 (* A fenced table replaced by v2 under a crash at every I/O, until the
    replace completes, on a file holding v1 with v0's pages free behind
-   it (v1 replaced v0 in an earlier open). *)
+   it (v1 replaced v0 in an earlier open).  Each version has its own
+   row count, so statistics tell them apart. *)
 let replace_sweep () =
   let version salt =
     Relational.Relation.of_list
       (Relational.Schema.make [ ("k", Relational.Value.TInt); ("v", Relational.Value.TString) ])
-      (List.init 600 (fun i ->
+      (List.init (600 - (100 * salt)) (fun i ->
            [ Relational.Value.Int i; Relational.Value.String (Printf.sprintf "%d-%012d" salt i) ]))
   in
   let v0 = version 0 and v1 = version 1 and v2 = version 2 in
@@ -171,7 +189,10 @@ let replace_sweep () =
     check_anchor_agrees ~what path;
     let eng = E.open_db path in
     (match E.load_table eng "t" with
-    | t when Relational.Relation.equal t v1 || Relational.Relation.equal t v2 -> ()
+    | t when Relational.Relation.equal t v1 || Relational.Relation.equal t v2 ->
+        let entry = List.find (fun tb -> tb.Storage.Heap.name = "t") (E.tables eng) in
+        if entry.Storage.Heap.stats <> Some (fresh_stats eng "t") then
+          fail "%s: the statistics do not describe the table" what
     | _ -> fail "%s: the table is neither the old one nor the new one" what
     | exception e -> fail "%s: %s" what (Printexc.to_string e));
     E.close eng;

@@ -35,9 +35,6 @@ let with_university ?metrics f =
   Storage.Engine.save_table eng "students" students;
   Storage.Engine.save_table eng "courses" courses;
   Storage.Engine.save_table eng "enrolled" enrolled;
-  ignore
-    (Planner.Stats.analyze eng [ "students"; "courses"; "enrolled" ]
-      : Planner.Stats.t);
   Fun.protect
     ~finally:(fun () ->
       (* tests that exercise reopen persistence close [eng] themselves *)
@@ -49,18 +46,82 @@ let check_rel = Alcotest.check relation_testable
 
 (* --- statistics ---------------------------------------------------------- *)
 
+(* The reference count: one scan of the table's chain into a polymorphic
+   Hashtbl per column, as statistics were collected before the catalog
+   carried them. *)
+let collect eng name =
+  let schema, first = Storage.Engine.find_table eng name in
+  let seen = Array.init (R.Schema.arity schema) (fun _ -> Hashtbl.create 64) in
+  let rows = ref 0 in
+  let pages =
+    Storage.Heap.iter_relation (Storage.Engine.pool eng) ~first (fun tup ->
+        incr rows;
+        Array.iteri (fun i h -> Hashtbl.replace h tup.(i) ()) seen)
+  in
+  let columns =
+    List.mapi
+      (fun i attr -> { Planner.Stats.attr; distinct = Hashtbl.length seen.(i) })
+      (R.Schema.attributes schema)
+  in
+  { Planner.Stats.rows = !rows; pages; columns }
+
+(* Does every named table's catalog entry hold what a fresh count of
+   its chain finds? *)
+let stats_exact eng names =
+  let view = Planner.Stats.load eng in
+  List.for_all (fun name -> Planner.Stats.find view name = Some (collect eng name)) names
+
+(* Rewrite the catalog as an older binary wrote it, every entry without
+   statistics: name, schema and first page, then the fence root and
+   count when the entry is fenced and [fenced] holds.  Without [fenced]
+   each entry is in the encoding from before fence chains, which every
+   unfenced entry kept.  The catalog must fit one page. *)
+let write_old_catalog ?(fenced = true) eng =
+  let pool = Storage.Engine.pool eng in
+  let root = Storage.Pager.catalog_root (Storage.Engine.pager eng) in
+  let encode { Storage.Heap.name; schema; first; fences; _ } =
+    let buf = Buffer.create 64 in
+    let add n = Buffer.add_int32_le buf (Int32.of_int n) in
+    Buffer.add_uint16_le buf (String.length name);
+    Buffer.add_string buf name;
+    R.Codec.add_schema buf schema;
+    add first;
+    (match fences with
+    | Some { Storage.Heap.root; count } when fenced -> add root; add count
+    | _ -> ());
+    Buffer.contents buf
+  in
+  let entries = Storage.Heap.catalog pool in
+  Storage.Buffer_pool.with_page pool root (fun page ->
+      if Storage.Page.next page <> 0 then Alcotest.fail "catalog spans pages";
+      let blank = Storage.Page.init ~kind:Storage.Heap.kind_catalog in
+      List.iter (fun tb -> ignore (Storage.Page.insert blank (encode tb) : int)) entries;
+      Bytes.blit blank 0 page 0 Storage.Page.size;
+      Storage.Buffer_pool.mark_dirty pool root)
+
 let test_stats_collect_and_persist () =
   with_university (fun path eng ->
+      (* save_table alone records them, in the catalog entry *)
+      let entry =
+        List.find (fun tb -> tb.Storage.Heap.name = "students") (Storage.Engine.tables eng)
+      in
+      (match entry.Storage.Heap.stats with
+      | None -> Alcotest.fail "no statistics in the students entry"
+      | Some { Storage.Heap.rows; pages; distinct } ->
+          Alcotest.(check int) "rows" 5 rows;
+          Alcotest.(check bool) "pages > 0" true (pages > 0);
+          Alcotest.(check (list int)) "distinct per column" [ 5; 5; 3 ] distinct);
       let st = Planner.Stats.load eng in
       (match Planner.Stats.find st "students" with
       | None -> Alcotest.fail "no stats for students"
       | Some tb ->
           Alcotest.(check int) "rows" 5 tb.Planner.Stats.rows;
-          Alcotest.(check bool) "pages > 0" true (tb.Planner.Stats.pages > 0);
           Alcotest.(check (option int)) "sid distinct" (Some 5)
             (Planner.Stats.distinct tb "sid");
           Alcotest.(check (option int)) "year distinct" (Some 3)
             (Planner.Stats.distinct tb "year"));
+      Alcotest.(check bool) "exact" true
+        (stats_exact eng [ "students"; "courses"; "enrolled" ]);
       (* persists across a close/reopen *)
       Storage.Engine.close eng;
       let eng2 = Storage.Engine.open_db path in
@@ -77,16 +138,18 @@ let test_stats_collect_and_persist () =
 
 let test_reserved_tables_hidden () =
   with_university (fun _path eng ->
+      Planner.Indexes.create eng (Planner.Indexes.load eng)
+        { Planner.Indexes.table = "students"; attr = "sid"; kind = Btree };
       let names = Storage.Engine.table_names eng in
-      Alcotest.(check bool) "no __stats in names" false
-        (List.mem "__stats" names);
+      Alcotest.(check bool) "no __indexes in names" false
+        (List.mem Planner.Indexes.catalog_table names);
       Alcotest.(check (list string)) "public tables"
         [ "students"; "courses"; "enrolled" ]
         names;
       (* but load_table still resolves the reserved name *)
       Alcotest.(check bool) "reserved loadable" true
         (R.Relation.cardinality
-           (Storage.Engine.load_table eng Planner.Stats.stats_table)
+           (Storage.Engine.load_table eng Planner.Indexes.catalog_table)
         > 0))
 
 (* --- the index catalog ---------------------------------------------------- *)
@@ -388,8 +451,8 @@ let wide_db =
   in
   R.Database.add (R.Database.add R.Database.empty "t" t) "u" u
 
-(* Save [wide_db] into a fresh engine, optionally analyze it, run [f]. *)
-let with_wide ?metrics ~analyze f =
+(* Save [wide_db] into a fresh engine, run [f]. *)
+let with_wide ?metrics f =
   let path = fresh_path () in
   let eng = Storage.Engine.open_db ?metrics path in
   Fun.protect
@@ -400,8 +463,6 @@ let with_wide ?metrics ~analyze f =
       R.Database.fold
         (fun name rel () -> Storage.Engine.save_table eng name rel)
         wide_db ();
-      if analyze then
-        ignore (Planner.Stats.analyze eng [ "t"; "u" ] : Planner.Stats.t);
       f eng)
 
 let chain_pages eng name =
@@ -411,7 +472,7 @@ let chain_pages eng name =
 let test_multi_page_indexes () =
   List.iter
     (fun kind ->
-      with_wide ~analyze:true (fun eng ->
+      with_wide (fun eng ->
           Alcotest.(check bool) "t spans many pages" true (chain_pages eng "t" > 10);
           Planner.Indexes.create eng (Planner.Indexes.load eng)
             { Planner.Indexes.table = "t"; attr = "g"; kind };
@@ -459,10 +520,11 @@ let test_multi_page_indexes () =
             ordered))
     [ Planner.Indexes.Btree; Planner.Indexes.Hash ]
 
-(* [collect] reads the table once; its rows must be what loading the
-   table and walking its chain separately gave. *)
+(* The statistics save_table records are what loading the table and
+   walking its chain separately give, and analyze returns them as they
+   stand. *)
 let test_stats_one_pass_unchanged () =
-  with_wide ~analyze:false (fun eng ->
+  with_wide (fun eng ->
       let expected name =
         let rel = Storage.Engine.load_table eng name in
         let sch = R.Relation.schema rel in
@@ -480,25 +542,9 @@ let test_stats_one_pass_unchanged () =
         }
       in
       let want = [ ("t", expected "t"); ("u", expected "u") ] in
+      Alcotest.(check bool) "catalog" true (Planner.Stats.load eng = want);
       Alcotest.(check bool) "analyze" true
-        (Planner.Stats.analyze eng [ "t"; "u" ] = want);
-      let persisted = Storage.Engine.load_table eng Planner.Stats.stats_table in
-      check_rel "__stats rows"
-        (R.Relation.of_list (R.Relation.schema persisted)
-           (List.concat_map
-              (fun (name, tb) ->
-                List.map
-                  (fun c ->
-                    [
-                      String name;
-                      String c.Planner.Stats.attr;
-                      Int tb.Planner.Stats.rows;
-                      Int tb.Planner.Stats.pages;
-                      Int c.Planner.Stats.distinct;
-                    ])
-                  tb.Planner.Stats.columns)
-              want))
-        persisted)
+        (Planner.Stats.analyze eng [ "t"; "u" ] = want))
 
 let pool_fetches metrics =
   List.fold_left
@@ -517,18 +563,23 @@ let scan_pages plan =
 let test_planning_reads_no_page () =
   let metrics = Obs.Registry.create () in
   let q = R.Query_parser.parse "select[g = 3 and k >= 100](t join u)" in
-  with_wide ~metrics ~analyze:true (fun eng ->
+  with_wide ~metrics (fun eng ->
       Planner.Indexes.create eng (Planner.Indexes.load eng)
         { Planner.Indexes.table = "t"; attr = "k"; kind = Btree };
       let ctx = Planner.Plan.make eng in
       let before = pool_fetches metrics in
       ignore (Planner.Plan.plan ctx q : Planner.Physical.t);
-      Alcotest.(check int) "analyzed: no page fetched" before
+      Alcotest.(check int) "saved: no page fetched" before
         (pool_fetches metrics));
-  (* without a __stats row the chain is walked *)
-  with_wide ~metrics ~analyze:false (fun eng ->
+  (* an entry an older binary wrote has no statistics: its chain is
+     walked *)
+  with_wide ~metrics (fun eng ->
+      write_old_catalog eng;
       let ctx = Planner.Plan.make eng in
+      let before = pool_fetches metrics in
       let plan = Planner.Plan.plan ctx (A.Rel "t") in
+      Alcotest.(check bool) "older entry: chain walked" true
+        (pool_fetches metrics > before);
       Alcotest.(check (list int)) "pages = chain_pages" [ chain_pages eng "t" ]
         (scan_pages plan))
 
@@ -560,7 +611,6 @@ let prop_physical_matches_eval =
           R.Database.fold
             (fun name rel () -> Storage.Engine.save_table eng name rel)
             db ();
-          ignore (Planner.Stats.analyze eng (R.Database.names db) : Planner.Stats.t);
           let idx = Planner.Indexes.load eng in
           (* index a seed-dependent subset of columns, both kinds *)
           R.Database.fold
@@ -748,8 +798,6 @@ let prop_certify_never_refutes =
           R.Database.fold
             (fun name rel () -> Storage.Engine.save_table eng name rel)
             db ();
-          ignore
-            (Planner.Stats.analyze eng (R.Database.names db) : Planner.Stats.t);
           let ctx = Planner.Plan.make eng in
           let plan = Planner.Plan.plan ctx q in
           Planner.Certify.ok (Planner.Certify.certify ctx q plan)))
@@ -775,8 +823,6 @@ let prop_semantic_rewrite_preserves_results =
           R.Database.fold
             (fun name rel () -> Storage.Engine.save_table eng name rel)
             db ();
-          ignore
-            (Planner.Stats.analyze eng (R.Database.names db) : Planner.Stats.t);
           let on = Planner.Plan.make eng in
           let off =
             Planner.Plan.make
@@ -890,8 +936,9 @@ let prop_fences_match_eval =
           cleanup path)
         (fun () ->
           Storage.Engine.save_table eng "t" fdb.rel;
-          if seed mod 2 = 0 then
-            ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+          (* half the seeds plan on an entry an older binary wrote, so
+             priced by a chain walk *)
+          if seed mod 2 = 0 then write_old_catalog eng;
           (* an index on [k] must not win over the fences *)
           (match seed mod 3 with
           | 0 -> ()
@@ -1051,7 +1098,6 @@ let test_fence_crash_matrix () =
     let path = fresh_path () in
     let eng = Storage.Engine.open_db ~pool_size:2 path in
     Storage.Engine.save_table eng "t" v1;
-    ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
     Storage.Engine.close eng;
     (match Storage.Engine.open_db ~pool_size:2 ~crash_after:!k path with
     | exception Storage.Fault.Crash _ -> ()
@@ -1140,50 +1186,90 @@ let test_damaged_fence_page () =
           Bytes.set_uint8 page 40 (Bytes.get_uint8 page 40 lxor 0x10) );
     ]
 
-(* A catalog entry in the encoding used before fence chains existed —
-   name, schema, first page, nothing after — decodes as unfenced, and
-   its multi-page table still answers leading-column queries. *)
+(* Catalog entries in the encodings older binaries wrote: the one from
+   before fence chains (name, schema, first page), which every unfenced
+   entry kept, and the fenced one (fence root and count appended).  Each
+   decodes with no statistics, answers every query as before, is priced
+   by a chain walk, and gains exact statistics, its fences kept, from
+   one Stats.analyze, which a second call finds in place: no write.
+   The [__stats] table such a binary kept is never read. *)
 let test_pre_fence_catalog_entry () =
   let rel = fence_rows 4 in
-  let db = R.Database.add R.Database.empty "t" rel in
-  let path = fresh_path () in
-  let eng = Storage.Engine.open_db path in
-  Storage.Engine.save_table eng "t" rel;
-  let tb = catalog_entry eng "t" in
-  Alcotest.(check bool) "saved fenced" true (tb.Heap.fences <> None);
-  let old_entry =
-    let buf = Buffer.create 64 in
-    Buffer.add_uint16_le buf 1;
-    Buffer.add_string buf "t";
-    R.Codec.add_schema buf tb.Heap.schema;
-    Buffer.add_int32_le buf (Int32.of_int tb.Heap.first);
-    Buffer.contents buf
+  let small =
+    R.Relation.of_list
+      (R.Schema.make [ ("k", TInt); ("v", TString) ])
+      [ [ Int 1; String "a" ]; [ Int 2; String "b" ] ]
   in
-  let pool = Storage.Engine.pool eng in
-  let root = Storage.Pager.catalog_root (Storage.Engine.pager eng) in
-  Storage.Buffer_pool.with_page pool root (fun page ->
-      let blank = Storage.Page.init ~kind:Heap.kind_catalog in
-      ignore (Storage.Page.insert blank old_entry : int);
-      Bytes.blit blank 0 page 0 Storage.Page.size;
-      Storage.Buffer_pool.mark_dirty pool root);
-  Storage.Engine.close eng;
-  let eng = Storage.Engine.open_db path in
-  Fun.protect
-    ~finally:(fun () ->
+  let db = R.Database.add (R.Database.add R.Database.empty "t" rel) "s" small in
+  (* the statistics table such a binary kept, wrong on purpose *)
+  let old_stats =
+    R.Relation.of_list
+      (R.Schema.make
+         [ ("tbl", TString); ("col", TString); ("rows", TInt); ("pages", TInt); ("dv", TInt) ])
+      [ [ String "t"; String "k"; Int 7; Int 1; Int 7 ] ]
+  in
+  List.iter
+    (fun fenced ->
+      let what = if fenced then "fenced: " else "pre-fence: " in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Storage.Engine.save_table eng "t" rel;
+      Storage.Engine.save_table eng "s" small;
+      Storage.Engine.save_table eng "__stats" old_stats;
+      let tb = catalog_entry eng "t" in
+      Alcotest.(check bool) (what ^ "saved fenced") true (tb.Heap.fences <> None);
+      write_old_catalog ~fenced eng;
       Storage.Engine.close eng;
-      cleanup path)
-    (fun () ->
-      let tb' = catalog_entry eng "t" in
-      Alcotest.(check bool) "decodes unfenced" true (tb'.Heap.fences = None);
-      Alcotest.(check int) "same chain" tb.Heap.first tb'.Heap.first;
-      let ctx = Planner.Plan.make eng in
-      List.iter
-        (fun pred ->
-          let q = A.Select (pred, A.Rel "t") in
-          let plan = Planner.Plan.plan ctx q in
-          Alcotest.(check bool) "no fence scan" false (is_fenced plan);
-          check_rel (A.to_string q) (R.Eval.eval db q) (Planner.Exec.run ctx plan))
-        fence_queries)
+      let metrics = Obs.Registry.create () in
+      let eng = Storage.Engine.open_db ~metrics path in
+      let count name = Option.value ~default:0 (Obs.Registry.counter_value metrics name) in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          let tb' = catalog_entry eng "t" in
+          Alcotest.(check bool) (what ^ "fences as encoded") true
+            (tb'.Heap.fences = if fenced then tb.Heap.fences else None);
+          Alcotest.(check int) (what ^ "same chain") tb.Heap.first tb'.Heap.first;
+          Alcotest.(check bool) (what ^ "no statistics") true
+            (List.for_all (fun tb -> tb.Heap.stats = None) (Storage.Engine.tables eng));
+          let run () =
+            let ctx = Planner.Plan.make eng in
+            List.iter
+              (fun q ->
+                let plan = Planner.Plan.plan ctx q in
+                Alcotest.(check bool) (what ^ "fence scan as encoded") (fenced && q <> A.Rel "s")
+                  (is_fenced plan);
+                check_rel (what ^ A.to_string q) (R.Eval.eval db q) (Planner.Exec.run ctx plan))
+              (A.Rel "s" :: List.map (fun pred -> A.Select (pred, A.Rel "t")) fence_queries);
+            ctx
+          in
+          let ctx = run () in
+          Alcotest.(check bool) (what ^ "__stats not read") true (Planner.Plan.stats ctx = []);
+          let before = pool_fetches metrics in
+          let plan = Planner.Plan.plan ctx (A.Rel "t") in
+          Alcotest.(check bool) (what ^ "chain walked") true (pool_fetches metrics > before);
+          Alcotest.(check (list int)) (what ^ "priced by pages") [ chain_pages eng "t" ]
+            (scan_pages plan);
+          Alcotest.(check (float 0.)) (what ^ "rows from pages")
+            (float_of_int (chain_pages eng "t") *. (Planner.Plan.params ctx).Planner.Cost.tuples_per_page)
+            plan.P.meta.P.est_rows;
+          ignore (Planner.Stats.analyze eng [ "t"; "s" ] : Planner.Stats.t);
+          Alcotest.(check bool) (what ^ "analyzed exactly") true (stats_exact eng [ "t"; "s" ]);
+          Alcotest.(check bool) (what ^ "fences kept") true
+            ((catalog_entry eng "t").Heap.fences = tb'.Heap.fences);
+          ignore (run () : Planner.Plan.ctx);
+          let writes = count "pager.writes" and appends = count "wal.appends" in
+          ignore (Planner.Stats.analyze eng [ "t"; "s" ] : Planner.Stats.t);
+          Alcotest.(check (pair int int)) (what ^ "second analyze writes nothing")
+            (writes, appends)
+            (count "pager.writes", count "wal.appends");
+          let ctx = Planner.Plan.make eng in
+          let before = pool_fetches metrics in
+          ignore (Planner.Plan.plan ctx (A.Rel "t") : P.t);
+          Alcotest.(check int) (what ^ "analyzed: no page fetched") before (pool_fetches metrics)))
+    [ false; true ]
 
 (* One version of a table per planning context: after [t] is replaced
    inside a context, a fence scan, the same selection forced to a full
@@ -1199,7 +1285,6 @@ let test_one_version_per_context () =
       cleanup path)
     (fun () ->
       Storage.Engine.save_table eng "t" v1;
-      ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
       Planner.Indexes.create eng (Planner.Indexes.load eng)
         { Planner.Indexes.table = "t"; attr = "g"; kind = Btree };
       let ctx = Planner.Plan.make eng in
@@ -1298,8 +1383,9 @@ let files path = List.map Support.Io.read_file [ path; Storage.Engine.wal_path p
    stepped until it completes.  After every crash the reopened file must
    pass [check] without a Pager.Corrupt, hold the committed items and
    put no page in two chains; a fault-free replace must then succeed,
-   and a clean reopen change no byte. *)
-let replace_crash_matrix op check =
+   and a clean reopen change no byte.  [prepare] runs in a session of
+   its own just before [op]'s. *)
+let replace_crash_matrix ?(prepare = ignore) op check =
   let v0 = fence_rows 10 and v1 = fence_rows 11 and v3 = fence_rows 13 in
   let k = ref 0 and continue = ref true in
   while !continue do
@@ -1315,9 +1401,8 @@ let replace_crash_matrix op check =
         Storage.Engine.write eng ~txn "x" 1;
         Storage.Engine.write eng ~txn "y" 2;
         Storage.Engine.commit eng ~txn);
-    session (fun eng ->
-        Storage.Engine.save_table eng "t" v1;
-        ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t));
+    session (fun eng -> Storage.Engine.save_table eng "t" v1);
+    session prepare;
     (match Storage.Engine.open_db ~pool_size:2 ~crash_after:!k path with
     | exception Storage.Fault.Crash _ -> ()
     | eng -> (
@@ -1356,26 +1441,30 @@ let test_replace_crash_matrix () =
       let t = Storage.Engine.load_table eng "t" in
       R.Relation.equal t v1 || R.Relation.equal t v2)
 
-(* db index create: the index catalog is without or with the new index,
-   [t] is untouched, and the statistics read back. *)
+(* db index create on a table an older binary wrote, so its analyze
+   counts the table and publishes its entry with a second root switch:
+   the index catalog is without or with the new index, [t] is
+   untouched, and its entry has no statistics or exact ones. *)
 let test_index_create_crash_matrix () =
   let def = { Planner.Indexes.table = "t"; attr = "g"; kind = Btree } in
   replace_crash_matrix
+    ~prepare:(fun eng -> write_old_catalog eng)
     (fun eng ->
       Planner.Indexes.create eng (Planner.Indexes.load eng) def;
       ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t))
     (fun eng ~v1 ->
       let defs = Planner.Indexes.defs (Planner.Indexes.load eng) in
       (defs = [] || defs = [ def ])
-      && Planner.Stats.find (Planner.Stats.load eng) "t" <> None
+      && (Planner.Stats.find (Planner.Stats.load eng) "t" = None || stats_exact eng [ "t" ])
       && R.Relation.equal (Storage.Engine.load_table eng "t") v1)
 
 (* Random sequences of table saves (empty, one page, several pages),
    item commits, index create and drop, and Stats.analyze, each in its
    own open and close, some crashed at a random I/O.  After every op a
-   fault-free reopen must find no page in two chains, and every table,
-   the items and the index catalog at their last acknowledged state, or
-   the crashed op's new one. *)
+   fault-free reopen must find no page in two chains, every table, the
+   items and the index catalog at their last acknowledged state, or the
+   crashed op's new one, and each table's statistics equal to a fresh
+   count of its chain. *)
 type cow_op = Save of string * int | Commit of int | Index | Analyze
 
 let cow_op_gen =
@@ -1466,8 +1555,7 @@ let prop_cow_ownership =
                    verdict :=
                      ownership_clash eng = None
                      && (landed || ((not acked) && before))
-                     && (op <> Analyze || Planner.Stats.find (Planner.Stats.load eng) "p" <> None
-                        || not acked);
+                     && stats_exact eng [ "p"; "q" ];
                    if landed then begin
                      Hashtbl.reset tables;
                      Hashtbl.iter (Hashtbl.replace tables) landed_tables;
@@ -1497,6 +1585,45 @@ let edge_schema =
     [ ("i", TInt); ("s", TString); ("f", TFloat); ("b", TBool); ("pad", TString) ]
 
 let pick rng l = List.nth l (Support.Rng.int rng (List.length l))
+
+(* The statistics save_table counts while it writes, and those
+   Stats.analyze counts from the chain of an entry an older binary
+   wrote, both equal the reference count: edge values in every column
+   (nan, both zeros, the infinities, empty and shared-prefix strings,
+   both bools), each column leading in turn, duplicates in every column,
+   0 rows, one page, several pages, and the zero-ary relation. *)
+let prop_stats_match_reference =
+  property 60 "catalog statistics = a fresh count (edge values, 0 rows to several pages)"
+    seed_gen (fun seed ->
+      let rng = Support.Rng.create seed in
+      let rel =
+        if Support.Rng.int rng 6 = 0 then
+          R.Relation.of_list (R.Schema.make []) (List.init (Support.Rng.int rng 2) (fun _ -> []))
+        else
+          let pairs = R.Schema.pairs edge_schema in
+          let lead = Support.Rng.int rng (List.length pairs) in
+          let pairs = List.filteri (fun i _ -> i >= lead) pairs @ List.filteri (fun i _ -> i < lead) pairs in
+          let rows = pick rng [ 0; 1; 5; 60; 300 + Support.Rng.int rng 600 ] in
+          R.Relation.of_list (R.Schema.make pairs)
+            (List.init rows (fun _ ->
+                 List.map
+                   (fun (a, ty) ->
+                     if a = "pad" then String (String.make (Support.Rng.int rng 60) 'p')
+                     else pick rng (edge_values ty))
+                   pairs))
+      in
+      let path = fresh_path () in
+      let eng = Storage.Engine.open_db path in
+      Fun.protect
+        ~finally:(fun () ->
+          Storage.Engine.close eng;
+          cleanup path)
+        (fun () ->
+          Storage.Engine.save_table eng "t" rel;
+          let saved = stats_exact eng [ "t" ] in
+          write_old_catalog eng;
+          ignore (Planner.Stats.analyze eng [ "t" ] : Planner.Stats.t);
+          saved && stats_exact eng [ "t" ]))
 
 (* Random predicates over [edge_schema]: every comparison, both operand
    orders, attribute pairs, true/false and the connectives.  One leaf in
@@ -1692,6 +1819,7 @@ let suite =
     prop_fences_match_eval;
     prop_chain_sorted_and_fenced;
     prop_cow_ownership;
+    prop_stats_match_reference;
     prop_forced_merge_matches_eval;
     prop_join_keys_every_type;
     prop_certify_never_refutes;
