@@ -1,12 +1,11 @@
 (* Durable replication metadata.  Every file here is a sequence of
    CRC-framed text payloads (Storage.Log_file.frame), so the same
    tolerant scanner that reads WALs reads these: a torn tail is
-   dropped, never fatal.  The descriptor and node stamps are replaced
-   atomically (temp + rename); the ack journal is a Storage.Log_file,
-   append-only like a log. *)
+   dropped, never fatal.  The descriptor and node stamps are published
+   whole by Storage.Disk.replace; the ack journal is a
+   Storage.Log_file, append-only like a log. *)
 
 module Log_file = Storage.Log_file
-module Fault = Storage.Fault
 
 type sync_mode = Quorum | Async
 
@@ -24,24 +23,11 @@ let group_path base = base ^ ".repl"
 let acks_path base = base ^ ".acks"
 let epoch_path node = node ^ ".node"
 
-(* Atomic replace: frame the payload, write + fsync a temp file, rename
-   over the target.  A crash before the rename leaves the old file; the
-   fault injector accounts the write as one durable I/O. *)
+(* Publish one framed payload as the whole file: a crash at [site]
+   leaves the old file. *)
 let replace_file ?fault ~site path payload =
-  let frame = Log_file.frame payload in
-  let tmp = path ^ ".tmp" in
-  (match fault with
-  | Some f ->
-      Fault.io f ~at:site ~on_crash:(fun () ->
-          (* the temp write dies; the published file is untouched *)
-          if Sys.file_exists tmp then Sys.remove tmp)
-  | None -> ());
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let n = Unix.write_substring fd frame 0 (String.length frame) in
-  assert (n = String.length frame);
-  Unix.fsync fd;
-  Unix.close fd;
-  Sys.rename tmp path
+  Storage.Disk.replace ?fault ~at:site path
+    (Some (Log_file.frame payload))
 
 let first_payload path =
   match Log_file.read_payloads path with (_, p) :: _ -> Some p | [] -> None

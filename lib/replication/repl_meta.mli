@@ -48,8 +48,9 @@ val epoch_path : string -> string
     epoch stamp and snapshot watermark. *)
 
 val save_group : ?fault:Storage.Fault.t -> string -> group -> unit
-(** Atomically replace [base.repl] (write-to-temp + rename, fsynced).
-    [fault] accounts the write against the shared crash budget. *)
+(** Publish [base.repl] whole ({!Storage.Disk.replace}: temp file,
+    fsync, rename), at the crash site ["repl group write"] of [fault],
+    the shared crash budget. *)
 
 val load_group : string -> group option
 (** Read [base.repl]; [None] when absent or unreadable. *)
@@ -61,7 +62,8 @@ val discover : string -> int
     all). *)
 
 val save_node : ?fault:Storage.Fault.t -> string -> epoch:int -> snapshot_lsn:int -> unit
-(** Atomically replace the node's epoch stamp ([path.node]). *)
+(** Publish the node's epoch stamp ([path.node]) whole, as
+    {!save_group} does, at the crash site ["repl node write"]. *)
 
 val load_node : string -> (int * int) option
 (** [(epoch, snapshot_lsn)] from the node stamp; [None] when absent. *)

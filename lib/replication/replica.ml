@@ -140,31 +140,17 @@ let receive t ~epoch ~start ~chunk =
     end
   end
 
-let write_db_image t db_image =
-  match db_image with
-  | Some image ->
-      let fd =
-        Unix.openfile t.path
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-          0o644
-      in
-      let n = Unix.write_substring fd image 0 (String.length image) in
-      assert (n = String.length image);
-      Unix.fsync fd;
-      Unix.close fd
-  | None -> if Sys.file_exists t.path then Sys.remove t.path
-
-(* The snapshot install is modeled atomic: one fault point before any
-   mutation, then page image, log prefix, and epoch stamp land
-   together.  A real system would order page ship / log ship / stamp
-   publish behind a recovery marker; collapsing that ladder keeps the
-   crash model one-budget without opening a window where the log
-   claims pages the node never received (the RP004 gap). *)
+(* The snapshot install is modeled atomic: its one fault site is the
+   page image's replace, before any mutation, and after it the log
+   prefix and the epoch stamp land with no site between them.  A real
+   system would order page ship / log ship / stamp publish behind a
+   recovery marker; collapsing that ladder keeps the crash model
+   one-budget without opening a window where the log claims pages the
+   node never received (the RP004 gap). *)
 let install_snapshot t ~epoch ~db_image ~wal_image ~snapshot_lsn =
-  Fault.io t.fault
+  Storage.Disk.replace ~fault:t.fault
     ~at:(Printf.sprintf "replica %d snapshot" t.node_id)
-    ~on_crash:(fun () -> ());
-  write_db_image t db_image;
+    t.path db_image;
   let log = log t in
   Log_file.cut log 0;
   ignore (Log_file.append log wal_image : int);

@@ -53,7 +53,9 @@ val install_snapshot :
   t -> epoch:int -> db_image:string option -> wal_image:string ->
   snapshot_lsn:int -> unit
 (** Full catch-up: replace the replica's database file with the shipped
-    page image (remove it when the primary has none yet), replace its
+    page image (remove it when the primary has none yet), one
+    {!Storage.Disk.replace} at the crash site ["replica K snapshot"],
+    the install's only fault site; then replace its
     WAL with the shipped prefix, stamp epoch + snapshot watermark, and
     count the prefix's Commit frames.  This is the page-ship path —
     used for fresh nodes, diverged nodes (a deposed primary rejoining),

@@ -170,11 +170,16 @@ let checkpoint t =
 
 (* --- quarantine and repair ----------------------------------------------- *)
 
-(* Rebuild the item plane from scratch by replaying every surviving WAL
-   write record with its LSN.  Sound because the log is never truncated:
-   it holds the full history since the database was created, and the
-   page-LSN test keeps the replay idempotent. *)
-let replay_items pool entries =
+(* The one rebuild of the item plane: drop its chain (a header write)
+   and replay every surviving WAL write record into a fresh one with
+   its LSN.  Sound because the log is never truncated: it holds the full
+   history since the database was created, and the page-LSN test keeps
+   the replay idempotent.  An open rebuilds before its engine record
+   exists, so that an open whose rebuild fails has registered none of
+   the engine's instruments; the engine adopts the result with
+   [note_repair]. *)
+let rebuild_items pager pool ~quarantined entries =
+  Pager.set_items_root pager 0;
   let items = Heap.Items.load pool in
   let replayed = ref 0 in
   List.iter
@@ -185,7 +190,7 @@ let replay_items pool entries =
           incr replayed
       | _ -> ())
     entries;
-  (items, !replayed)
+  (items, { quarantined; replayed = !replayed })
 
 exception Damaged_prefix
 
@@ -211,10 +216,15 @@ let dir t =
       t.items <- Some items;
       items
 
-let note_repair t ~quarantined ~replayed =
+let note_repair t (items, repair) =
+  t.items <- Some items;
   Pager.forget_corrupt t.pager;
   Obs.Registry.Counter.incr t.emetrics.m_repairs;
-  t.last_repair <- Some { quarantined; replayed }
+  t.last_repair <- Some repair
+
+let repair_with t entries =
+  let quarantined = Pager.corrupt_pages t.pager in
+  note_repair t (rebuild_items t.pager t.pool ~quarantined entries)
 
 (* Runtime repair: flush what we can (so the rebuilt plane reflects every
    applied write), abandon the corrupt chain, and rebuild from the log on
@@ -223,12 +233,7 @@ let note_repair t ~quarantined ~replayed =
 let repair_now t =
   Obs.Trace.with_span t.trace "engine.repair" (fun () ->
       (try Wal.flush t.wal with Fault.Io_error site -> degrade t site);
-      let quarantined = Pager.corrupt_pages t.pager in
-      let entries = Wal.read_entries (Wal.path t.wal) in
-      Pager.set_items_root t.pager 0;
-      let items, replayed = replay_items t.pool entries in
-      t.items <- Some items;
-      note_repair t ~quarantined ~replayed)
+      repair_with t (Wal.read_entries (Wal.path t.wal)))
 
 (* Run an item-plane access, repairing once on a CRC failure. *)
 let with_repair t f =
@@ -316,15 +321,12 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
   let pool = Buffer_pool.create ~capacity:pool_size ~metrics pager in
   Buffer_pool.set_wal_barrier pool (fun lsn -> Wal.flush_to wal lsn);
   Pager.set_owner pager (fun () -> Heap.owned_pages pool);
-  let items, first_repair =
+  let rebuilt =
     try
-      match quarantine pager pool ~horizon:(Wal.durable_lsn wal) with
-      | None -> (None, None)
-      | Some quarantined ->
-          let entries = entries_at_open wal image in
-          Pager.set_items_root pager 0;
-          let items, replayed = replay_items pool entries in
-          (Some items, Some { quarantined; replayed })
+      Option.map
+        (fun quarantined ->
+          rebuild_items pager pool ~quarantined (entries_at_open wal image))
+        (quarantine pager pool ~horizon:(Wal.durable_lsn wal))
     with e ->
       Wal.abandon wal;
       Pager.abandon pager;
@@ -335,7 +337,7 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
       pager;
       pool;
       wal;
-      items;
+      items = None;
       fault;
       metrics;
       emetrics = make_metrics metrics;
@@ -353,9 +355,7 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
       walked_from = image.base;
     }
   in
-  Option.iter
-    (fun { quarantined; replayed } -> note_repair t ~quarantined ~replayed)
-    first_repair;
+  Option.iter (note_repair t) rebuilt;
   t.next_txn <- analysis.Recovery.next_txn;
   (try
      if image.bytes <> "" then begin
@@ -370,12 +370,7 @@ let open_engine ~pool_size ~fault ~metrics ~trace ~anchored path =
               quarantine, rebuild, and re-run — the replay is idempotent.
               The rebuild replays the log as it was read at open, not as
               it is on disk now: recovery may have flushed CLRs into it. *)
-           let quarantined = Pager.corrupt_pages t.pager in
-           let entries = entries_at_open wal image in
-           Pager.set_items_root t.pager 0;
-           let items, replayed = replay_items t.pool entries in
-           t.items <- Some items;
-           note_repair t ~quarantined ~replayed;
+           repair_with t (entries_at_open wal image);
            run_recovery (tries + 1)
        in
        let outcome =

@@ -1,13 +1,17 @@
 (** Fault injection for the storage engine: a taxonomy of disk failures.
 
-    Every durable I/O names its {e site} (e.g. ["wal flush"], ["page 3
-    write"], ["pager fsync"], ["page read"]) and consults this module
-    before touching the file.  Four fault kinds are modelled:
+    Every durable I/O is a {!Disk} call that names its {e site} (e.g.
+    ["wal flush"], ["page 3 write"], ["pager fsync"], ["page 3 read"])
+    and the kinds it draws; {!Disk} alone calls the disk hooks below
+    ({!io}, {!bit_flip}, {!torn_write}, {!with_retries}).  Four disk
+    fault kinds are modelled:
 
     - {e crash} — the process dies at the [n]-th durable I/O (a budget,
       as before).  Every site records a uniform {!crash_info} payload
-      and simulates its partial effect (a torn prefix for WAL flushes
-      and page writes; lost unsynced write-tails for a crashed fsync).
+      and simulates its partial effect (a torn prefix for a log flush or
+      a page write; lost unsynced write-tails for a crashed pager
+      fsync; nothing for the sector-atomic header write or a whole-file
+      replace).
     - {e torn write} — a page or WAL write silently loses its tail half
       (power blip inside the drive); detected later by CRC.
     - {e bit flip} — one random bit of the written image is corrupted
@@ -118,15 +122,12 @@ val bit_flip : t -> at:string -> len:int -> int option
 (** Should this [len]-byte image be corrupted?  [Some bit_index] when
     the fault fires (the caller flips that bit in a copy). *)
 
-val transient : t -> at:string -> bool
-(** Should this read/fsync attempt fail with a transient error?  Each
-    retry draws afresh, so with p < 1 retries eventually succeed. *)
-
 val with_retries : t -> at:string -> ?on_retry:(unit -> unit) -> (unit -> 'a) -> 'a
-(** The one transient-retry loop: run the operation unless
-    {!transient} fires at [at]; each firing calls [on_retry] and draws
-    again, up to 8 retries, after which {!Io_error} [at] escapes.  The
-    pager's reads and fsyncs and every {!Log_file} fsync run under it. *)
+(** The one transient-retry loop: draw a transient error at [at], and
+    run the operation once no error fires; each firing calls
+    [on_retry] and draws again (so with p < 1 the retries eventually
+    succeed), up to 8 retries, after which {!Io_error} [at] escapes.
+    Every eio site of {!Disk} runs under it. *)
 
 val dropped : t -> at:string -> bool
 (** Should this message be lost before the receiver sees it?  Each

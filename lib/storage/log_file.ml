@@ -2,9 +2,9 @@
    protocol every log in the system runs on: the write-ahead log, the
    coordinator's 2PC log, the offline Commit resolution, the quorum-ack
    journal and a replica's log copy.  The callers bring a payload check
-   and their fault-site names; the open scan, the torn-tail cut, the
-   crash tear, the fsync retry and the fsync-failure truncation live
-   here, once.
+   and their fault-site names; the open scan, the torn-tail cut and the
+   fsync-failure truncation live here, once, over a [Disk.t], which
+   draws the faults.
 
    frame (little-endian):
      u32 crc32 of the payload
@@ -12,9 +12,7 @@
      payload *)
 
 type t = {
-  path : string;
-  fd : Unix.file_descr;
-  fault : Fault.t;
+  file : Disk.t;
   pending : Buffer.t;  (* appended but not yet durable *)
   mutable durable : int;  (* bytes on disk once the last flush completed *)
   torn : int;  (* torn-tail bytes the open cut off *)
@@ -59,25 +57,17 @@ let read_payloads ?valid path =
     fst (payloads ?valid (Support.Io.read_file path))
   else []
 
-(* Truncate to [n] and write from there: the fsync-failure rollback and
-   a caller's [cut]. *)
-let truncate t n =
-  Unix.ftruncate t.fd n;
-  ignore (Unix.lseek t.fd n Unix.SEEK_SET : int);
-  t.durable <- n
-
-let open_file ?(fault = Fault.create ()) ~valid ?(from = 0)
-    ?(on_frame = fun _ _ -> ()) path =
-  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
+let open_file ?fault ?retries ~valid ?(from = 0) ?(on_frame = fun _ _ -> ())
+    path =
+  let file = Disk.open_file ?fault ?retries ~create:true path in
   let image = Support.Io.read_span path ~from ~len:max_int in
   let (), clean =
     fold ~valid image ~from:0 ~init:() ~f:(fun () pos _ -> on_frame image pos)
   in
   (* the torn-tail cut; a clean file is not touched, not even its mtime *)
   let torn = String.length image - clean and durable = from + clean in
-  if torn > 0 then Unix.ftruncate fd durable;
-  ignore (Unix.lseek fd durable Unix.SEEK_SET : int);
-  ( { path; fd; fault; pending = Buffer.create 1024; durable; torn },
+  if torn > 0 then Disk.truncate file durable;
+  ( { file; pending = Buffer.create 1024; durable; torn },
     if torn > 0 then String.sub image 0 clean else image )
 
 let append t bytes =
@@ -85,30 +75,13 @@ let append t bytes =
   Buffer.add_string t.pending bytes;
   off
 
-(* [Unix.write_substring] loops until every byte is written. *)
-let write t data len = ignore (Unix.write_substring t.fd data 0 len : int)
-
-let flush ?at ?fsync_at ?(damage = fun data -> (data, String.length data))
-    ?(on_retry = ignore) ?fsync_ns t =
+(* The pending bytes go at the durable end, so a short write leaves a
+   hole there and the next flush writes past it. *)
+let flush ?at ?draws ?fsync_at ?fsync_ns t =
   let len = Buffer.length t.pending in
   if len > 0 then begin
-    let data = Buffer.contents t.pending in
-    Option.iter
-      (fun at ->
-        Fault.io t.fault ~at ~on_crash:(fun () ->
-            (* the torn tail: half the pending bytes reach the platter *)
-            write t data (len / 2)))
-      at;
-    let data, reached = damage data in
-    write t data reached;
-    if reached < len then
-      ignore (Unix.lseek t.fd (t.durable + len) Unix.SEEK_SET : int);
-    let fsync () =
-      match fsync_at with
-      | None -> Unix.fsync t.fd
-      | Some at ->
-          Fault.with_retries t.fault ~at ~on_retry (fun () -> Unix.fsync t.fd)
-    in
+    Disk.write t.file ?at ?draws ~off:t.durable (Buffer.to_bytes t.pending);
+    let fsync () = Disk.fsync t.file ?at:fsync_at ~draws:[ `Eio ] () in
     (match
        match fsync_ns with
        | Some h -> Obs.Histogram.time h fsync
@@ -118,8 +91,8 @@ let flush ?at ?fsync_at ?(damage = fun data -> (data, String.length data))
     | exception (Fault.Io_error _ as e) ->
         (* fsyncgate: bytes written but not synced must be treated as
            lost, so they cannot resurface as history at the next open;
-           rewinding also makes a retried flush rewrite in place *)
-        truncate t t.durable;
+           a retried flush writes them at the durable end again *)
+        Disk.truncate t.file t.durable;
         raise e);
     t.durable <- t.durable + len;
     Buffer.clear t.pending
@@ -127,11 +100,12 @@ let flush ?at ?fsync_at ?(damage = fun data -> (data, String.length data))
 
 let cut t n =
   Buffer.clear t.pending;
-  truncate t n
+  Disk.truncate t.file n;
+  t.durable <- n
 
 let torn_at_open t = t.torn
 let durable t = t.durable
 let next t = t.durable + Buffer.length t.pending
-let path t = t.path
-let close t = Unix.close t.fd
-let abandon t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+let path t = Disk.path t.file
+let close t = Disk.close t.file
+let abandon t = Disk.abandon t.file

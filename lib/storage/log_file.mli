@@ -2,19 +2,22 @@
     little-endian): the one durable-append path under the write-ahead
     log, the coordinator's 2PC log, the offline Commit resolution of a
     shard log, the quorum-ack journal and a replica's log copy.  Each
-    of those owns only its payload codec; this module owns four rules:
+    of those owns only its payload codec; this module owns four rules,
+    over a {!Disk.t}, which makes every file call and draws every
+    fault:
 
     - {b open}: one validating scan with the caller's payload check,
       then the torn tail — everything after the last frame that is
       complete, passes its CRC and passes the check — is cut off, so
       appends resume on a frame boundary;
     - {b append}: frames go to a pending buffer, not to the file;
-    - {b flush}: {!Fault.io} at the caller's crash site (an injected
-      crash writes half the pending bytes: the torn tail the next open
-      cuts), one write, and an fsync under {!Fault.with_retries};
+    - {b flush}: one write of the pending bytes at the durable end, a
+      {!Disk.write} site of the caller's (whose crash writes half the
+      pending bytes: the torn tail the next open cuts), then one fsync;
     - {b fsync failure}: when the retries give up, the file is cut back
       to its durable length, because bytes written but not synced are
-      lost, not merely unconfirmed.
+      lost, not merely unconfirmed.  This is log policy; the pager has
+      none.
 
     An open file holds a descriptor until {!close} or {!abandon}. *)
 
@@ -45,7 +48,8 @@ val read_payloads :
 (** {!payloads} over a file, read-only; a missing file has none. *)
 
 val open_file :
-  ?fault:Fault.t -> valid:(string -> int -> int -> bool) -> ?from:int ->
+  ?fault:Fault.t -> ?retries:Obs.Registry.Counter.t ->
+  valid:(string -> int -> int -> bool) -> ?from:int ->
   ?on_frame:(string -> int -> unit) -> string -> t * string
 (** Open the file at a path (creating it if needed), read it from file
     offset [from] (default 0, which must be a frame boundary), scan
@@ -55,29 +59,27 @@ val open_file :
     Positions in the image are relative to it: its byte [pos] is the
     file's byte [from + pos], while {!durable}, {!next} and the offsets
     {!append} returns are file offsets.  Nothing before [from] is read
-    or cut.  [fault] is the injector {!flush} consults; it defaults to
-    an unarmed one. *)
+    or cut.  [fault] is the injector {!flush} consults (an unarmed one
+    by default), and [retries] counts its fsync's eio retries. *)
 
 val append : t -> string -> int
 (** Buffer bytes (frames, or a verbatim chunk of another log) and
     return the offset they will land at.  Not durable until {!flush}. *)
 
 val flush :
-  ?at:string -> ?fsync_at:string -> ?damage:(string -> string * int) ->
-  ?on_retry:(unit -> unit) -> ?fsync_ns:Obs.Histogram.t -> t -> unit
+  ?at:string -> ?draws:[ `Flip | `Torn ] list -> ?fsync_at:string ->
+  ?fsync_ns:Obs.Histogram.t -> t -> unit
 (** Make every pending byte durable; nothing happens when none is
     pending.  In order:
-    - [at]: {!Fault.io} at this crash site, whose crash writes the first
-      half of the pending bytes.  Without [at] the write is not a fault
-      site of its own;
-    - [damage data] returns the image to write and how many of its bytes
-      reach the disk (default: all).  The log advances past the full
-      length either way, so a short write leaves a hole of zeros;
-    - the fsync, timed into [fsync_ns].  With [fsync_at] it runs under
-      {!Fault.with_retries} at that site, calling [on_retry] per retry;
+    - the write, at [at] a {!Disk.write} site: a crash, which writes
+      the first half of the pending bytes, then [draws] (none by
+      default).  The log advances past the full length even when a
+      torn write leaves a hole of zeros.  Without [at] the write is not
+      a site;
+    - the fsync, timed into [fsync_ns].  At [fsync_at] it draws eio;
       when the retries give up, the file is cut back to its durable
       length, the pending bytes stay pending, and {!Fault.Io_error}
-      escapes.  Without [fsync_at] it draws no transient fault. *)
+      escapes.  Without [fsync_at] it draws nothing. *)
 
 val cut : t -> int -> unit
 (** Truncate the file to the given length and append from there,

@@ -1,23 +1,22 @@
 (* The pager: a fixed-size-page file with a header page (magic, version,
-   page count, chain roots) and CRC-checked data pages.  All I/O goes
-   through Unix file descriptors with explicit offsets; every write,
-   read, and fsync is a fault-injection point.
+   page count, chain roots) and CRC-checked data pages.  Its file is a
+   [Disk.t]; this module keeps the format and names the fault sites.
 
-   Fault discipline (see Fault):
-     - an injected crash during a data-page write leaves a torn prefix
-       (first half) of the page, like the WAL's torn-tail writer; the
-       header page is assumed sector-atomic (a real engine dual-buffers
-       it), so a crashed header write leaves the old header;
-     - an injected crash at "pager fsync" tears the tail half of a
-       random subset of the writes issued since the last successful
-       fsync — the writes the missing fsync failed to make durable;
-     - probabilistic torn writes and bit flips corrupt data pages
-       silently; they are detected by CRC on the next read, recorded in
-       [corrupt_pages], and repaired by the engine (quarantine + redo
-       from WAL);
-     - transient read/fsync EIO errors are retried with bounded
-       backoff; only an error that survives every retry escapes as
-       [Fault.Io_error].
+   Fault discipline (the sites' draws are Disk's, see Fault):
+     - a data-page write ("page N write", "page N allocate") draws a
+       crash, which leaves a torn prefix (first half) of the page, then
+       a bit flip and a torn write, which corrupt the page silently
+       until the CRC catches it on the next read; the engine repairs an
+       item page (quarantine + redo from WAL);
+     - the header write draws only a crash and is sector-atomic (a real
+       engine dual-buffers it): a crashed header write leaves the old
+       header, and a crashed fsync never tears it;
+     - "pager fsync" draws a crash first, which tears the tail half of
+       the page writes since the last fsync that the missing fsync
+       failed to make durable, then transient EIO, retried with a
+       bounded budget before it escapes as [Fault.Io_error];
+     - a page read draws transient EIO the same way.  The header read
+       at open is not a site.
 
    Free space is derived, not stored: at the first allocation the pager
    asks its owner walk (wired by the engine: the heap lists every page
@@ -76,35 +75,15 @@ let make_metrics registry =
 let () = ignore (make_metrics Obs.Registry.declared)
 
 type t = {
-  path : string;
-  fd : Unix.file_descr;
-  fault : Fault.t;
+  file : Disk.t;
   header : Bytes.t;
   metrics : metrics;
   mutable header_dirty : bool;  (* the anchor moved since the last write *)
-  mutable unsynced : (int * int) list;  (* (offset, length) since last fsync *)
   mutable corrupt_pages : int list;  (* CRC failures seen, newest first *)
   mutable owned : unit -> int list option;  (* the owner walk; None: unknown *)
   mutable free : int list option;
       (* unreached ids, ascending; None until the first allocation *)
 }
-
-(* --- low-level exact-offset I/O --------------------------------------- *)
-
-(* [Unix.write] loops until every byte is written *)
-let pwrite fd ~off buf len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  ignore (Unix.write fd buf 0 len : int)
-
-let really_pread fd ~off buf len =
-  ignore (Unix.lseek fd off Unix.SEEK_SET);
-  let got = ref 0 in
-  let eof = ref false in
-  while (not !eof) && !got < len do
-    let n = Unix.read fd buf !got (len - !got) in
-    if n = 0 then eof := true else got := !got + n
-  done;
-  !got
 
 (* --- header accessors -------------------------------------------------- *)
 
@@ -119,11 +98,10 @@ let anchor t =
   | lsn -> Some (lsn, Int32.to_int (Bytes.get_int32_le t.header 42) land 0xFFFFFFFF)
 
 let write_header t =
-  (* the header write is modelled as atomic (old header on a crash):
-     tearing it would lose the chain roots, which no log protects *)
-  Fault.io t.fault ~at:"header write" ~on_crash:(fun () -> ());
+  (* atomic (old header on a crash): tearing it would lose the chain
+     roots, which no log protects *)
   Page.seal t.header;
-  pwrite t.fd ~off:0 t.header Page.size;
+  Disk.write t.file ~at:"header write" ~atomic:true ~off:0 t.header;
   t.header_dirty <- false;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
@@ -147,86 +125,75 @@ let set_anchor t a =
 
 (* --- open / create ----------------------------------------------------- *)
 
-let make path fd fault metrics header =
+let make file metrics header =
   {
-    path;
-    fd;
-    fault;
+    file;
     header;
     metrics;
     header_dirty = false;
-    unsynced = [];
     corrupt_pages = [];
     owned = (fun () -> None);
     free = None;
   }
 
-let create ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop) path =
+let create ?fault ?(metrics = Obs.Registry.noop) path =
   let metrics = make_metrics metrics in
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
+  let file = Disk.create ?fault ~retries:metrics.m_retries path in
   let header = Bytes.make Page.size '\000' in
   Bytes.blit_string magic 0 header 4 (String.length magic);
   Bytes.set_uint16_le header 12 version;
-  let t = make path fd fault metrics header in
+  let t = make file metrics header in
   (try
      set_page_count t 1;
      write_header t
    with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
+     Disk.abandon file;
      raise e);
   t
 
-let open_file ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop) path =
+let open_file ?fault ?(metrics = Obs.Registry.noop) path =
   let metrics = make_metrics metrics in
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let file = Disk.open_file ?fault ~retries:metrics.m_retries path in
   try
     let header = Bytes.make Page.size '\000' in
-    let got = really_pread fd ~off:0 header Page.size in
-    if got <> Page.size then corrupt "%s: truncated header page" path;
+    if Disk.read file ~off:0 header <> Page.size then
+      corrupt "%s: truncated header page" path;
     if not (Page.check header) then corrupt "%s: header page CRC mismatch" path;
     if Bytes.sub_string header 4 (String.length magic) <> magic then
       corrupt "%s: bad magic (not a dbmeta database)" path;
     let v = Bytes.get_uint16_le header 12 in
     if v <> version then
       corrupt "%s: format version %d, expected %d" path v version;
-    make path fd fault metrics header
+    make file metrics header
   with e ->
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Disk.abandon file;
     raise e
 
 (* a clean open and close writes nothing: the header goes back only when
    a checkpoint moved its anchor since it was last written *)
 let close t =
   if t.header_dirty then write_header t;
-  Unix.close t.fd
+  Disk.close t.file
 
-let abandon t = try Unix.close t.fd with Unix.Unix_error _ -> ()
+let abandon t = Disk.abandon t.file
 
 (* --- pages -------------------------------------------------------------- *)
 
-let check_id t id =
-  if id <= 0 || id >= page_count t then corrupt "%s: page id %d out of range" t.path id
+let path t = Disk.path t.file
 
-(* Reads and fsyncs share the fault injector's transient-retry loop. *)
-let with_transient_retries t ~at f =
-  Fault.with_retries t.fault ~at f ~on_retry:(fun () ->
-      Obs.Registry.Counter.incr t.metrics.m_retries)
+let check_id t id =
+  if id <= 0 || id >= page_count t then corrupt "%s: page id %d out of range" (path t) id
 
 let read_into t id buf =
   if Bytes.length buf <> Page.size then invalid_arg "Pager.read_into: not a page buffer";
   check_id t id;
   let at = Printf.sprintf "page %d read" id in
-  let got =
-    with_transient_retries t ~at (fun () ->
-        really_pread t.fd ~off:(id * Page.size) buf Page.size)
-  in
-  if got <> Page.size then corrupt "%s: page %d truncated" t.path id;
+  if Disk.read t.file ~at ~off:(id * Page.size) buf <> Page.size then
+    corrupt "%s: page %d truncated" (path t) id;
   if not (Page.check buf) then begin
     t.corrupt_pages <- id :: t.corrupt_pages;
     Obs.Registry.Counter.incr t.metrics.m_crc_failures;
-    corrupt "%s: page %d CRC mismatch" t.path id
+    corrupt "%s: page %d CRC mismatch" (path t) id
   end;
   Obs.Registry.Counter.incr t.metrics.m_reads
 
@@ -235,34 +202,17 @@ let read_page t id =
   read_into t id buf;
   buf
 
-(* Write a sealed page image, injecting the probabilistic disk faults:
-   a torn write loses the tail half silently; a bit flip corrupts one
-   bit of the on-disk image (the in-memory page stays intact).  Both
-   are detected by CRC on the next read of the page. *)
-let write_image t ~at ~off page =
-  let image =
-    match Fault.bit_flip t.fault ~at ~len:Page.size with
-    | None -> page
-    | Some bit ->
-        let dirty = Bytes.copy page in
-        let byte = bit / 8 and mask = 1 lsl (bit mod 8) in
-        Bytes.set_uint8 dirty byte (Bytes.get_uint8 dirty byte lxor mask);
-        dirty
-  in
-  if Fault.torn_write t.fault ~at then
-    pwrite t.fd ~off image (Page.size / 2)
-  else pwrite t.fd ~off image Page.size;
-  t.unsynced <- (off, Page.size) :: t.unsynced;
+(* Seal and write a data page: a crash tears it, and a flip or a torn
+   write corrupts it silently (the in-memory page stays intact) until
+   its CRC fails on the next read. *)
+let write_sealed t ~at id page =
+  Page.seal page;
+  Disk.write t.file ~at ~draws:[ `Flip; `Torn ] ~off:(id * Page.size) page;
   Obs.Registry.Counter.incr t.metrics.m_writes
 
 let write_page t id page =
   check_id t id;
-  let at = Printf.sprintf "page %d write" id in
-  Page.seal page;
-  (* a crash mid-write leaves a torn prefix of the new image *)
-  Fault.io t.fault ~at ~on_crash:(fun () ->
-      pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
-  write_image t ~at ~off:(id * Page.size) page
+  write_sealed t ~at:(Printf.sprintf "page %d write" id) id page
 
 let set_owner t walk = t.owned <- walk
 
@@ -299,34 +249,19 @@ let allocate t ~kind =
         set_page_count t (id + 1);
         (id, false)
   in
-  let page = Page.init ~kind in
-  let at = Printf.sprintf "page %d allocate" id in
   (* order matters: the blank page is on disk before any chain can link
      to it, and an appended one before the header admits it *)
-  Page.seal page;
-  Fault.io t.fault ~at ~on_crash:(fun () ->
-      pwrite t.fd ~off:(id * Page.size) page (Page.size / 2));
-  write_image t ~at ~off:(id * Page.size) page;
+  write_sealed t ~at:(Printf.sprintf "page %d allocate" id) id (Page.init ~kind);
   if reused then Obs.Registry.Counter.incr t.metrics.m_reused else write_header t;
   id
 
+(* a crash here leaves the partially-persisted page-cache state: each
+   page written since the last sync keeps its head but may lose its
+   tail half *)
 let sync t =
-  (* a crash at the fsync loses the durability of the writes since the
-     last sync: each such write keeps its head but may lose its tail
-     half — the classic partially-persisted page-cache state *)
-  Fault.io t.fault ~at:"pager fsync" ~on_crash:(fun () ->
-      List.iter
-        (fun (off, len) ->
-          if off > 0 && Fault.torn_write t.fault ~at:"pager fsync" then begin
-            let half = len / 2 in
-            pwrite t.fd ~off:(off + half) (Bytes.make half '\000') half
-          end)
-        t.unsynced);
-  with_transient_retries t ~at:"pager fsync" (fun () -> Unix.fsync t.fd);
-  Obs.Registry.Counter.incr t.metrics.m_syncs;
-  t.unsynced <- []
+  Disk.fsync t.file ~at:"pager fsync" ~draws:[ `Crash; `Eio ] ();
+  Obs.Registry.Counter.incr t.metrics.m_syncs
 
-let fault t = t.fault
-let path t = t.path
+let fault t = Disk.fault t.file
 let corrupt_pages t = List.sort_uniq Int.compare t.corrupt_pages
 let forget_corrupt t = t.corrupt_pages <- []

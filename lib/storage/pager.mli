@@ -5,12 +5,16 @@
     Page id 0 is the header and is not directly readable.  Allocation
     takes the lowest page that nothing reaches and grows the file only
     when none is left; free space is derived by the owner walk
-    ({!set_owner}), never stored.  Every
-    write, read, and fsync is a {!Fault} injection point: crashes leave
-    torn prefixes (and a crashed fsync tears the tail of unsynced
-    writes), probabilistic torn writes/bit flips corrupt pages silently
-    until CRC catches them, and transient EIO faults are retried with a
-    bounded budget before escaping as {!Fault.Io_error}. *)
+    ({!set_owner}), never stored.  The file is a {!Disk.t}: every page
+    write and allocation, page read, header write and fsync is a
+    {!Disk} fault site.  A crash at a page write leaves its torn prefix
+    (and a crashed fsync tears the tail of the page writes it did not
+    make durable), probabilistic torn writes and bit flips corrupt
+    pages silently until CRC catches them, and transient EIO faults are
+    retried with a bounded budget before escaping as
+    {!Fault.Io_error}.  The header write is sector-atomic: a crash
+    there writes nothing, and no crashed fsync tears it.  The header
+    read at open is not a fault site. *)
 
 exception Corrupt of string
 (** Bad magic, version mismatch, short read, CRC mismatch, or an
@@ -83,10 +87,11 @@ val write_page : t -> int -> Page.t -> unit
 (** Seals (checksums) and writes the page. *)
 
 val sync : t -> unit
-(** fsync the file — a fault-injection point like every write.  An
-    injected crash here tears the tail half of a random subset of the
-    writes since the last successful sync (their durability is exactly
-    what the lost fsync would have bought). *)
+(** fsync the file — the site ["pager fsync"], drawing a crash, then
+    transient EIO.  An injected crash here tears the tail half of a
+    random subset of the page writes since the last successful sync
+    (their durability is exactly what the lost fsync would have
+    bought). *)
 
 val catalog_root : t -> int
 (** First page of the catalog chain, from the header (0 = absent). *)
@@ -117,7 +122,7 @@ val set_anchor : t -> (int * int) option -> unit
     {!allocate}) carries it, and none is added for it. *)
 
 val fault : t -> Fault.t
-(** The injector consulted on every read/write/fsync. *)
+(** The injector the file's fault sites consult. *)
 
 val path : t -> string
 (** The database file path this pager was opened on. *)

@@ -228,23 +228,19 @@ let make_metrics registry =
 
 let () = ignore (make_metrics Obs.Registry.declared)
 
-type t = {
-  file : Log_file.t;
-  fault : Fault.t;
-  metrics : metrics;
-  trace : Obs.Trace.t;
-}
+type t = { file : Log_file.t; metrics : metrics; trace : Obs.Trace.t }
 
-let open_log ?(fault = Fault.create ()) ?(metrics = Obs.Registry.noop)
-    ?(trace = Obs.Trace.noop) ?(on_frame = fun _ _ _ -> ()) ?(from = 0) path =
+let open_log ?fault ?(metrics = Obs.Registry.noop) ?(trace = Obs.Trace.noop)
+    ?(on_frame = fun _ _ _ -> ()) ?(from = 0) path =
   let metrics = make_metrics metrics in
   let file, bytes =
-    Log_file.open_file ~fault ~valid ~from path ~on_frame:(fun bytes pos ->
+    Log_file.open_file ?fault ~retries:metrics.m_retries ~valid ~from path
+      ~on_frame:(fun bytes pos ->
         on_frame (from + pos) (kind_at bytes pos) (txn_at bytes pos))
   in
   Obs.Registry.Counter.add metrics.m_open_bytes
     (String.length bytes + Log_file.torn_at_open file);
-  ({ file; fault; metrics; trace }, { base = from; bytes })
+  ({ file; metrics; trace }, { base = from; bytes })
 
 let append t record =
   let frame = frame_of_record record in
@@ -255,26 +251,13 @@ let append t record =
 let next_lsn t = Log_file.next t.file
 let durable_lsn t = Log_file.durable t.file
 
-(* The WAL's own silent faults, drawn after the crash point: a bit of
-   the flushed image flipped in flight, or its tail half never reaching
-   the platter.  Either way the frame fails its CRC (or reads back as
-   zeros) at the next checkpoint's read-back, which keeps the anchor
-   before it, and at the next open, which truncates the log there;
-   stolen pages carrying lost-suffix LSNs are then quarantined and
-   rebuilt by the engine. *)
-let damage fault data =
-  let len = String.length data in
-  let data =
-    match Fault.bit_flip fault ~at:"wal flush" ~len with
-    | None -> data
-    | Some bit ->
-        let dirty = Bytes.of_string data in
-        let byte = bit / 8 and mask = 1 lsl (bit mod 8) in
-        Bytes.set_uint8 dirty byte (Bytes.get_uint8 dirty byte lxor mask);
-        Bytes.unsafe_to_string dirty
-  in
-  (data, if Fault.torn_write fault ~at:"wal flush" then len / 2 else len)
-
+(* "wal flush" also draws the WAL's own silent faults, after the crash
+   point: a bit of the flushed image flipped in flight, or its tail half
+   never reaching the platter.  Either way the frame fails its CRC (or
+   reads back as zeros) at the next checkpoint's read-back, which keeps
+   the anchor before it, and at the next open, which truncates the log
+   there; stolen pages carrying lost-suffix LSNs are then quarantined
+   and rebuilt by the engine. *)
 let flush t =
   let len = Log_file.next t.file - Log_file.durable t.file in
   if len > 0 then
@@ -283,9 +266,8 @@ let flush t =
       "wal.flush"
       (fun () ->
         Obs.Histogram.time t.metrics.m_flush_ns (fun () ->
-            Log_file.flush t.file ~at:"wal flush" ~fsync_at:"wal fsync"
-              ~damage:(damage t.fault) ~fsync_ns:t.metrics.m_fsync_ns
-              ~on_retry:(fun () -> Obs.Registry.Counter.incr t.metrics.m_retries);
+            Log_file.flush t.file ~at:"wal flush" ~draws:[ `Flip; `Torn ]
+              ~fsync_at:"wal fsync" ~fsync_ns:t.metrics.m_fsync_ns;
             Obs.Registry.Counter.incr t.metrics.m_flushes;
             Obs.Registry.Counter.add t.metrics.m_flush_bytes len))
 

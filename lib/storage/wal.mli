@@ -85,12 +85,14 @@ val append : t -> record -> int
 (** Buffer a record; returns its LSN.  Not durable until {!flush}. *)
 
 val flush : t -> unit
-(** Write + fsync everything pending — a fault-injection point: an
-    injected crash tears the pending bytes' tail, probabilistic torn
-    writes/bit flips corrupt the flushed image silently (detected by the
-    next open's scan, which truncates the log there), and transient
-    fsync faults are retried with a bounded budget before escaping as
-    {!Fault.Io_error} (the engine then degrades to read-only). *)
+(** Write + fsync everything pending, through {!Log_file.flush}: the
+    write is the {!Disk} site ["wal flush"], drawing a crash (which
+    tears the pending bytes' tail), then a bit flip and a torn write
+    (which corrupt the flushed image silently, to be detected by the
+    next open's scan, which truncates the log there); the fsync is the
+    site ["wal fsync"], drawing transient EIO, retried with a bounded
+    budget before it escapes as {!Fault.Io_error} (the engine then
+    degrades to read-only). *)
 
 val flush_to : t -> int -> unit
 (** Ensure durability up to (and including) the given LSN — the

@@ -75,3 +75,16 @@ let relation_testable =
 
 let rows rel =
   R.Relation.to_list rel |> List.map Array.to_list
+
+(* Damage a file at rest, as a bad disk or a hand edit would:
+   [edit_file path ~off ~len f] reads [len] bytes at [off], lets [f]
+   change them, and writes them back in place. *)
+let edit_file path ~off ~len f =
+  let bytes = Bytes.of_string (Support.Io.read_span path ~from:off ~len) in
+  f bytes;
+  let oc = open_out_gen [ Open_wronly; Open_binary ] 0 path in
+  seek_out oc off;
+  output_bytes oc bytes;
+  close_out oc
+
+let truncate_file path len = Unix.truncate path len

@@ -154,9 +154,7 @@ let test_coord_log_torn_tail () =
   append_all log;
   let whole = (Unix.stat path).Unix.st_size in
   (* tear the file mid-frame: the tolerant scan keeps the prefix *)
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Unix.ftruncate fd (whole - 3);
-  Unix.close fd;
+  Fixtures.truncate_file path (whole - 3);
   let survivors = CL.read_file path in
   Alcotest.(check int) "one frame lost" (List.length all_records - 1)
     (List.length survivors);

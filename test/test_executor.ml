@@ -396,11 +396,8 @@ let test_quarantine_and_repair () =
   let before = E.items eng in
   E.close eng;
   (* flip a byte inside the first item-store page *)
-  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  ignore
-    (Unix.lseek fd (Storage.Page.size + (Storage.Page.size / 2)) Unix.SEEK_SET);
-  ignore (Unix.write fd (Bytes.make 1 '\xff') 0 1);
-  Unix.close fd;
+  Fixtures.edit_file path ~off:(Storage.Page.size + (Storage.Page.size / 2)) ~len:1
+    (fun b -> Bytes.set b 0 '\xff');
   let metrics = Obs.Registry.create () in
   let eng = E.open_db ~metrics path in
   Alcotest.(check bool) "at least one repair" true (count metrics "engine.repairs" >= 1);

@@ -22,4 +22,5 @@ let () =
       ("distributed", Test_distributed.suite);
       ("replication", Test_replication.suite);
       ("obs", Test_obs.suite);
+      ("disk-sites", Test_disk_sites.suite);
     ]

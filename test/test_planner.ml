@@ -1148,14 +1148,8 @@ let test_damaged_fence_page () =
         | None -> Alcotest.fail "t should be fenced"
       in
       Storage.Engine.close eng;
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-      let page = Bytes.create Storage.Page.size in
-      ignore (Unix.lseek fd (root * Storage.Page.size) Unix.SEEK_SET);
-      ignore (Unix.read fd page 0 Storage.Page.size);
-      damage page;
-      ignore (Unix.lseek fd (root * Storage.Page.size) Unix.SEEK_SET);
-      ignore (Unix.write fd page 0 Storage.Page.size);
-      Unix.close fd;
+      Fixtures.edit_file path ~off:(root * Storage.Page.size) ~len:Storage.Page.size
+        damage;
       let metrics = Obs.Registry.create () in
       let eng = Storage.Engine.open_db ~metrics path in
       let ctx = Planner.Plan.make eng in

@@ -301,10 +301,8 @@ let test_pager_detects_corruption () =
   let id = Storage.Pager.allocate pager ~kind:3 in
   Storage.Pager.close pager;
   (* flip a byte in the middle of the data page *)
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-  ignore (Unix.lseek fd ((id * Storage.Page.size) + 2000) Unix.SEEK_SET);
-  ignore (Unix.write_substring fd "X" 0 1);
-  Unix.close fd;
+  Fixtures.edit_file path ~off:((id * Storage.Page.size) + 2000) ~len:1 (fun b ->
+      Bytes.set b 0 'X');
   let pager = Storage.Pager.open_file path in
   Alcotest.(check bool) "crc mismatch raised" true
     (match Storage.Pager.read_page pager id with
@@ -771,11 +769,6 @@ let test_pool_failed_reads () =
   let pool = Storage.Buffer_pool.create ~capacity:1 ~metrics pager in
   let buf_a = Storage.Buffer_pool.fetch pool a in
   Storage.Buffer_pool.unpin pool a;
-  let damage f =
-    let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-    f fd;
-    Unix.close fd
-  in
   let fails what exn_ok =
     (match Storage.Buffer_pool.with_page pool b Bytes.copy with
     | _ -> Alcotest.failf "%s: fetch succeeded" what
@@ -791,14 +784,12 @@ let test_pool_failed_reads () =
     Storage.Buffer_pool.with_page pool a ignore
   in
   let corrupt = function Storage.Pager.Corrupt _ -> true | _ -> false in
-  damage (fun fd ->
-      ignore (Unix.lseek fd ((b * Storage.Page.size) + 2000) Unix.SEEK_SET);
-      ignore (Unix.write_substring fd "X" 0 1));
+  Fixtures.edit_file path ~off:((b * Storage.Page.size) + 2000) ~len:1 (fun x ->
+      Bytes.set x 0 'X');
   fails "crc mismatch" corrupt;
-  damage (fun fd ->
-      let half = Storage.Page.size / 2 in
-      ignore (Unix.lseek fd ((b * Storage.Page.size) + half) Unix.SEEK_SET);
-      ignore (Unix.write fd (Bytes.make half '\000') 0 half));
+  let half = Storage.Page.size / 2 in
+  Fixtures.edit_file path ~off:((b * Storage.Page.size) + half) ~len:half (fun x ->
+      Bytes.fill x 0 half '\000');
   fails "torn page" corrupt;
   let fault = Storage.Pager.fault pager in
   Storage.Fault.configure fault (Storage.Fault.spec_of_string "eio@read=1.0,seed=3");
@@ -2209,14 +2200,9 @@ let test_save_table_refuses_live_txn () =
 (* Edit a database's header page in place and reseal its CRC, as a hand
    edit, or a binary that keeps no anchor, would leave it. *)
 let edit_header path f =
-  let header =
-    Bytes.of_string (Support.Io.read_span path ~from:0 ~len:Storage.Page.size)
-  in
-  f header;
-  Storage.Page.seal header;
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  ignore (Unix.write fd header 0 Storage.Page.size : int);
-  Unix.close fd
+  Fixtures.edit_file path ~off:0 ~len:Storage.Page.size (fun header ->
+      f header;
+      Storage.Page.seal header)
 
 (* the anchor fields: i64 checkpoint LSN at 34, u32 next txn at 42 *)
 let write_anchor path ~lsn ~next_txn =
@@ -2480,14 +2466,8 @@ let test_txn_ids_continue_after_anchor () =
 
 (* Flip one byte of a file in place. *)
 let smash file pos =
-  let fd = Unix.openfile file [ Unix.O_RDWR ] 0o644 in
-  let b = Bytes.create 1 in
-  ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
-  ignore (Unix.read fd b 0 1 : int);
-  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-  ignore (Unix.lseek fd pos Unix.SEEK_SET : int);
-  ignore (Unix.write fd b 0 1 : int);
-  Unix.close fd
+  Fixtures.edit_file file ~off:pos ~len:1 (fun b ->
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff)))
 
 (* An open-time rebuild needs the whole log.  When the prefix before the
    anchor took damage at rest, the open walks from LSN 0 instead and
